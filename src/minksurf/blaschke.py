@@ -18,16 +18,16 @@ computed spectrally on periodic samples.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateH, NonConvexCurve, NonElliptic
-from .geometry import point_geometry
-from .norms import NormModel, euclidean_norm
+from .geometry import PointGeometry, _euclidean_frame, point_geometry
+from .norms import NormModel
 from .numerics import NumericsConfig, DEFAULT_CONFIG, relative_step
-from .surfaces import SurfacePatch, evaluate_jet
+from .surfaces import SurfacePatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,38 +42,29 @@ class BlaschkeSample:
     discrepancy: Optional[float] = None  # |eta - affine_normal|_2
 
 
-def _second_fundamental(surface: SurfacePatch, s: float, t: float):
-    jet = evaluate_jet(surface, s, t)
-    P = np.column_stack([jet.f_s, jet.f_t])
-    n_raw = np.cross(jet.f_s, jet.f_t)
-    xi = surface.orientation * n_raw / np.linalg.norm(n_raw)
-    II = np.array([
-        [jet.f_ss @ xi, jet.f_st @ xi],
-        [jet.f_st @ xi, jet.f_tt @ xi],
-    ])
-    G = P.T @ P
-    return jet, P, xi, G, II
-
-
 def euclidean_gaussian(surface: SurfacePatch, s: float, t: float) -> float:
     """Euclidean Gaussian curvature det(II)/det(G); orientation-independent."""
-    _, _, _, G, II = _second_fundamental(surface, s, t)
+    _, _, G, _, II = _euclidean_frame(surface, s, t)
     return float(np.linalg.det(II) / np.linalg.det(G))
 
 
-def blaschke_residual(norm: NormModel, surface: SurfacePatch, s: float, t: float,
-                      config: NumericsConfig = DEFAULT_CONFIG) -> BlaschkeSample:
+def _volume_forms(pg: PointGeometry) -> BlaschkeSample:
     """omega, omega_h, their residual and ratio in the chart basis with transversal eta."""
-    pg = point_geometry(norm, surface, s, t, config)
     omega = float(np.linalg.det(np.column_stack([pg.f_s, pg.f_t, pg.eta])))
     det_h = float(np.linalg.det(pg.h_mat))
     if abs(det_h) < 1e-14 * max(1.0, float(np.abs(pg.h_mat).max()) ** 2):
-        raise DegenerateH(f"affine fundamental form degenerate at (s,t)=({s}, {t})")
+        raise DegenerateH(f"affine fundamental form degenerate at (s,t)=({pg.s}, {pg.t})")
     omega_h = float(np.sqrt(abs(det_h)))
     return BlaschkeSample(
         omega=omega, omega_h=omega_h,
         residual=abs(omega) - omega_h, ratio=abs(omega) / omega_h,
     )
+
+
+def blaschke_residual(norm: NormModel, surface: SurfacePatch, s: float, t: float,
+                      config: NumericsConfig = DEFAULT_CONFIG) -> BlaschkeSample:
+    """omega, omega_h, their residual and ratio in the chart basis with transversal eta."""
+    return _volume_forms(point_geometry(norm, surface, s, t, config))
 
 
 def affine_normal(surface: SurfacePatch, s: float, t: float,
@@ -85,8 +76,9 @@ def affine_normal(surface: SurfacePatch, s: float, t: float,
     transversal xi) and the right side computed by central differences of the
     Euclidean Gaussian curvature field.
     """
-    jet, P, xi, G, II = _second_fundamental(surface, s, t)
-    K_e = float(np.linalg.det(II) / np.linalg.det(G))
+    _, P, G, xi, II = _euclidean_frame(surface, s, t)
+    det_II = float(np.linalg.det(II))
+    K_e = det_II / float(np.linalg.det(G))
     if K_e <= 0.0:
         raise NonElliptic(f"K_e = {K_e:.3e} <= 0 at (s,t)=({s}, {t}); affine normal needs an elliptic point")
 
@@ -101,24 +93,25 @@ def affine_normal(surface: SurfacePatch, s: float, t: float,
         (kappa(s + h, t) - kappa(s - h, t)) / (2 * h),
         (kappa(s, t + h) - kappa(s, t - h)) / (2 * h),
     ])
-    det_II = float(np.linalg.det(II))
     if abs(det_II) < 1e-14 * max(1.0, float(np.abs(II).max()) ** 2):
         raise DegenerateH(f"second fundamental form degenerate at (s,t)=({s}, {t})")
     Z = np.linalg.solve(II, d_kappa)
     return K_e ** 0.25 * xi + P @ Z
 
 
+def _affine_normal_sample(pg: PointGeometry, surface: SurfacePatch,
+                          config: NumericsConfig) -> BlaschkeSample:
+    """Volume forms of pg plus the affine normal and its distance to eta."""
+    base = _volume_forms(pg)
+    eta_aff = affine_normal(surface, pg.s, pg.t, config)
+    return replace(base, affine_normal=eta_aff,
+                   discrepancy=float(np.linalg.norm(pg.eta - eta_aff)))
+
+
 def blaschke_sample(norm: NormModel, surface: SurfacePatch, s: float, t: float,
                     config: NumericsConfig = DEFAULT_CONFIG) -> BlaschkeSample:
     """Full sample: volume forms plus the affine normal and its distance to eta."""
-    base = blaschke_residual(norm, surface, s, t, config)
-    pg = point_geometry(norm, surface, s, t, config)
-    eta_aff = affine_normal(surface, s, t, config)
-    return BlaschkeSample(
-        omega=base.omega, omega_h=base.omega_h, residual=base.residual,
-        ratio=base.ratio, affine_normal=eta_aff,
-        discrepancy=float(np.linalg.norm(pg.eta - eta_aff)),
-    )
+    return _affine_normal_sample(point_geometry(norm, surface, s, t, config), surface, config)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ Subcommands:
 
 Reports are byte-deterministic for a fixed config: randomized point sets
 derive from the config seed, floats are emitted with 17 significant digits,
-keys are sorted, and no timestamps are recorded. MSK_THREADS overrides
---threads; threading never changes the output (results merge in row-major
-grid order).
+keys are sorted, and no timestamps are recorded. A run evaluates the grid
+geometry once, in one thread, and every check and the field table read it
+from there. --threads and MSK_THREADS are accepted and have no effect (a
+non-integer MSK_THREADS is still a configuration error, exit 2).
+
+The CLI needs numpy and jsonschema; scipy is a test dependency only.
 """
 
 from __future__ import annotations
@@ -27,28 +30,27 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
 from .blaschke import (
-    blaschke_residual,
-    blaschke_sample,
+    _affine_normal_sample,
+    _volume_forms,
     ellipse_support,
     planar_support_check,
     support_from_csv,
 )
 from .distances import (
+    _laplacian_details,
+    _rho_spread,
     hess_b_at_critical,
     hess_b_matrix,
     minkowski_distance_field,
     nabla_laplacian_rho_details,
-    sphere_characterization_check,
     tangent_plane_distance_field,
 )
 from .errors import (
@@ -67,7 +69,7 @@ from .geometry import (
     point_geometry,
 )
 from .norms import NormModel, norm_from_spec
-from .numerics import NumericsConfig
+from .numerics import NumericsConfig, brentq, fd_gradient
 from .surfaces import SurfacePatch, grid_points, surface_from_spec
 
 try:
@@ -109,7 +111,6 @@ class RunContext:
     nt: int
     margins: tuple[float, float]
     seed: int
-    threads: int = 1
     _geoms: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -117,16 +118,10 @@ class RunContext:
         return grid_points(self.surface, self.ns, self.nt, self.margins)
 
     def geometries(self) -> list:
+        """The PointGeometry of every grid point, row-major; computed once per run."""
         if self._geoms is None:
-            pts = self.grid
-            if self.threads > 1:
-                with ThreadPoolExecutor(max_workers=self.threads) as ex:
-                    self._geoms = list(ex.map(
-                        lambda st: point_geometry(self.norm, self.surface, st[0], st[1], self.numerics),
-                        pts))
-            else:
-                self._geoms = [point_geometry(self.norm, self.surface, s, t, self.numerics)
-                               for (s, t) in pts]
+            self._geoms = [point_geometry(self.norm, self.surface, s, t, self.numerics)
+                           for (s, t) in self.grid]
         return self._geoms
 
     def rng(self, check_id: str) -> np.random.Generator:
@@ -249,17 +244,16 @@ def _run_prop_2_2(ctx: RunContext) -> CheckResult:
                       residuals, pts)
 
 
-def _mean_curvature_at(ctx: RunContext, s: float, t: float) -> float:
-    return point_geometry(ctx.norm, ctx.surface, s, t, ctx.numerics).H
+def _locate_h_zero_points(ctx: RunContext) -> list:
+    """(point, PointGeometry) pairs with H = 0: the whole grid when H vanishes
+    identically, else per-column sign-change roots of s -> H(s, t)."""
+    def pg_at(s_, t_):
+        return point_geometry(ctx.norm, ctx.surface, s_, t_, ctx.numerics)
 
-
-def _locate_h_zero_points(ctx: RunContext) -> list[tuple[float, float]]:
-    """Points with H = 0: the whole grid when H vanishes identically, else
-    per-column sign-change roots of s -> H(s, t)."""
     geoms = ctx.geometries()
     grid = ctx.grid
     if max(abs(pg.H) for pg in geoms) <= 1e-8:
-        return [pt for pt, pg in zip(grid, geoms) if pg.K < -1e-12]
+        return [(pt, pg) for pt, pg in zip(grid, geoms) if pg.K < -1e-12]
     svals = sorted({s for (s, _) in grid})
     tvals = sorted({t for (_, t) in grid})
     by_key = {(s, t): pg for (s, t), pg in zip(grid, geoms)}
@@ -268,11 +262,10 @@ def _locate_h_zero_points(ctx: RunContext) -> list[tuple[float, float]]:
         hs = [by_key[(s, t)].H for s in svals]
         for i in range(len(svals) - 1):
             if hs[i] == 0.0:
-                found.append((svals[i], t))
+                found.append(((svals[i], t), by_key[(svals[i], t)]))
             elif hs[i] * hs[i + 1] < 0.0:
-                root = brentq(lambda s_: _mean_curvature_at(ctx, s_, t),
-                              svals[i], svals[i + 1], xtol=1e-12)
-                found.append((float(root), t))
+                root = brentq(lambda s_: pg_at(s_, t).H, svals[i], svals[i + 1], xtol=1e-12)
+                found.append(((root, t), pg_at(root, t)))
     return found
 
 
@@ -281,8 +274,7 @@ def _run_cor_2_1(ctx: RunContext) -> CheckResult:
     pts = _locate_h_zero_points(ctx)
     residuals, used = [], []
     skipped = 0
-    for (s, t) in pts:
-        pg = point_geometry(ctx.norm, ctx.surface, s, t, ctx.numerics)
+    for (s, t), pg in pts:
         if pg.K >= 0.0:
             skipped += 1
             continue
@@ -315,16 +307,10 @@ def _run_lemma_3_1(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("lemma-3-1")
     pts = ctx.random_params(rng, 10)
     residuals = []
-    h = ctx.numerics.fd_step
     for (s, t) in pts:
         pg = point_geometry(ctx.norm, ctx.surface, s, t, ctx.numerics)
         g = tangent_plane_distance_field(pg, ctx.surface)
-        st = np.array([s, t])
-        step = h * max(1.0, float(np.linalg.norm(st)))
-        grad = np.array([
-            (g(st + [step, 0.0]) - g(st - [step, 0.0])) / (2 * step),
-            (g(st + [0.0, step]) - g(st - [0.0, step])) / (2 * step),
-        ])
+        grad = fd_gradient(g, np.array([s, t]), ctx.numerics.fd_step)
         residuals.append(float(np.linalg.norm(grad)))
     return _aggregate("lemma-3-1", "Lemma 3.1", ctx.tolerance("lemma-3-1", ctx.numerics.critical_tol),
                       residuals, pts)
@@ -400,7 +386,7 @@ def _run_minimality_scan(ctx: RunContext) -> CheckResult:
         h_min = min(h_min, abs(pg.H))
         if abs(pg.H) > h_tol:
             continue
-        lap = nabla_laplacian_rho_details(ctx.norm, ctx.surface, s, t, a, ctx.numerics)["laplacian"]
+        lap = _laplacian_details(pg, ctx.norm, ctx.surface, a, ctx.numerics)["laplacian"]
         residuals.append(abs(lap + 2.0))
         used.append((s, t))
     return _aggregate("minimality-scan", "§3 Remark (minimality)", tol, residuals, used,
@@ -409,7 +395,7 @@ def _run_minimality_scan(ctx: RunContext) -> CheckResult:
 
 def _run_prop_3_2(ctx: RunContext) -> CheckResult:
     a = ctx.distance_center()
-    rep = sphere_characterization_check(ctx.norm, ctx.surface, a, ctx.grid, ctx.numerics)
+    rep = _rho_spread(ctx.geometries(), a)
     tol = ctx.tolerance("prop-3-2", 1e-8)
     return CheckResult("prop-3-2", "Prop 3.2", rep["rho_spread"], tol,
                        bool(rep["rho_spread"] <= tol), None, rep["n_points"],
@@ -423,9 +409,9 @@ def _run_blaschke_scan(ctx: RunContext) -> CheckResult:
     residuals, used = [], []
     skipped = 0
     ratios = []
-    for (s, t) in ctx.grid:
+    for (s, t), pg in zip(ctx.grid, ctx.geometries()):
         try:
-            sample = blaschke_residual(ctx.norm, ctx.surface, s, t, ctx.numerics)
+            sample = _volume_forms(pg)
         except DegenerateH:
             skipped += 1
             continue
@@ -442,9 +428,9 @@ def _run_affine_normal_compare(ctx: RunContext) -> CheckResult:
     tol = ctx.tolerance("affine-normal-compare", 1e-6)
     residuals, used = [], []
     skipped = 0
-    for (s, t) in ctx.grid:
+    for (s, t), pg in zip(ctx.grid, ctx.geometries()):
         try:
-            sample = blaschke_sample(ctx.norm, ctx.surface, s, t, ctx.numerics)
+            sample = _affine_normal_sample(pg, ctx.surface, ctx.numerics)
         except (NonElliptic, DegenerateH):
             skipped += 1
             continue
@@ -608,7 +594,7 @@ def fmt_17g(x: float) -> str:
 # run driver
 # ---------------------------------------------------------------------------
 
-def build_context(cfg: dict, threads: int = 1) -> RunContext:
+def build_context(cfg: dict) -> RunContext:
     validate_config(cfg)
     numerics = NumericsConfig(**cfg.get("numerics", {}))
     try:
@@ -622,13 +608,17 @@ def build_context(cfg: dict, threads: int = 1) -> RunContext:
         raw=cfg, norm=norm, surface=surface, numerics=numerics,
         ns=int(grid_cfg["ns"]), nt=int(grid_cfg["nt"]),
         margins=(float(margins[0]), float(margins[1])),
-        seed=int(cfg["seed"]), threads=threads,
+        seed=int(cfg["seed"]),
     )
 
 
 def run_checks(cfg: dict, threads: int = 1) -> dict:
-    """Execute the configured checks and return the report dictionary."""
-    ctx = build_context(cfg, threads)
+    """Execute the configured checks and return the report dictionary (threads has no effect)."""
+    return _report(build_context(cfg))
+
+
+def _report(ctx: RunContext) -> dict:
+    cfg = ctx.raw
     results = []
     for check_id in cfg["checks"]:
         spec = REGISTRY.get(check_id)
@@ -675,7 +665,7 @@ def write_fields_csv(path: str, ctx: RunContext) -> None:
         writer.writerow(FIELD_COLUMNS)
         for (s, t), pg in zip(ctx.grid, ctx.geometries()):
             try:
-                ratio = fmt_17g(blaschke_residual(ctx.norm, ctx.surface, s, t, ctx.numerics).ratio)
+                ratio = fmt_17g(_volume_forms(pg).ratio)
             except DegenerateH:
                 ratio = ""
             writer.writerow([
@@ -697,23 +687,22 @@ def _cmd_run(args) -> int:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
 
-    threads = args.threads
     env_threads = os.environ.get("MSK_THREADS")
     if env_threads:
         try:
-            threads = int(env_threads)
+            int(env_threads)
         except ValueError:
             print(f"error: MSK_THREADS={env_threads!r} is not an integer", file=sys.stderr)
             return 2
 
     try:
-        report = run_checks(cfg, threads=max(1, threads))
+        ctx = build_context(cfg)
+        report = _report(ctx)
         text = dumps_canonical(report) + "\n"
         output = cfg.get("output", {})
         out_path = output.get("path")
         out_format = output.get("format", "json")
         if args.fields or (out_format == "csv" and out_path):
-            ctx = build_context(cfg, threads=max(1, threads))
             write_fields_csv(args.fields or out_path, ctx)
         if out_path and out_format == "json":
             with open(out_path, "w") as fh:
@@ -766,7 +755,7 @@ def main(argv=None) -> int:
                        help="exit 1 when any check fails (default: failures are reported, exit 0)")
     run_p.add_argument("--fields", metavar="CSV", help="write the per-point field table here")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid evaluation (MSK_THREADS overrides)")
+                       help="accepted for compatibility; has no effect (nor has MSK_THREADS)")
     run_p.set_defaults(func=_cmd_run)
 
     list_p = sub.add_parser("list-checks", help="print the check registry")

@@ -29,11 +29,12 @@ from .norms import NormModel
 from .numerics import (
     NumericsConfig,
     DEFAULT_CONFIG,
+    fd_gradient,
     fd_second_directional,
     guarded_solve,
     relative_step,
 )
-from .surfaces import SurfacePatch, evaluate_jet
+from .surfaces import SurfacePatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,20 +116,18 @@ def hess_b_at_critical(field: Callable, pg: PointGeometry, X, Y,
     field maps chart coordinates (s,t) to a real; X, Y are tangent 2-vectors.
     At a critical point the chart-coordinate second derivative equals the
     b-Hessian because the connection term is paired with the vanishing
-    gradient. Criticality is checked by finite differences and NotCritical is
-    raised when it fails — elsewhere the dropped term would matter.
+    gradient. Criticality is checked by finite differences at config.fd_step
+    and NotCritical is raised when it fails — elsewhere the dropped term would
+    matter. An explicit (absolute) step sets only the second-derivative stencil.
     """
     st = np.array([pg.s, pg.t])
-    h = relative_step(st, config.fd_step) if step is None else step
     f0 = field(st)
-    grad = np.array([
-        (field(st + np.array([h, 0.0])) - field(st - np.array([h, 0.0]))) / (2 * h),
-        (field(st + np.array([0.0, h])) - field(st - np.array([0.0, h]))) / (2 * h),
-    ])
+    grad = fd_gradient(field, st, config.fd_step)
     if np.linalg.norm(grad) > config.critical_tol * (1.0 + abs(f0)):
         raise NotCritical(
             f"field gradient {grad} at (s,t)=({pg.s}, {pg.t}) exceeds the critical "
             f"tolerance; hess_b would need the connection term here")
+    h = relative_step(st, config.fd_step) if step is None else step
     return fd_second_directional(field, st, np.asarray(X, float), np.asarray(Y, float), step=h)
 
 
@@ -165,10 +164,42 @@ def decomposition_residual(pg: PointGeometry, a) -> float:
     return float(np.linalg.norm((pg.p - np.asarray(a, float)) - rho * pg.eta - pg.ambient(V)))
 
 
-def _gauss_split(jet, eta, w_deriv, cond_guard, location):
+def _gauss_split(pg: PointGeometry, w_deriv, cond_guard):
     """Coefficients (alpha, beta, gamma) of w_deriv = alpha f_s + beta f_t + gamma eta."""
-    M = np.column_stack([jet.f_s, jet.f_t, eta])
-    return guarded_solve(M, w_deriv, cond_guard, location=location)
+    M = np.column_stack([pg.f_s, pg.f_t, pg.eta])
+    return guarded_solve(M, w_deriv, cond_guard, location=(pg.s, pg.t))
+
+
+def _laplacian_details(pg: PointGeometry, norm: NormModel, surface: SurfacePatch,
+                       a, config: NumericsConfig) -> dict:
+    """nabla_laplacian_rho_details around the centre point's geometry pg."""
+    s, t = pg.s, pg.t
+    det_h = float(np.linalg.det(pg.h_mat))
+    if abs(det_h) < 1e-10 * max(1.0, float(np.abs(pg.h_mat).max()) ** 2):
+        raise DegenerateH(f"affine fundamental form has rank < 2 at (s,t)=({s}, {t})")
+
+    def w_ambient(s_, t_):
+        pg_ = point_geometry(norm, surface, s_, t_, config)
+        rho_, V_ = affine_distance(pg_, a)
+        return -pg_.ambient(V_)
+
+    h = relative_step((s, t), config.fd_step)
+    dw_s = (w_ambient(s + h, t) - w_ambient(s - h, t)) / (2 * h)
+    dw_t = (w_ambient(s, t + h) - w_ambient(s, t - h)) / (2 * h)
+
+    abc_s = _gauss_split(pg, dw_s, config.cond_guard)
+    abc_t = _gauss_split(pg, dw_t, config.cond_guard)
+    laplacian = float(abc_s[0] + abc_t[1])
+
+    # Gauss-formula consistency: the stripped eta-components against h(e_i, w).
+    _, V0 = affine_distance(pg, a)
+    w0 = -V0
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    gauss_defects = (
+        abs(float(abc_s[2]) - float(e1 @ pg.h_mat @ w0)),
+        abs(float(abc_t[2]) - float(e2 @ pg.h_mat @ w0)),
+    )
+    return {"laplacian": laplacian, "gauss_defects": gauss_defects, "pg": pg}
 
 
 def nabla_laplacian_rho_details(norm: NormModel, surface: SurfacePatch, s: float, t: float,
@@ -184,35 +215,7 @@ def nabla_laplacian_rho_details(norm: NormModel, surface: SurfacePatch, s: float
 
     Requires the affine fundamental form to have rank 2 (DegenerateH).
     """
-    a = np.asarray(a, dtype=float)
-    pg = point_geometry(norm, surface, s, t, config)
-    det_h = float(np.linalg.det(pg.h_mat))
-    if abs(det_h) < 1e-10 * max(1.0, float(np.abs(pg.h_mat).max()) ** 2):
-        raise DegenerateH(f"affine fundamental form has rank < 2 at (s,t)=({s}, {t})")
-
-    def w_ambient(s_, t_):
-        pg_ = point_geometry(norm, surface, s_, t_, config)
-        rho_, V_ = affine_distance(pg_, a)
-        return -pg_.ambient(V_)
-
-    h = relative_step((s, t), config.fd_step)
-    jet = evaluate_jet(surface, s, t)
-    dw_s = (w_ambient(s + h, t) - w_ambient(s - h, t)) / (2 * h)
-    dw_t = (w_ambient(s, t + h) - w_ambient(s, t - h)) / (2 * h)
-
-    abc_s = _gauss_split(jet, pg.eta, dw_s, config.cond_guard, location=(s, t))
-    abc_t = _gauss_split(jet, pg.eta, dw_t, config.cond_guard, location=(s, t))
-    laplacian = float(abc_s[0] + abc_t[1])
-
-    # Gauss-formula consistency: the stripped eta-components against h(e_i, w).
-    _, V0 = affine_distance(pg, a)
-    w0 = -V0
-    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    gauss_defects = (
-        abs(float(abc_s[2]) - float(e1 @ pg.h_mat @ w0)),
-        abs(float(abc_t[2]) - float(e2 @ pg.h_mat @ w0)),
-    )
-    return {"laplacian": laplacian, "gauss_defects": gauss_defects, "pg": pg}
+    return _laplacian_details(point_geometry(norm, surface, s, t, config), norm, surface, a, config)
 
 
 def nabla_laplacian_rho(norm: NormModel, surface: SurfacePatch, s: float, t: float,
@@ -231,7 +234,7 @@ def distance_data(norm: NormModel, surface: SurfacePatch, s: float, t: float, a,
     rho, V = affine_distance(pg, a)
     lap = None
     if with_laplacian:
-        lap = nabla_laplacian_rho(norm, surface, s, t, a, config)
+        lap = _laplacian_details(pg, norm, surface, a, config)["laplacian"]
     g_value = g_grad = None
     if probe is not None:
         g_value = tangent_plane_distance(pg, probe)
@@ -243,6 +246,19 @@ def distance_data(norm: NormModel, surface: SurfacePatch, s: float, t: float, a,
     )
 
 
+def _rho_spread(geoms: list[PointGeometry], a) -> dict:
+    """sphere_characterization_check over already computed point geometries."""
+    rhos = np.array([affine_distance(pg, a)[0] for pg in geoms])
+    defect = max((abs(pg.lambda1 - pg.lambda2) for pg in geoms), default=0.0)
+    return {
+        "rho_spread": float(rhos.max() - rhos.min()),
+        "max_umbilic_defect": float(defect),
+        "rho_min": float(rhos.min()),
+        "rho_max": float(rhos.max()),
+        "n_points": len(geoms),
+    }
+
+
 def sphere_characterization_check(norm: NormModel, surface: SurfacePatch, a,
                                   grid: list[tuple[float, float]],
                                   config: NumericsConfig = DEFAULT_CONFIG) -> dict:
@@ -252,19 +268,4 @@ def sphere_characterization_check(norm: NormModel, surface: SurfacePatch, a,
     spread is strictly positive. Returns {"rho_spread", "max_umbilic_defect",
     "rho_min", "rho_max", "n_points"}.
     """
-    a = np.asarray(a, dtype=float)
-    rhos = []
-    defect = 0.0
-    for (s, t) in grid:
-        pg = point_geometry(norm, surface, s, t, config)
-        rho, _ = affine_distance(pg, a)
-        rhos.append(rho)
-        defect = max(defect, abs(pg.lambda1 - pg.lambda2))
-    rhos = np.asarray(rhos)
-    return {
-        "rho_spread": float(rhos.max() - rhos.min()),
-        "max_umbilic_defect": float(defect),
-        "rho_min": float(rhos.min()),
-        "rho_max": float(rhos.max()),
-        "n_points": len(grid),
-    }
+    return _rho_spread([point_geometry(norm, surface, s, t, config) for (s, t) in grid], a)

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexEigenvalues, SingularMetric, SingularRestriction, ZeroDirection
+from .errors import ComplexEigenvalues, SingularMetric, ZeroDirection
 from .norms import NormModel
-from .numerics import NumericsConfig, DEFAULT_CONFIG, simpson_periodic_mean, sym_generalized_eigen_2x2
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _invert_2x2_spd, simpson_periodic_mean,
+                       sym_generalized_eigen_2x2)
 from .surfaces import SurfacePatch, evaluate_jet
 
 
@@ -73,47 +74,41 @@ class PointGeometry:
         return np.column_stack([self.f_s, self.f_t])
 
 
-def _invert_2x2_spd(M: np.ndarray, what: str) -> np.ndarray:
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    scale = max(1.0, float(np.abs(M).max()) ** 2)
-    if not np.isfinite(det) or abs(det) < 1e-14 * scale:
-        raise SingularRestriction(f"{what} is numerically singular (det = {det:.3e})")
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+def _euclidean_frame(surface: SurfacePatch, s: float, t: float):
+    """The Euclidean data at (s,t): jet, chart basis P, first form G, unit normal xi, II."""
+    jet = evaluate_jet(surface, s, t)
+    P = np.column_stack([jet.f_s, jet.f_t])
+    n_raw = np.cross(jet.f_s, jet.f_t)
+    xi = surface.orientation * n_raw / np.linalg.norm(n_raw)
+    II = np.array([
+        [jet.f_ss @ xi, jet.f_st @ xi],
+        [jet.f_st @ xi, jet.f_tt @ xi],
+    ])
+    return jet, P, P.T @ P, xi, II
 
 
 def point_geometry(norm: NormModel, surface: SurfacePatch, s: float, t: float,
                    config: NumericsConfig = DEFAULT_CONFIG) -> PointGeometry:
     """Assemble the full curvature data at (s,t)."""
-    jet = evaluate_jet(surface, s, t)
-    P = np.column_stack([jet.f_s, jet.f_t])
-    G = P.T @ P
-    n_raw = np.cross(jet.f_s, jet.f_t)
-    xi = surface.orientation * n_raw / np.linalg.norm(n_raw)
-
-    II = np.array([
-        [jet.f_ss @ xi, jet.f_st @ xi],
-        [jet.f_st @ xi, jet.f_tt @ xi],
-    ])
+    jet, P, G, xi, II = _euclidean_frame(surface, s, t)
     Ginv = _invert_2x2_spd(G, "first fundamental form")
     dxi_mat = -Ginv @ II
 
     eta = norm.birkhoff_point(xi)
     pairing = float(eta @ xi)
-    flipped = False
-    if pairing < 0.0:  # can only occur via a fallback path; re-orient once
-        eta = -eta
-        pairing = -pairing
-        flipped = True
+    flipped = pairing < 0.0
+    if flipped:  # can only occur via a fallback path; re-orient once
+        eta, pairing = -eta, -pairing
 
-    # d(eta) = Hess h_B(xi) . d(xi), expressed back in the chart basis.
-    Hh = norm.dual_hessian(xi)
-    W = Ginv @ P.T @ Hh @ P @ dxi_mat
+    # d(eta) = Hess h_B(xi) . d(xi) in the chart basis. P's columns lie in
+    # xi-perp = span(E), so P = E EP and only the restriction M_du enters.
+    E, M_du = norm.du_restricted(xi)
+    EP = E.T @ P
+    W = Ginv @ EP.T @ M_du @ EP @ dxi_mat
 
     h_mat = II / pairing
 
-    E, M_du = norm.du_restricted(xi)
     M_inv = _invert_2x2_spd(M_du, "restricted dual Hessian")
-    EP = E.T @ P
     d_mat = EP.T @ M_inv @ EP
     d_mat = 0.5 * (d_mat + d_mat.T)
     b_mat = d_mat / pairing

@@ -29,9 +29,8 @@ from .errors import (
     MissingDualJets,
     NewtonDivergence,
     NonSmoothPoint,
-    SingularRestriction,
 )
-from .numerics import NumericsConfig, DEFAULT_CONFIG, fd_gradient, fd_hessian
+from .numerics import NumericsConfig, DEFAULT_CONFIG, _invert_2x2_spd, fd_gradient, fd_hessian
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +240,6 @@ class NormModel:
         xi = self._check_nonzero(xi, "support function")
         if self.dual is not None:
             return self.dual.value(xi)
-        if not self.allow_newton:
-            raise MissingDualJets("custom norm has no dual jets and the Newton fallback is disabled")
         return float(self._newton_point(xi) @ xi)
 
     def dual_gradient(self, xi) -> np.ndarray:
@@ -251,8 +248,6 @@ class NormModel:
             return np.asarray(self.dual.gradient(xi), dtype=float)
         if self.dual is not None:
             return fd_gradient(self.dual.value, xi, self.fd_step)
-        if not self.allow_newton:
-            raise MissingDualJets("custom norm has no dual jets and the Newton fallback is disabled")
         return self._newton_point(xi)
 
     def dual_hessian(self, xi) -> np.ndarray:
@@ -261,8 +256,6 @@ class NormModel:
             return np.asarray(self.dual.hessian(xi), dtype=float)
         if self.dual is not None:
             return fd_hessian(self.dual.value, xi, self.fd_step)
-        if not self.allow_newton:
-            raise MissingDualJets("custom norm has no dual jets and the Newton fallback is disabled")
         return self._fd_jacobian_of_u(xi)
 
     def dual_third(self, xi) -> Optional[np.ndarray]:
@@ -289,12 +282,12 @@ class NormModel:
         xi = xi / np.linalg.norm(xi)
         if self.dual is not None:
             return self.dual_gradient(xi)
-        if not self.allow_newton:
-            raise MissingDualJets("custom norm has no dual jets and the Newton fallback is disabled")
         return self._newton_point(xi)
 
     def _newton_point(self, xi) -> np.ndarray:
         """Solve grad F(x) = mu xi, F(x) = 1 by Newton, seeded at xi / F(xi)."""
+        if not self.allow_newton:
+            raise MissingDualJets("custom norm has no dual jets and the Newton fallback is disabled")
         xi = np.asarray(xi, dtype=float)
         xi = xi / np.linalg.norm(xi)
         cfg = self.config
@@ -344,26 +337,20 @@ class NormModel:
             f"(|residual| = {np.linalg.norm(res):.3e})")
 
     def _fd_jacobian_of_u(self, xi) -> np.ndarray:
-        """Hessian of h_B as the symmetrized FD Jacobian of u (Newton fallback path)."""
+        """Hessian of h_B as the symmetrized FD Jacobian of u (Newton fallback path).
+
+        u is homogeneous of degree 0, so this is Hess h_B only up to the radial
+        kernel direction; restriction to xi-perp (du_restricted) removes that part.
+        """
         xi = np.asarray(xi, dtype=float)
         h = self.fd_step * max(1.0, float(np.linalg.norm(xi)))
         J = np.empty((3, 3))
         eye = np.eye(3)
         for k in range(3):
-            up = self._newton_point_raw(xi + h * eye[k])
-            dn = self._newton_point_raw(xi - h * eye[k])
+            up = self._newton_point(xi + h * eye[k])
+            dn = self._newton_point(xi - h * eye[k])
             J[:, k] = (up - dn) / (2.0 * h)
         return 0.5 * (J + J.T)
-
-    def _newton_point_raw(self, xi) -> np.ndarray:
-        """u at a non-normalized xi; u is homogeneous of degree 0.
-
-        Note grad h_B(xi) = u(xi/|xi|) for any xi != 0, so differentiating this
-        map gives Hess h_B only up to the radial kernel direction; the radial
-        part is excised downstream by restriction to xi-perp, which is the only
-        consumer of this path.
-        """
-        return self._newton_point(xi)
 
     def du_restricted(self, xi) -> tuple[np.ndarray, np.ndarray]:
         """Restrict Hess h_B(xi) to the tangent plane xi-perp.
@@ -392,11 +379,7 @@ class NormModel:
         n = self.gauge_gradient(eta)
         xi = n / np.linalg.norm(n)
         E, M = self.du_restricted(xi)
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        if abs(det) < 1e-14 * max(1.0, float(np.abs(M).max()) ** 2):
-            raise SingularRestriction(
-                "restricted dual Hessian is numerically singular; norm not admissible at this normal")
-        Minv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+        Minv = _invert_2x2_spd(M, "restricted dual Hessian")
         return float((E.T @ X) @ Minv @ (E.T @ Y))
 
 

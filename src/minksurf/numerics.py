@@ -1,9 +1,9 @@
-"""Shared numerical kernels: finite differences, a 2x2 generalized eigensolver,
-periodic Simpson quadrature, and guarded linear solves.
+"""Shared numerical kernels: finite differences, 2x2 inverses and generalized
+eigensolves, periodic Simpson quadrature, guarded linear solves, and a
+bracketed root finder.
 
-All kernels are stateless; the single NumericsConfig record carries every
-tolerance and step size used across the package, so a report can embed the
-exact numeric regime it ran under.
+All kernels are stateless; tolerances and steps come in as arguments, most of
+them from one NumericsConfig record.
 """
 
 from __future__ import annotations
@@ -13,15 +13,18 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import (EvaluationFailure, InvalidParameter, NotSPD,
-                     NumericalFailure, OddSampleCount)
+                     NumericalFailure, OddSampleCount, SingularRestriction)
 
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """One knob-set for every numerical routine in the package.
+    """The tolerances and steps the curvature pipeline and the checks read.
 
     fd_step is relative: actual steps are fd_step * max(1, |x|_2) around the
-    evaluation point x.
+    evaluation point x. Norm and surface jets take their own fd_step from
+    their specs. richardson is accepted but no pipeline stage reads it yet.
+    A report does not record the resolved values: its environment holds the
+    config as given, so fields left at their defaults do not appear.
     """
 
     fd_step: float = 1e-5
@@ -113,11 +116,7 @@ def fd_hessian(field, point, step: float) -> np.ndarray:
         fm = _eval(field, point - h * eye[i])
         hess[i, i] = (fp - 2.0 * f0 + fm) / h**2
         for j in range(i + 1, n):
-            fpp = _eval(field, point + h * eye[i] + h * eye[j])
-            fpm = _eval(field, point + h * eye[i] - h * eye[j])
-            fmp = _eval(field, point - h * eye[i] + h * eye[j])
-            fmm = _eval(field, point - h * eye[i] - h * eye[j])
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h**2)
+            hess[i, j] = hess[j, i] = fd_second_directional(field, point, eye[i], eye[j], h)
     return hess
 
 
@@ -136,6 +135,14 @@ def fd_second_directional(field, point, X, Y, step: float) -> float:
     fmp = _eval(field, point - h * X + h * Y)
     fmm = _eval(field, point - h * X - h * Y)
     return (fpp - fpm - fmp + fmm) / (4.0 * h**2)
+
+
+def _invert_2x2_spd(M: np.ndarray, what: str) -> np.ndarray:
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    scale = max(1.0, float(np.abs(M).max()) ** 2)
+    if not np.isfinite(det) or abs(det) < 1e-14 * scale:
+        raise SingularRestriction(f"{what} is numerically singular (det = {det:.3e})")
+    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
 
 
 def sym_eigen_2x2(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,6 +239,46 @@ def guarded_solve(M: np.ndarray, rhs: np.ndarray, cond_guard: float,
             location=location,
         )
     return np.linalg.solve(M, rhs)
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in the bracket [a, b] by Brent's method, step for step as in
+    scipy's brentq (relative tolerance 4 eps, at most 100 iterations).
+
+    Raises InvalidParameter when f(a) and f(b) have the same sign.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise InvalidParameter(f"f({a}) and f({b}) have the same sign; no bracketed root")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):  # the bracket moves to [xpre, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = 0.5 * (xtol + 4.0 * np.finfo(float).eps * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+    raise NumericalFailure(f"brentq did not converge in 100 iterations on [{a}, {b}]")
 
 
 def convergence_order(steps, errors) -> float:

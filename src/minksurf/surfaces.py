@@ -111,6 +111,18 @@ def _fd_jet(position, s: float, t: float, step: float) -> SurfaceJet:
 # built-in families
 # ---------------------------------------------------------------------------
 
+def _sphere_angle_jets(s: float, t: float):
+    """Jet of the spherical-angle chart of the Euclidean unit sphere."""
+    ss, cs, st_, ct = np.sin(s), np.cos(s), np.sin(t), np.cos(t)
+    xi = np.array([ss * ct, ss * st_, cs])
+    xi_s = np.array([cs * ct, cs * st_, -ss])
+    xi_t = np.array([-ss * st_, ss * ct, 0.0])
+    xi_ss = -xi
+    xi_st = np.array([-cs * st_, cs * ct, 0.0])
+    xi_tt = np.array([-ss * ct, -ss * st_, 0.0])
+    return xi, xi_s, xi_t, xi_ss, xi_st, xi_tt
+
+
 def euclidean_sphere(r: float, center=(0.0, 0.0, 0.0), jet_source: str = "analytic",
                      fd_step: float = 1e-5) -> SurfacePatch:
     """Round sphere of radius r in spherical angles (s = polar, t = azimuth).
@@ -125,13 +137,8 @@ def euclidean_sphere(r: float, center=(0.0, 0.0, 0.0), jet_source: str = "analyt
         return c + r * np.array([np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s)])
 
     def jet(s, t):
-        ss, cs, st_, ct = np.sin(s), np.cos(s), np.sin(t), np.cos(t)
-        e = np.array([ss * ct, ss * st_, cs])
-        e_s = np.array([cs * ct, cs * st_, -ss])
-        e_t = np.array([-ss * st_, ss * ct, 0.0])
-        e_st = np.array([-cs * st_, cs * ct, 0.0])
-        e_tt = np.array([-ss * ct, -ss * st_, 0.0])
-        return SurfaceJet(c + r * e, r * e_s, r * e_t, -r * e, r * e_st, r * e_tt)
+        e, e_s, e_t, e_ss, e_st, e_tt = _sphere_angle_jets(s, t)
+        return SurfaceJet(c + r * e, r * e_s, r * e_t, r * e_ss, r * e_st, r * e_tt)
 
     return SurfacePatch("euclidean_sphere", position, jet, (0.0, np.pi, 0.0, 2 * np.pi),
                         (False, True), 1.0, jet_source, fd_step,
@@ -149,13 +156,7 @@ def ellipsoid(a: float, b: float, c: float, jet_source: str = "analytic",
         return axes * np.array([np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s)])
 
     def jet(s, t):
-        ss, cs, st_, ct = np.sin(s), np.cos(s), np.sin(t), np.cos(t)
-        e = np.array([ss * ct, ss * st_, cs])
-        e_s = np.array([cs * ct, cs * st_, -ss])
-        e_t = np.array([-ss * st_, ss * ct, 0.0])
-        e_st = np.array([-cs * st_, cs * ct, 0.0])
-        e_tt = np.array([-ss * ct, -ss * st_, 0.0])
-        return SurfaceJet(axes * e, axes * e_s, axes * e_t, -axes * e, axes * e_st, axes * e_tt)
+        return SurfaceJet(*(axes * e for e in _sphere_angle_jets(s, t)))
 
     return SurfacePatch("ellipsoid", position, jet, (0.0, np.pi, 0.0, 2 * np.pi),
                         (False, True), 1.0, jet_source, fd_step,
@@ -249,18 +250,6 @@ def catenoid(c: float = 1.0, s_extent: float = 1.2, jet_source: str = "analytic"
     return SurfacePatch("catenoid", position, jet, (-s_extent, s_extent, 0.0, 2 * np.pi),
                         (False, True), 1.0, jet_source, fd_step,
                         params={"c": c, "s_extent": s_extent})
-
-
-def _sphere_angle_jets(s: float, t: float):
-    """Jet of the spherical-angle chart of the Euclidean unit sphere."""
-    ss, cs, st_, ct = np.sin(s), np.cos(s), np.sin(t), np.cos(t)
-    xi = np.array([ss * ct, ss * st_, cs])
-    xi_s = np.array([cs * ct, cs * st_, -ss])
-    xi_t = np.array([-ss * st_, ss * ct, 0.0])
-    xi_ss = -xi
-    xi_st = np.array([-cs * st_, cs * ct, 0.0])
-    xi_tt = np.array([-ss * ct, -ss * st_, 0.0])
-    return xi, xi_s, xi_t, xi_ss, xi_st, xi_tt
 
 
 def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),

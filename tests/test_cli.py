@@ -8,6 +8,10 @@ import sys
 
 import pytest
 
+import minksurf.blaschke
+import minksurf.cli
+import minksurf.distances
+import minksurf.geometry
 from minksurf.cli import (
     REGISTRY,
     load_schema,
@@ -177,6 +181,36 @@ def test_fields_csv(tmp_path):
     fields2 = tmp_path / "fields2.csv"
     run_cli(["run", "--config", cfg, "--fields", str(fields2)])
     assert fields2.read_bytes() == raw
+
+
+def test_grid_checks_and_fields_compute_each_point_once(tmp_path, monkeypatch, capsys):
+    original = minksurf.geometry.point_geometry
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:4])
+        return original(*args, **kwargs)
+
+    for module in (minksurf.geometry, minksurf.cli, minksurf.distances, minksurf.blaschke):
+        monkeypatch.setattr(module, "point_geometry", counting)
+    cfg = write_config(tmp_path, {
+        **BASE_CONFIG,
+        "checks": ["umbilicity", "prop-3-2", "blaschke-scan", "affine-normal-compare"],
+    })
+    fields = tmp_path / "fields.csv"
+    assert minksurf.cli.main(["run", "--config", cfg, "--fields", str(fields)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["n_points"] for c in report["checks"]] == [64] * 4
+    assert len(calls) == len(set(calls)) == 8 * 8
+    with open(fields, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 8 * 8
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-c", "import minksurf.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_output_path_and_csv_format(tmp_path):

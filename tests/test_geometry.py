@@ -206,6 +206,21 @@ def test_raw_weingarten_cross_check(lp4, ellipsoid_std):
     assert pg.selfadjoint_defect < 1e-12
 
 
+@pytest.mark.parametrize("family", ["lp4", "ellipsoid", "custom"])
+def test_weingarten_from_restricted_du_matches_full_hessian(family, lp4, ell_norm, ellipsoid_std):
+    # W = Ginv (E^T P)^T M_du (E^T P) dxi equals Ginv P^T Hess h_B P dxi:
+    # the columns of P lie in xi-perp, on which M_du is Hess h_B restricted.
+    norm = {"lp4": lp4, "ellipsoid": ell_norm,
+            "custom": mk.custom_norm(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25))}[family]
+    points = [(0.8, 2.4), (2.1, 0.6)] if family == "custom" else [
+        (0.4, 0.3), (0.8, 2.4), (1.5, 4.0), (2.1, 0.6), (2.7, 5.5)]
+    for s, t in points:
+        pg = mk.point_geometry(norm, ellipsoid_std, s, t)
+        P = pg.basis_matrix()
+        W_full = np.linalg.inv(pg.G) @ P.T @ norm.dual_hessian(pg.xi) @ P @ pg.dxi_mat
+        assert np.abs(pg.W - W_full).max() <= 1e-12 * np.abs(W_full).max()
+
+
 def test_orientation_flip_law(lp4, ellipsoid_std):
     """Reversing the normal negates xi, eta, h, W, H and both principal
     curvatures while pairing, d, b and K are untouched."""

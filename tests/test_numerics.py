@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from minksurf.errors import InvalidParameter, NotSPD, NumericalFailure, OddSampleCount
 from minksurf.numerics import (
     NumericsConfig,
+    brentq,
     central_diff,
     convergence_order,
     fd_gradient,
@@ -125,6 +126,27 @@ def test_generalized_eigen_matches_scipy():
     B = np.array([[2.0, 0.4], [0.4, 1.1]])
     vals, _ = sym_generalized_eigen_2x2(A, B)
     assert np.allclose(vals, eigh(A, B, eigvals_only=True), atol=1e-12)
+
+
+@pytest.mark.parametrize("f, a, b, xtol", [
+    (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-12),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12),
+    (lambda x: math.exp(x) - 10.0, 0.0, 5.0, 1e-10),
+    (lambda x: math.tanh(40.0 * (x - 0.3)), -1.0, 2.0, 1e-14),
+    (lambda x: math.atan(x - 0.77) + 1e-3 * math.sin(50.0 * x), -3.0, 4.0, 1e-13),
+    (lambda x: x - 0.25, 0.25, 1.0, 1e-12),
+])
+def test_brentq_matches_scipy(f, a, b, xtol):
+    from scipy.optimize import brentq as scipy_brentq
+
+    assert abs(brentq(f, a, b, xtol) - scipy_brentq(f, a, b, xtol=xtol)) <= xtol
+
+
+def test_brentq_rejects_bracket_without_sign_change():
+    with pytest.raises(InvalidParameter):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(InvalidParameter):
+        brentq(lambda x: x - 3.0, 0.0, 1.0, 1e-12)
 
 
 def test_generalized_eigen_rejects_indefinite():
