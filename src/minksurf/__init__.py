@@ -51,6 +51,7 @@ from .surfaces import (
     ellipsoid,
     euclidean_sphere,
     evaluate_jet,
+    evaluate_jets,
     flip_orientation,
     graph,
     grid_points,
@@ -62,11 +63,13 @@ from .surfaces import (
     torus,
 )
 from .geometry import (
+    GeometryBatch,
     PointGeometry,
     asymptotic_directions,
     dupin_indicatrix,
     dupin_orthogonal_pair_sum,
     gaussian_by_determinants,
+    geometry_batch,
     mean_by_indicatrix_average,
     normal_curvature,
     normal_curvature_via_dupin,
@@ -110,11 +113,11 @@ __all__ = [
     "custom_norm", "norm_from_spec", "tangent_basis",
     # surfaces
     "SurfaceJet", "SurfacePatch", "euclidean_sphere", "ellipsoid", "graph",
-    "saddle", "torus", "catenoid", "minkowski_sphere", "evaluate_jet",
+    "saddle", "torus", "catenoid", "minkowski_sphere", "evaluate_jet", "evaluate_jets",
     "flip_orientation", "reparametrize_linear", "scale_surface", "grid_points",
     "surface_from_spec",
     # geometry
-    "PointGeometry", "point_geometry", "normal_curvature",
+    "PointGeometry", "point_geometry", "GeometryBatch", "geometry_batch", "normal_curvature",
     "normal_curvature_via_dupin", "dupin_indicatrix",
     "mean_by_indicatrix_average", "dupin_orthogonal_pair_sum",
     "asymptotic_directions", "gaussian_by_determinants", "weingarten_eigen_raw",

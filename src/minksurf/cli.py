@@ -15,8 +15,9 @@ Subcommands:
 Reports are byte-deterministic for a fixed config: randomized point sets
 derive from the config seed, floats are emitted with 17 significant digits,
 keys are sorted, and no timestamps are recorded. A run evaluates the grid
-geometry once, in one thread, and every check and the field table read it
-from there. --threads and MSK_THREADS are accepted and have no effect (a
+geometry once, as one batch of arrays in one thread, and every check and the
+field table read it from there; the random points of a check are one batch
+as well. --threads and MSK_THREADS are accepted and have no effect (a
 non-integer MSK_THREADS is still a configuration error, exit 2).
 
 The CLI needs numpy and jsonschema; scipy is a test dependency only.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -38,38 +40,38 @@ import numpy as np
 
 from . import __version__
 from .blaschke import (
-    _affine_normal_sample,
+    _grid_affine_normals,
     _volume_forms,
     ellipse_support,
     planar_support_check,
     support_from_csv,
 )
 from .distances import (
-    _laplacian_details,
+    _laplacians,
+    _rho,
     _rho_spread,
     hess_b_at_critical,
     hess_b_matrix,
     minkowski_distance_field,
-    nabla_laplacian_rho_details,
     tangent_plane_distance_field,
 )
 from .errors import (
     ConfigError,
-    DegenerateH,
     MinksurfError,
-    NonElliptic,
     NumericalFailure,
 )
 from .geometry import (
+    GeometryBatch,
     asymptotic_directions,
     dupin_orthogonal_pair_sum,
     gaussian_by_determinants,
+    geometry_batch,
     mean_by_indicatrix_average,
     normal_curvature,
     point_geometry,
 )
 from .norms import NormModel, norm_from_spec
-from .numerics import NumericsConfig, brentq, fd_gradient
+from .numerics import NumericsConfig, _norm_rows, brentq, fd_gradient, in_row_order
 from .surfaces import SurfacePatch, grid_points, surface_from_spec
 
 try:
@@ -83,18 +85,35 @@ def load_schema(which: str) -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator(which: str):
+    """The validator of a shipped schema, built once per process.
+
+    The shipped schemas are not checked against the metaschema here; the
+    test suite does that.
+    """
+    schema = load_schema(which)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _schema_error(instance: dict, which: str):
+    """The error jsonschema.validate would raise for instance, or None."""
+    return jsonschema.exceptions.best_match(_validator(which).iter_errors(instance))
+
+
 def validate_config(cfg: dict) -> None:
     if jsonschema is None:  # pragma: no cover
         raise ConfigError("jsonschema is required to validate configurations")
-    try:
-        jsonschema.validate(cfg, load_schema("config"))
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config does not match schema: {exc.message}") from exc
+    error = _schema_error(cfg, "config")
+    if error is not None:
+        raise ConfigError(f"config does not match schema: {error.message}") from error
 
 
 def validate_report(report: dict) -> None:
     """Validate a report against the shipped schema (used by the test suite)."""
-    jsonschema.validate(report, load_schema("report"))
+    error = _schema_error(report, "report")
+    if error is not None:
+        raise error
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +130,34 @@ class RunContext:
     nt: int
     margins: tuple[float, float]
     seed: int
-    _geoms: Optional[list] = field(default=None, repr=False)
+    _geoms: Optional[GeometryBatch] = field(default=None, repr=False)
 
     @property
     def grid(self) -> list[tuple[float, float]]:
         return grid_points(self.surface, self.ns, self.nt, self.margins)
 
-    def geometries(self) -> list:
-        """The PointGeometry of every grid point, row-major; computed once per run."""
+    def geometries(self) -> GeometryBatch:
+        """The geometry of every grid point, row-major, as one batch; computed once per run."""
         if self._geoms is None:
-            self._geoms = [point_geometry(self.norm, self.surface, s, t, self.numerics)
-                           for (s, t) in self.grid]
+            self._geoms = self.batch(self.grid)
         return self._geoms
+
+    def batch(self, pts: list[tuple[float, float]]) -> GeometryBatch:
+        """The geometry of the points pts, as one batch."""
+        s, t = np.array(pts, dtype=float).reshape(-1, 2).T
+        return geometry_batch(self.norm, self.surface, s, t, self.numerics)
+
+    def map_points(self, pts: list[tuple[float, float]], value: Callable) -> list:
+        """value(k, pg) for each point pts[k], from one geometry batch.
+
+        Raises what a loop that evaluates each point and then its value would
+        raise first.
+        """
+        def run(rows):
+            gb = self.batch(pts[rows])
+            return [value(k, gb[i]) for i, k in enumerate(range(len(pts))[rows])]
+
+        return in_row_order(run, len(pts))
 
     def rng(self, check_id: str) -> np.random.Generator:
         # Seeded per check from the registry index, so the stream is stable
@@ -172,15 +207,20 @@ class CheckResult:
 
 
 def _aggregate(check_id: str, anchor: str, tol: float,
-               residuals: list[float], points: list[tuple[float, float]],
+               residuals, points: list[tuple[float, float]],
                detail: dict | None = None) -> CheckResult:
-    if not residuals:
+    if len(residuals) == 0:
         return CheckResult(check_id, anchor, None, tol, True, None, 0,
                            dict(detail or {}, note="no applicable points"))
     i = int(np.argmax(residuals))
     worst = float(max(residuals))
     return CheckResult(check_id, anchor, worst, tol, bool(worst <= tol),
                        (points[i][0], points[i][1]), len(residuals), dict(detail or {}))
+
+
+def _where(points: list, mask) -> list:
+    """The entries of points where mask is True."""
+    return [pt for pt, keep in zip(points, mask) if keep]
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +241,9 @@ def _expected_sphere_curvature(ctx: RunContext) -> float:
 def _run_curvature_closed_form(ctx: RunContext) -> CheckResult:
     kappa = _expected_sphere_curvature(ctx)
     tol = ctx.tolerance("curvature-closed-form", 1e-8 if ctx.analytic else 1e-3)
-    residuals = [max(abs(pg.lambda1 - kappa), abs(pg.lambda2 - kappa),
-                     abs(pg.K - kappa**2), abs(pg.H - kappa))
-                 for pg in ctx.geometries()]
+    g = ctx.geometries()
+    residuals = np.max([np.abs(g.lambda1 - kappa), np.abs(g.lambda2 - kappa),
+                        np.abs(g.K - kappa**2), np.abs(g.H - kappa)], axis=0)
     return _aggregate("curvature-closed-form", "§1 (Euclidean reduction)", tol,
                       residuals, ctx.grid, {"expected_curvature": kappa})
 
@@ -211,12 +251,13 @@ def _run_curvature_closed_form(ctx: RunContext) -> CheckResult:
 def _run_umbilicity(ctx: RunContext) -> CheckResult:
     tol = ctx.tolerance("umbilicity", 1e-6 if ctx.analytic else 1e-3)
     detail = {}
+    g = ctx.geometries()
     if ctx.surface.name == "minkowski_sphere":
         kappa = 1.0 / (ctx.surface.params or {})["rho"]
         detail["expected_curvature"] = kappa
-        residuals = [float(np.abs(pg.W - kappa * np.eye(2)).max()) for pg in ctx.geometries()]
+        residuals = np.abs(g.W - kappa * np.eye(2)).max(axis=(1, 2))
     else:
-        residuals = [abs(pg.lambda1 - pg.lambda2) for pg in ctx.geometries()]
+        residuals = np.abs(g.lambda1 - g.lambda2)
     return _aggregate("umbilicity", "Prop 3.2 proof", tol, residuals, ctx.grid, detail)
 
 
@@ -224,10 +265,7 @@ def _run_prop_2_1(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("prop-2-1")
     pts = ctx.random_params(rng, 50)
     nodes = max(8, min(ctx.numerics.quad_nodes, 256))
-    residuals = []
-    for (s, t) in pts:
-        pg = point_geometry(ctx.norm, ctx.surface, s, t, ctx.numerics)
-        residuals.append(abs(mean_by_indicatrix_average(pg, nodes) - pg.H))
+    residuals = ctx.map_points(pts, lambda k, pg: abs(mean_by_indicatrix_average(pg, nodes) - pg.H))
     return _aggregate("prop-2-1", "Prop 2.1", ctx.tolerance("prop-2-1", 1e-10),
                       residuals, pts, {"nodes": nodes})
 
@@ -236,10 +274,8 @@ def _run_prop_2_2(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("prop-2-2")
     pts = ctx.random_params(rng, 100)
     thetas = rng.uniform(0.0, 2.0 * np.pi, len(pts))
-    residuals = []
-    for (s, t), th in zip(pts, thetas):
-        pg = point_geometry(ctx.norm, ctx.surface, s, t, ctx.numerics)
-        residuals.append(abs(dupin_orthogonal_pair_sum(pg, float(th)) - 2.0 * pg.H))
+    residuals = ctx.map_points(
+        pts, lambda k, pg: abs(dupin_orthogonal_pair_sum(pg, float(thetas[k])) - 2.0 * pg.H))
     return _aggregate("prop-2-2", "Prop 2.2", ctx.tolerance("prop-2-2", 1e-10),
                       residuals, pts)
 
@@ -250,19 +286,20 @@ def _locate_h_zero_points(ctx: RunContext) -> list:
     def pg_at(s_, t_):
         return point_geometry(ctx.norm, ctx.surface, s_, t_, ctx.numerics)
 
-    geoms = ctx.geometries()
+    g = ctx.geometries()
     grid = ctx.grid
-    if max(abs(pg.H) for pg in geoms) <= 1e-8:
-        return [(pt, pg) for pt, pg in zip(grid, geoms) if pg.K < -1e-12]
+    if np.abs(g.H).max() <= 1e-8:
+        return [(grid[i], g[i]) for i in np.flatnonzero(g.K < -1e-12).tolist()]
     svals = sorted({s for (s, _) in grid})
     tvals = sorted({t for (_, t) in grid})
-    by_key = {(s, t): pg for (s, t), pg in zip(grid, geoms)}
+    index = {pt: i for i, pt in enumerate(grid)}
     found = []
     for t in tvals:
-        hs = [by_key[(s, t)].H for s in svals]
+        rows = [index[(s, t)] for s in svals]
+        hs = g.H[rows]
         for i in range(len(svals) - 1):
             if hs[i] == 0.0:
-                found.append(((svals[i], t), by_key[(svals[i], t)]))
+                found.append(((svals[i], t), g[rows[i]]))
             elif hs[i] * hs[i + 1] < 0.0:
                 root = brentq(lambda s_: pg_at(s_, t).H, svals[i], svals[i + 1], xtol=1e-12)
                 found.append(((root, t), pg_at(root, t)))
@@ -294,38 +331,36 @@ def _run_cor_2_1(ctx: RunContext) -> CheckResult:
 def _run_prop_2_3(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("prop-2-3")
     pts = ctx.random_params(rng, 100)
-    residuals = []
-    for (s, t) in pts:
-        pg = point_geometry(ctx.norm, ctx.surface, s, t, ctx.numerics)
-        kd = gaussian_by_determinants(pg)
-        residuals.append(abs(kd - pg.K) / max(1.0, abs(pg.K)))
+
+    def residual(k, pg):
+        return abs(gaussian_by_determinants(pg) - pg.K) / max(1.0, abs(pg.K))
+
     return _aggregate("prop-2-3", "Prop 2.3", ctx.tolerance("prop-2-3", 1e-8),
-                      residuals, pts)
+                      ctx.map_points(pts, residual), pts)
 
 
 def _run_lemma_3_1(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("lemma-3-1")
     pts = ctx.random_params(rng, 10)
-    residuals = []
-    for (s, t) in pts:
-        pg = point_geometry(ctx.norm, ctx.surface, s, t, ctx.numerics)
+
+    def residual(k, pg):
         g = tangent_plane_distance_field(pg, ctx.surface)
-        grad = fd_gradient(g, np.array([s, t]), ctx.numerics.fd_step)
-        residuals.append(float(np.linalg.norm(grad)))
+        return float(np.linalg.norm(fd_gradient(g, np.array(pts[k]), ctx.numerics.fd_step)))
+
     return _aggregate("lemma-3-1", "Lemma 3.1", ctx.tolerance("lemma-3-1", ctx.numerics.critical_tol),
-                      residuals, pts)
+                      ctx.map_points(pts, residual), pts)
 
 
 def _run_thm_3_1(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("thm-3-1")
     pts = ctx.random_params(rng, 10)
-    residuals = []
-    for (s, t) in pts:
-        pg = point_geometry(ctx.norm, ctx.surface, s, t, ctx.numerics)
-        g = tangent_plane_distance_field(pg, ctx.surface)
-        Hb = hess_b_matrix(g, pg, ctx.numerics)
-        residuals.append(float(np.abs(Hb + pg.h_mat).max() / max(1.0, np.abs(pg.h_mat).max())))
-    return _aggregate("thm-3-1", "Thm 3.1", ctx.tolerance("thm-3-1", 1e-3), residuals, pts)
+
+    def residual(k, pg):
+        Hb = hess_b_matrix(tangent_plane_distance_field(pg, ctx.surface), pg, ctx.numerics)
+        return float(np.abs(Hb + pg.h_mat).max() / max(1.0, np.abs(pg.h_mat).max()))
+
+    return _aggregate("thm-3-1", "Thm 3.1", ctx.tolerance("thm-3-1", 1e-3),
+                      ctx.map_points(pts, residual), pts)
 
 
 def _run_prop_3_1(ctx: RunContext) -> CheckResult:
@@ -366,31 +401,30 @@ def _run_thm_3_2(ctx: RunContext) -> CheckResult:
     centroid = ctx.surface_centroid()
     centers = [centroid + rng.uniform(-0.3, 0.3, 3) for _ in range(3)]
     pts = ctx.random_params(rng, 50)
-    residuals = []
-    for i, (s, t) in enumerate(pts):
-        a = centers[i % 3]
-        info = nabla_laplacian_rho_details(ctx.norm, ctx.surface, s, t, a, ctx.numerics)
-        pg = info["pg"]
-        rho = float((pg.p - a) @ pg.xi) / pg.pairing
-        residuals.append(abs(info["laplacian"] - 2.0 * (pg.H * rho - 1.0)))
-    return _aggregate("thm-3-2", "Thm 3.2", ctx.tolerance("thm-3-2", 5e-3), residuals, pts)
+    A = np.array([centers[i % 3] for i in range(len(pts))])
+
+    def run(rows):
+        gb = ctx.batch(pts[rows])
+        lap, _ = _laplacians(gb, ctx.norm, ctx.surface, A[rows], ctx.numerics)
+        return np.abs(lap - 2.0 * (gb.H * _rho(gb, A[rows]) - 1.0))
+
+    return _aggregate("thm-3-2", "Thm 3.2", ctx.tolerance("thm-3-2", 5e-3),
+                      in_row_order(run, len(pts)), pts)
 
 
 def _run_minimality_scan(ctx: RunContext) -> CheckResult:
     tol = ctx.tolerance("minimality-scan", 5e-3)
     a = ctx.distance_center()
     h_tol = 1e-6
-    residuals, used = [], []
-    h_min = float("inf")
-    for (s, t), pg in zip(ctx.grid, ctx.geometries()):
-        h_min = min(h_min, abs(pg.H))
-        if abs(pg.H) > h_tol:
-            continue
-        lap = _laplacian_details(pg, ctx.norm, ctx.surface, a, ctx.numerics)["laplacian"]
-        residuals.append(abs(lap + 2.0))
-        used.append((s, t))
-    return _aggregate("minimality-scan", "§3 Remark (minimality)", tol, residuals, used,
-                      {"h_threshold": h_tol, "min_abs_H": h_min})
+    g = ctx.geometries()
+    flat = np.abs(g.H) <= h_tol
+    sub = g[flat]
+    A = np.tile(a, (len(sub), 1))
+    lap = in_row_order(lambda rows: _laplacians(sub[rows], ctx.norm, ctx.surface, A[rows],
+                                                ctx.numerics)[0], len(sub)) if len(sub) else np.empty(0)
+    return _aggregate("minimality-scan", "§3 Remark (minimality)", tol, np.abs(lap + 2.0),
+                      _where(ctx.grid, flat),
+                      {"h_threshold": h_tol, "min_abs_H": float(np.abs(g.H).min(initial=np.inf))})
 
 
 def _run_prop_3_2(ctx: RunContext) -> CheckResult:
@@ -404,40 +438,34 @@ def _run_prop_3_2(ctx: RunContext) -> CheckResult:
                         "center": [float(v) for v in a]})
 
 
+def _blaschke_ratios(g: GeometryBatch) -> tuple[np.ndarray, np.ndarray]:
+    """|omega| / omega_h of each grid point, and the mask of points where h is not degenerate."""
+    omega, omega_h, degenerate = _volume_forms(g)
+    return np.abs(omega) / omega_h, ~degenerate
+
+
 def _run_blaschke_scan(ctx: RunContext) -> CheckResult:
     tol = ctx.tolerance("blaschke-scan", 1e-8)
-    residuals, used = [], []
-    skipped = 0
-    ratios = []
-    for (s, t), pg in zip(ctx.grid, ctx.geometries()):
-        try:
-            sample = _volume_forms(pg)
-        except DegenerateH:
-            skipped += 1
-            continue
-        ratios.append(sample.ratio)
-        residuals.append(abs(sample.ratio - 1.0))
-        used.append((s, t))
-    detail = {"skipped_degenerate": skipped}
-    if ratios:
-        detail.update(ratio_min=float(min(ratios)), ratio_max=float(max(ratios)))
-    return _aggregate("blaschke-scan", "Thm 4.2/4.3", tol, residuals, used, detail)
+    ratio, ok = _blaschke_ratios(ctx.geometries())
+    ratios = ratio[ok]
+    detail = {"skipped_degenerate": int(len(ok) - ok.sum())}
+    if ratios.size:
+        detail.update(ratio_min=float(ratios.min()), ratio_max=float(ratios.max()))
+    return _aggregate("blaschke-scan", "Thm 4.2/4.3", tol, np.abs(ratios - 1.0),
+                      _where(ctx.grid, ok), detail)
 
 
 def _run_affine_normal_compare(ctx: RunContext) -> CheckResult:
     tol = ctx.tolerance("affine-normal-compare", 1e-6)
-    residuals, used = [], []
-    skipped = 0
-    for (s, t), pg in zip(ctx.grid, ctx.geometries()):
-        try:
-            sample = _affine_normal_sample(pg, ctx.surface, ctx.numerics)
-        except (NonElliptic, DegenerateH):
-            skipped += 1
-            continue
-        residuals.append(float(sample.discrepancy))
-        used.append((s, t))
-    return _aggregate("affine-normal-compare", "Thm 4.2", tol, residuals, used,
-                      {"skipped_nonelliptic": skipped})
+    g = ctx.geometries()
+    rows = np.flatnonzero(_blaschke_ratios(g)[1])
+    normals, missing = _grid_affine_normals(g[rows], ctx.surface, ctx.numerics)
+    rows = np.delete(rows, list(missing))
+    normals = np.delete(normals, list(missing), axis=0)
+    used = np.zeros(len(g), dtype=bool)
+    used[rows] = True
+    return _aggregate("affine-normal-compare", "Thm 4.2", tol, _norm_rows(g.eta[rows] - normals),
+                      _where(ctx.grid, used), {"skipped_nonelliptic": int(len(g) - len(rows))})
 
 
 def _run_planar_ermakov(ctx: RunContext) -> CheckResult:
@@ -660,20 +688,14 @@ FIELD_COLUMNS = ["s", "t", "x", "y", "z", "lambda1", "lambda2", "K", "H",
 
 def write_fields_csv(path: str, ctx: RunContext) -> None:
     """Per-point field table, RFC-4180 (CRLF, '.' decimal), 17 significant digits."""
+    g = ctx.geometries()
+    ratio, ok = _blaschke_ratios(g)
+    columns = [g.s, g.t, g.p[:, 0], g.p[:, 1], g.p[:, 2], g.lambda1, g.lambda2, g.K, g.H, g.pairing]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FIELD_COLUMNS)
-        for (s, t), pg in zip(ctx.grid, ctx.geometries()):
-            try:
-                ratio = fmt_17g(_volume_forms(pg).ratio)
-            except DegenerateH:
-                ratio = ""
-            writer.writerow([
-                fmt_17g(s), fmt_17g(t),
-                fmt_17g(pg.p[0]), fmt_17g(pg.p[1]), fmt_17g(pg.p[2]),
-                fmt_17g(pg.lambda1), fmt_17g(pg.lambda2),
-                fmt_17g(pg.K), fmt_17g(pg.H), fmt_17g(pg.pairing), ratio,
-            ])
+        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+            writer.writerow([fmt_17g(v) for v in row] + [fmt_17g(ratio[i]) if ok[i] else ""])
 
 
 def _cmd_run(args) -> int:

@@ -13,7 +13,8 @@ second derivative equals the b-Hessian (the connection term carries a factor
 of the vanishing gradient); away from critical points the module refuses with
 NotCritical rather than silently dropping that term. The Laplacian of rho is
 assembled from the explicit Gauss splitting D_X Y = nabla_X Y + h(X,Y) eta,
-so no Christoffel symbols of b or nabla are ever formed.
+so no Christoffel symbols of b or nabla are ever formed. The Laplacian's
+stencil points are evaluated as one geometry batch.
 """
 
 from __future__ import annotations
@@ -24,14 +25,20 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateH, DegeneratePairing, NotCritical
-from .geometry import PointGeometry, point_geometry
+from .geometry import GeometryBatch, PointGeometry, geometry_batch
 from .norms import NormModel
 from .numerics import (
     NumericsConfig,
     DEFAULT_CONFIG,
+    _dot,
+    _stack_last,
+    chart_stencil,
     fd_gradient,
     fd_second_directional,
-    guarded_solve,
+    fd_second_directional_rows,
+    first_row,
+    guarded_solve_rows,
+    per_point,
     relative_step,
 )
 from .surfaces import SurfacePatch
@@ -51,16 +58,22 @@ class DistanceData:
     g_grad: Optional[np.ndarray] = None  # its ambient differential -xi/pairing
 
 
-def _require_pairing(pg: PointGeometry) -> float:
-    if abs(pg.pairing) < 1e-14:
+def _require_pairing(g):
+    """<eta, xi> of a PointGeometry, or of each point of a GeometryBatch."""
+    if np.any(np.abs(g.pairing) < 1e-14):
         raise DegeneratePairing("<eta, xi> vanished; transversal decomposition undefined")
-    return pg.pairing
+    return g.pairing
+
+
+def _rho(g, a) -> np.ndarray:
+    """<p - a, xi> / <eta, xi>: the eta-coefficient of p - a, of a PointGeometry,
+    or of each point of a GeometryBatch (a: one base point, or one per point)."""
+    return _dot(g.p - a, g.xi) / _require_pairing(g)
 
 
 def tangent_plane_distance(pg: PointGeometry, q) -> float:
     """g(q): the eta-coefficient of p - q in the splitting R^3 = span(eta) + T_pM."""
-    q = np.asarray(q, dtype=float)
-    return float((pg.p - q) @ pg.xi) / _require_pairing(pg)
+    return float(_rho(pg, np.asarray(q, dtype=float)))
 
 
 def tangent_plane_distance_field(pg: PointGeometry, surface: SurfacePatch) -> Callable:
@@ -69,11 +82,10 @@ def tangent_plane_distance_field(pg: PointGeometry, surface: SurfacePatch) -> Ca
     The anchored point pg.p is a critical point of this field (the classical
     first-variation argument: f_s, f_t are xi(p)-orthogonal at p).
     """
-    p, xi, pairing = pg.p, pg.xi, _require_pairing(pg)
+    _require_pairing(pg)
 
     def field(st):
-        q = surface.position(float(st[0]), float(st[1]))
-        return float((p - q) @ xi) / pairing
+        return tangent_plane_distance(pg, surface.position(float(st[0]), float(st[1])))
 
     return field
 
@@ -108,6 +120,20 @@ def is_critical(norm: NormModel, pg: PointGeometry, a,
     return bool(defect <= config.critical_tol * (1.0 + np.linalg.norm(pg.eta)))
 
 
+def _critical_chart_point(field: Callable, pg: PointGeometry,
+                          config: NumericsConfig) -> np.ndarray:
+    """(s, t) of pg, once a finite-difference test at config.fd_step has found
+    it a critical point of field; NotCritical otherwise."""
+    st = np.array([pg.s, pg.t])
+    f0 = field(st)
+    grad = fd_gradient(field, st, config.fd_step)
+    if np.linalg.norm(grad) > config.critical_tol * (1.0 + abs(f0)):
+        raise NotCritical(
+            f"field gradient {grad} at (s,t)=({pg.s}, {pg.t}) exceeds the critical "
+            f"tolerance; hess_b would need the connection term here")
+    return st
+
+
 def hess_b_at_critical(field: Callable, pg: PointGeometry, X, Y,
                        config: NumericsConfig = DEFAULT_CONFIG,
                        step: float | None = None) -> float:
@@ -120,13 +146,7 @@ def hess_b_at_critical(field: Callable, pg: PointGeometry, X, Y,
     and NotCritical is raised when it fails — elsewhere the dropped term would
     matter. An explicit (absolute) step sets only the second-derivative stencil.
     """
-    st = np.array([pg.s, pg.t])
-    f0 = field(st)
-    grad = fd_gradient(field, st, config.fd_step)
-    if np.linalg.norm(grad) > config.critical_tol * (1.0 + abs(f0)):
-        raise NotCritical(
-            f"field gradient {grad} at (s,t)=({pg.s}, {pg.t}) exceeds the critical "
-            f"tolerance; hess_b would need the connection term here")
+    st = _critical_chart_point(field, pg, config)
     h = relative_step(st, config.fd_step) if step is None else step
     return fd_second_directional(field, st, np.asarray(X, float), np.asarray(Y, float), step=h)
 
@@ -134,12 +154,22 @@ def hess_b_at_critical(field: Callable, pg: PointGeometry, X, Y,
 def hess_b_matrix(field: Callable, pg: PointGeometry,
                   config: NumericsConfig = DEFAULT_CONFIG,
                   step: float | None = None) -> np.ndarray:
-    """The 2x2 matrix [hess_b(e_i, e_j)] in the chart basis."""
+    """The 2x2 matrix [hess_b(e_i, e_j)] in the chart basis, after one criticality test."""
+    st = _critical_chart_point(field, pg, config)
+    h = relative_step(st, config.fd_step) if step is None else step
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    h11 = hess_b_at_critical(field, pg, e1, e1, config, step)
-    h12 = hess_b_at_critical(field, pg, e1, e2, config, step)
-    h22 = hess_b_at_critical(field, pg, e2, e2, config, step)
+    h11, h12, h22 = fd_second_directional_rows(per_point(field, 1), np.tile(st, (3, 1)),
+                                               np.array([e1, e1, e2]), np.array([e1, e2, e2]), h)
     return np.array([[h11, h12], [h12, h22]])
+
+
+def _affine_distance(g, a) -> tuple[np.ndarray, np.ndarray]:
+    """rho and V of p - a = rho eta + V, for a PointGeometry or each point of a GeometryBatch."""
+    rho = _rho(g, a)
+    V_amb = (g.p - a) - rho[..., None] * g.eta
+    P = g.basis_matrix()
+    Pt = np.swapaxes(P, -1, -2)
+    return rho, np.linalg.solve(Pt @ P, Pt @ V_amb[..., None])[..., 0]
 
 
 def affine_distance(pg: PointGeometry, a) -> tuple[float, np.ndarray]:
@@ -148,14 +178,8 @@ def affine_distance(pg: PointGeometry, a) -> tuple[float, np.ndarray]:
     V is returned as a chart-basis 2-vector; the ambient residual of the
     decomposition is zero up to roundoff by construction.
     """
-    a = np.asarray(a, dtype=float)
-    pairing = _require_pairing(pg)
-    w = pg.p - a
-    rho = float(w @ pg.xi) / pairing
-    V_amb = w - rho * pg.eta
-    P = pg.basis_matrix()
-    V = np.linalg.solve(P.T @ P, P.T @ V_amb)
-    return rho, V
+    rho, V = _affine_distance(pg, np.asarray(a, dtype=float))
+    return float(rho), V
 
 
 def decomposition_residual(pg: PointGeometry, a) -> float:
@@ -164,42 +188,36 @@ def decomposition_residual(pg: PointGeometry, a) -> float:
     return float(np.linalg.norm((pg.p - np.asarray(a, float)) - rho * pg.eta - pg.ambient(V)))
 
 
-def _gauss_split(pg: PointGeometry, w_deriv, cond_guard):
-    """Coefficients (alpha, beta, gamma) of w_deriv = alpha f_s + beta f_t + gamma eta."""
-    M = np.column_stack([pg.f_s, pg.f_t, pg.eta])
-    return guarded_solve(M, w_deriv, cond_guard, location=(pg.s, pg.t))
+def _laplacians(gb: GeometryBatch, norm: NormModel, surface: SurfacePatch,
+                A: np.ndarray, config: NumericsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The nabla-Laplacian of rho at the points of gb, with base points A (one
+    per point), and the two Gauss-splitting defects of each point.
 
+    The 4 stencil points of all points are one geometry batch, and the Gauss
+    splits one stacked guarded solve.
+    """
+    det_h = np.linalg.det(gb.h_mat)
+    i = first_row(np.abs(det_h) < 1e-10 * np.maximum(1.0, np.abs(gb.h_mat).max(axis=(1, 2)) ** 2))
+    if i is not None:
+        raise DegenerateH(f"affine fundamental form has rank < 2 at (s,t)=({gb.s[i]}, {gb.t[i]})")
 
-def _laplacian_details(pg: PointGeometry, norm: NormModel, surface: SurfacePatch,
-                       a, config: NumericsConfig) -> dict:
-    """nabla_laplacian_rho_details around the centre point's geometry pg."""
-    s, t = pg.s, pg.t
-    det_h = float(np.linalg.det(pg.h_mat))
-    if abs(det_h) < 1e-10 * max(1.0, float(np.abs(pg.h_mat).max()) ** 2):
-        raise DegenerateH(f"affine fundamental form has rank < 2 at (s,t)=({s}, {t})")
+    h = relative_step(_stack_last(gb.s, gb.t), config.fd_step)
+    S, T = chart_stencil(gb.s, gb.t, h)
+    stencil = geometry_batch(norm, surface, S.ravel(), T.ravel(), config)
+    _, V = _affine_distance(stencil, np.repeat(A, 4, axis=0))
+    w = -stencil.ambient(V).reshape(len(gb), 4, 3)
+    h = h[:, None]
+    dw = _stack_last((w[:, 0] - w[:, 1]) / (2 * h), (w[:, 2] - w[:, 3]) / (2 * h))
 
-    def w_ambient(s_, t_):
-        pg_ = point_geometry(norm, surface, s_, t_, config)
-        rho_, V_ = affine_distance(pg_, a)
-        return -pg_.ambient(V_)
-
-    h = relative_step((s, t), config.fd_step)
-    dw_s = (w_ambient(s + h, t) - w_ambient(s - h, t)) / (2 * h)
-    dw_t = (w_ambient(s, t + h) - w_ambient(s, t - h)) / (2 * h)
-
-    abc_s = _gauss_split(pg, dw_s, config.cond_guard)
-    abc_t = _gauss_split(pg, dw_t, config.cond_guard)
-    laplacian = float(abc_s[0] + abc_t[1])
+    # Coefficients (alpha, beta, gamma) of dw = alpha f_s + beta f_t + gamma eta.
+    M = _stack_last(gb.f_s, gb.f_t, gb.eta)
+    abc = guarded_solve_rows(M, dw, config.cond_guard, list(zip(gb.s.tolist(), gb.t.tolist())))
+    laplacian = abc[:, 0, 0] + abc[:, 1, 1]
 
     # Gauss-formula consistency: the stripped eta-components against h(e_i, w).
-    _, V0 = affine_distance(pg, a)
-    w0 = -V0
-    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    gauss_defects = (
-        abs(float(abc_s[2]) - float(e1 @ pg.h_mat @ w0)),
-        abs(float(abc_t[2]) - float(e2 @ pg.h_mat @ w0)),
-    )
-    return {"laplacian": laplacian, "gauss_defects": gauss_defects, "pg": pg}
+    _, V0 = _affine_distance(gb, A)
+    h_w0 = (gb.h_mat @ -V0[:, :, None])[:, :, 0]
+    return laplacian, np.abs(abc[:, 2, :] - h_w0)
 
 
 def nabla_laplacian_rho_details(norm: NormModel, surface: SurfacePatch, s: float, t: float,
@@ -213,9 +231,12 @@ def nabla_laplacian_rho_details(norm: NormModel, surface: SurfacePatch, s: float
     resulting endomorphism. The eta-components stripped during projection equal
     h(e_i, w) by the Gauss formula; their mismatch is returned as a diagnostic.
 
-    Requires the affine fundamental form to have rank 2 (DegenerateH).
+    Requires the affine fundamental form to have rank 2 (DegenerateH). This is
+    _laplacians on a batch of one.
     """
-    return _laplacian_details(point_geometry(norm, surface, s, t, config), norm, surface, a, config)
+    gb = geometry_batch(norm, surface, [s], [t], config)
+    lap, defects = _laplacians(gb, norm, surface, np.asarray(a, dtype=float)[None], config)
+    return {"laplacian": float(lap[0]), "gauss_defects": tuple(defects[0].tolist()), "pg": gb[0]}
 
 
 def nabla_laplacian_rho(norm: NormModel, surface: SurfacePatch, s: float, t: float,
@@ -230,11 +251,12 @@ def distance_data(norm: NormModel, surface: SurfacePatch, s: float, t: float, a,
                   probe: np.ndarray | None = None) -> DistanceData:
     """Assemble the DistanceData record at one point."""
     a = np.asarray(a, dtype=float)
-    pg = point_geometry(norm, surface, s, t, config)
+    gb = geometry_batch(norm, surface, [s], [t], config)
+    pg = gb[0]
     rho, V = affine_distance(pg, a)
     lap = None
     if with_laplacian:
-        lap = _laplacian_details(pg, norm, surface, a, config)["laplacian"]
+        lap = float(_laplacians(gb, norm, surface, a[None], config)[0][0])
     g_value = g_grad = None
     if probe is not None:
         g_value = tangent_plane_distance(pg, probe)
@@ -246,16 +268,15 @@ def distance_data(norm: NormModel, surface: SurfacePatch, s: float, t: float, a,
     )
 
 
-def _rho_spread(geoms: list[PointGeometry], a) -> dict:
+def _rho_spread(gb: GeometryBatch, a) -> dict:
     """sphere_characterization_check over already computed point geometries."""
-    rhos = np.array([affine_distance(pg, a)[0] for pg in geoms])
-    defect = max((abs(pg.lambda1 - pg.lambda2) for pg in geoms), default=0.0)
+    rhos = _rho(gb, a)
     return {
         "rho_spread": float(rhos.max() - rhos.min()),
-        "max_umbilic_defect": float(defect),
+        "max_umbilic_defect": float(np.abs(gb.lambda1 - gb.lambda2).max(initial=0.0)),
         "rho_min": float(rhos.min()),
         "rho_max": float(rhos.max()),
-        "n_points": len(geoms),
+        "n_points": len(gb),
     }
 
 
@@ -268,4 +289,5 @@ def sphere_characterization_check(norm: NormModel, surface: SurfacePatch, a,
     spread is strictly positive. Returns {"rho_spread", "max_umbilic_defect",
     "rho_min", "rho_max", "n_points"}.
     """
-    return _rho_spread([point_geometry(norm, surface, s, t, config) for (s, t) in grid], a)
+    s, t = np.asarray(grid, dtype=float).reshape(-1, 2).T
+    return _rho_spread(geometry_batch(norm, surface, s, t, config), np.asarray(a, dtype=float))

@@ -15,6 +15,12 @@ covers custom norms supplied without dual jets.
 
 Built-in families carry analytic jets through third order, so Minkowski-sphere
 charts built from u are themselves fully analytic.
+
+Everything evaluates rows of points: a ScalarJet maps an (N, 3) array to N
+values (or gradients, Hessians), and each NormModel method has a `_rows`
+twin that the one-point method runs on a batch of one. User callables of
+one point (custom_norm) are adapted to rows with numerics.per_point; the
+Newton fallback solves one row at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from .errors import (
     NewtonDivergence,
     NonSmoothPoint,
 )
-from .numerics import NumericsConfig, DEFAULT_CONFIG, _invert_2x2_spd, fd_gradient, fd_hessian
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _cross, _dot, _invert_2x2_spd, _norm_rows,
+                       _stack_last, fd_gradient_rows, fd_hessian_rows, per_point, relative_step)
 
 
 # ---------------------------------------------------------------------------
@@ -39,15 +46,18 @@ from .numerics import NumericsConfig, DEFAULT_CONFIG, _invert_2x2_spd, fd_gradie
 
 @dataclass(frozen=True)
 class ScalarJet:
-    """A scalar field on R^3 with optional derivatives.
+    """A scalar field on R^3 with optional derivatives, evaluated on rows.
 
-    value: x -> float
-    gradient: x -> (3,) array, or None
-    hessian: x -> (3,3) array, or None
-    third: x -> (3,3,3) array of third partials, or None
+    Each callable takes an (N, 3) array, one point per row:
+    value: -> (N,) values
+    gradient: -> (N, 3), or None
+    hessian: -> (N, 3, 3), or None
+    third: -> (N, 3, 3, 3) third partials, or None
+    The built-in closed forms also take a single point. custom_norm adapts
+    callables of one point to rows with numerics.per_point.
     """
 
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     third: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -67,35 +77,34 @@ def _quadform_jets(M: np.ndarray) -> ScalarJet:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return float(np.sqrt(x @ M @ x))
+        return np.sqrt(((x[..., None, :] @ M) @ x[..., :, None])[..., 0, 0])
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
-        return (M @ x) / value(x)
+        return (M @ x[..., :, None])[..., 0] / value(x)[..., None]
 
     def hessian(x):
         x = np.asarray(x, dtype=float)
-        g = value(x)
-        v = M @ x
-        return M / g - np.outer(v, v) / g**3
+        g = value(x)[..., None, None]
+        v = M @ x[..., :, None]
+        return M / g - (v * np.swapaxes(v, -1, -2)) / g**3
 
     def third(x):
         x = np.asarray(x, dtype=float)
-        g = value(x)
-        v = M @ x
-        T = np.zeros((3, 3, 3))
+        g = value(x)[..., None, None, None]
+        v = (M @ x[..., :, None])[..., 0]
         # d_k [M_ij/g - v_i v_j / g^3]
-        T -= np.einsum("ij,k->ijk", M, v) / g**3
-        T -= np.einsum("ik,j->ijk", M, v) / g**3
-        T -= np.einsum("jk,i->ijk", M, v) / g**3
-        T += 3.0 * np.einsum("i,j,k->ijk", v, v, v) / g**5
+        T = -np.einsum("ij,...k->...ijk", M, v) / g**3
+        T -= np.einsum("ik,...j->...ijk", M, v) / g**3
+        T -= np.einsum("jk,...i->...ijk", M, v) / g**3
+        T += 3.0 * np.einsum("...i,...j,...k->...ijk", v, v, v) / g**5
         return T
 
     return ScalarJet(value, gradient, hessian, third)
 
 
 def _axis_clamp(x: np.ndarray, guard: float) -> np.ndarray:
-    """Push components of x away from the coordinate planes.
+    """Push components of x away from the coordinate planes, row by row.
 
     Components with |x_i| < guard * |x|_2 are replaced by ±guard * |x|_2
     (sign preserved; exact zeros go positive). Applied only inside Hessian and
@@ -103,69 +112,64 @@ def _axis_clamp(x: np.ndarray, guard: float) -> np.ndarray:
     |x_i|^{p-2} or |x_i|^{p-3}: values and gradients are fine at the axes and
     must stay exact there.
     """
-    r = float(np.linalg.norm(x))
-    floor = guard * r
-    small = np.abs(x) < floor
-    if not small.any():
-        return x
-    y = np.array(x, dtype=float)
-    signs = np.where(y[small] < 0.0, -1.0, 1.0)
-    y[small] = signs * floor
-    return y
+    floor = guard * _norm_rows(x)[..., None]
+    return np.where(np.abs(x) < floor, np.where(x < 0.0, -floor, floor), x)
 
 
 def _lp_jets(p: float, guard: float) -> ScalarJet:
     """Jets of the lp gauge F(x) = (sum |x_i|^p)^{1/p}, 1 < p < inf."""
 
+    def power_sum(x):
+        return np.sum(np.abs(x) ** p, axis=-1)
+
     def value(x):
-        x = np.asarray(x, dtype=float)
-        return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+        return power_sum(np.asarray(x, dtype=float)) ** (1.0 / p)
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
-        S = float(np.sum(np.abs(x) ** p))
         v = np.sign(x) * np.abs(x) ** (p - 1.0)
-        return S ** (1.0 / p - 1.0) * v
+        return power_sum(x)[..., None] ** (1.0 / p - 1.0) * v
 
     def hessian(x):
         x = _axis_clamp(np.asarray(x, dtype=float), guard)
-        S = float(np.sum(np.abs(x) ** p))
+        S = power_sum(x)[..., None, None]
         v = np.sign(x) * np.abs(x) ** (p - 1.0)
         w = np.abs(x) ** (p - 2.0)
-        return (p - 1.0) * (S ** (1.0 / p - 1.0) * np.diag(w)
-                            - S ** (1.0 / p - 2.0) * np.outer(v, v))
+        return (p - 1.0) * (S ** (1.0 / p - 1.0) * (w[..., :, None] * np.eye(3))
+                            - S ** (1.0 / p - 2.0) * (v[..., :, None] * v[..., None, :]))
 
     def third(x):
         x = _axis_clamp(np.asarray(x, dtype=float), guard)
-        S = float(np.sum(np.abs(x) ** p))
+        S = power_sum(x)[..., None, None, None]
         s = np.sign(x)
         a = np.abs(x)
         v = s * a ** (p - 1.0)
         w = a ** (p - 2.0)
-        T = np.zeros((3, 3, 3))
+        eye = np.eye(3)
+        T = np.zeros(x.shape[:-1] + (3, 3, 3))
         # pure-diagonal part i = j = k
-        diag = (p - 2.0) * S ** (1.0 / p - 1.0) * s * a ** (p - 3.0)
-        for i in range(3):
-            T[i, i, i] += diag[i]
+        i = np.arange(3)
+        T[..., i, i, i] += (p - 2.0) * S[..., 0, 0] ** (1.0 / p - 1.0) * s * a ** (p - 3.0)
         coef = (1.0 - p) * S ** (1.0 / p - 2.0)
-        T += coef * np.einsum("i,k,ij->ijk", w, v, np.eye(3))
-        T += coef * np.einsum("i,j,ik->ijk", w, v, np.eye(3))
-        T += coef * np.einsum("j,i,jk->ijk", w, v, np.eye(3))
-        T += (2.0 * p - 1.0) * S ** (1.0 / p - 3.0) * np.einsum("i,j,k->ijk", v, v, v)
+        T += coef * np.einsum("...i,...k,ij->...ijk", w, v, eye)
+        T += coef * np.einsum("...i,...j,ik->...ijk", w, v, eye)
+        T += coef * np.einsum("...j,...i,jk->...ijk", w, v, eye)
+        T += (2.0 * p - 1.0) * S ** (1.0 / p - 3.0) * np.einsum("...i,...j,...k->...ijk", v, v, v)
         return (p - 1.0) * T
 
     return ScalarJet(value, gradient, hessian, third)
 
 
 def _fd_wrap(jet: ScalarJet, step: float) -> ScalarJet:
-    """Replace a jet's derivatives by central differences of its value."""
+    """Replace a jet's derivatives by central differences of its value, with a
+    relative step per row."""
     value = jet.value
 
     def gradient(x):
-        return fd_gradient(value, x, step)
+        return fd_gradient_rows(value, x, step)
 
     def hessian(x):
-        return fd_hessian(value, x, step)
+        return fd_hessian_rows(value, x, step)
 
     return ScalarJet(value, gradient, hessian, third=None)
 
@@ -174,17 +178,24 @@ def tangent_basis(xi: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the plane xi-perp, as columns of a 3x2 matrix.
 
     Seeds Gram-Schmidt with the coordinate axis least aligned with xi, so the
-    result depends only on xi.
+    result depends only on xi. Rows of xi give a stack of bases.
     """
     xi = np.asarray(xi, dtype=float)
-    xi = xi / np.linalg.norm(xi)
-    k = int(np.argmin(np.abs(xi)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    e1 = e - (e @ xi) * xi
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(xi, e1)
-    return np.column_stack([e1, e2])
+    xi = xi / _norm_rows(xi)[..., None]
+    e = np.eye(3)[np.argmin(np.abs(xi), axis=-1)]
+    e1 = e - _dot(e, xi)[..., None] * xi
+    e1 /= _norm_rows(e1)[..., None]
+    return _stack_last(e1, _cross(xi, e1))
+
+
+def _nonzero_rows(X: np.ndarray) -> bool:
+    """Whether no row of X is the zero vector."""
+    return bool(X.all() or X.any(axis=-1).all())
+
+
+def _one(x) -> np.ndarray:
+    """One point as a batch of one row."""
+    return np.asarray(x, dtype=float)[None]
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +206,10 @@ def tangent_basis(xi: np.ndarray) -> np.ndarray:
 class NormModel:
     """An admissible norm given by primal gauge and dual support-function jets.
 
-    Immutable after construction; every method is a pure function of its
-    arguments and safe to call concurrently.
+    Every method of one point has a twin with the suffix _rows that takes an
+    (N, 3) array, one point per row; the method of one point runs its twin on
+    a batch of one. Immutable after construction; every method is a pure
+    function of its arguments.
     """
 
     family: str
@@ -211,58 +224,85 @@ class NormModel:
     # -- primal gauge ------------------------------------------------------
 
     def gauge_value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if not x.any():
-            return 0.0
-        return self.gauge.value(x)
+        return float(self.gauge_value_rows(_one(x))[0])
 
-    def _check_nonzero(self, x, what: str) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not x.any():
+    def gauge_value_rows(self, X) -> np.ndarray:
+        """F at each row; 0 at zero rows, where the gauge is not evaluated."""
+        X = np.asarray(X, dtype=float)
+        if _nonzero_rows(X):
+            return np.asarray(self.gauge.value(X), dtype=float)
+        nonzero = X.any(axis=-1)
+        out = np.zeros(len(X))
+        if nonzero.any():
+            out[nonzero] = self.gauge.value(X[nonzero])
+        return out
+
+    def _check_nonzero(self, X, what: str) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if not _nonzero_rows(X):
             raise NonSmoothPoint(f"{what} requested at the origin, where the norm is not smooth")
-        return x
+        return X
 
     def gauge_gradient(self, x) -> np.ndarray:
-        x = self._check_nonzero(x, "gauge gradient")
+        return self.gauge_gradient_rows(_one(x))[0]
+
+    def gauge_gradient_rows(self, X) -> np.ndarray:
+        X = self._check_nonzero(X, "gauge gradient")
         if self.gauge.gradient is not None:
-            return np.asarray(self.gauge.gradient(x), dtype=float)
-        return fd_gradient(self.gauge.value, x, self.fd_step)
+            return np.asarray(self.gauge.gradient(X), dtype=float)
+        return fd_gradient_rows(self.gauge.value, X, self.fd_step)
 
     def gauge_hessian(self, x) -> np.ndarray:
-        x = self._check_nonzero(x, "gauge Hessian")
+        return self.gauge_hessian_rows(_one(x))[0]
+
+    def gauge_hessian_rows(self, X) -> np.ndarray:
+        X = self._check_nonzero(X, "gauge Hessian")
         if self.gauge.hessian is not None:
-            return np.asarray(self.gauge.hessian(x), dtype=float)
-        return fd_hessian(self.gauge.value, x, self.fd_step)
+            return np.asarray(self.gauge.hessian(X), dtype=float)
+        return fd_hessian_rows(self.gauge.value, X, self.fd_step)
 
     # -- dual support function ---------------------------------------------
 
     def dual_value(self, xi) -> float:
-        xi = self._check_nonzero(xi, "support function")
+        return float(self.dual_value_rows(_one(xi))[0])
+
+    def dual_value_rows(self, XI) -> np.ndarray:
+        XI = self._check_nonzero(XI, "support function")
         if self.dual is not None:
-            return self.dual.value(xi)
-        return float(self._newton_point(xi) @ xi)
+            return np.asarray(self.dual.value(XI), dtype=float)
+        return _dot(self._newton_points(XI), XI)
 
     def dual_gradient(self, xi) -> np.ndarray:
-        xi = self._check_nonzero(xi, "support-function gradient")
+        return self.dual_gradient_rows(_one(xi))[0]
+
+    def dual_gradient_rows(self, XI) -> np.ndarray:
+        XI = self._check_nonzero(XI, "support-function gradient")
         if self.dual is not None and self.dual.gradient is not None:
-            return np.asarray(self.dual.gradient(xi), dtype=float)
+            return np.asarray(self.dual.gradient(XI), dtype=float)
         if self.dual is not None:
-            return fd_gradient(self.dual.value, xi, self.fd_step)
-        return self._newton_point(xi)
+            return fd_gradient_rows(self.dual.value, XI, self.fd_step)
+        return self._newton_points(XI)
 
     def dual_hessian(self, xi) -> np.ndarray:
-        xi = self._check_nonzero(xi, "support-function Hessian")
+        return self.dual_hessian_rows(_one(xi))[0]
+
+    def dual_hessian_rows(self, XI) -> np.ndarray:
+        XI = self._check_nonzero(XI, "support-function Hessian")
         if self.dual is not None and self.dual.hessian is not None:
-            return np.asarray(self.dual.hessian(xi), dtype=float)
+            return np.asarray(self.dual.hessian(XI), dtype=float)
         if self.dual is not None:
-            return fd_hessian(self.dual.value, xi, self.fd_step)
-        return self._fd_jacobian_of_u(xi)
+            return fd_hessian_rows(self.dual.value, XI, self.fd_step)
+        return self._fd_jacobian_of_u(XI)
 
     def dual_third(self, xi) -> Optional[np.ndarray]:
         """Third partials of h_B, or None when not analytically available."""
+        T = self.dual_third_rows(_one(xi))
+        return None if T is None else T[0]
+
+    def dual_third_rows(self, XI) -> Optional[np.ndarray]:
         if self.dual is not None and self.dual.third is not None:
-            xi = self._check_nonzero(xi, "support-function third derivative")
-            return np.asarray(self.dual.third(xi), dtype=float)
+            XI = self._check_nonzero(XI, "support-function third derivative")
+            return np.asarray(self.dual.third(XI), dtype=float)
         return None
 
     @property
@@ -278,11 +318,18 @@ class NormModel:
         Computed as grad h_B(xi) when dual jets exist; projected Newton on the
         Lagrange system grad F(x) = mu xi, F(x) = 1 otherwise.
         """
-        xi = self._check_nonzero(xi, "Birkhoff point")
-        xi = xi / np.linalg.norm(xi)
+        return self.birkhoff_point_rows(_one(xi))[0]
+
+    def birkhoff_point_rows(self, XI) -> np.ndarray:
+        XI = self._check_nonzero(XI, "Birkhoff point")
+        XI = XI / _norm_rows(XI)[:, None]
         if self.dual is not None:
-            return self.dual_gradient(xi)
-        return self._newton_point(xi)
+            return self.dual_gradient_rows(XI)
+        return self._newton_points(XI)
+
+    def _newton_points(self, XI) -> np.ndarray:
+        """The Newton solve of each row, in row order."""
+        return np.array([self._newton_point(xi) for xi in XI]).reshape(-1, 3)
 
     def _newton_point(self, xi) -> np.ndarray:
         """Solve grad F(x) = mu xi, F(x) = 1 by Newton, seeded at xi / F(xi)."""
@@ -295,8 +342,10 @@ class NormModel:
         mu = float(self.gauge_gradient(x) @ xi)
 
         def residual(x_, mu_):
-            g_ = self.gauge_gradient(x_)
-            return g_, np.concatenate([g_ - mu_ * xi, [self.gauge_value(x_) - 1.0]])
+            # runs once per backtracking trial: the row methods, unwrapped
+            X_ = x_[None]
+            g_ = self.gauge_gradient_rows(X_)[0]
+            return g_, np.concatenate([g_ - mu_ * xi, self.gauge_value_rows(X_) - 1.0])
 
         g, res = residual(x, mu)
         for _ in range(cfg.newton_max_iter):
@@ -336,21 +385,19 @@ class NormModel:
             f"Birkhoff Newton did not converge in {cfg.newton_max_iter} iterations "
             f"(|residual| = {np.linalg.norm(res):.3e})")
 
-    def _fd_jacobian_of_u(self, xi) -> np.ndarray:
-        """Hessian of h_B as the symmetrized FD Jacobian of u (Newton fallback path).
+    def _fd_jacobian_of_u(self, XI) -> np.ndarray:
+        """Hessians of h_B as the symmetrized FD Jacobians of u (Newton fallback path).
 
         u is homogeneous of degree 0, so this is Hess h_B only up to the radial
         kernel direction; restriction to xi-perp (du_restricted) removes that part.
+        The 6 Newton solves of a row run in the order up_0, down_0, up_1, ...
         """
-        xi = np.asarray(xi, dtype=float)
-        h = self.fd_step * max(1.0, float(np.linalg.norm(xi)))
-        J = np.empty((3, 3))
+        h = relative_step(XI, self.fd_step)[:, None, None]
         eye = np.eye(3)
-        for k in range(3):
-            up = self._newton_point(xi + h * eye[k])
-            dn = self._newton_point(xi - h * eye[k])
-            J[:, k] = (up - dn) / (2.0 * h)
-        return 0.5 * (J + J.T)
+        pts = np.stack([XI[:, None, :] + h * eye, XI[:, None, :] - h * eye], axis=2)
+        U = self._newton_points(pts.reshape(-1, 3)).reshape(pts.shape)
+        J = np.swapaxes((U[:, :, 0] - U[:, :, 1]) / (2.0 * h), 1, 2)
+        return 0.5 * (J + np.swapaxes(J, 1, 2))
 
     def du_restricted(self, xi) -> tuple[np.ndarray, np.ndarray]:
         """Restrict Hess h_B(xi) to the tangent plane xi-perp.
@@ -359,13 +406,15 @@ class NormModel:
         tangent_basis and M = E^T Hess h_B(xi) E, the matrix of du_xi in that
         basis. M is symmetric positive definite for admissible norms.
         """
-        xi = np.asarray(xi, dtype=float)
-        xi = xi / np.linalg.norm(xi)
-        E = tangent_basis(xi)
-        H = self.dual_hessian(xi)
-        M = E.T @ H @ E
-        M = 0.5 * (M + M.T)
-        return E, M
+        E, M = self.du_restricted_rows(_one(xi))
+        return E[0], M[0]
+
+    def du_restricted_rows(self, XI) -> tuple[np.ndarray, np.ndarray]:
+        XI = np.asarray(XI, dtype=float)
+        XI = XI / _norm_rows(XI)[:, None]
+        E = tangent_basis(XI)
+        M = np.swapaxes(E, 1, 2) @ self.dual_hessian_rows(XI) @ E
+        return E, 0.5 * (M + np.swapaxes(M, 1, 2))
 
     def dupin_form(self, eta, X, Y) -> float:
         """The inner product <du^{-1}_eta X, Y> on the tangent plane of ∂B at eta.
@@ -373,14 +422,16 @@ class NormModel:
         X, Y are ambient 3-vectors lying in the plane xi-perp, where xi is the
         Euclidean outer normal of ∂B at eta (recovered from the gauge gradient).
         """
-        eta = np.asarray(eta, dtype=float)
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        n = self.gauge_gradient(eta)
-        xi = n / np.linalg.norm(n)
-        E, M = self.du_restricted(xi)
+        return float(self.dupin_form_rows(_one(eta), _one(X), _one(Y))[0])
+
+    def dupin_form_rows(self, ETA, X, Y) -> np.ndarray:
+        n = self.gauge_gradient_rows(ETA)
+        E, M = self.du_restricted_rows(n / _norm_rows(n)[:, None])
         Minv = _invert_2x2_spd(M, "restricted dual Hessian")
-        return float((E.T @ X) @ Minv @ (E.T @ Y))
+        Et = np.swapaxes(E, 1, 2)
+        EX = Et @ np.asarray(X, dtype=float)[:, :, None]
+        EY = Et @ np.asarray(Y, dtype=float)[:, :, None]
+        return (np.swapaxes(EX, 1, 2) @ Minv @ EY)[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +487,27 @@ def lp_norm(p: float, jet_source: str = "analytic", fd_step: float = 1e-5,
                      {"p": p, "axis_guard": axis_guard}, config=config)
 
 
+def _per_point_jet(jet) -> ScalarJet:
+    """A ScalarJet (or a bare value callable) of one point, adapted to rows."""
+    if not isinstance(jet, ScalarJet):
+        jet = ScalarJet(jet)
+    return ScalarJet(*(None if fn is None else per_point(fn, 1)
+                       for fn in (jet.value, jet.gradient, jet.hessian, jet.third)))
+
+
 def custom_norm(gauge, dual=None, allow_newton: bool = True,
                 fd_step: float = 1e-5,
                 config: NumericsConfig = DEFAULT_CONFIG) -> NormModel:
-    """A user-supplied norm, as a ScalarJet or a bare value callable.
+    """A user-supplied norm, as a ScalarJet or a bare value callable of one point x.
 
+    The callables are adapted to rows of points with numerics.per_point.
     Without dual jets, Birkhoff points fall back to a projected Newton solve
-    on the gauge (unless allow_newton=False); gauge derivatives missing from
-    the jet come from central differences.
+    on the gauge (unless allow_newton=False), one row at a time; gauge
+    derivatives missing from the jet come from central differences.
     """
-    if not isinstance(gauge, ScalarJet):
-        gauge = ScalarJet(gauge)
-    if dual is not None and not isinstance(dual, ScalarJet):
-        dual = ScalarJet(dual)
+    gauge = _per_point_jet(gauge)
+    if dual is not None:
+        dual = _per_point_jet(dual)
     return NormModel("custom", gauge, dual, "analytic", fd_step, {},
                      allow_newton=allow_newton, config=config)
 

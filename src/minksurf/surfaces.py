@@ -8,7 +8,10 @@ parametrized through the Birkhoff map u of a norm.
 
 Charts are value-level callables plus (for analytic patches) a jet callable
 returning all first and second partials; finite-difference jets are available
-for any chart given only positions.
+for any chart given only positions. Charts and jets take arrays of
+parameters and return one point per entry, so a whole grid is evaluated at
+once (evaluate_jets); evaluate_jet is that evaluation on a batch of one. A
+user's graph function of one point is adapted to arrays with per_point.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ import numpy as np
 
 from .errors import DegenerateJet, InvalidParameter, OutOfDomain
 from .norms import NormModel
+from .numerics import _cross, _norm_rows, _stack_last, first_row, per_point
 
 
 @dataclass(frozen=True)
 class SurfaceJet:
-    """Second-order jet of a chart at one parameter point."""
+    """Second-order jet of a chart: 3-vectors at one parameter point, or (N, 3)
+    arrays at N of them."""
 
     f: np.ndarray
     f_s: np.ndarray
@@ -33,11 +38,18 @@ class SurfaceJet:
     f_st: np.ndarray
     f_tt: np.ndarray
 
+    def __getitem__(self, rows) -> "SurfaceJet":
+        """The jet at row i, or at the rows a slice or mask selects."""
+        return SurfaceJet(self.f[rows], self.f_s[rows], self.f_t[rows],
+                          self.f_ss[rows], self.f_st[rows], self.f_tt[rows])
+
 
 @dataclass(frozen=True, eq=False)
 class SurfacePatch:
     """A parametric immersion f: [s0,s1] x [t0,t1] -> R^3.
 
+    position(s, t) and jet(s, t) take parameter arrays of shape (N,) and
+    return (N, 3) points (a SurfaceJet of them); floats give one point.
     position is always available; jet is the analytic second-order jet and may
     be None, in which case (or when jet_source == "fd") central differences of
     position supply the derivatives. orientation multiplies the raw normal
@@ -45,8 +57,8 @@ class SurfacePatch:
     """
 
     name: str
-    position: Callable[[float, float], np.ndarray]
-    jet: Optional[Callable[[float, float], SurfaceJet]]
+    position: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jet: Optional[Callable[[np.ndarray, np.ndarray], SurfaceJet]]
     domain: tuple[float, float, float, float]  # s0, s1, t0, t1
     periodic: tuple[bool, bool] = (False, False)
     orientation: float = 1.0
@@ -55,37 +67,59 @@ class SurfacePatch:
     immersion_guard: float = 1e-10
     params: dict | None = None
 
-    def wrap(self, s: float, t: float) -> tuple[float, float]:
-        """Wrap periodic coordinates into the domain; raise OutOfDomain otherwise."""
+    def wrap(self, s, t):
+        """Wrap periodic coordinates into the domain; raise OutOfDomain otherwise.
+
+        s, t are floats or arrays of one shape; the error names the first
+        point outside, its s before its t.
+        """
         s0, s1, t0, t1 = self.domain
-        out = [s, t]
-        for i, (x, lo, hi, per) in enumerate(((s, s0, s1, self.periodic[0]),
-                                              (t, t0, t1, self.periodic[1]))):
+        axes = []
+        for name, x, lo, hi, per in (("s", s, s0, s1, self.periodic[0]),
+                                     ("t", t, t0, t1, self.periodic[1])):
+            x = np.asarray(x, dtype=float)
             if per:
-                out[i] = lo + (x - lo) % (hi - lo)
-            elif not (lo - 1e-12 <= x <= hi + 1e-12):
-                raise OutOfDomain(f"parameter {'st'[i]}={x} outside [{lo}, {hi}]")
-        return out[0], out[1]
+                axes.append((name, lo + (x - lo) % (hi - lo), lo, hi, np.zeros(x.shape, bool)))
+            else:
+                axes.append((name, x, lo, hi, ~((lo - 1e-12 <= x) & (x <= hi + 1e-12))))
+        i = first_row(np.ravel(axes[0][4] | axes[1][4]))
+        if i is not None:
+            name, x, lo, hi, _ = next(a for a in axes if np.ravel(a[4])[i])
+            raise OutOfDomain(f"parameter {name}={float(np.ravel(x)[i])} outside [{lo}, {hi}]")
+        return tuple(float(a[1]) if a[1].ndim == 0 else a[1] for a in axes)
 
 
-def evaluate_jet(surface: SurfacePatch, s: float, t: float) -> SurfaceJet:
-    """Second-order jet of the chart at (s,t), after periodic wrapping.
+def evaluate_jets(surface: SurfacePatch, s, t) -> SurfaceJet:
+    """Second-order jets of the chart at the parameter arrays s, t, after periodic wrapping.
 
     Raises OutOfDomain outside the (wrapped) domain and DegenerateJet when
-    |f_s x f_t| falls below the immersion guard.
+    |f_s x f_t| falls below the immersion guard, for the first such point.
     """
-    s, t = surface.wrap(s, t)
+    return _normal_jets(surface, s, t)[0]
+
+
+def _normal_jets(surface: SurfacePatch, s, t):
+    """evaluate_jets, with the raw normals f_s x f_t and their lengths."""
+    s, t = surface.wrap(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     if surface.jet is not None and surface.jet_source == "analytic":
         jet = surface.jet(s, t)
     else:
         jet = _fd_jet(surface.position, s, t, surface.fd_step)
-    cross = np.cross(jet.f_s, jet.f_t)
-    if np.linalg.norm(cross) < surface.immersion_guard:
-        raise DegenerateJet(f"|f_s x f_t| < {surface.immersion_guard} at (s,t)=({s}, {t})")
-    return jet
+    n_raw = _cross(jet.f_s, jet.f_t)
+    length = _norm_rows(n_raw)
+    i = first_row(length < surface.immersion_guard)
+    if i is not None:
+        raise DegenerateJet(
+            f"|f_s x f_t| < {surface.immersion_guard} at (s,t)=({float(s[i])}, {float(t[i])})")
+    return jet, n_raw, length
 
 
-def _fd_jet(position, s: float, t: float, step: float) -> SurfaceJet:
+def evaluate_jet(surface: SurfacePatch, s: float, t: float) -> SurfaceJet:
+    """Second-order jet of the chart at (s,t): evaluate_jets on a batch of one."""
+    return evaluate_jets(surface, [s], [t])[0]
+
+
+def _fd_jet(position, s, t, step: float) -> SurfaceJet:
     """Central-difference second-order jet of a position-only chart."""
     h = step
     f = np.asarray(position(s, t), dtype=float)
@@ -111,15 +145,15 @@ def _fd_jet(position, s: float, t: float, step: float) -> SurfaceJet:
 # built-in families
 # ---------------------------------------------------------------------------
 
-def _sphere_angle_jets(s: float, t: float):
+def _sphere_angle_jets(s, t):
     """Jet of the spherical-angle chart of the Euclidean unit sphere."""
     ss, cs, st_, ct = np.sin(s), np.cos(s), np.sin(t), np.cos(t)
-    xi = np.array([ss * ct, ss * st_, cs])
-    xi_s = np.array([cs * ct, cs * st_, -ss])
-    xi_t = np.array([-ss * st_, ss * ct, 0.0])
+    xi = _stack_last(ss * ct, ss * st_, cs)
+    xi_s = _stack_last(cs * ct, cs * st_, -ss)
+    xi_t = _stack_last(-ss * st_, ss * ct, 0.0)
     xi_ss = -xi
-    xi_st = np.array([-cs * st_, cs * ct, 0.0])
-    xi_tt = np.array([-ss * ct, -ss * st_, 0.0])
+    xi_st = _stack_last(-cs * st_, cs * ct, 0.0)
+    xi_tt = _stack_last(-ss * ct, -ss * st_, 0.0)
     return xi, xi_s, xi_t, xi_ss, xi_st, xi_tt
 
 
@@ -134,7 +168,7 @@ def euclidean_sphere(r: float, center=(0.0, 0.0, 0.0), jet_source: str = "analyt
     c = np.asarray(center, dtype=float)
 
     def position(s, t):
-        return c + r * np.array([np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s)])
+        return c + r * _stack_last(np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s))
 
     def jet(s, t):
         e, e_s, e_t, e_ss, e_st, e_tt = _sphere_angle_jets(s, t)
@@ -153,7 +187,7 @@ def ellipsoid(a: float, b: float, c: float, jet_source: str = "analytic",
     axes = np.array([a, b, c])
 
     def position(s, t):
-        return axes * np.array([np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s)])
+        return axes * _stack_last(np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s))
 
     def jet(s, t):
         return SurfaceJet(*(axes * e for e in _sphere_angle_jets(s, t)))
@@ -168,23 +202,26 @@ def graph(phi_jet: Callable[[float, float], tuple], domain=(-1.0, 1.0, -1.0, 1.0
           name: str = "graph", params: dict | None = None) -> SurfacePatch:
     """Graph surface (s, t, phi(s,t)).
 
-    phi_jet(s,t) returns (phi, phi_s, phi_t, phi_ss, phi_st, phi_tt); the
+    phi_jet(s,t) of one parameter point returns (phi, phi_s, phi_t, phi_ss,
+    phi_st, phi_tt); it is adapted to parameter arrays with per_point. The
     normal (-phi_s, -phi_t, 1)/|..| points upward.
     """
+    return _graph(per_point(phi_jet), domain, jet_source, fd_step, name, params)
+
+
+def _graph(phi_jet, domain=(-1.0, 1.0, -1.0, 1.0), jet_source: str = "analytic",
+           fd_step: float = 1e-5, name: str = "graph", params: dict | None = None) -> SurfacePatch:
+    """graph for a phi_jet that takes parameter arrays."""
 
     def position(s, t):
-        return np.array([s, t, phi_jet(s, t)[0]])
+        return _stack_last(s, t, phi_jet(s, t)[0])
 
     def jet(s, t):
         p, ps, pt, pss, pst, ptt = phi_jet(s, t)
-        return SurfaceJet(
-            np.array([s, t, p]),
-            np.array([1.0, 0.0, ps]),
-            np.array([0.0, 1.0, pt]),
-            np.array([0.0, 0.0, pss]),
-            np.array([0.0, 0.0, pst]),
-            np.array([0.0, 0.0, ptt]),
-        )
+        zero = np.zeros(np.shape(s))
+        return SurfaceJet(_stack_last(s, t, p), _stack_last(zero + 1.0, 0.0, ps),
+                          _stack_last(zero, 1.0, pt), _stack_last(zero, 0.0, pss),
+                          _stack_last(zero, 0.0, pst), _stack_last(zero, 0.0, ptt))
 
     return SurfacePatch(name, position, jet, tuple(float(v) for v in domain),
                         (False, False), 1.0, jet_source, fd_step, params=params or {})
@@ -197,7 +234,7 @@ def saddle(scale: float = 1.0, domain=(-1.0, 1.0, -1.0, 1.0), **kw) -> SurfacePa
         return (scale * (s * s - t * t), 2 * scale * s, -2 * scale * t,
                 2 * scale, 0.0, -2 * scale)
 
-    return graph(phi_jet, domain, name="saddle", params={"scale": scale}, **kw)
+    return _graph(phi_jet, domain, name="saddle", params={"scale": scale}, **kw)
 
 
 def torus(R: float, r: float, jet_source: str = "analytic", fd_step: float = 1e-5) -> SurfacePatch:
@@ -211,17 +248,17 @@ def torus(R: float, r: float, jet_source: str = "analytic", fd_step: float = 1e-
 
     def position(s, t):
         w = R + r * np.cos(s)
-        return np.array([w * np.cos(t), w * np.sin(t), r * np.sin(s)])
+        return _stack_last(w * np.cos(t), w * np.sin(t), r * np.sin(s))
 
     def jet(s, t):
         cs, ss, ct, st_ = np.cos(s), np.sin(s), np.cos(t), np.sin(t)
         w = R + r * cs
-        f = np.array([w * ct, w * st_, r * ss])
-        f_s = np.array([-r * ss * ct, -r * ss * st_, r * cs])
-        f_t = np.array([-w * st_, w * ct, 0.0])
-        f_ss = np.array([-r * cs * ct, -r * cs * st_, -r * ss])
-        f_st = np.array([r * ss * st_, -r * ss * ct, 0.0])
-        f_tt = np.array([-w * ct, -w * st_, 0.0])
+        f = _stack_last(w * ct, w * st_, r * ss)
+        f_s = _stack_last(-r * ss * ct, -r * ss * st_, r * cs)
+        f_t = _stack_last(-w * st_, w * ct, 0.0)
+        f_ss = _stack_last(-r * cs * ct, -r * cs * st_, -r * ss)
+        f_st = _stack_last(r * ss * st_, -r * ss * ct, 0.0)
+        f_tt = _stack_last(-w * ct, -w * st_, 0.0)
         return SurfaceJet(f, f_s, f_t, f_ss, f_st, f_tt)
 
     return SurfacePatch("torus", position, jet, (0.0, 2 * np.pi, 0.0, 2 * np.pi),
@@ -235,16 +272,16 @@ def catenoid(c: float = 1.0, s_extent: float = 1.2, jet_source: str = "analytic"
         raise InvalidParameter("catenoid scale must be positive")
 
     def position(s, t):
-        return np.array([c * np.cosh(s) * np.cos(t), c * np.cosh(s) * np.sin(t), c * s])
+        return _stack_last(c * np.cosh(s) * np.cos(t), c * np.cosh(s) * np.sin(t), c * s)
 
     def jet(s, t):
         ch, sh, ct, st_ = np.cosh(s), np.sinh(s), np.cos(t), np.sin(t)
-        f = np.array([c * ch * ct, c * ch * st_, c * s])
-        f_s = np.array([c * sh * ct, c * sh * st_, c])
-        f_t = np.array([-c * ch * st_, c * ch * ct, 0.0])
-        f_ss = np.array([c * ch * ct, c * ch * st_, 0.0])
-        f_st = np.array([-c * sh * st_, c * sh * ct, 0.0])
-        f_tt = np.array([-c * ch * ct, -c * ch * st_, 0.0])
+        f = _stack_last(c * ch * ct, c * ch * st_, c * s)
+        f_s = _stack_last(c * sh * ct, c * sh * st_, c)
+        f_t = _stack_last(-c * ch * st_, c * ch * ct, 0.0)
+        f_ss = _stack_last(c * ch * ct, c * ch * st_, 0.0)
+        f_st = _stack_last(-c * sh * st_, c * sh * ct, 0.0)
+        f_tt = _stack_last(-c * ch * ct, -c * ch * st_, 0.0)
         return SurfaceJet(f, f_s, f_t, f_ss, f_st, f_tt)
 
     return SurfacePatch("catenoid", position, jet, (-s_extent, s_extent, 0.0, 2 * np.pi),
@@ -269,7 +306,7 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
 
     def position(s, t):
         xi = _sphere_angle_jets(s, t)[0]
-        return c + rho * norm.birkhoff_point(xi)
+        return c + rho * norm.birkhoff_point_rows(xi.reshape(-1, 3)).reshape(xi.shape)
 
     analytic = norm.has_analytic_dual_jets
     if jet_source is None:
@@ -278,17 +315,25 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
     jet = None
     if analytic:
         def jet(s, t):
-            xi, xi_s, xi_t, xi_ss, xi_st, xi_tt = _sphere_angle_jets(s, t)
-            u = norm.dual_gradient(xi)
-            H = norm.dual_hessian(xi)
-            T = norm.dual_third(xi)
+            jets = _sphere_angle_jets(s, t)
+            xi, xi_s, xi_t, xi_ss, xi_st, xi_tt = (a.reshape(-1, 3) for a in jets)
+            u = norm.dual_gradient_rows(xi)
+            H = norm.dual_hessian_rows(xi)
+            T = norm.dual_third_rows(xi)
+
+            def d1(v):
+                return (H @ v[:, :, None])[:, :, 0]
+
+            def d2(v, w):
+                return np.einsum("nijk,nj,nk->ni", T, v, w)
+
             f = c + rho * u
-            f_s = rho * (H @ xi_s)
-            f_t = rho * (H @ xi_t)
-            f_ss = rho * (np.einsum("ijk,j,k->i", T, xi_s, xi_s) + H @ xi_ss)
-            f_st = rho * (np.einsum("ijk,j,k->i", T, xi_s, xi_t) + H @ xi_st)
-            f_tt = rho * (np.einsum("ijk,j,k->i", T, xi_t, xi_t) + H @ xi_tt)
-            return SurfaceJet(f, f_s, f_t, f_ss, f_st, f_tt)
+            f_s = rho * d1(xi_s)
+            f_t = rho * d1(xi_t)
+            f_ss = rho * (d2(xi_s, xi_s) + d1(xi_ss))
+            f_st = rho * (d2(xi_s, xi_t) + d1(xi_st))
+            f_tt = rho * (d2(xi_t, xi_t) + d1(xi_tt))
+            return SurfaceJet(*(a.reshape(jets[0].shape) for a in (f, f_s, f_t, f_ss, f_st, f_tt)))
 
     return SurfacePatch("minkowski_sphere", position, jet, (0.0, np.pi, 0.0, 2 * np.pi),
                         (False, True), 1.0, jet_source, fd_step,
@@ -317,8 +362,8 @@ def reparametrize_linear(surface: SurfacePatch, L, offset=(0.0, 0.0)) -> Surface
         raise InvalidParameter("reparametrization must be invertible")
 
     def mapped(s, t):
-        v = L @ np.array([s, t]) + off
-        return float(v[0]), float(v[1])
+        v = (L @ _stack_last(s, t)[..., None])[..., 0] + off
+        return v[..., 0], v[..., 1]
 
     def position(s, t):
         return surface.position(*mapped(s, t))

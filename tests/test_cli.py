@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import minksurf.blaschke
@@ -184,15 +185,23 @@ def test_fields_csv(tmp_path):
 
 
 def test_grid_checks_and_fields_compute_each_point_once(tmp_path, monkeypatch, capsys):
-    original = minksurf.geometry.point_geometry
-    calls = []
+    # The grid is one batched evaluation of its ns*nt distinct points; no check
+    # and not the field table evaluates a grid point on its own.
+    original = minksurf.geometry.geometry_batch
+    batches, singles = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args[2:4])
-        return original(*args, **kwargs)
+    def counting_batch(norm, surface, s, t, *args, **kwargs):
+        batches.append(list(zip(np.asarray(s).tolist(), np.asarray(t).tolist())))
+        return original(norm, surface, s, t, *args, **kwargs)
+
+    def counting_single(*args, **kwargs):
+        singles.append(args[2:4])
+        raise AssertionError("a grid check evaluated a single point")
 
     for module in (minksurf.geometry, minksurf.cli, minksurf.distances, minksurf.blaschke):
-        monkeypatch.setattr(module, "point_geometry", counting)
+        monkeypatch.setattr(module, "geometry_batch", counting_batch)
+    for module in (minksurf.geometry, minksurf.cli):
+        monkeypatch.setattr(module, "point_geometry", counting_single)
     cfg = write_config(tmp_path, {
         **BASE_CONFIG,
         "checks": ["umbilicity", "prop-3-2", "blaschke-scan", "affine-normal-compare"],
@@ -201,7 +210,9 @@ def test_grid_checks_and_fields_compute_each_point_once(tmp_path, monkeypatch, c
     assert minksurf.cli.main(["run", "--config", cfg, "--fields", str(fields)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [c["n_points"] for c in report["checks"]] == [64] * 4
-    assert len(calls) == len(set(calls)) == 8 * 8
+    assert len(batches) == 1
+    assert len(batches[0]) == len(set(batches[0])) == 8 * 8
+    assert singles == []
     with open(fields, newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + 8 * 8
 
@@ -262,6 +273,31 @@ def test_validate_config_rejects_unknown_keys():
         validate_config({**BASE_CONFIG, "extra": 1})
     with pytest.raises(ConfigError):
         validate_config({k: v for k, v in BASE_CONFIG.items() if k != "seed"})
+
+
+def test_shipped_schemas_match_their_metaschema():
+    # validate_config builds its validator once and does not re-check the schema
+    import jsonschema
+    for which in ("config", "report"):
+        schema = load_schema(which)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_config_errors_name_the_best_matching_schema_error():
+    import jsonschema
+    from minksurf.errors import ConfigError
+    bad_configs = [
+        {**BASE_CONFIG, "extra": 1},
+        {k: v for k, v in BASE_CONFIG.items() if k != "seed"},
+        {**BASE_CONFIG, "grid": {"ns": 0, "nt": 8}},
+        {**BASE_CONFIG, "norm": {"family": "lp", "p": "four"}},
+    ]
+    for cfg in bad_configs:
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(cfg, load_schema("config"))
+        with pytest.raises(ConfigError) as got:
+            validate_config(cfg)
+        assert str(got.value) == f"config does not match schema: {expected.value.message}"
 
 
 def test_planar_check_through_cli(tmp_path):

@@ -51,6 +51,23 @@ def test_tangent_plane_hessian_second_order_convergence(lp4, ellipsoid_std):
     assert 1.8 < order < 2.2
 
 
+def test_hess_b_matrix_tests_criticality_once(lp4, ellipsoid_std):
+    pg = mk.point_geometry(lp4, ellipsoid_std, 0.8, 2.4)
+    field = mk.tangent_plane_distance_field(pg, ellipsoid_std)
+    calls = []
+
+    def counted(st):
+        calls.append(tuple(st))
+        return field(st)
+
+    Hb = mk.hess_b_matrix(counted, pg)
+    # one centre value and a 4-point gradient, then three 4-point cross stencils
+    assert len(calls) == 1 + 4 + 3 * 4
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    entries = [mk.hess_b_at_critical(field, pg, X, Y) for X, Y in ((e1, e1), (e1, e2), (e2, e2))]
+    assert Hb.tolist() == [[entries[0], entries[1]], [entries[1], entries[2]]]
+
+
 def test_hessian_refuses_noncritical_point(lp4, ellipsoid_std):
     pg = mk.point_geometry(lp4, ellipsoid_std, 0.8, 2.4)
     other = mk.point_geometry(lp4, ellipsoid_std, 1.3, 1.0)
