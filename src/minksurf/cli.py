@@ -20,7 +20,10 @@ field table read it from there; the random points of a check are one batch
 as well. --threads and MSK_THREADS are accepted and have no effect (a
 non-integer MSK_THREADS is still a configuration error, exit 2).
 
-The CLI needs numpy and jsonschema; scipy is a test dependency only.
+The CLI needs numpy. A config that conforms to the config schema is accepted
+by an in-repo check of the schema's keywords, so a valid run never imports
+jsonschema; jsonschema words the error of a rejected config, and validates
+reports in the test suite. scipy is a test dependency only.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -74,36 +78,90 @@ from .norms import NormModel, norm_from_spec
 from .numerics import NumericsConfig, _norm_rows, brentq, fd_gradient, in_row_order
 from .surfaces import SurfacePatch, grid_points, surface_from_spec
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - hard dependency, but degrade loudly
-    jsonschema = None
+
+def _schema_text(which: str) -> str:
+    return resources.files("minksurf").joinpath(f"schemas/{which}.schema.json").read_text()
 
 
 def load_schema(which: str) -> dict:
-    text = resources.files("minksurf").joinpath(f"schemas/{which}.schema.json").read_text()
-    return json.loads(text)
+    return json.loads(_schema_text(which))
+
+
+# The draft 2020-12 keywords the shipped config schema uses ($schema, $id and
+# title are annotations); `_conforms` implements exactly these, and the test
+# suite fails if the schema uses any other.
+_CONFIG_KEYWORDS = frozenset({
+    "$schema", "$id", "title", "type", "required", "properties", "additionalProperties",
+    "enum", "items", "minItems", "maxItems", "minimum", "exclusiveMinimum"})
+
+_IS_TYPE = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
+                          or (isinstance(x, float) and x.is_integer())),
+}
+
+
+def _conforms(instance, schema) -> bool:
+    """Whether instance satisfies schema, under draft 2020-12 and _CONFIG_KEYWORDS.
+
+    Each keyword applies only to instances of its own type, as in the draft.
+    An enum is matched for string instances only: any other instance is
+    rejected here, and jsonschema then decides.
+    """
+    if schema is True or schema is False:
+        return schema
+    if "type" in schema and not _IS_TYPE[schema["type"]](instance):
+        return False
+    if "enum" in schema and not (isinstance(instance, str) and instance in schema["enum"]):
+        return False
+    if isinstance(instance, dict):
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        return (all(key in instance for key in schema.get("required", ()))
+                and all(_conforms(value, props.get(key, extra)) for key, value in instance.items()))
+    if isinstance(instance, list):
+        return (schema.get("minItems", 0) <= len(instance) <= schema.get("maxItems", math.inf)
+                and all(_conforms(item, schema.get("items", True)) for item in instance))
+    if _IS_TYPE["number"](instance):
+        # NaN compares false both ways, so it passes both bounds, as in jsonschema.
+        return not (("minimum" in schema and instance < schema["minimum"])
+                    or ("exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]))
+    return True
 
 
 @functools.cache
 def _validator(which: str):
-    """The validator of a shipped schema, built once per process.
+    """The jsonschema validator of a shipped schema, built once per process.
 
     The shipped schemas are not checked against the metaschema here; the
     test suite does that.
     """
+    import jsonschema
+
     schema = load_schema(which)
     return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _schema_error(instance: dict, which: str):
     """The error jsonschema.validate would raise for instance, or None."""
-    return jsonschema.exceptions.best_match(_validator(which).iter_errors(instance))
+    from jsonschema.exceptions import best_match
+
+    return best_match(_validator(which).iter_errors(instance))
 
 
 def validate_config(cfg: dict) -> None:
-    if jsonschema is None:  # pragma: no cover
-        raise ConfigError("jsonschema is required to validate configurations")
+    """Accept cfg if it conforms to the config schema, else raise ConfigError.
+
+    A config `_conforms` accepts is valid; only a rejected one loads
+    jsonschema, which decides and words the error.
+    """
+    if _conforms(cfg, load_schema("config")):
+        return
     error = _schema_error(cfg, "config")
     if error is not None:
         raise ConfigError(f"config does not match schema: {error.message}") from error
@@ -212,8 +270,9 @@ def _aggregate(check_id: str, anchor: str, tol: float,
     if len(residuals) == 0:
         return CheckResult(check_id, anchor, None, tol, True, None, 0,
                            dict(detail or {}, note="no applicable points"))
+    # argmax takes the first NaN, so a NaN residual is the worst and fails the check.
     i = int(np.argmax(residuals))
-    worst = float(max(residuals))
+    worst = float(residuals[i])
     return CheckResult(check_id, anchor, worst, tol, bool(worst <= tol),
                        (points[i][0], points[i][1]), len(residuals), dict(detail or {}))
 
@@ -760,8 +819,7 @@ def _cmd_list_checks(_args) -> int:
 
 
 def _cmd_schema(args) -> int:
-    text = resources.files("minksurf").joinpath(f"schemas/{args.which}.schema.json").read_text()
-    sys.stdout.write(text)
+    sys.stdout.write(_schema_text(args.which))
     return 0
 
 
