@@ -683,6 +683,9 @@ def fmt_17g(x: float) -> str:
 
 def build_context(cfg: dict) -> RunContext:
     validate_config(cfg)
+    stray = [key for key in cfg.get("tolerances", {}) if key not in REGISTRY]
+    if stray:
+        raise ConfigError(f"tolerances name no registered check: {', '.join(map(repr, stray))}")
     numerics = NumericsConfig(**cfg.get("numerics", {}))
     try:
         norm = norm_from_spec(cfg["norm"], numerics)

@@ -11,7 +11,11 @@ The gradient of h_B at a Euclidean-unit xi is the boundary point of B whose
 Euclidean outer normal is xi — i.e. u(xi), the inverse Euclidean Gauss map of
 ∂B. The Birkhoff normal field of a surface is then a single jet evaluation,
 eta = u(xi), with no root-finding in the hot path. A projected-Newton fallback
-covers custom norms supplied without dual jets.
+covers custom norms supplied without dual jets: u is a Newton solve on the
+gauge, whose residual test newton_tol is floored at 10 eps / h when the gauge
+gradients are central differences at step h (a floor derived from the step,
+not a setting), and du is the inverse Weingarten map of ∂B at u, in closed
+form from one gauge Hessian.
 
 Built-in families carry analytic jets through third order, so Minkowski-sphere
 charts built from u are themselves fully analytic.
@@ -188,6 +192,15 @@ def tangent_basis(xi: np.ndarray) -> np.ndarray:
     return _stack_last(e1, _cross(xi, e1))
 
 
+# Central differences of the gauge value lose about eps / h to roundoff at
+# step h: 10 eps / h is the smallest Newton residual FD gradients resolve.
+_FD_RESIDUAL_FLOOR = 10.0 * np.finfo(float).eps
+# The FD gauge Hessian behind du balances O(h^2) truncation against eps / h^2
+# roundoff at h = eps^(1/4), about 1.2e-4; at the gradients' step of 1e-5 the
+# roundoff alone would be about 1e-6.
+_GAUGE_HESSIAN_STEP = np.finfo(float).eps ** 0.25
+
+
 def _nonzero_rows(X: np.ndarray) -> bool:
     """Whether no row of X is the zero vector."""
     return bool(X.all() or X.any(axis=-1).all())
@@ -292,7 +305,7 @@ class NormModel:
             return np.asarray(self.dual.hessian(XI), dtype=float)
         if self.dual is not None:
             return fd_hessian_rows(self.dual.value, XI, self.fd_step)
-        return self._fd_jacobian_of_u(XI)
+        return self._inverse_weingarten(XI)
 
     def dual_third(self, xi) -> Optional[np.ndarray]:
         """Third partials of h_B, or None when not analytically available."""
@@ -332,12 +345,21 @@ class NormModel:
         return np.array([self._newton_point(xi) for xi in XI]).reshape(-1, 3)
 
     def _newton_point(self, xi) -> np.ndarray:
-        """Solve grad F(x) = mu xi, F(x) = 1 by Newton, seeded at xi / F(xi)."""
+        """Solve grad F(x) = mu xi, F(x) = 1 by Newton, seeded at xi / F(xi).
+
+        On FD gauge gradients the residual test is floored at 10 eps / h, h
+        the gradient step, below which differences of the gauge value carry
+        no information. The solution is projected radially onto ∂B, x / F(x),
+        so it lies on ∂B to roundoff wherever the solve stopped.
+        """
         if not self.allow_newton:
             raise MissingDualJets("custom norm has no dual jets and the Newton fallback is disabled")
         xi = np.asarray(xi, dtype=float)
         xi = xi / np.linalg.norm(xi)
         cfg = self.config
+        tol = cfg.newton_tol
+        if self.gauge.gradient is None:
+            tol = max(tol, _FD_RESIDUAL_FLOOR / relative_step(xi, self.fd_step))
         x = xi / self.gauge_value(xi)
         mu = float(self.gauge_gradient(x) @ xi)
 
@@ -347,11 +369,14 @@ class NormModel:
             g_ = self.gauge_gradient_rows(X_)[0]
             return g_, np.concatenate([g_ - mu_ * xi, self.gauge_value_rows(X_) - 1.0])
 
+        def on_sphere(x_):
+            return x_ / self.gauge_value_rows(x_[None])[0]
+
         g, res = residual(x, mu)
         for _ in range(cfg.newton_max_iter):
             res_norm = np.linalg.norm(res)
-            if res_norm <= cfg.newton_tol:
-                return x
+            if res_norm <= tol:
+                return on_sphere(x)
             H = self.gauge_hessian(x)
             J = np.zeros((4, 4))
             J[:3, :3] = H
@@ -375,29 +400,40 @@ class NormModel:
                 # FD-quality gradients floor the achievable residual; accept
                 # a stall within the relaxed tolerance.
                 if res_norm <= 100.0 * cfg.newton_tol:
-                    return x
+                    return on_sphere(x)
                 raise NewtonDivergence(
                     f"Birkhoff Newton stalled at |residual| = {res_norm:.3e}")
             x, mu, g, res = x_try, mu_try, g_try, res_try
-        if np.linalg.norm(res) <= 100.0 * cfg.newton_tol:
-            return x
+        if np.linalg.norm(res) <= max(tol, 100.0 * cfg.newton_tol):
+            return on_sphere(x)
         raise NewtonDivergence(
             f"Birkhoff Newton did not converge in {cfg.newton_max_iter} iterations "
             f"(|residual| = {np.linalg.norm(res):.3e})")
 
-    def _fd_jacobian_of_u(self, XI) -> np.ndarray:
-        """Hessians of h_B as the symmetrized FD Jacobians of u (Newton fallback path).
+    def _inverse_weingarten(self, XI) -> np.ndarray:
+        """Hessians of h_B from the gauge alone (Newton fallback path).
 
-        u is homogeneous of degree 0, so this is Hess h_B only up to the radial
-        kernel direction; restriction to xi-perp (du_restricted) removes that part.
-        The 6 Newton solves of a row run in the order up_0, down_0, up_1, ...
+        On xi-perp, Hess h_B(xi) = du is the inverse of the Weingarten map of
+        ∂B at u = u(xi), Hess F(u) / |grad F(u)| restricted to the same plane
+        (Schneider, Convex Bodies, §2.5); xi spans its kernel. Euler's
+        identity grad F(u) . u = F(u) = 1 gives |grad F(u)| = 1 / (u . xi)
+        for unit xi, and h_B is homogeneous of degree 1, so the Hessian at
+        a row xi of any length is the unit row's divided by |xi|. Missing
+        gauge Hessians are central differences at _GAUGE_HESSIAN_STEP.
         """
-        h = relative_step(XI, self.fd_step)[:, None, None]
-        eye = np.eye(3)
-        pts = np.stack([XI[:, None, :] + h * eye, XI[:, None, :] - h * eye], axis=2)
-        U = self._newton_points(pts.reshape(-1, 3)).reshape(pts.shape)
-        J = np.swapaxes((U[:, :, 0] - U[:, :, 1]) / (2.0 * h), 1, 2)
-        return 0.5 * (J + np.swapaxes(J, 1, 2))
+        r = _norm_rows(XI)
+        XI = XI / r[:, None]
+        U = self._newton_points(XI)
+        if self.gauge.hessian is not None:
+            HF = self.gauge_hessian_rows(U)
+        else:
+            HF = fd_hessian_rows(self.gauge.value, U, _GAUGE_HESSIAN_STEP)
+        E = tangent_basis(XI)
+        Et = np.swapaxes(E, 1, 2)
+        W = (Et @ HF @ E) * _dot(U, XI)[:, None, None]
+        M = _invert_2x2_spd(0.5 * (W + np.swapaxes(W, 1, 2)),
+                            "Weingarten map of the unit ball's boundary")
+        return E @ M @ Et / r[:, None, None]
 
     def du_restricted(self, xi) -> tuple[np.ndarray, np.ndarray]:
         """Restrict Hess h_B(xi) to the tangent plane xi-perp.

@@ -27,6 +27,9 @@ class NumericsConfig:
     fd_step is relative: actual steps are fd_step * max(1, |x|_2) around the
     evaluation point x. Norm and surface jets take their own fd_step from
     their specs. richardson is accepted but no pipeline stage reads it yet.
+    newton_tol bounds the residual of the Birkhoff Newton fallback; on FD
+    gauge gradients at step h it is floored at 10 eps / h (about 2.2e-10 at
+    the default step), a floor derived from the step, not a setting.
     A report does not record the resolved values: its environment holds the
     config as given, so fields left at their defaults do not appear.
     """

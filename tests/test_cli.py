@@ -484,6 +484,18 @@ def test_check_fails_through_the_runner_below_its_residual(check_id, cfg, below)
     assert result["tolerance"] == below
 
 
+def test_a_tolerance_that_names_no_check_exits_two(tmp_path):
+    misspelt = write_config(tmp_path, {**EUCLIDEAN_TORUS, "checks": ["thm-3-1"],
+                                       "tolerances": {"thm-3-l": 1e-12}})
+    out = run_cli(["run", "--config", misspelt])
+    assert out.returncode == 2, out.stderr
+    assert "'thm-3-l'" in out.stderr
+    # a registered check the run does not select may carry an override
+    (result,) = run_checks({**EUCLIDEAN_TORUS, "checks": ["cor-2-1"],
+                            "tolerances": {"thm-3-1": 1e-12, "cor-2-1": 1e-6}})["checks"]
+    assert result["pass"] and result["tolerance"] == 1e-6
+
+
 # Known defects of the fixed global FD step (ROADMAP item 1): the README config
 # fails these checks at these seeds. They pass once the step is chosen per point.
 @pytest.mark.xfail(strict=True, reason="prop-3-1 reads 1.6e-3 against 1e-4 at seed 1234")
