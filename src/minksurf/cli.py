@@ -17,8 +17,9 @@ derive from the config seed, floats are emitted with 17 significant digits,
 keys are sorted, and no timestamps are recorded. A run evaluates the grid
 geometry once, as one batch of arrays in one thread, and every check and the
 field table read it from there; the random points of a check are one batch
-as well. --threads and MSK_THREADS are accepted and have no effect (a
-non-integer MSK_THREADS is still a configuration error, exit 2).
+as well, and a root search advances all its brackets as one batch per step.
+--threads and MSK_THREADS are accepted and have no effect (a non-integer
+MSK_THREADS is still a configuration error, exit 2).
 
 The CLI needs numpy. A config that conforms to the config schema is accepted
 by an in-repo check of the schema's keywords, so a valid run never imports
@@ -52,11 +53,10 @@ from .blaschke import (
 )
 from .distances import (
     _laplacians,
+    _normal_line_hessians,
     _rho,
     _rho_spread,
-    hess_b_at_critical,
     hess_b_matrix,
-    minkowski_distance_field,
     tangent_plane_distance_field,
 )
 from .errors import (
@@ -66,16 +66,18 @@ from .errors import (
 )
 from .geometry import (
     GeometryBatch,
+    _normal_curvatures,
     asymptotic_directions,
     dupin_orthogonal_pair_sum,
     gaussian_by_determinants,
     geometry_batch,
     mean_by_indicatrix_average,
-    normal_curvature,
-    point_geometry,
 )
 from .norms import NormModel, norm_from_spec
-from .numerics import NumericsConfig, _norm_rows, brentq, fd_gradient, in_row_order
+# The CLI calls brentq_rows only; brentq stays bound here for perfbench/tracing.py,
+# which wraps cli.brentq.
+from .numerics import (NumericsConfig, _norm_rows, _stack_last, brentq, brentq_rows,  # noqa: F401
+                       fd_gradient, in_row_order)
 from .surfaces import SurfacePatch, grid_points, surface_from_spec
 
 
@@ -200,8 +202,8 @@ class RunContext:
             self._geoms = self.batch(self.grid)
         return self._geoms
 
-    def batch(self, pts: list[tuple[float, float]]) -> GeometryBatch:
-        """The geometry of the points pts, as one batch."""
+    def batch(self, pts) -> GeometryBatch:
+        """The geometry of the points pts, (s, t) pairs or an (N, 2) array, as one batch."""
         s, t = np.array(pts, dtype=float).reshape(-1, 2).T
         return geometry_batch(self.norm, self.surface, s, t, self.numerics)
 
@@ -341,10 +343,14 @@ def _run_prop_2_2(ctx: RunContext) -> CheckResult:
 
 def _locate_h_zero_points(ctx: RunContext) -> list:
     """(point, PointGeometry) pairs with H = 0: the whole grid when H vanishes
-    identically, else per-column sign-change roots of s -> H(s, t)."""
-    def pg_at(s_, t_):
-        return point_geometry(ctx.norm, ctx.surface, s_, t_, ctx.numerics)
+    identically, else the grid points where H is 0 and the sign-change roots
+    of s -> H(s, t) along each column, in column order.
 
+    On a periodic s axis the column closes up: the interval from the last s
+    to the first s plus the period is bracketed too, and a root beyond the
+    chart domain is reported wrapped into it. All brackets advance together,
+    one geometry batch per Brent iteration.
+    """
     g = ctx.geometries()
     grid = ctx.grid
     if np.abs(g.H).max() <= 1e-8:
@@ -352,16 +358,36 @@ def _locate_h_zero_points(ctx: RunContext) -> list:
     svals = sorted({s for (s, _) in grid})
     tvals = sorted({t for (_, t) in grid})
     index = {pt: i for i, pt in enumerate(grid)}
-    found = []
+    s0, s1 = ctx.surface.domain[:2]
+    period = s1 - s0 if ctx.surface.periodic[0] else None
+    found, brackets = [], []
     for t in tvals:
         rows = [index[(s, t)] for s in svals]
-        hs = g.H[rows]
-        for i in range(len(svals) - 1):
-            if hs[i] == 0.0:
-                found.append(((svals[i], t), g[rows[i]]))
-            elif hs[i] * hs[i + 1] < 0.0:
-                root = brentq(lambda s_: pg_at(s_, t).H, svals[i], svals[i + 1], xtol=1e-12)
-                found.append(((root, t), pg_at(root, t)))
+        right = list(zip(svals[1:], rows[1:]))
+        if period is not None:
+            right.append((svals[0] + period, rows[0]))
+        for k, (s, i) in enumerate(zip(svals, rows)):
+            if g.H[i] == 0.0:
+                found.append(((s, t), g[i]))
+            elif k < len(right) and g.H[i] * g.H[right[k][1]] < 0.0:
+                s_next, j = right[k]
+                brackets.append((len(found), s, s_next, t, g.H[i], g.H[j]))
+                found.append(None)
+    if not brackets:
+        return found
+    slots, lo, hi, ts, h_lo, h_hi = (np.array(c) for c in zip(*brackets))
+
+    def solve(rows):
+        t_ = ts[rows]
+        roots = brentq_rows(lambda r, s_: ctx.batch(_stack_last(s_, t_[r])).H,
+                            lo[rows], hi[rows], 1e-12, h_lo[rows], h_hi[rows])
+        if period is not None:
+            roots = np.where((roots < s0) | (roots > s1), s0 + (roots - s0) % period, roots)
+        return roots, ctx.batch(_stack_last(roots, t_))
+
+    roots, gb = in_row_order(solve, len(brackets))
+    for k, slot in enumerate(slots.tolist()):
+        found[slot] = ((float(roots[k]), float(ts[k])), gb[k])
     return found
 
 
@@ -422,36 +448,56 @@ def _run_thm_3_1(ctx: RunContext) -> CheckResult:
                       ctx.map_points(pts, residual), pts)
 
 
+def _prop_3_1_residuals(ctx: RunContext, pts: list, phis: np.ndarray) -> list:
+    """Prop 3.1 at the points pts, each along its direction cos(phi) V1 + sin(phi) V2.
+
+    hess_b D_a(V, V), with a = p - tt eta, is a function psi(tt) of the
+    distance tt along the normal; its root in [0.8, 1.2] / k(V) should be
+    1 / k(V). Gives |root k(V) - 1| per point (inf when psi keeps its sign
+    on the bracket), or None where k(V) <= 1e-6. The geometry of the points
+    is one batch, and the roots of all points advance together.
+    """
+    gb = ctx.batch(pts)
+    V = np.cos(phis)[:, None] * gb.V1 + np.sin(phis)[:, None] * gb.V2
+    k = _normal_curvatures(gb, V)
+    out = [None] * len(pts)
+    rows = np.flatnonzero(k > 1e-6)
+    if not len(rows):
+        return out
+    t_star = 1.0 / k[rows]
+    psi = _normal_line_hessians(ctx.norm, ctx.surface, gb[rows], V[rows], ctx.numerics)
+    every = np.arange(len(rows))
+    lo, hi = 0.8 * t_star, 1.2 * t_star
+    p_lo, p_hi = psi(every, lo), psi(every, hi)
+    signed = np.flatnonzero(p_lo * p_hi < 0.0)
+    roots = brentq_rows(lambda r, tt: psi(signed[r], tt), lo[signed], hi[signed],
+                        1e-10 * t_star[signed], p_lo[signed], p_hi[signed])
+    residual = np.full(len(rows), np.inf)
+    residual[signed] = np.abs(roots - t_star[signed]) / t_star[signed]
+    for i, r in zip(rows.tolist(), residual.tolist()):
+        out[i] = r
+    return out
+
+
 def _run_prop_3_1(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("prop-3-1")
     tol = ctx.tolerance("prop-3-1", 1e-4)
     residuals, used = [], []
     attempts = ctx.random_params(rng, 40)
     phis = rng.uniform(0.0, 2.0 * np.pi, len(attempts))
-    for (s, t), phi in zip(attempts, phis):
-        if len(residuals) >= 20:
-            break
-        pg = point_geometry(ctx.norm, ctx.surface, s, t, ctx.numerics)
-        V = np.cos(phi) * pg.V1 + np.sin(phi) * pg.V2
-        k = normal_curvature(pg, V)
-        if k <= 1e-6:
-            continue
-        t_star = 1.0 / k
-
-        def psi(tt):
-            a = pg.p - tt * pg.eta
-            field_ = minkowski_distance_field(ctx.norm, ctx.surface, a)
-            return hess_b_at_critical(field_, pg, V, V, ctx.numerics)
-
-        lo, hi = 0.8 * t_star, 1.2 * t_star
-        plo, phi_val = psi(lo), psi(hi)
-        if plo * phi_val >= 0.0:
-            residuals.append(float("inf"))
-            used.append((s, t))
-            continue
-        t_zero = brentq(psi, lo, hi, xtol=1e-10 * t_star)
-        residuals.append(abs(t_zero - t_star) / t_star)
-        used.append((s, t))
+    # Up to 20 points are used: each chunk holds as many attempts as points
+    # are still missing, so no attempt is evaluated that the count excludes.
+    start = 0
+    while len(residuals) < 20 and start < len(attempts):
+        chunk = slice(start, start + 20 - len(residuals))
+        pts, angles = attempts[chunk], phis[chunk]
+        values = in_row_order(lambda rows: _prop_3_1_residuals(ctx, pts[rows], angles[rows]),
+                              len(pts))
+        for pt, r in zip(pts, values):
+            if r is not None:
+                residuals.append(r)
+                used.append(pt)
+        start = chunk.stop
     return _aggregate("prop-3-1", "Prop 3.1", tol, residuals, used)
 
 

@@ -30,7 +30,12 @@ from .norms import NormModel
 from .numerics import (
     NumericsConfig,
     DEFAULT_CONFIG,
+    _central_diffs,
+    _cross_stencil,
     _dot,
+    _mixed,
+    _norm_rows,
+    _require_finite,
     _stack_last,
     chart_stencil,
     fd_gradient,
@@ -127,11 +132,18 @@ def _critical_chart_point(field: Callable, pg: PointGeometry,
     st = np.array([pg.s, pg.t])
     f0 = field(st)
     grad = fd_gradient(field, st, config.fd_step)
-    if np.linalg.norm(grad) > config.critical_tol * (1.0 + abs(f0)):
-        raise NotCritical(
-            f"field gradient {grad} at (s,t)=({pg.s}, {pg.t}) exceeds the critical "
-            f"tolerance; hess_b would need the connection term here")
+    _require_critical(np.array([f0]), grad[None], [pg.s], [pg.t], config)
     return st
+
+
+def _require_critical(f0, grad, s, t, config: NumericsConfig) -> None:
+    """The criticality test, on rows: NotCritical for the first point (s[i], t[i])
+    whose field gradient grad[i] exceeds config.critical_tol * (1 + |f0[i]|)."""
+    i = first_row(_norm_rows(grad) > config.critical_tol * (1.0 + np.abs(f0)))
+    if i is not None:
+        raise NotCritical(
+            f"field gradient {grad[i]} at (s,t)=({s[i]}, {t[i]}) exceeds the critical "
+            f"tolerance; hess_b would need the connection term here")
 
 
 def hess_b_at_critical(field: Callable, pg: PointGeometry, X, Y,
@@ -161,6 +173,35 @@ def hess_b_matrix(field: Callable, pg: PointGeometry,
     h11, h12, h22 = fd_second_directional_rows(per_point(field, 1), np.tile(st, (3, 1)),
                                                np.array([e1, e1, e2]), np.array([e1, e2, e2]), h)
     return np.array([[h11, h12], [h12, h22]])
+
+
+def _normal_line_hessians(norm: NormModel, surface: SurfacePatch, gb: GeometryBatch, V,
+                          config: NumericsConfig = DEFAULT_CONFIG) -> Callable:
+    """psi(rows, tt) = hess_b D_a(V, V) at the points gb[rows], for the base
+    points a = p - tt eta on their normal lines: hess_b_at_critical of
+    minkowski_distance_field, one row per point.
+
+    D_a depends on tt only through a, so the 9 chart points of each point's
+    stencil (the centre, the 4 gradient points, the 4 cross points along V)
+    are placed on the surface once, here; each call of psi is one gauge
+    evaluation of all its rows' stencils.
+    """
+    st = _stack_last(gb.s, gb.t)
+    h = relative_step(st, config.fd_step)
+    S, T = chart_stencil(gb.s, gb.t, h)
+    chart = np.concatenate([st[:, None], _stack_last(S, T), _cross_stencil(st, V, V, h)], axis=1)
+    Q = surface.position(chart[..., 0].ravel(), chart[..., 1].ravel()).reshape(len(gb), 9, 3)
+
+    def psi(rows, tt):
+        A = gb.p[rows] - np.asarray(tt)[:, None] * gb.eta[rows]
+        f = norm.gauge_value_rows((Q[rows] - A[:, None, :]).reshape(-1, 3)).reshape(-1, 9)
+        _require_finite(f[:, 1:5].ravel(), chart[rows, 1:5].reshape(-1, 2))
+        grad = _central_diffs(f[:, 1:5], h[rows])
+        _require_critical(f[:, 0], grad, gb.s[rows], gb.t[rows], config)
+        _require_finite(f[:, 5:].ravel(), chart[rows, 5:].reshape(-1, 2))
+        return _mixed(*f[:, 5:].T, h[rows])
+
+    return psi
 
 
 def _affine_distance(g, a) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
 """Shared numerical kernels: finite differences, 2x2 inverses and generalized
-eigensolves, periodic Simpson quadrature, guarded linear solves, and a
-bracketed root finder.
+eigensolves, periodic Simpson quadrature, guarded linear solves, and
+Brent's bracketed root finder, for one bracket or many advanced in lockstep.
 
 All kernels are stateless; tolerances and steps come in as arguments, most of
 them from one NumericsConfig record. They work on arrays of points: a `_rows`
@@ -110,6 +110,12 @@ def _field_values(field, X: np.ndarray) -> np.ndarray:
             for i in range(len(X)):
                 _field_values(field, X[i:i + 1])
         raise EvaluationFailure(f"field evaluation failed at {X[0]!r}: {exc}") from exc
+    return _require_finite(vals, X)
+
+
+def _require_finite(vals: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """vals, the field values at the rows of X; EvaluationFailure at the first
+    row whose value is not finite."""
     finite = np.isfinite(vals)
     if not finite.all():
         raise EvaluationFailure(f"field returned non-finite value at {X[int(np.argmin(finite))]!r}")
@@ -160,11 +166,17 @@ def _central_diff_rows(field, X, offsets, h, richardson: bool) -> np.ndarray:
 
     def d(h_):
         f = _field_values(field, (X[:, None, None, :] + h_[:, None, None, None] * offsets).reshape(-1, n))
-        return (f[0::2] - f[1::2]).reshape(len(X), -1) / (2.0 * h_)[:, None]
+        return _central_diffs(f.reshape(len(X), -1), h_)
 
     if richardson:
         return (4.0 * d(h / 2.0) - d(h)) / 3.0
     return d(h)
+
+
+def _central_diffs(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(f(x + h d) - f(x - h d)) / 2h per row, from each row's values at the
+    pairs of points +d, -d, in that order."""
+    return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h)[:, None]
 
 
 @functools.cache
@@ -272,11 +284,17 @@ def fd_second_directional_rows(field, P, X, Y, step) -> np.ndarray:
     """
     P = np.asarray(P, dtype=float)
     h = np.broadcast_to(np.asarray(step, dtype=float), (len(P),))
-    hX = h[:, None] * np.asarray(X, dtype=float)
-    hY = h[:, None] * np.asarray(Y, dtype=float)
-    pts = np.stack([P + hX + hY, P + hX - hY, P - hX + hY, P - hX - hY], axis=1)
+    pts = _cross_stencil(P, X, Y, h)
     f = _field_values(field, pts.reshape(-1, P.shape[1])).reshape(len(P), 4)
     return _mixed(*f.T, h)
+
+
+def _cross_stencil(P, X, Y, h) -> np.ndarray:
+    """The 4 points P + hX + hY, P + hX - hY, P - hX + hY, P - hX - hY of the
+    mixed stencil at each row of P (N, n), with the step h of the row: (N, 4, n)."""
+    hX = h[:, None] * np.asarray(X, dtype=float)
+    hY = h[:, None] * np.asarray(Y, dtype=float)
+    return np.stack([P + hX + hY, P + hX - hY, P - hX + hY, P - hX - hY], axis=1)
 
 
 def fd_second_directional(field, point, X, Y, step: float) -> float:
@@ -421,14 +439,16 @@ def guarded_solve(M: np.ndarray, rhs: np.ndarray, cond_guard: float,
                               cond_guard, [location])[0]
 
 
-def brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of f in the bracket [a, b] by Brent's method, step for step as in
-    scipy's brentq (relative tolerance 4 eps, at most 100 iterations).
+def _brent(a: float, b: float, xtol: float):
+    """Brent's method on the bracket [a, b], step for step as in scipy's brentq
+    (relative tolerance 4 eps, at most 100 iterations), as a generator: it
+    yields each point where it needs f, is sent f there, and returns the root.
 
     Raises InvalidParameter when f(a) and f(b) have the same sign.
     """
     xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    fpre = float((yield xpre))
+    fcur = float((yield xcur))
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if (fpre < 0.0) == (fcur < 0.0):
@@ -457,8 +477,58 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = float(f(xcur))
+        fcur = float((yield xcur))
     raise NumericalFailure(f"brentq did not converge in 100 iterations on [{a}, {b}]")
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in the bracket [a, b] by Brent's method, step for step as in
+    scipy's brentq (relative tolerance 4 eps, at most 100 iterations).
+
+    Raises InvalidParameter when f(a) and f(b) have the same sign.
+    """
+    steps = _brent(a, b, xtol)
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(f(x))
+        except StopIteration as stop:
+            return stop.value
+
+
+def brentq_rows(f, a, b, xtol, fa=None, fb=None) -> np.ndarray:
+    """Roots of f in the brackets [a[i], b[i]], all advanced together by Brent's method.
+
+    Each row takes the steps brentq takes on it, so its root is bitwise
+    brentq's. f is called once per iteration, as f(rows, x) with the indices
+    of the rows still running and their points, and returns their values.
+    The values at a and b, when given as fa and fb, are not asked of f.
+    Raises what brentq on each row in turn would raise first.
+    """
+    a, b, xtol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, xtol)))
+    ends = [] if fa is None else [fa, fb]
+
+    def run(rows):
+        idx = np.arange(len(a))[rows]
+        steps = [_brent(a[i], b[i], xtol[i]) for i in idx]
+        x = np.array([next(g) for g in steps])
+        roots = np.empty(len(idx))
+        live = np.arange(len(idx))
+        known = iter(ends)
+        while len(live):
+            given = next(known, None)
+            values = f(idx[live], x[live]) if given is None else np.asarray(given)[idx[live]]
+            running = []
+            for j, v in zip(live.tolist(), np.asarray(values, dtype=float).tolist()):
+                try:
+                    x[j] = steps[j].send(v)
+                    running.append(j)
+                except StopIteration as stop:
+                    roots[j] = stop.value
+            live = np.array(running, dtype=int)
+        return roots
+
+    return in_row_order(run, len(a))
 
 
 def convergence_order(steps, errors) -> float:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -210,7 +211,8 @@ def test_grid_checks_and_fields_compute_each_point_once(tmp_path, monkeypatch, c
     for module in (minksurf.geometry, minksurf.cli, minksurf.distances, minksurf.blaschke):
         monkeypatch.setattr(module, "geometry_batch", counting_batch)
     for module in (minksurf.geometry, minksurf.cli):
-        monkeypatch.setattr(module, "point_geometry", counting_single)
+        # the CLI need not import point_geometry; a use of it is caught all the same
+        monkeypatch.setattr(module, "point_geometry", counting_single, raising=False)
     cfg = write_config(tmp_path, {
         **BASE_CONFIG,
         "checks": ["umbilicity", "prop-3-2", "blaschke-scan", "affine-normal-compare"],
@@ -494,6 +496,109 @@ def test_a_tolerance_that_names_no_check_exits_two(tmp_path):
     (result,) = run_checks({**EUCLIDEAN_TORUS, "checks": ["cor-2-1"],
                             "tolerances": {"thm-3-1": 1e-12, "cor-2-1": 1e-6}})["checks"]
     assert result["pass"] and result["tolerance"] == 1e-6
+
+
+# Configs where the paper says the identity fails: each check must fail
+# through the runner at its default tolerance. (check, config, its residual)
+UNIT_SPHERE_LP4 = {**EUCLIDEAN_TORUS, "norm": {"family": "lp", "p": 4.0},
+                   "surface": {"family": "euclidean_sphere", "r": 1.0}}
+COUNTEREXAMPLES = [
+    ("umbilicity", EUCLIDEAN_TORUS, 1.95),          # the torus has no umbilic point
+    ("prop-3-2", EUCLIDEAN_TORUS, 3.82),            # nor a constant affine distance
+    ("blaschke-scan", UNIT_SPHERE_LP4, 0.72),       # eta is no affine normal for lp(4)
+    ("affine-normal-compare", UNIT_SPHERE_LP4, 0.51),
+    ("planar-ermakov", {**EUCLIDEAN_TORUS, "planar": {"support": "ellipse", "a": 1.0, "b": 1.5}},
+     1.875),                                        # ab != 1
+]
+
+
+@pytest.mark.parametrize("check_id, cfg, residual", COUNTEREXAMPLES,
+                         ids=[c for c, _, _ in COUNTEREXAMPLES])
+def test_check_fails_through_the_runner_where_the_paper_says_it_fails(check_id, cfg, residual):
+    report = run_checks({**cfg, "checks": [check_id]})
+    validate_report(report)
+    (result,) = report["checks"]
+    assert not result["pass"], result
+    assert result["max_residual"] == pytest.approx(residual, rel=0.01)
+    assert result["max_residual"] > 1e4 * result["tolerance"]
+
+
+def _h_zero_points(cfg):
+    ctx = minksurf.cli.build_context({**cfg, "checks": ["cor-2-1"]})
+    return [pt for pt, _ in minksurf.cli._locate_h_zero_points(ctx)]
+
+
+def test_cor_2_1_finds_a_zero_of_h_at_the_last_s_of_a_column():
+    saddle = {**EUCLIDEAN_TORUS, "surface": {"family": "saddle"},
+              "grid": {"ns": 8, "nt": 8, "margins": [0.1, 0.1]}, "seed": 1}
+    pts = _h_zero_points(saddle)
+    # H is exactly 0 on the lines s = +-t, so at all four corners of the grid
+    for corner in [(-0.9, -0.9), (-0.9, 0.9), (0.9, -0.9), (0.9, 0.9)]:
+        assert corner in pts
+    (result,) = run_checks({**saddle, "checks": ["cor-2-1"]})["checks"]
+    assert result["pass"] and result["detail"]["candidates"] == 14 == len(pts)
+
+
+@pytest.mark.parametrize("margins", [[0.3, 0.1], [3.0, 0.1]])
+def test_cor_2_1_brackets_the_wrap_around_interval_of_a_periodic_s(margins):
+    # On torus(2, 1.2), H = 0 where cos s = -R / 2r: twice on each of the 4 columns.
+    torus = {**EUCLIDEAN_TORUS, "grid": {"ns": 8, "nt": 4, "margins": margins}}
+    pts = _h_zero_points(torus)
+    assert len(pts) == 8
+    s_root = math.acos(-2.0 / 2.4)
+    for s, _ in pts:
+        assert 0.0 <= s <= 2.0 * math.pi
+        assert min(abs(s - s_root), abs(s - (2.0 * math.pi - s_root))) < 1e-9
+    (result,) = run_checks({**torus, "checks": ["cor-2-1"]})["checks"]
+    assert result["pass"] and result["n_points"] == 8
+
+
+def test_root_searches_batch_their_brackets(monkeypatch):
+    # cor-2-1 and prop-3-1 evaluate no point on its own: each Brent iteration
+    # of cor-2-1 is one geometry batch, and prop-3-1 places each point's FD
+    # stencil on the surface once, however many Brent steps it takes.
+    singles, batches, iterations = [], [], []
+    original_batch = minksurf.geometry.geometry_batch
+    original_brentq_rows = minksurf.cli.brentq_rows
+
+    def counting_batch(*args, **kwargs):
+        batches.append(len(args[2]))
+        return original_batch(*args, **kwargs)
+
+    def counting_brentq_rows(f, *args):
+        def counted(rows, x):
+            iterations.append(len(rows))
+            return f(rows, x)
+        return original_brentq_rows(counted, *args)
+
+    for module in (minksurf.geometry, minksurf.cli, minksurf.distances):
+        monkeypatch.setattr(module, "point_geometry", lambda *a: singles.append(a[2:4]),
+                            raising=False)
+    monkeypatch.setattr(minksurf.cli, "geometry_batch", counting_batch)
+    monkeypatch.setattr(minksurf.cli, "brentq_rows", counting_brentq_rows)
+
+    torus = {**EUCLIDEAN_TORUS, "grid": {"ns": 24, "nt": 24, "margins": [0.3, math.pi / 24]},
+             "checks": ["cor-2-1"]}
+    (result,) = run_checks(torus)["checks"]
+    assert result["pass"] and result["n_points"] == 48
+    assert singles == []
+    assert iterations and len(batches) <= len(iterations) + 2
+
+    ctx = minksurf.cli.build_context({**BASE_CONFIG, "checks": ["prop-3-1"]})
+    placed = []
+    position = ctx.surface.position
+
+    def counting_position(s, t):
+        placed.append(np.size(s))
+        return position(s, t)
+
+    ctx.surface = dataclasses.replace(ctx.surface, position=counting_position)
+    iterations.clear()
+    result = REGISTRY["prop-3-1"].runner(ctx)
+    assert result.n_points == 20
+    assert singles == []
+    assert sum(placed) == 9 * result.n_points
+    assert len(iterations) > 1
 
 
 # Known defects of the fixed global FD step (ROADMAP item 1): the README config

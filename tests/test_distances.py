@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import minksurf as mk
+from minksurf.distances import _normal_line_hessians
 from minksurf.numerics import NumericsConfig, convergence_order
 
 
@@ -125,6 +126,28 @@ def test_focal_radius_matches_inverse_normal_curvature(lp4, ellipsoid_std):
         assert psi(lo) * psi(hi) < 0
         root = brentq(psi, lo, hi, xtol=1e-10 * t_star)
         assert abs(root - t_star) / t_star < 1e-4
+
+
+def test_normal_line_hessians_match_hess_b_at_critical(lp4, ellipsoid_std, torus_fat):
+    # the rows route of prop-3-1's psi: bitwise the one-point route, point by
+    # point, and the same NotCritical where the criticality test fails
+    for surface in (ellipsoid_std, torus_fat):
+        gb = mk.geometry_batch(lp4, surface, [0.8, 1.1, 2.0], [2.4, 0.6, 4.0])
+        V = np.array([[1.0, 0.3], [0.2, -1.0], [0.7, 0.7]])
+        tt = np.array([0.4, 0.9, 1.7])
+        for config in (NumericsConfig(), NumericsConfig(fd_step=3e-6)):
+            psi = _normal_line_hessians(lp4, surface, gb, V, config)
+            rows = psi(np.arange(3), tt)
+            for i in range(3):
+                field = mk.minkowski_distance_field(lp4, surface, gb.p[i] - tt[i] * gb.eta[i])
+                assert rows[i] == mk.hess_b_at_critical(field, gb[i], V[i], V[i], config)
+        strict = NumericsConfig(critical_tol=1e-16)
+        field = mk.minkowski_distance_field(lp4, surface, gb.p[1] - tt[1] * gb.eta[1])
+        with pytest.raises(mk.NotCritical) as one_point:
+            mk.hess_b_at_critical(field, gb[1], V[1], V[1], strict)
+        with pytest.raises(mk.NotCritical) as rows:
+            _normal_line_hessians(lp4, surface, gb, V, strict)(np.array([1, 2]), tt[1:])
+        assert str(rows.value) == str(one_point.value)
 
 
 def test_euclidean_sphere_focal_point_is_center(eu, sphere2):

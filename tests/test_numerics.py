@@ -11,6 +11,7 @@ from minksurf.errors import InvalidParameter, NotSPD, NumericalFailure, OddSampl
 from minksurf.numerics import (
     NumericsConfig,
     brentq,
+    brentq_rows,
     central_diff,
     convergence_order,
     fd_gradient,
@@ -128,18 +129,49 @@ def test_generalized_eigen_matches_scipy():
     assert np.allclose(vals, eigh(A, B, eigvals_only=True), atol=1e-12)
 
 
-@pytest.mark.parametrize("f, a, b, xtol", [
+BRENT_CASES = [
     (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-12),
     (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12),
     (lambda x: math.exp(x) - 10.0, 0.0, 5.0, 1e-10),
     (lambda x: math.tanh(40.0 * (x - 0.3)), -1.0, 2.0, 1e-14),
     (lambda x: math.atan(x - 0.77) + 1e-3 * math.sin(50.0 * x), -3.0, 4.0, 1e-13),
     (lambda x: x - 0.25, 0.25, 1.0, 1e-12),
-])
+]
+
+
+def _row_functions(fs):
+    """The batched f of brentq_rows over the scalar functions fs, one per row."""
+    return lambda rows, x: np.array([fs[i](xi) for i, xi in zip(rows, x)])
+
+
+@pytest.mark.parametrize("f, a, b, xtol", BRENT_CASES)
 def test_brentq_matches_scipy(f, a, b, xtol):
     from scipy.optimize import brentq as scipy_brentq
 
     assert abs(brentq(f, a, b, xtol) - scipy_brentq(f, a, b, xtol=xtol)) <= xtol
+
+
+def test_lockstep_brentq_matches_brentq_bitwise_and_scipy():
+    from scipy.optimize import brentq as scipy_brentq
+
+    fs, a, b, xtol = zip(*BRENT_CASES)
+    calls = []
+    f = _row_functions(fs)
+    roots = brentq_rows(lambda rows, x: calls.append(len(rows)) or f(rows, x), a, b, xtol)
+    for i, case in enumerate(BRENT_CASES):
+        assert roots[i] == brentq(*case)
+        assert abs(roots[i] - scipy_brentq(case[0], case[1], case[2], xtol=case[3])) <= case[3]
+    # one call per iteration, on the rows still running: the first two calls
+    # are the bracket ends of every row, and the active set only shrinks
+    assert calls[:2] == [6, 6] and calls == sorted(calls, reverse=True)
+    # known values at the bracket ends are not asked for again
+    fa = [g(x) for g, x in zip(fs, a)]
+    fb = [g(x) for g, x in zip(fs, b)]
+    again = []
+    ends_known = brentq_rows(lambda rows, x: again.append(len(rows)) or f(rows, x),
+                             a, b, xtol, fa, fb)
+    assert ends_known.tolist() == roots.tolist()
+    assert len(again) == len(calls) - 2
 
 
 def test_brentq_rejects_bracket_without_sign_change():
@@ -147,6 +179,31 @@ def test_brentq_rejects_bracket_without_sign_change():
         brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
     with pytest.raises(InvalidParameter):
         brentq(lambda x: x - 3.0, 0.0, 1.0, 1e-12)
+
+
+def test_lockstep_brentq_rejects_a_row_without_sign_change():
+    fs = [lambda x: x - 0.5, lambda x: x * x + 1.0, lambda x: x - 0.25]
+    with pytest.raises(InvalidParameter, match="same sign"):
+        brentq_rows(_row_functions(fs), [0.0] * 3, [1.0] * 3, 1e-12)
+
+
+def test_lockstep_brentq_raises_what_the_row_loop_raises_first():
+    # Row 1 fails at its first point, row 0 only inside its bracket: in
+    # lockstep row 1 fails first, but a loop over the rows reaches row 0's
+    # failure before it starts row 1.
+    def row0(x):
+        if 0.0 < x < 1.0:
+            raise ValueError("row 0")
+        return x - 0.5
+
+    def row1(x):
+        raise ValueError("row 1")
+
+    fs = [row0, row1]
+    with pytest.raises(ValueError, match="row 0"):
+        brentq(row0, 0.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="row 0"):
+        brentq_rows(_row_functions(fs), [0.0, 0.0], [1.0, 1.0], 1e-12)
 
 
 def test_generalized_eigen_rejects_indefinite():
