@@ -18,6 +18,9 @@ keys are sorted, and no timestamps are recorded. A run evaluates the grid
 geometry once, as one batch of arrays in one thread, and every check and the
 field table read it from there; the random points of a check are one batch
 as well, and a root search advances all its brackets as one batch per step.
+Every check computes its residuals as array expressions over its batch and
+builds no PointGeometry; the library's functions of one point run the same
+kernels on a batch of one.
 --threads and MSK_THREADS are accepted and have no effect (a non-integer
 MSK_THREADS is still a configuration error, exit 2).
 
@@ -55,9 +58,10 @@ from .distances import (
     _laplacians,
     _normal_line_hessians,
     _rho,
+    _hess_b_matrices,
     _rho_spread,
-    hess_b_matrix,
-    tangent_plane_distance_field,
+    _tangent_plane_gradients,
+    _tangent_plane_values,
 )
 from .errors import (
     ConfigError,
@@ -66,18 +70,20 @@ from .errors import (
 )
 from .geometry import (
     GeometryBatch,
+    _asymptotic_pair,
+    _determinant_gaussians,
+    _dupin_pair_sums,
+    _indicatrix_means,
     _normal_curvatures,
-    asymptotic_directions,
-    dupin_orthogonal_pair_sum,
-    gaussian_by_determinants,
+    _principal_zeros,
+    _quad,
     geometry_batch,
-    mean_by_indicatrix_average,
 )
 from .norms import NormModel, norm_from_spec
 # The CLI calls brentq_rows only; brentq stays bound here for perfbench/tracing.py,
 # which wraps cli.brentq.
 from .numerics import (NumericsConfig, _norm_rows, _stack_last, brentq, brentq_rows,  # noqa: F401
-                       fd_gradient, in_row_order)
+                       in_row_order)
 from .surfaces import SurfacePatch, grid_points, surface_from_spec
 
 
@@ -192,7 +198,7 @@ class RunContext:
     seed: int
     _geoms: Optional[GeometryBatch] = field(default=None, repr=False)
 
-    @property
+    @functools.cached_property
     def grid(self) -> list[tuple[float, float]]:
         return grid_points(self.surface, self.ns, self.nt, self.margins)
 
@@ -207,17 +213,12 @@ class RunContext:
         s, t = np.array(pts, dtype=float).reshape(-1, 2).T
         return geometry_batch(self.norm, self.surface, s, t, self.numerics)
 
-    def map_points(self, pts: list[tuple[float, float]], value: Callable) -> list:
-        """value(k, pg) for each point pts[k], from one geometry batch.
+    def residuals(self, pts, residual: Callable):
+        """residual(gb, rows) over all the points pts, gb the geometry batch of pts[rows].
 
-        Raises what a loop that evaluates each point and then its value would
-        raise first.
+        Raises what evaluating the points one at a time would raise first.
         """
-        def run(rows):
-            gb = self.batch(pts[rows])
-            return [value(k, gb[i]) for i, k in enumerate(range(len(pts))[rows])]
-
-        return in_row_order(run, len(pts))
+        return in_row_order(lambda rows: residual(self.batch(pts[rows]), rows), len(pts))
 
     def rng(self, check_id: str) -> np.random.Generator:
         # Seeded per check from the registry index, so the stream is stable
@@ -225,10 +226,12 @@ class RunContext:
         return np.random.default_rng([self.seed, _REGISTRY_INDEX[check_id]])
 
     def random_params(self, rng: np.random.Generator, n: int) -> list[tuple[float, float]]:
+        """n uniform chart points; each axis starts its margin in, and ends its margin
+        early unless it is periodic."""
         s0, s1, t0, t1 = self.surface.domain
-        ms, mt = self.margins
-        ss = rng.uniform(s0 + ms, s1 - ms, n)
-        tt = rng.uniform(t0 + mt, t1 - mt if not self.surface.periodic[1] else t1, n)
+        (ms, mt), (ps, pt) = self.margins, self.surface.periodic
+        ss = rng.uniform(s0 + ms, s1 if ps else s1 - ms, n)
+        tt = rng.uniform(t0 + mt, t1 if pt else t1 - mt, n)
         return [(float(a), float(b)) for a, b in zip(ss, tt)]
 
     @property
@@ -249,9 +252,8 @@ class RunContext:
         return np.zeros(3)
 
     def surface_centroid(self) -> np.ndarray:
-        pts = [self.surface.position(s, t) for (s, t) in
-               grid_points(self.surface, 4, 4, self.margins)]
-        return np.mean(pts, axis=0)
+        s, t = np.array(grid_points(self.surface, 4, 4, self.margins)).T
+        return np.mean(self.surface.position(s, t), axis=0)
 
 
 @dataclass
@@ -326,7 +328,7 @@ def _run_prop_2_1(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("prop-2-1")
     pts = ctx.random_params(rng, 50)
     nodes = max(8, min(ctx.numerics.quad_nodes, 256))
-    residuals = ctx.map_points(pts, lambda k, pg: abs(mean_by_indicatrix_average(pg, nodes) - pg.H))
+    residuals = ctx.residuals(pts, lambda gb, _: np.abs(_indicatrix_means(gb, nodes) - gb.H))
     return _aggregate("prop-2-1", "Prop 2.1", ctx.tolerance("prop-2-1", 1e-10),
                       residuals, pts, {"nodes": nodes})
 
@@ -335,47 +337,43 @@ def _run_prop_2_2(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("prop-2-2")
     pts = ctx.random_params(rng, 100)
     thetas = rng.uniform(0.0, 2.0 * np.pi, len(pts))
-    residuals = ctx.map_points(
-        pts, lambda k, pg: abs(dupin_orthogonal_pair_sum(pg, float(thetas[k])) - 2.0 * pg.H))
+    residuals = ctx.residuals(
+        pts, lambda gb, rows: np.abs(_dupin_pair_sums(gb, thetas[rows]) - 2.0 * gb.H))
     return _aggregate("prop-2-2", "Prop 2.2", ctx.tolerance("prop-2-2", 1e-10),
                       residuals, pts)
 
 
-def _locate_h_zero_points(ctx: RunContext) -> list:
-    """(point, PointGeometry) pairs with H = 0: the whole grid when H vanishes
-    identically, else the grid points where H is 0 and the sign-change roots
-    of s -> H(s, t) along each column, in column order.
+def _locate_h_zero_points(ctx: RunContext) -> tuple[list, GeometryBatch]:
+    """The points with H = 0, and their geometry as one batch: the whole grid
+    when H vanishes identically, else the grid points where H is 0 and the
+    sign-change roots of s -> H(s, t) along each column, in column order.
 
     On a periodic s axis the column closes up: the interval from the last s
     to the first s plus the period is bracketed too, and a root beyond the
     chart domain is reported wrapped into it. All brackets advance together,
-    one geometry batch per Brent iteration.
+    one geometry batch per Brent iteration; a grid point where H is 0 enters
+    as the bracket [s, s], which Brent returns without evaluating H.
     """
     g = ctx.geometries()
-    grid = ctx.grid
     if np.abs(g.H).max() <= 1e-8:
-        return [(grid[i], g[i]) for i in np.flatnonzero(g.K < -1e-12).tolist()]
-    svals = sorted({s for (s, _) in grid})
-    tvals = sorted({t for (_, t) in grid})
-    index = {pt: i for i, pt in enumerate(grid)}
+        mask = g.K < -1e-12
+        return _where(ctx.grid, mask), g[mask]
+    # The grid is row-major in s, so H[j, k] is H at (s_k, t_j).
+    s_axis, t_axis = g.s[::ctx.nt], g.t[:ctx.nt]
+    H = g.H.reshape(ctx.ns, ctx.nt).T
     s0, s1 = ctx.surface.domain[:2]
     period = s1 - s0 if ctx.surface.periodic[0] else None
-    found, brackets = [], []
-    for t in tvals:
-        rows = [index[(s, t)] for s in svals]
-        right = list(zip(svals[1:], rows[1:]))
-        if period is not None:
-            right.append((svals[0] + period, rows[0]))
-        for k, (s, i) in enumerate(zip(svals, rows)):
-            if g.H[i] == 0.0:
-                found.append(((s, t), g[i]))
-            elif k < len(right) and g.H[i] * g.H[right[k][1]] < 0.0:
-                s_next, j = right[k]
-                brackets.append((len(found), s, s_next, t, g.H[i], g.H[j]))
-                found.append(None)
-    if not brackets:
-        return found
-    slots, lo, hi, ts, h_lo, h_hi = (np.array(c) for c in zip(*brackets))
+    s_right = np.append(s_axis[1:], np.nan if period is None else s_axis[0] + period)
+    H_right = np.roll(H, -1, axis=1)
+    if period is None:
+        H_right[:, -1] = np.nan
+    zero = H == 0.0
+    take = zero | (H * H_right < 0.0)
+    if not take.any():
+        return [], g[:0]
+    lo, ts = np.broadcast_to(s_axis, H.shape)[take], np.broadcast_to(t_axis[:, None], H.shape)[take]
+    hi = np.where(zero, s_axis, s_right)[take]
+    h_lo, h_hi = np.where(zero, 0.0, H)[take], np.where(zero, 0.0, H_right)[take]
 
     def solve(rows):
         t_ = ts[rows]
@@ -385,82 +383,78 @@ def _locate_h_zero_points(ctx: RunContext) -> list:
             roots = np.where((roots < s0) | (roots > s1), s0 + (roots - s0) % period, roots)
         return roots, ctx.batch(_stack_last(roots, t_))
 
-    roots, gb = in_row_order(solve, len(brackets))
-    for k, slot in enumerate(slots.tolist()):
-        found[slot] = ((float(roots[k]), float(ts[k])), gb[k])
-    return found
+    roots, gb = in_row_order(solve, len(lo))
+    return list(zip(roots.tolist(), ts.tolist())), gb
+
+
+def _asymptotic_orthogonality(gb: GeometryBatch) -> tuple[np.ndarray, np.ndarray]:
+    """|d(X, Y)| for the d-unit asymptotic directions X, Y of each point of gb
+    that has two of them, and the mask of those points: K < 0, and neither
+    principal curvature within asymptotic_directions's zero tolerance of 0."""
+    z1, z2 = _principal_zeros(gb, 1e-10)
+    used = ~((gb.K >= 0.0) | z1 | z2)
+    g = gb[used]
+    X, Y = _asymptotic_pair(g)
+    X = X / np.sqrt(_quad(X, g.d_mat))[:, None]
+    Y = Y / np.sqrt(_quad(Y, g.d_mat))[:, None]
+    return np.abs(_quad(X, g.d_mat, Y)), used
 
 
 def _run_cor_2_1(ctx: RunContext) -> CheckResult:
     tol = ctx.tolerance("cor-2-1", 1e-6)
-    pts = _locate_h_zero_points(ctx)
-    residuals, used = [], []
-    skipped = 0
-    for (s, t), pg in pts:
-        if pg.K >= 0.0:
-            skipped += 1
-            continue
-        dirs = asymptotic_directions(pg)
-        if len(dirs) != 2:
-            skipped += 1
-            continue
-        X, Y = dirs
-        Xn = X / math.sqrt(float(X @ pg.d_mat @ X))
-        Yn = Y / math.sqrt(float(Y @ pg.d_mat @ Y))
-        residuals.append(abs(float(Xn @ pg.d_mat @ Yn)))
-        used.append((s, t))
-    return _aggregate("cor-2-1", "Cor 2.1", tol, residuals, used,
-                      {"candidates": len(pts), "skipped": skipped})
+    pts, gb = _locate_h_zero_points(ctx)
+    residuals, used = _asymptotic_orthogonality(gb)
+    return _aggregate("cor-2-1", "Cor 2.1", tol, residuals, _where(pts, used),
+                      {"candidates": len(pts), "skipped": int(len(pts) - used.sum())})
 
 
 def _run_prop_2_3(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("prop-2-3")
     pts = ctx.random_params(rng, 100)
 
-    def residual(k, pg):
-        return abs(gaussian_by_determinants(pg) - pg.K) / max(1.0, abs(pg.K))
+    def residual(gb, _):
+        return np.abs(_determinant_gaussians(gb) - gb.K) / np.maximum(1.0, np.abs(gb.K))
 
     return _aggregate("prop-2-3", "Prop 2.3", ctx.tolerance("prop-2-3", 1e-8),
-                      ctx.map_points(pts, residual), pts)
+                      ctx.residuals(pts, residual), pts)
 
 
 def _run_lemma_3_1(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("lemma-3-1")
     pts = ctx.random_params(rng, 10)
 
-    def residual(k, pg):
-        g = tangent_plane_distance_field(pg, ctx.surface)
-        return float(np.linalg.norm(fd_gradient(g, np.array(pts[k]), ctx.numerics.fd_step)))
+    def residual(gb, _):
+        return _norm_rows(_tangent_plane_gradients(gb, ctx.surface, ctx.numerics))
 
     return _aggregate("lemma-3-1", "Lemma 3.1", ctx.tolerance("lemma-3-1", ctx.numerics.critical_tol),
-                      ctx.map_points(pts, residual), pts)
+                      ctx.residuals(pts, residual), pts)
 
 
 def _run_thm_3_1(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("thm-3-1")
     pts = ctx.random_params(rng, 10)
 
-    def residual(k, pg):
-        Hb = hess_b_matrix(tangent_plane_distance_field(pg, ctx.surface), pg, ctx.numerics)
-        return float(np.abs(Hb + pg.h_mat).max() / max(1.0, np.abs(pg.h_mat).max()))
+    def residual(gb, _):
+        Hb = _hess_b_matrices(lambda chart: _tangent_plane_values(gb, ctx.surface, chart),
+                              gb.s, gb.t, ctx.numerics)
+        return np.abs(Hb + gb.h_mat).max(axis=(1, 2)) / np.maximum(1.0, np.abs(gb.h_mat).max(axis=(1, 2)))
 
     return _aggregate("thm-3-1", "Thm 3.1", ctx.tolerance("thm-3-1", 1e-3),
-                      ctx.map_points(pts, residual), pts)
+                      ctx.residuals(pts, residual), pts)
 
 
-def _prop_3_1_residuals(ctx: RunContext, pts: list, phis: np.ndarray) -> list:
-    """Prop 3.1 at the points pts, each along its direction cos(phi) V1 + sin(phi) V2.
+def _prop_3_1_residuals(ctx: RunContext, gb: GeometryBatch, phis: np.ndarray) -> list:
+    """Prop 3.1 at the points of gb, each along its direction cos(phi) V1 + sin(phi) V2.
 
     hess_b D_a(V, V), with a = p - tt eta, is a function psi(tt) of the
     distance tt along the normal; its root in [0.8, 1.2] / k(V) should be
     1 / k(V). Gives |root k(V) - 1| per point (inf when psi keeps its sign
-    on the bracket), or None where k(V) <= 1e-6. The geometry of the points
-    is one batch, and the roots of all points advance together.
+    on the bracket), or None where k(V) <= 1e-6. The roots of all points
+    advance together.
     """
-    gb = ctx.batch(pts)
     V = np.cos(phis)[:, None] * gb.V1 + np.sin(phis)[:, None] * gb.V2
     k = _normal_curvatures(gb, V)
-    out = [None] * len(pts)
+    out = [None] * len(gb)
     rows = np.flatnonzero(k > 1e-6)
     if not len(rows):
         return out
@@ -491,8 +485,7 @@ def _run_prop_3_1(ctx: RunContext) -> CheckResult:
     while len(residuals) < 20 and start < len(attempts):
         chunk = slice(start, start + 20 - len(residuals))
         pts, angles = attempts[chunk], phis[chunk]
-        values = in_row_order(lambda rows: _prop_3_1_residuals(ctx, pts[rows], angles[rows]),
-                              len(pts))
+        values = ctx.residuals(pts, lambda gb, rows: _prop_3_1_residuals(ctx, gb, angles[rows]))
         for pt, r in zip(pts, values):
             if r is not None:
                 residuals.append(r)
@@ -508,13 +501,12 @@ def _run_thm_3_2(ctx: RunContext) -> CheckResult:
     pts = ctx.random_params(rng, 50)
     A = np.array([centers[i % 3] for i in range(len(pts))])
 
-    def run(rows):
-        gb = ctx.batch(pts[rows])
+    def residual(gb, rows):
         lap, _ = _laplacians(gb, ctx.norm, ctx.surface, A[rows], ctx.numerics)
         return np.abs(lap - 2.0 * (gb.H * _rho(gb, A[rows]) - 1.0))
 
     return _aggregate("thm-3-2", "Thm 3.2", ctx.tolerance("thm-3-2", 5e-3),
-                      in_row_order(run, len(pts)), pts)
+                      ctx.residuals(pts, residual), pts)
 
 
 def _run_minimality_scan(ctx: RunContext) -> CheckResult:

@@ -11,7 +11,10 @@ decomposition w = g·eta(p) + V with V tangent at p:
 Hessians are evaluated only at critical points, where the chart-coordinate
 second derivative equals the b-Hessian (the connection term carries a factor
 of the vanishing gradient); away from critical points the module refuses with
-NotCritical rather than silently dropping that term. The Laplacian of rho is
+NotCritical rather than silently dropping that term. Every b-Hessian, of a
+user's field at one point or of the checks' fields at many, comes from one
+stencil route (_hessian_stencils): each point's centre, gradient and cross
+points are evaluated in one call. The Laplacian of rho is
 assembled from the explicit Gauss splitting D_X Y = nabla_X Y + h(X,Y) eta,
 so no Christoffel symbols of b or nabla are ever formed. The Laplacian's
 stencil points are evaluated as one geometry batch.
@@ -33,14 +36,13 @@ from .numerics import (
     _central_diffs,
     _cross_stencil,
     _dot,
+    _field_values,
+    _mat2,
     _mixed,
     _norm_rows,
     _require_finite,
     _stack_last,
     chart_stencil,
-    fd_gradient,
-    fd_second_directional,
-    fd_second_directional_rows,
     first_row,
     guarded_solve_rows,
     per_point,
@@ -125,17 +127,6 @@ def is_critical(norm: NormModel, pg: PointGeometry, a,
     return bool(defect <= config.critical_tol * (1.0 + np.linalg.norm(pg.eta)))
 
 
-def _critical_chart_point(field: Callable, pg: PointGeometry,
-                          config: NumericsConfig) -> np.ndarray:
-    """(s, t) of pg, once a finite-difference test at config.fd_step has found
-    it a critical point of field; NotCritical otherwise."""
-    st = np.array([pg.s, pg.t])
-    f0 = field(st)
-    grad = fd_gradient(field, st, config.fd_step)
-    _require_critical(np.array([f0]), grad[None], [pg.s], [pg.t], config)
-    return st
-
-
 def _require_critical(f0, grad, s, t, config: NumericsConfig) -> None:
     """The criticality test, on rows: NotCritical for the first point (s[i], t[i])
     whose field gradient grad[i] exceeds config.critical_tol * (1 + |f0[i]|)."""
@@ -144,6 +135,55 @@ def _require_critical(f0, grad, s, t, config: NumericsConfig) -> None:
         raise NotCritical(
             f"field gradient {grad[i]} at (s,t)=({s[i]}, {t[i]}) exceeds the critical "
             f"tolerance; hess_b would need the connection term here")
+
+
+# The direction pairs (e1, e1), (e1, e2), (e2, e2) of the entries of a hess_b matrix.
+_ENTRY_X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_ENTRY_Y = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+
+
+def _hessian_stencils(s, t, X, Y, config: NumericsConfig, step: float | None = None):
+    """The hess_b stencils at the chart points (s[i], t[i]), and the function
+    that turns a field's values on them into hess_b.
+
+    chart[i] holds the point, its 4 gradient points at the relative step
+    config.fd_step, and the 4 cross points of each direction pair
+    (X[..., j, :], Y[..., j, :]) at the absolute step `step` (the gradient
+    step when None). hessians(rows, f), from the values f at the stencils of
+    the points rows, raises NotCritical for the first of them that fails the
+    criticality test and returns hess_b(X_j, Y_j) of each, (len(rows), k).
+    """
+    st = _stack_last(s, t)
+    h = relative_step(st, config.fd_step)
+    h2 = h if step is None else np.full(len(st), float(step))
+    S, T = chart_stencil(s, t, h)
+    cross = [_cross_stencil(st, X[..., j, :], Y[..., j, :], h2) for j in range(X.shape[-2])]
+    chart = np.concatenate([st[:, None], _stack_last(S, T), *cross], axis=1)
+
+    def hessians(rows, f):
+        _require_finite(f[:, 1:5].ravel(), chart[rows, 1:5].reshape(-1, 2))
+        _require_critical(f[:, 0], _central_diffs(f[:, 1:5], h[rows]), s[rows], t[rows], config)
+        _require_finite(f[:, 5:].ravel(), chart[rows, 5:].reshape(-1, 2))
+        return _mixed(*np.moveaxis(f[:, 5:].reshape(len(f), -1, 4), 2, 0), h2[rows, None])
+
+    return chart, hessians
+
+
+def _hess_b_matrices(values: Callable, s, t, config: NumericsConfig,
+                     step: float | None = None) -> np.ndarray:
+    """The matrices [hess_b(e_i, e_j)] (N, 2, 2) at the chart points (s[i], t[i])
+    of the fields whose values on each point's stencil chart[i] are values(chart)."""
+    chart, hessians = _hessian_stencils(s, t, _ENTRY_X, _ENTRY_Y, config, step)
+    H = hessians(slice(None), values(chart))
+    return _mat2(H[:, 0], H[:, 1], H[:, 1], H[:, 2])
+
+
+def _one_point_values(field: Callable) -> Callable:
+    """values(chart) of a field of one chart point on the stencil of a batch of
+    one, calling the field once per stencil point. An exception at the centre
+    escapes as it is; at another point it becomes EvaluationFailure there."""
+    F = per_point(field, 1)
+    return lambda chart: np.concatenate([[F(chart[0, 0])], _field_values(F, chart[0, 1:], finite=False)])[None]
 
 
 def hess_b_at_critical(field: Callable, pg: PointGeometry, X, Y,
@@ -158,21 +198,37 @@ def hess_b_at_critical(field: Callable, pg: PointGeometry, X, Y,
     and NotCritical is raised when it fails — elsewhere the dropped term would
     matter. An explicit (absolute) step sets only the second-derivative stencil.
     """
-    st = _critical_chart_point(field, pg, config)
-    h = relative_step(st, config.fd_step) if step is None else step
-    return fd_second_directional(field, st, np.asarray(X, float), np.asarray(Y, float), step=h)
+    X, Y = (np.asarray(v, dtype=float)[None] for v in (X, Y))
+    chart, hessians = _hessian_stencils(np.array([pg.s]), np.array([pg.t]), X, Y, config, step)
+    return float(hessians(slice(None), _one_point_values(field)(chart))[0, 0])
 
 
 def hess_b_matrix(field: Callable, pg: PointGeometry,
                   config: NumericsConfig = DEFAULT_CONFIG,
                   step: float | None = None) -> np.ndarray:
     """The 2x2 matrix [hess_b(e_i, e_j)] in the chart basis, after one criticality test."""
-    st = _critical_chart_point(field, pg, config)
-    h = relative_step(st, config.fd_step) if step is None else step
-    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    h11, h12, h22 = fd_second_directional_rows(per_point(field, 1), np.tile(st, (3, 1)),
-                                               np.array([e1, e1, e2]), np.array([e1, e2, e2]), h)
-    return np.array([[h11, h12], [h12, h22]])
+    return _hess_b_matrices(_one_point_values(field), np.array([pg.s]), np.array([pg.t]), config, step)[0]
+
+
+def _positions(surface: SurfacePatch, chart: np.ndarray) -> np.ndarray:
+    """The surface points of the chart points chart (..., 2), from one position call."""
+    return surface.position(chart[..., 0].ravel(), chart[..., 1].ravel()).reshape(chart.shape[:-1] + (3,))
+
+
+def _tangent_plane_values(gb: GeometryBatch, surface: SurfacePatch, chart: np.ndarray) -> np.ndarray:
+    """tangent_plane_distance_field of each point gb[i] at its chart points chart[i]: (N, m)."""
+    return _dot(gb.p[:, None] - _positions(surface, chart), gb.xi[:, None]) / _require_pairing(gb)[:, None]
+
+
+def _tangent_plane_gradients(gb: GeometryBatch, surface: SurfacePatch,
+                             config: NumericsConfig) -> np.ndarray:
+    """fd_gradient, at config.fd_step, of each point's tangent_plane_distance_field
+    at the point: (N, 2)."""
+    h = relative_step(_stack_last(gb.s, gb.t), config.fd_step)
+    chart = _stack_last(*chart_stencil(gb.s, gb.t, h))
+    f = _tangent_plane_values(gb, surface, chart)
+    _require_finite(f.ravel(), chart.reshape(-1, 2))
+    return _central_diffs(f, h)
 
 
 def _normal_line_hessians(norm: NormModel, surface: SurfacePatch, gb: GeometryBatch, V,
@@ -182,24 +238,16 @@ def _normal_line_hessians(norm: NormModel, surface: SurfacePatch, gb: GeometryBa
     minkowski_distance_field, one row per point.
 
     D_a depends on tt only through a, so the 9 chart points of each point's
-    stencil (the centre, the 4 gradient points, the 4 cross points along V)
-    are placed on the surface once, here; each call of psi is one gauge
-    evaluation of all its rows' stencils.
+    stencil are placed on the surface once, here; each call of psi is one
+    gauge evaluation of all its rows' stencils.
     """
-    st = _stack_last(gb.s, gb.t)
-    h = relative_step(st, config.fd_step)
-    S, T = chart_stencil(gb.s, gb.t, h)
-    chart = np.concatenate([st[:, None], _stack_last(S, T), _cross_stencil(st, V, V, h)], axis=1)
-    Q = surface.position(chart[..., 0].ravel(), chart[..., 1].ravel()).reshape(len(gb), 9, 3)
+    chart, hessians = _hessian_stencils(gb.s, gb.t, V[:, None], V[:, None], config)
+    Q = _positions(surface, chart)
 
     def psi(rows, tt):
         A = gb.p[rows] - np.asarray(tt)[:, None] * gb.eta[rows]
-        f = norm.gauge_value_rows((Q[rows] - A[:, None, :]).reshape(-1, 3)).reshape(-1, 9)
-        _require_finite(f[:, 1:5].ravel(), chart[rows, 1:5].reshape(-1, 2))
-        grad = _central_diffs(f[:, 1:5], h[rows])
-        _require_critical(f[:, 0], grad, gb.s[rows], gb.t[rows], config)
-        _require_finite(f[:, 5:].ravel(), chart[rows, 5:].reshape(-1, 2))
-        return _mixed(*f[:, 5:].T, h[rows])
+        f = norm.gauge_value_rows((Q[rows] - A[:, None, :]).reshape(-1, 3)).reshape(len(A), -1)
+        return hessians(rows, f)[:, 0]
 
     return psi
 

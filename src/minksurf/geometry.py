@@ -222,10 +222,10 @@ def _check_direction(X) -> np.ndarray:
     return X
 
 
-def _quad(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The quadratic form A(X, X) of each row of X (a stacked matmul, so a row
-    rounds exactly as it would alone)."""
-    return ((X[..., None, :] @ A) @ X[..., :, None])[..., 0, 0]
+def _quad(X: np.ndarray, A: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """The form A(X, Y) of each row of X and Y, A(X, X) without Y (a stacked
+    matmul, so a row rounds exactly as it would alone)."""
+    return ((X[..., None, :] @ A) @ (X if Y is None else Y)[..., :, None])[..., 0, 0]
 
 
 def _normal_curvatures(pg: PointGeometry, X: np.ndarray) -> np.ndarray:
@@ -254,10 +254,18 @@ def dupin_indicatrix(pg: PointGeometry, theta) -> np.ndarray:
 
     The returned tangent vector satisfies <du^{-1} V, V> = 1: it traces the
     unit circle of the Dupin metric. An array of angles gives one row per angle.
+    For a GeometryBatch the last axis of theta runs over its points.
     """
     theta = np.asarray(theta, dtype=float)[..., None]
     V = np.cos(theta) * pg.V1 + np.sin(theta) * pg.V2
-    return V / np.sqrt(pg.pairing)
+    return V / np.sqrt(pg.pairing)[..., None]
+
+
+def _indicatrix_means(g, nodes: int) -> np.ndarray:
+    """mean_by_indicatrix_average of a PointGeometry, or of each point of a GeometryBatch."""
+    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
+    k = _normal_curvatures(g, dupin_indicatrix(g, thetas.reshape((nodes,) + (1,) * np.ndim(g.pairing))))
+    return simpson_periodic_mean(k.T)
 
 
 def mean_by_indicatrix_average(pg: PointGeometry, nodes: int = 32) -> float:
@@ -266,14 +274,34 @@ def mean_by_indicatrix_average(pg: PointGeometry, nodes: int = 32) -> float:
     The integrand is a trigonometric polynomial of degree 2, so any even node
     count >= 8 is exact to roundoff; the contract is that this equals H.
     """
-    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
-    return simpson_periodic_mean(_normal_curvatures(pg, dupin_indicatrix(pg, thetas)))
+    return float(_indicatrix_means(pg, nodes))
+
+
+def _dupin_pair_sums(g, theta0) -> np.ndarray:
+    """dupin_orthogonal_pair_sum of a PointGeometry, or of each point of a
+    GeometryBatch with its own angle theta0."""
+    k = _normal_curvatures(g, dupin_indicatrix(g, np.stack([theta0, theta0 + 0.5 * np.pi])))
+    return k[0] + k[1]
 
 
 def dupin_orthogonal_pair_sum(pg: PointGeometry, theta0: float) -> float:
     """k(V(theta0)) + k(V(theta0 + pi/2)); contract: equals 2H for every theta0."""
-    k = _normal_curvatures(pg, dupin_indicatrix(pg, [theta0, theta0 + 0.5 * np.pi]))
-    return float(k[0] + k[1])
+    return float(_dupin_pair_sums(pg, theta0))
+
+
+def _principal_zeros(g, zero_tol: float) -> tuple:
+    """Whether lambda1, and whether lambda2, is within zero_tol * max(1, |lambda1| + |lambda2|)
+    of 0, at a PointGeometry or at each point of a GeometryBatch."""
+    scale = np.maximum(1.0, np.abs(g.lambda1) + np.abs(g.lambda2))
+    return np.abs(g.lambda1) <= zero_tol * scale, np.abs(g.lambda2) <= zero_tol * scale
+
+
+def _asymptotic_pair(g) -> tuple[np.ndarray, np.ndarray]:
+    """The two asymptotic directions c V1 + s V2 and c V1 - s V2 where lambda1 < 0 < lambda2,
+    of a PointGeometry or of each point of a GeometryBatch."""
+    alpha = np.arctan(np.sqrt(-g.lambda1 / g.lambda2))
+    c, s_ = np.cos(alpha)[..., None], np.sin(alpha)[..., None]
+    return c * g.V1 + s_ * g.V2, c * g.V1 - s_ * g.V2
 
 
 def asymptotic_directions(pg: PointGeometry, zero_tol: float = 1e-10) -> list[np.ndarray]:
@@ -283,28 +311,30 @@ def asymptotic_directions(pg: PointGeometry, zero_tol: float = 1e-10) -> list[np
     when K > 0. Returned b-normalized, as combinations of the principal
     directions: h(V(alpha), V(alpha)) = -(lambda1 cos²alpha + lambda2 sin²alpha).
     """
-    lam1, lam2 = pg.lambda1, pg.lambda2
-    scale = max(1.0, abs(lam1) + abs(lam2))
-    z1, z2 = abs(lam1) <= zero_tol * scale, abs(lam2) <= zero_tol * scale
+    z1, z2 = _principal_zeros(pg, zero_tol)
     if z1 and z2:
         return []  # flat point: h = 0 identically, no isolated directions
     if z1:
         return [pg.V1.copy()]
     if z2:
         return [pg.V2.copy()]
-    if lam1 * lam2 > 0.0:
+    if pg.lambda1 * pg.lambda2 > 0.0:
         return []
-    alpha = np.arctan(np.sqrt(-lam1 / lam2))
-    c, s_ = np.cos(alpha), np.sin(alpha)
-    return [c * pg.V1 + s_ * pg.V2, c * pg.V1 - s_ * pg.V2]
+    return list(_asymptotic_pair(pg))
+
+
+def _determinant_gaussians(g) -> np.ndarray:
+    """gaussian_by_determinants of a PointGeometry, or of each point of a GeometryBatch."""
+    det_b = np.linalg.det(g.b_mat)
+    scale = np.maximum(1.0, np.abs(g.b_mat).max(axis=(-2, -1))) ** 2
+    if np.any(np.abs(det_b) < 1e-14 * scale):
+        raise SingularMetric("weighted Dupin metric is numerically singular")
+    return np.linalg.det(g.h_mat) / det_b
 
 
 def gaussian_by_determinants(pg: PointGeometry) -> float:
     """K as det(h) / det(b); basis-independent since both change by the same squared Jacobian."""
-    det_b = float(np.linalg.det(pg.b_mat))
-    if abs(det_b) < 1e-14 * max(1.0, float(np.abs(pg.b_mat).max()) ** 2):
-        raise SingularMetric("weighted Dupin metric is numerically singular")
-    return float(np.linalg.det(pg.h_mat)) / det_b
+    return float(_determinant_gaussians(pg))
 
 
 def weingarten_eigen_raw(pg: PointGeometry) -> np.ndarray:

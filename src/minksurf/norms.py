@@ -21,14 +21,15 @@ Built-in families carry analytic jets through third order, so Minkowski-sphere
 charts built from u are themselves fully analytic.
 
 Everything evaluates rows of points: a ScalarJet maps an (N, 3) array to N
-values (or gradients, Hessians), and each NormModel method has a `_rows`
-twin that the one-point method runs on a batch of one. User callables of
-one point (custom_norm) are adapted to rows with numerics.per_point; the
-Newton fallback solves one row at a time.
+values (or gradients, Hessians), and each NormModel method of one point is
+generated from its `_rows` twin by one helper, _one_point, and runs the twin
+on a batch of one. User callables of one point (custom_norm) are adapted to
+rows with numerics.per_point; the Newton fallback solves one row at a time.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -211,6 +212,26 @@ def _one(x) -> np.ndarray:
     return np.asarray(x, dtype=float)[None]
 
 
+def _one_point(rows, params: str, doc: str | None = None):
+    """The NormModel method of the points params generated from its twin rows:
+    rows on a batch of one, and row 0 of what it returns (a float for values;
+    None stays None, and a tuple gives the tuple of its rows 0)."""
+
+    def method(self, *points):
+        out = rows(self, *map(_one, points))
+        if out is None:
+            return None
+        if isinstance(out, tuple):
+            return tuple(a[0] for a in out)
+        return float(out[0]) if out.ndim == 1 else out[0]
+
+    method.__name__ = method.__qualname__ = rows.__name__.removesuffix("_rows")
+    method.__doc__ = doc
+    method.__signature__ = inspect.Signature(
+        [inspect.Parameter(p, inspect.Parameter.POSITIONAL_ONLY) for p in ("self", *params.split())])
+    return method
+
+
 # ---------------------------------------------------------------------------
 # the norm model
 # ---------------------------------------------------------------------------
@@ -220,9 +241,9 @@ class NormModel:
     """An admissible norm given by primal gauge and dual support-function jets.
 
     Every method of one point has a twin with the suffix _rows that takes an
-    (N, 3) array, one point per row; the method of one point runs its twin on
-    a batch of one. Immutable after construction; every method is a pure
-    function of its arguments.
+    (N, 3) array, one point per row; the method of one point is generated
+    from its twin by _one_point and runs it on a batch of one. Immutable after
+    construction; every method is a pure function of its arguments.
     """
 
     family: str
@@ -235,9 +256,6 @@ class NormModel:
     config: NumericsConfig = DEFAULT_CONFIG
 
     # -- primal gauge ------------------------------------------------------
-
-    def gauge_value(self, x) -> float:
-        return float(self.gauge_value_rows(_one(x))[0])
 
     def gauge_value_rows(self, X) -> np.ndarray:
         """F at each row; 0 at zero rows, where the gauge is not evaluated."""
@@ -256,17 +274,11 @@ class NormModel:
             raise NonSmoothPoint(f"{what} requested at the origin, where the norm is not smooth")
         return X
 
-    def gauge_gradient(self, x) -> np.ndarray:
-        return self.gauge_gradient_rows(_one(x))[0]
-
     def gauge_gradient_rows(self, X) -> np.ndarray:
         X = self._check_nonzero(X, "gauge gradient")
         if self.gauge.gradient is not None:
             return np.asarray(self.gauge.gradient(X), dtype=float)
         return fd_gradient_rows(self.gauge.value, X, self.fd_step)
-
-    def gauge_hessian(self, x) -> np.ndarray:
-        return self.gauge_hessian_rows(_one(x))[0]
 
     def gauge_hessian_rows(self, X) -> np.ndarray:
         X = self._check_nonzero(X, "gauge Hessian")
@@ -276,17 +288,11 @@ class NormModel:
 
     # -- dual support function ---------------------------------------------
 
-    def dual_value(self, xi) -> float:
-        return float(self.dual_value_rows(_one(xi))[0])
-
     def dual_value_rows(self, XI) -> np.ndarray:
         XI = self._check_nonzero(XI, "support function")
         if self.dual is not None:
             return np.asarray(self.dual.value(XI), dtype=float)
         return _dot(self._newton_points(XI), XI)
-
-    def dual_gradient(self, xi) -> np.ndarray:
-        return self.dual_gradient_rows(_one(xi))[0]
 
     def dual_gradient_rows(self, XI) -> np.ndarray:
         XI = self._check_nonzero(XI, "support-function gradient")
@@ -296,9 +302,6 @@ class NormModel:
             return fd_gradient_rows(self.dual.value, XI, self.fd_step)
         return self._newton_points(XI)
 
-    def dual_hessian(self, xi) -> np.ndarray:
-        return self.dual_hessian_rows(_one(xi))[0]
-
     def dual_hessian_rows(self, XI) -> np.ndarray:
         XI = self._check_nonzero(XI, "support-function Hessian")
         if self.dual is not None and self.dual.hessian is not None:
@@ -306,11 +309,6 @@ class NormModel:
         if self.dual is not None:
             return fd_hessian_rows(self.dual.value, XI, self.fd_step)
         return self._inverse_weingarten(XI)
-
-    def dual_third(self, xi) -> Optional[np.ndarray]:
-        """Third partials of h_B, or None when not analytically available."""
-        T = self.dual_third_rows(_one(xi))
-        return None if T is None else T[0]
 
     def dual_third_rows(self, XI) -> Optional[np.ndarray]:
         if self.dual is not None and self.dual.third is not None:
@@ -324,14 +322,6 @@ class NormModel:
                 and self.dual.hessian is not None and self.dual.third is not None)
 
     # -- Birkhoff machinery --------------------------------------------------
-
-    def birkhoff_point(self, xi) -> np.ndarray:
-        """u(xi): the point of ∂B whose Euclidean outer normal is xi.
-
-        Computed as grad h_B(xi) when dual jets exist; projected Newton on the
-        Lagrange system grad F(x) = mu xi, F(x) = 1 otherwise.
-        """
-        return self.birkhoff_point_rows(_one(xi))[0]
 
     def birkhoff_point_rows(self, XI) -> np.ndarray:
         XI = self._check_nonzero(XI, "Birkhoff point")
@@ -435,30 +425,12 @@ class NormModel:
                             "Weingarten map of the unit ball's boundary")
         return E @ M @ Et / r[:, None, None]
 
-    def du_restricted(self, xi) -> tuple[np.ndarray, np.ndarray]:
-        """Restrict Hess h_B(xi) to the tangent plane xi-perp.
-
-        Returns (E, M) with E the 3x2 orthonormal basis of xi-perp from
-        tangent_basis and M = E^T Hess h_B(xi) E, the matrix of du_xi in that
-        basis. M is symmetric positive definite for admissible norms.
-        """
-        E, M = self.du_restricted_rows(_one(xi))
-        return E[0], M[0]
-
     def du_restricted_rows(self, XI) -> tuple[np.ndarray, np.ndarray]:
         XI = np.asarray(XI, dtype=float)
         XI = XI / _norm_rows(XI)[:, None]
         E = tangent_basis(XI)
         M = np.swapaxes(E, 1, 2) @ self.dual_hessian_rows(XI) @ E
         return E, 0.5 * (M + np.swapaxes(M, 1, 2))
-
-    def dupin_form(self, eta, X, Y) -> float:
-        """The inner product <du^{-1}_eta X, Y> on the tangent plane of ∂B at eta.
-
-        X, Y are ambient 3-vectors lying in the plane xi-perp, where xi is the
-        Euclidean outer normal of ∂B at eta (recovered from the gauge gradient).
-        """
-        return float(self.dupin_form_rows(_one(eta), _one(X), _one(Y))[0])
 
     def dupin_form_rows(self, ETA, X, Y) -> np.ndarray:
         n = self.gauge_gradient_rows(ETA)
@@ -468,6 +440,33 @@ class NormModel:
         EX = Et @ np.asarray(X, dtype=float)[:, :, None]
         EY = Et @ np.asarray(Y, dtype=float)[:, :, None]
         return (np.swapaxes(EX, 1, 2) @ Minv @ EY)[:, 0, 0]
+
+    # -- methods of one point, generated from their _rows twins ---------------
+
+    gauge_value = _one_point(gauge_value_rows, "x")
+    gauge_gradient = _one_point(gauge_gradient_rows, "x")
+    gauge_hessian = _one_point(gauge_hessian_rows, "x")
+    dual_value = _one_point(dual_value_rows, "xi")
+    dual_gradient = _one_point(dual_gradient_rows, "xi")
+    dual_hessian = _one_point(dual_hessian_rows, "xi")
+    dual_third = _one_point(dual_third_rows, "xi",
+                            """Third partials of h_B, or None when not analytically available.""")
+    birkhoff_point = _one_point(birkhoff_point_rows, "xi", """u(xi): the point of ∂B whose Euclidean outer normal is xi.
+
+        Computed as grad h_B(xi) when dual jets exist; projected Newton on the
+        Lagrange system grad F(x) = mu xi, F(x) = 1 otherwise.
+        """)
+    du_restricted = _one_point(du_restricted_rows, "xi", """Restrict Hess h_B(xi) to the tangent plane xi-perp.
+
+        Returns (E, M) with E the 3x2 orthonormal basis of xi-perp from
+        tangent_basis and M = E^T Hess h_B(xi) E, the matrix of du_xi in that
+        basis. M is symmetric positive definite for admissible norms.
+        """)
+    dupin_form = _one_point(dupin_form_rows, "eta X Y", """The inner product <du^{-1}_eta X, Y> on the tangent plane of ∂B at eta.
+
+        X, Y are ambient 3-vectors lying in the plane xi-perp, where xi is the
+        Euclidean outer normal of ∂B at eta (recovered from the gauge gradient).
+        """)
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,11 @@ def in_row_order(batch, n: int):
         raise
 
 
-def _field_values(field, X: np.ndarray) -> np.ndarray:
+def _field_values(field, X: np.ndarray, finite: bool = True) -> np.ndarray:
     """A batched scalar field on the rows of X, as floats.
 
-    An exception or a non-finite value becomes EvaluationFailure at the first
+    An exception, or a non-finite value unless finite is False (the caller
+    then tests the values itself), becomes EvaluationFailure at the first
     row that shows it, in row order.
     """
     try:
@@ -108,9 +109,9 @@ def _field_values(field, X: np.ndarray) -> np.ndarray:
     except Exception as exc:
         if len(X) > 1:
             for i in range(len(X)):
-                _field_values(field, X[i:i + 1])
+                _field_values(field, X[i:i + 1], finite)
         raise EvaluationFailure(f"field evaluation failed at {X[0]!r}: {exc}") from exc
-    return _require_finite(vals, X)
+    return _require_finite(vals, X) if finite else vals
 
 
 def _require_finite(vals: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -300,8 +301,8 @@ def _cross_stencil(P, X, Y, h) -> np.ndarray:
 def fd_second_directional(field, point, X, Y, step: float) -> float:
     """Second mixed directional derivative X(Y(field)) at point, by the 4-point stencil.
 
-    Exact bilinear pairing X^T Hess(field) Y up to O(step^2); used for
-    chart-coordinate Hessians at critical points. step is absolute.
+    Exact bilinear pairing X^T Hess(field) Y up to O(step^2); the cross points
+    of distances' hess_b stencils are the same. step is absolute.
     """
     return float(fd_second_directional_rows(per_point(field, 1), np.asarray(point, dtype=float)[None],
                                             np.asarray(X, dtype=float)[None],
@@ -398,16 +399,18 @@ def simpson_periodic_mean(samples) -> float:
 
     samples[k] = f(2 pi k / n), k = 0..n-1 (endpoint not repeated). Composite
     Simpson over n panels; n must be even and >= 4. Exact to roundoff for
-    trigonometric polynomials of low degree.
+    trigonometric polynomials of low degree. Rows of samples (..., n) give the
+    mean of each row; a row's sum is a stacked (1, n) @ (n, 1) matmul of a
+    contiguous row, so it rounds exactly as that row alone.
     """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
+    samples = np.ascontiguousarray(np.atleast_1d(samples), dtype=float)
+    n = samples.shape[-1]
     if n < 4 or n % 2 != 0:
         raise OddSampleCount(f"need an even sample count >= 4, got {n}")
     weights = np.full(n, 2.0)
     weights[1::2] = 4.0
     # Simpson over [0, 2pi] with f(2pi) = f(0): weight 1+1 folds onto index 0.
-    integral = (2.0 * np.pi / n) / 3.0 * float(weights @ samples)
+    integral = (2.0 * np.pi / n) / 3.0 * (weights @ samples[..., :, None])[..., 0]
     return integral / (2.0 * np.pi)
 
 

@@ -13,9 +13,13 @@ import pytest
 
 import minksurf as mk
 from minksurf.blaschke import _grid_affine_normals
-from minksurf.distances import _laplacians
-from minksurf.geometry import (PointGeometry, geometry_batch, normal_curvature_via_dupin,
+from minksurf.cli import _asymptotic_orthogonality
+from minksurf.distances import (_hess_b_matrices, _laplacians, _tangent_plane_gradients,
+                                _tangent_plane_values)
+from minksurf.geometry import (PointGeometry, _determinant_gaussians, _dupin_pair_sums,
+                               _indicatrix_means, geometry_batch, normal_curvature_via_dupin,
                                weingarten_eigen_raw)
+from minksurf.numerics import fd_gradient
 
 A = [[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]]
 
@@ -196,3 +200,34 @@ def test_user_callables_see_one_point_at_a_time():
     X = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
     assert norm.gauge_value_rows(X).tolist() == [1.0, 2.0, 0.0]
     assert set(seen) == {(3,)}
+
+
+@pytest.mark.parametrize("family", ["euclidean", "lp4"])
+def test_check_kernels_equal_the_one_point_functions_bitwise(family, ellipsoid_std, catenoid_std):
+    # the checks' batched residuals are the public functions of one point, row by row
+    norm = NORMS[family]()
+    for surface, s_range in ((ellipsoid_std, (0.4, 2.7)), (catenoid_std, (-0.9, 0.9))):
+        s, t = _grid(s_range, (0.2, 5.9), 4, 4)
+        gb = geometry_batch(norm, surface, s, t)
+        thetas = np.linspace(0.1, 6.0, len(gb))
+        means, sums = _indicatrix_means(gb, 256), _dupin_pair_sums(gb, thetas)
+        gaussians = _determinant_gaussians(gb)
+        orthogonality, used = _asymptotic_orthogonality(gb)
+        grads = _tangent_plane_gradients(gb, surface, mk.DEFAULT_CONFIG)
+        hessians = _hess_b_matrices(lambda chart: _tangent_plane_values(gb, surface, chart),
+                                    gb.s, gb.t, mk.DEFAULT_CONFIG)
+        assert used.any() == (surface is catenoid_std)
+        residuals = iter(orthogonality.tolist())
+        for i in range(len(gb)):
+            pg = gb[i]
+            assert means[i] == mk.mean_by_indicatrix_average(pg, 256)
+            assert sums[i] == mk.dupin_orthogonal_pair_sum(pg, float(thetas[i]))
+            assert gaussians[i] == mk.gaussian_by_determinants(pg)
+            directions = mk.asymptotic_directions(pg)
+            assert used[i] == (pg.K < 0.0 and len(directions) == 2)
+            if used[i]:
+                X, Y = (V / np.sqrt(float(V @ pg.d_mat @ V)) for V in directions)
+                assert next(residuals) == abs(float(X @ pg.d_mat @ Y))
+            field = mk.tangent_plane_distance_field(pg, surface)
+            assert grads[i].tolist() == fd_gradient(field, [pg.s, pg.t], mk.DEFAULT_CONFIG.fd_step).tolist()
+            assert hessians[i].tolist() == mk.hess_b_matrix(field, pg).tolist()
