@@ -154,7 +154,7 @@ def _geometry_rows(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.
     Ginv = _invert_2x2_spd(G, "first fundamental form")
     dxi_mat = -Ginv @ II
 
-    eta = norm.birkhoff_point_rows(xi)
+    eta, E, M_du = norm.birkhoff_du_rows(xi)
     pairing = _dot(eta, xi)
     flipped = pairing < 0.0
     # a flip can only occur via a fallback path; re-orient once
@@ -163,7 +163,6 @@ def _geometry_rows(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.
 
     # d(eta) = Hess h_B(xi) . d(xi) in the chart basis. P's columns lie in
     # xi-perp = span(E), so P = E EP and only the restriction M_du enters.
-    E, M_du = norm.du_restricted_rows(xi)
     EP = _T(E) @ P
     W = Ginv @ _T(EP) @ M_du @ EP @ dxi_mat
 

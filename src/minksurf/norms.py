@@ -24,7 +24,10 @@ Everything evaluates rows of points: a ScalarJet maps an (N, 3) array to N
 values (or gradients, Hessians), and each NormModel method of one point is
 generated from its `_rows` twin by one helper, _one_point, and runs the twin
 on a batch of one. User callables of one point (custom_norm) are adapted to
-rows with numerics.per_point; the Newton fallback solves one row at a time.
+rows with numerics.per_point. The Newton fallback advances the solves of all
+rows in lockstep, with one gauge call per stage, and evaluates no gauge point
+twice: each Hessian reuses the values of its accepted residual.
+birkhoff_du_rows gives u and du from one solve per row.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ from .errors import (
     NewtonDivergence,
     NonSmoothPoint,
 )
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _cross, _dot, _invert_2x2_spd, _norm_rows,
-                       _stack_last, fd_gradient_rows, fd_hessian_rows, per_point, relative_step)
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _dot, _gradient_offsets,
+                       _invert_2x2_spd, _norm_rows, _require_finite, _stack_last, fd_gradient_rows,
+                       fd_hessian_rows, first_row, in_row_order, per_point, relative_step)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +206,14 @@ _FD_RESIDUAL_FLOOR = 10.0 * np.finfo(float).eps
 _GAUGE_HESSIAN_STEP = np.finfo(float).eps ** 0.25
 
 
+def _restricted(XI: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, M): the tangent bases of the unit rows XI and the matrices H
+    restricted to them, E^T H E, symmetrized."""
+    E = tangent_basis(XI)
+    M = np.swapaxes(E, 1, 2) @ H @ E
+    return E, 0.5 * (M + np.swapaxes(M, 1, 2))
+
+
 def _nonzero_rows(X: np.ndarray) -> bool:
     """Whether no row of X is the zero vector."""
     return bool(X.all() or X.any(axis=-1).all())
@@ -331,76 +343,123 @@ class NormModel:
         return self._newton_points(XI)
 
     def _newton_points(self, XI) -> np.ndarray:
-        """The Newton solve of each row, in row order."""
-        return np.array([self._newton_point(xi) for xi in XI]).reshape(-1, 3)
+        """u at each row of XI by projected Newton, all rows in lockstep;
+        raises what solving the rows one at a time, in order, raises first."""
+        XI = np.asarray(XI, dtype=float).reshape(-1, 3)
+        return in_row_order(lambda rows: self._newton_lockstep(XI[rows]), len(XI))
 
-    def _newton_point(self, xi) -> np.ndarray:
-        """Solve grad F(x) = mu xi, F(x) = 1 by Newton, seeded at xi / F(xi).
+    def _newton_lockstep(self, XI) -> np.ndarray:
+        """Solve grad F(x) = mu xi, F(x) = 1 by damped Newton, seeded at xi / F(xi).
 
-        On FD gauge gradients the residual test is floored at 10 eps / h, h
-        the gradient step, below which differences of the gauge value carry
-        no information. The solution is projected radially onto ∂B, x / F(x),
-        so it lies on ∂B to roundoff wherever the solve stopped.
+        Every row takes the steps of its own solve; the rows advance together,
+        with one gauge call per Newton iteration for the Hessians and one per
+        backtracking trial for the residuals. On FD gauge gradients the
+        residual test is floored at 10 eps / h, h the gradient step, below
+        which differences of the gauge value carry no information. The
+        solution is projected radially onto ∂B, x / F(x), so it lies on ∂B
+        to roundoff wherever the solve stopped.
         """
-        if not self.allow_newton:
+        if not self.allow_newton and len(XI):
             raise MissingDualJets("custom norm has no dual jets and the Newton fallback is disabled")
-        xi = np.asarray(xi, dtype=float)
-        xi = xi / np.linalg.norm(xi)
         cfg = self.config
-        tol = cfg.newton_tol
+        XI = XI / _norm_rows(XI)[:, None]
+        tol = np.full(len(XI), cfg.newton_tol)
         if self.gauge.gradient is None:
-            tol = max(tol, _FD_RESIDUAL_FLOOR / relative_step(xi, self.fd_step))
-        x = xi / self.gauge_value(xi)
-        mu = float(self.gauge_gradient(x) @ xi)
+            tol = np.maximum(tol, _FD_RESIDUAL_FLOOR / relative_step(XI, self.fd_step))
+        X = XI / self.gauge_value_rows(XI)[:, None]
+        F, G, known = self._value_gradient_rows(X)
+        mu = _dot(G, XI)
+        res = np.concatenate([G - mu[:, None] * XI, F[:, None] - 1.0], axis=1)
+        U = np.empty_like(XI)
+        live = np.arange(len(XI))  # the rows still iterating
 
-        def residual(x_, mu_):
-            # runs once per backtracking trial: the row methods, unwrapped
-            X_ = x_[None]
-            g_ = self.gauge_gradient_rows(X_)[0]
-            return g_, np.concatenate([g_ - mu_ * xi, self.gauge_value_rows(X_) - 1.0])
+        def stop(rows):
+            U[rows] = X[rows] / F[rows, None]
 
-        def on_sphere(x_):
-            return x_ / self.gauge_value_rows(x_[None])[0]
-
-        g, res = residual(x, mu)
         for _ in range(cfg.newton_max_iter):
-            res_norm = np.linalg.norm(res)
-            if res_norm <= tol:
-                return on_sphere(x)
-            H = self.gauge_hessian(x)
-            J = np.zeros((4, 4))
-            J[:3, :3] = H
-            J[:3, 3] = -xi
-            J[3, :3] = g
+            res_norm = _norm_rows(res[live])
+            done = res_norm <= tol[live]
+            stop(live[done])
+            live, res_norm = live[~done], res_norm[~done]
+            if not len(live):
+                return U
+            J = np.zeros((len(live), 4, 4))
+            J[:, :3, :3] = self._newton_hessian_rows(X[live], None if known is None else known[live])
+            J[:, :3, 3] = -XI[live]
+            J[:, 3, :3] = G[live]
             try:
-                delta = np.linalg.solve(J, -res)
+                delta = np.linalg.solve(J, -res[live][:, :, None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
-                raise NewtonDivergence(f"singular KKT system at x={x!r}") from exc
+                raise NewtonDivergence(f"singular KKT system at x={X[live[0]]!r}") from exc
             # Backtrack until the residual shrinks; full steps on quartic-like
             # gauges can overshoot badly from the radial seed.
-            damp = 1.0
+            damp = np.ones(len(live))
+            trying = np.arange(len(live))  # positions in live still backtracking
             for _ in range(40):
-                x_try = x + damp * delta[:3]
-                mu_try = mu + damp * delta[3]
-                g_try, res_try = residual(x_try, mu_try)
-                if np.linalg.norm(res_try) < res_norm:
+                rows = live[trying]
+                x_try = X[rows] + damp[trying, None] * delta[trying, :3]
+                mu_try = mu[rows] + damp[trying] * delta[trying, 3]
+                F_try, G_try, known_try = self._value_gradient_rows(x_try)
+                res_try = np.concatenate([G_try - mu_try[:, None] * XI[rows], F_try[:, None] - 1.0], axis=1)
+                better = _norm_rows(res_try) < res_norm[trying]
+                took = rows[better]
+                X[took], mu[took], F[took], G[took], res[took] = (
+                    x_try[better], mu_try[better], F_try[better], G_try[better], res_try[better])
+                if known is not None:
+                    known[took] = known_try[better]
+                trying = trying[~better]
+                if not len(trying):
                     break
-                damp *= 0.5
+                damp[trying] *= 0.5
             else:
                 # FD-quality gradients floor the achievable residual; accept
                 # a stall within the relaxed tolerance.
-                if res_norm <= 100.0 * cfg.newton_tol:
-                    return on_sphere(x)
-                raise NewtonDivergence(
-                    f"Birkhoff Newton stalled at |residual| = {res_norm:.3e}")
-            x, mu, g, res = x_try, mu_try, g_try, res_try
-        if np.linalg.norm(res) <= max(tol, 100.0 * cfg.newton_tol):
-            return on_sphere(x)
-        raise NewtonDivergence(
-            f"Birkhoff Newton did not converge in {cfg.newton_max_iter} iterations "
-            f"(|residual| = {np.linalg.norm(res):.3e})")
+                stalled = res_norm[trying]
+                i = first_row(~(stalled <= 100.0 * cfg.newton_tol))
+                if i is not None:
+                    raise NewtonDivergence(f"Birkhoff Newton stalled at |residual| = {stalled[i]:.3e}")
+                stop(live[trying])
+                live = np.delete(live, trying)
+        res_norm = _norm_rows(res[live])
+        i = first_row(~(res_norm <= np.maximum(tol[live], 100.0 * cfg.newton_tol)))
+        if i is not None:
+            raise NewtonDivergence(
+                f"Birkhoff Newton did not converge in {cfg.newton_max_iter} iterations "
+                f"(|residual| = {res_norm[i]:.3e})")
+        stop(live)
+        return U
 
-    def _inverse_weingarten(self, XI) -> np.ndarray:
+    def _value_gradient_rows(self, X):
+        """F and grad F at the rows of X, as gauge_value_rows and
+        gauge_gradient_rows give them, and for an FD gradient each row's gauge
+        values at x and at its gradient stencil, in fd_hessian_rows' known
+        layout (else None). An FD gradient takes one gauge call for all
+        points; when it raises, the calls of the two methods are made again,
+        so the exception is theirs."""
+        X = self._check_nonzero(X, "gauge gradient")
+        if self.gauge.gradient is not None:
+            G = np.asarray(self.gauge.gradient(X), dtype=float)
+            return self.gauge_value_rows(X), G, None
+        h = relative_step(X, self.fd_step)
+        P = (X[:, None, None, :] + h[:, None, None, None] * _gradient_offsets(3)).reshape(-1, 3)
+        try:
+            vals = np.asarray(self.gauge.value(np.concatenate([P, X])), dtype=float)
+        except Exception:
+            self.gauge_gradient_rows(X)
+            self.gauge_value_rows(X)
+            raise
+        stencil = _require_finite(vals[:len(P)], P).reshape(len(X), 6)
+        F = vals[len(P):]
+        return F, _central_diffs(stencil, h), np.concatenate([F[:, None], stencil], axis=1)
+
+    def _newton_hessian_rows(self, X, known) -> np.ndarray:
+        """The gauge Hessians of a Newton iteration, with the FD stencil's
+        centre and axis values taken from known when given."""
+        if known is None or self.gauge.hessian is not None:
+            return self.gauge_hessian_rows(X)
+        return fd_hessian_rows(self.gauge.value, X, self.fd_step, known)
+
+    def _inverse_weingarten(self, XI, U=None) -> np.ndarray:
         """Hessians of h_B from the gauge alone (Newton fallback path).
 
         On xi-perp, Hess h_B(xi) = du is the inverse of the Weingarten map of
@@ -409,11 +468,13 @@ class NormModel:
         identity grad F(u) . u = F(u) = 1 gives |grad F(u)| = 1 / (u . xi)
         for unit xi, and h_B is homogeneous of degree 1, so the Hessian at
         a row xi of any length is the unit row's divided by |xi|. Missing
-        gauge Hessians are central differences at _GAUGE_HESSIAN_STEP.
+        gauge Hessians are central differences at _GAUGE_HESSIAN_STEP. U,
+        when given, holds u at the rows of XI, solved already.
         """
         r = _norm_rows(XI)
         XI = XI / r[:, None]
-        U = self._newton_points(XI)
+        if U is None:
+            U = self._newton_points(XI)
         if self.gauge.hessian is not None:
             HF = self.gauge_hessian_rows(U)
         else:
@@ -425,12 +486,23 @@ class NormModel:
                             "Weingarten map of the unit ball's boundary")
         return E @ M @ Et / r[:, None, None]
 
+    def birkhoff_du_rows(self, XI) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """u(xi) and du_restricted(xi) at the rows of XI, as (U, E, M).
+
+        Equal to birkhoff_point_rows and du_restricted_rows; a norm without
+        dual jets solves u(xi) once per row and builds du from that u.
+        """
+        if self.dual is not None:
+            return (self.birkhoff_point_rows(XI), *self.du_restricted_rows(XI))
+        XI = self._check_nonzero(XI, "Birkhoff point")
+        XI = XI / _norm_rows(XI)[:, None]
+        U = self._newton_points(XI)
+        return (U, *_restricted(XI, self._inverse_weingarten(XI, U)))
+
     def du_restricted_rows(self, XI) -> tuple[np.ndarray, np.ndarray]:
         XI = np.asarray(XI, dtype=float)
         XI = XI / _norm_rows(XI)[:, None]
-        E = tangent_basis(XI)
-        M = np.swapaxes(E, 1, 2) @ self.dual_hessian_rows(XI) @ E
-        return E, 0.5 * (M + np.swapaxes(M, 1, 2))
+        return _restricted(XI, self.dual_hessian_rows(XI))
 
     def dupin_form_rows(self, ETA, X, Y) -> np.ndarray:
         n = self.gauge_gradient_rows(ETA)
@@ -537,8 +609,9 @@ def custom_norm(gauge, dual=None, allow_newton: bool = True,
 
     The callables are adapted to rows of points with numerics.per_point.
     Without dual jets, Birkhoff points fall back to a projected Newton solve
-    on the gauge (unless allow_newton=False), one row at a time; gauge
-    derivatives missing from the jet come from central differences.
+    on the gauge (unless allow_newton=False), the rows of a batch advanced in
+    lockstep; gauge derivatives missing from the jet come from central
+    differences.
     """
     gauge = _per_point_jet(gauge)
     if dual is not None:

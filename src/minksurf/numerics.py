@@ -250,17 +250,30 @@ def _hessian_offsets(n: int) -> np.ndarray:
     return offsets
 
 
-def fd_hessian_rows(field, X, step: float) -> np.ndarray:
+def fd_hessian_rows(field, X, step: float, known=None) -> np.ndarray:
     """Central-difference Hessians of a batched scalar field at the rows of X, symmetrized.
 
     Diagonal: (f(x+h e_i) - 2 f(x) + f(x-h e_i)) / h^2.
     Off-diagonal: the standard 4-point cross stencil. Steps are relative per row.
+    known (N, 2n + 1), when given, holds each row's values at x and at the
+    points fd_gradient_rows places, x + h e_0, x - h e_0, ..., at the same
+    step; only the cross points are evaluated, and errors are raised as if
+    all points were.
     """
     X = np.asarray(X, dtype=float)
     N, n = X.shape
     h = relative_step(X, step)
     O = _hessian_offsets(n)
-    f = _field_values(field, (X[:, None, :] + h[:, None, None] * O).reshape(-1, n)).reshape(N, -1)
+    pts = (X[:, None, :] + h[:, None, None] * O).reshape(-1, n)
+    if known is None:
+        f = _field_values(field, pts).reshape(N, -1)
+    else:
+        axis = np.abs(O).sum(axis=1) <= 1.0
+        f = np.empty((N, len(O)))
+        f[:, axis] = known
+        cross = pts.reshape(N, -1, n)[:, ~axis].reshape(-1, n)
+        f[:, ~axis] = _field_values(field, cross, finite=False).reshape(N, -1)
+        _require_finite(f.ravel(), pts)
     hess = np.empty((N, n, n))
     k = 1
     for i in range(n):
@@ -277,19 +290,6 @@ def fd_hessian(field, point, step: float) -> np.ndarray:
     return fd_hessian_rows(per_point(field, 1), np.asarray(point, dtype=float)[None], step)[0]
 
 
-def fd_second_directional_rows(field, P, X, Y, step) -> np.ndarray:
-    """X(Y(field)) at the rows of P by the 4-point stencil, for a batched field.
-
-    X, Y are directions (one, or one per row); step is absolute (one, or one
-    per row).
-    """
-    P = np.asarray(P, dtype=float)
-    h = np.broadcast_to(np.asarray(step, dtype=float), (len(P),))
-    pts = _cross_stencil(P, X, Y, h)
-    f = _field_values(field, pts.reshape(-1, P.shape[1])).reshape(len(P), 4)
-    return _mixed(*f.T, h)
-
-
 def _cross_stencil(P, X, Y, h) -> np.ndarray:
     """The 4 points P + hX + hY, P + hX - hY, P - hX + hY, P - hX - hY of the
     mixed stencil at each row of P (N, n), with the step h of the row: (N, 4, n)."""
@@ -304,9 +304,10 @@ def fd_second_directional(field, point, X, Y, step: float) -> float:
     Exact bilinear pairing X^T Hess(field) Y up to O(step^2); the cross points
     of distances' hess_b stencils are the same. step is absolute.
     """
-    return float(fd_second_directional_rows(per_point(field, 1), np.asarray(point, dtype=float)[None],
-                                            np.asarray(X, dtype=float)[None],
-                                            np.asarray(Y, dtype=float)[None], step)[0])
+    P = np.asarray(point, dtype=float)[None]
+    h = np.array([float(step)])
+    pts = _cross_stencil(P, np.asarray(X, dtype=float)[None], np.asarray(Y, dtype=float)[None], h)
+    return float(_mixed(*_field_values(per_point(field, 1), pts[0]), h)[0])
 
 
 def chart_stencil(s, t, h) -> tuple[np.ndarray, np.ndarray]:

@@ -120,17 +120,17 @@ def evaluate_jet(surface: SurfacePatch, s: float, t: float) -> SurfaceJet:
 
 
 def _fd_jet(position, s, t, step: float) -> SurfaceJet:
-    """Central-difference second-order jet of a position-only chart."""
+    """Central-difference second-order jet of a position-only chart.
+
+    position is called once, on the 9 stencil points of every (s, t),
+    offset-major: all centres, then all (s + h, t), and so on.
+    """
     h = step
-    f = np.asarray(position(s, t), dtype=float)
-    fp_s = np.asarray(position(s + h, t), dtype=float)
-    fm_s = np.asarray(position(s - h, t), dtype=float)
-    fp_t = np.asarray(position(s, t + h), dtype=float)
-    fm_t = np.asarray(position(s, t - h), dtype=float)
-    fpp = np.asarray(position(s + h, t + h), dtype=float)
-    fpm = np.asarray(position(s + h, t - h), dtype=float)
-    fmp = np.asarray(position(s - h, t + h), dtype=float)
-    fmm = np.asarray(position(s - h, t - h), dtype=float)
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    S = np.stack([s, s + h, s - h, s, s, s + h, s + h, s - h, s - h])
+    T = np.stack([t, t, t, t + h, t - h, t + h, t - h, t + h, t - h])
+    f, fp_s, fm_s, fp_t, fm_t, fpp, fpm, fmp, fmm = np.asarray(
+        position(S.ravel(), T.ravel()), dtype=float).reshape(S.shape + (-1,))
     return SurfaceJet(
         f=f,
         f_s=(fp_s - fm_s) / (2 * h),
@@ -144,6 +144,11 @@ def _fd_jet(position, s, t, step: float) -> SurfaceJet:
 # ---------------------------------------------------------------------------
 # built-in families
 # ---------------------------------------------------------------------------
+
+def _unit_sphere(s, t):
+    """The spherical-angle chart of the Euclidean unit sphere (s = polar, t = azimuth)."""
+    return _stack_last(np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s))
+
 
 def _sphere_angle_jets(s, t):
     """Jet of the spherical-angle chart of the Euclidean unit sphere."""
@@ -168,7 +173,7 @@ def euclidean_sphere(r: float, center=(0.0, 0.0, 0.0), jet_source: str = "analyt
     c = np.asarray(center, dtype=float)
 
     def position(s, t):
-        return c + r * _stack_last(np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s))
+        return c + r * _unit_sphere(s, t)
 
     def jet(s, t):
         e, e_s, e_t, e_ss, e_st, e_tt = _sphere_angle_jets(s, t)
@@ -187,7 +192,7 @@ def ellipsoid(a: float, b: float, c: float, jet_source: str = "analytic",
     axes = np.array([a, b, c])
 
     def position(s, t):
-        return axes * _stack_last(np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s))
+        return axes * _unit_sphere(s, t)
 
     def jet(s, t):
         return SurfaceJet(*(axes * e for e in _sphere_angle_jets(s, t)))
@@ -305,7 +310,7 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
     c = np.asarray(center, dtype=float)
 
     def position(s, t):
-        xi = _sphere_angle_jets(s, t)[0]
+        xi = _unit_sphere(s, t)
         return c + rho * norm.birkhoff_point_rows(xi.reshape(-1, 3)).reshape(xi.shape)
 
     analytic = norm.has_analytic_dual_jets

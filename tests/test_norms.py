@@ -108,13 +108,13 @@ def test_newton_matches_dual_gradient(lp4):
     dual-gradient closed form produces."""
     xi = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     direct = lp4.birkhoff_point(xi)
-    newton = lp4._newton_point(xi)
+    newton = lp4._newton_points(xi[None])[0]
     assert np.linalg.norm(direct - newton) < 1e-10
     rng = np.random.default_rng(8)
     for _ in range(10):
         xi = rng.normal(size=3)
         xi /= np.linalg.norm(xi)
-        assert np.linalg.norm(lp4.birkhoff_point(xi) - lp4._newton_point(xi)) < 1e-9
+        assert np.linalg.norm(lp4.birkhoff_point(xi) - lp4._newton_points(xi[None])[0]) < 1e-9
 
 
 def test_custom_norm_newton_fallback():
@@ -298,9 +298,23 @@ def test_gauge_only_birkhoff_points_are_smooth_over_the_chart_stencil():
         assert np.abs(d[:, 0] - 2.0 * d[:, 1] + d[:, 2]).max() / h**2 <= 1e-4
 
 
+def _count_solves(monkeypatch):
+    """A counter of the rows NormModel solves by Newton."""
+    solves = [0]
+    newton_points = mk.NormModel._newton_points
+
+    def counted_solve(self, XI):
+        solves[0] += len(XI)
+        return newton_points(self, XI)
+
+    monkeypatch.setattr(mk.NormModel, "_newton_points", counted_solve)
+    return solves
+
+
 def test_gauge_only_work_counts(monkeypatch):
-    """A Newton solve stops at the floor of its FD gradients, and one dual
-    Hessian row costs one solve (it took 6, and 1,304 gauge values per solve)."""
+    """A Newton solve stops at the floor of its FD gradients and evaluates no
+    gauge point twice, and one dual Hessian row costs one solve (it took 6,
+    and 1,304 gauge values per solve; then 152 per solve)."""
     calls = [0]
 
     def counted(x):
@@ -311,15 +325,118 @@ def test_gauge_only_work_counts(monkeypatch):
     XI = _random_normals(40, 0)
     for xi in XI:
         norm.birkhoff_point(xi)
-    assert calls[0] / len(XI) <= 250
+    assert calls[0] <= 4442  # 111 gauge values per solve
 
-    solves = [0]
-    newton_point = mk.NormModel._newton_point
-
-    def counted_solve(self, xi):
-        solves[0] += 1
-        return newton_point(self, xi)
-
-    monkeypatch.setattr(mk.NormModel, "_newton_point", counted_solve)
+    solves = _count_solves(monkeypatch)
     norm.dual_hessian(XI[0])
     assert solves[0] == 1
+
+
+def test_gauge_only_geometry_solves_each_normal_once(monkeypatch, ellipsoid_std):
+    """η and du of a point share one Newton solve, and equal what
+    birkhoff_point_rows and du_restricted_rows give."""
+    norm = mk.custom_norm(_lp4_gauge)
+    s, t = np.linspace(0.4, 2.7, 5), np.linspace(0.1, 6.0, 5)
+    solves = _count_solves(monkeypatch)
+    batch = mk.geometry_batch(norm, ellipsoid_std, s, t)
+    assert solves[0] == len(s)
+    eta, E, M = norm.birkhoff_du_rows(batch.xi)
+    assert np.array_equal(eta, norm.birkhoff_point_rows(batch.xi))
+    assert np.array_equal(eta, batch.eta)
+    E_ref, M_ref = norm.du_restricted_rows(batch.xi)
+    assert np.array_equal(E, E_ref)
+    assert np.abs(M - M_ref).max() <= 1e-8 * np.abs(M_ref).max()
+
+
+# -- the lockstep Newton solve ----------------------------------------------
+
+def _solve_one_at_a_time(norm, XI):
+    """u at each row of XI by the lockstep solve on a batch of one, row after row;
+    the first exception instead, if any."""
+    try:
+        return np.array([norm._newton_points(xi[None])[0] for xi in XI])
+    except Exception as exc:
+        return exc
+
+
+def _stages(monkeypatch):
+    """Per-row counts of the lockstep solve's residual and Hessian stages."""
+    counts = {"residual": 0, "hessian": 0}
+    for name, stage in (("residual", "_value_gradient_rows"), ("hessian", "_newton_hessian_rows")):
+        def counted(self, *args, _fn=getattr(mk.NormModel, stage), _name=name):
+            counts[_name] += len(args[0])
+            return _fn(self, *args)
+
+        monkeypatch.setattr(mk.NormModel, stage, counted)
+    return counts
+
+
+def test_lockstep_newton_equals_solves_of_one_row(monkeypatch):
+    """Rows of one batch that backtrack and converge after different numbers
+    of iterations each land bit for bit where their own solve lands, under
+    FD gauges and a gauge jet with analytic gradient and Hessian."""
+    XI = _random_normals(12, 7)
+    XI[0] = [1.0, 0.0, 0.0]
+    stages = _stages(monkeypatch)
+    iterations, trials = [], []
+    for gauge in (_lp4_gauge, _ellipsoid_gauge, mk.lp_norm(4.0).gauge):
+        norm = mk.custom_norm(gauge)
+        for xi in XI:
+            stages.update(residual=0, hessian=0)
+            norm._newton_points(xi[None])
+            iterations.append(stages["hessian"])
+            trials.append(stages["residual"] - 1)
+        assert np.array_equal(norm._newton_points(XI), _solve_one_at_a_time(norm, XI))
+        assert np.array_equal(norm.birkhoff_point_rows(XI), [norm.birkhoff_point(xi) for xi in XI])
+    assert len(set(iterations)) > 2
+    assert any(k > i for k, i in zip(trials, iterations))
+
+
+def _stencil_point(xi, offset):
+    """The gauge stencil point seed + h offset of the solve of xi (h the
+    relative FD step at the radial seed)."""
+    x = xi / _lp4_gauge(xi)
+    return x + 1e-5 * max(1.0, float(np.linalg.norm(x))) * np.asarray(offset, dtype=float)
+
+
+def _failing_at(points, value=None):
+    """The lp(4) gauge, raising ValueError (or returning value) at the points."""
+    def gauge(x):
+        if any(np.array_equal(x, p) for p in points):
+            if value is None:
+                raise ValueError(f"no gauge at {x!r}")
+            return value
+        return _lp4_gauge(x)
+
+    return gauge
+
+
+# unit rows that normalizing leaves bitwise unchanged, so the solves' seeds
+# are the points _stencil_point starts from
+XI_FAIL = np.array([xi for xi in _random_normals(40, 11) if np.array_equal(xi / np.linalg.norm(xi), xi)][:6])
+E0, E1 = np.eye(3)[0], np.eye(3)[1]
+
+
+@pytest.mark.parametrize("norm, error", [
+    # row 1 fails at a cross point of its first Hessian, row 4 earlier, at
+    # its seed's gradient stencil: the per-row loop meets row 1's first
+    (mk.custom_norm(_failing_at([_stencil_point(XI_FAIL[1], E0 + E1), _stencil_point(XI_FAIL[4], E0)])),
+     mk.EvaluationFailure),
+    # the gauge's own exception at a seed escapes as it is
+    (mk.custom_norm(_failing_at([_stencil_point(XI_FAIL[2], 0.0 * E0)])), ValueError),
+    (mk.custom_norm(_failing_at([_stencil_point(XI_FAIL[3], -E1)], float("nan"))), mk.EvaluationFailure),
+    (mk.custom_norm(_failing_at([_stencil_point(XI_FAIL[3], 0.0 * E0)], float("nan"))),
+     mk.EvaluationFailure),
+    (mk.custom_norm(_lp4_gauge, config=mk.NumericsConfig(newton_max_iter=1)), mk.NewtonDivergence),
+    (mk.custom_norm(_lp4_gauge, allow_newton=False), mk.MissingDualJets),
+], ids=["raises-in-a-later-stage", "raises-at-a-seed", "nan-at-a-stencil-point", "nan-at-a-seed",
+        "newton-max-iter-1", "newton-disabled"])
+def test_lockstep_newton_raises_what_the_row_loop_raises_first(norm, error):
+    expected = _solve_one_at_a_time(norm, XI_FAIL)
+    assert type(expected) is error
+    with pytest.raises(error) as got:
+        norm._newton_points(XI_FAIL)
+    assert str(got.value) == str(expected)
+    with pytest.raises(error) as got:
+        norm.birkhoff_point_rows(XI_FAIL)
+    assert str(got.value) == str(expected)

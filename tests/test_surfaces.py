@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,6 +130,34 @@ def test_minkowski_sphere_custom_norm_falls_back_to_fd():
     assert ms.jet_source == "fd"
     jet = evaluate_jet(ms, 1.0, 1.0)
     assert np.all(np.isfinite(jet.f_ss))
+
+
+def test_fd_jet_places_its_stencil_in_one_position_call(monkeypatch):
+    """The 9 stencil points of every chart point go to position in one call,
+    offset-major, and a Minkowski sphere solves them as one Newton batch."""
+    calls = []
+    surf = mk.graph(lambda s, t: (s * s * t + np.sin(t), 0, 0, 0, 0, 0), jet_source="fd")
+
+    def position(s, t):
+        calls.append((np.copy(s), np.copy(t)))
+        return surf.position(s, t)
+
+    s, t = np.array([0.1, 0.3, -0.2]), np.array([0.5, -0.4, 0.2])
+    jets = mk.evaluate_jets(replace(surf, position=position), s, t)
+    assert len(calls) == 1
+    h = surf.fd_step
+    S, T = calls[0]
+    assert np.array_equal(S[:6], np.concatenate([s, s + h]))
+    assert np.array_equal(T[-3:], t - h)
+    assert np.array_equal(jets.f_st, mk.evaluate_jets(surf, s, t).f_st)
+
+    solves = []
+    newton_points = mk.NormModel._newton_points
+    monkeypatch.setattr(mk.NormModel, "_newton_points",
+                        lambda self, XI: solves.append(len(XI)) or newton_points(self, XI))
+    norm = mk.custom_norm(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25))
+    mk.evaluate_jets(mk.minkowski_sphere(norm, 1.5), s + 1.0, t)
+    assert solves == [27]
 
 
 def test_orientation_outward_families():
