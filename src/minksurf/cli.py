@@ -13,7 +13,9 @@ Subcommands:
       Print the JSON schema for config files or reports.
 
 Reports are byte-deterministic for a fixed config: randomized point sets
-derive from the config seed, floats are emitted with 17 significant digits,
+derive from the config seed, through numerics.UniformStream, an in-repo copy
+of the PCG64 stream of numpy's default_rng, so they do not depend on the
+installed numpy; floats are emitted with 17 significant digits,
 keys are sorted, and no timestamps are recorded. A run evaluates the grid
 geometry once, as one batch of arrays in one thread, and every check and the
 field table read it from there; the random points of a check are one batch
@@ -27,7 +29,8 @@ MSK_THREADS is still a configuration error, exit 2).
 The CLI needs numpy. A config that conforms to the config schema is accepted
 by an in-repo check of the schema's keywords, so a valid run never imports
 jsonschema; jsonschema words the error of a rejected config, and validates
-reports in the test suite. scipy is a test dependency only.
+reports in the test suite. scipy is a test dependency only, and a run never
+loads numpy's random module.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ from .geometry import (
 from .norms import NormModel, norm_from_spec
 # The CLI calls brentq_rows only; brentq stays bound here for perfbench/tracing.py,
 # which wraps cli.brentq.
-from .numerics import (NumericsConfig, _norm_rows, _stack_last, brentq, brentq_rows,  # noqa: F401
-                       in_row_order)
+from .numerics import (NumericsConfig, UniformStream, _norm_rows, _stack_last, brentq,  # noqa: F401
+                       brentq_rows, in_row_order)
 from .surfaces import SurfacePatch, grid_points, surface_from_spec
 
 
@@ -220,14 +223,15 @@ class RunContext:
         """
         return in_row_order(lambda rows: residual(self.batch(pts[rows]), rows), len(pts))
 
-    def rng(self, check_id: str) -> np.random.Generator:
+    def rng(self, check_id: str) -> UniformStream:
         # Seeded per check from the registry index, so the stream is stable
         # regardless of which other checks run.
-        return np.random.default_rng([self.seed, _REGISTRY_INDEX[check_id]])
+        return UniformStream([self.seed, _REGISTRY_INDEX[check_id]])
 
-    def random_params(self, rng: np.random.Generator, n: int) -> list[tuple[float, float]]:
+    def random_params(self, rng: UniformStream, n: int) -> list[tuple[float, float]]:
         """n uniform chart points; each axis starts its margin in, and ends its margin
-        early unless it is periodic."""
+        early unless it is periodic. rng is a UniformStream, or anything with
+        its uniform(low, high, n), such as a numpy Generator."""
         s0, s1, t0, t1 = self.surface.domain
         (ms, mt), (ps, pt) = self.margins, self.surface.periodic
         ss = rng.uniform(s0 + ms, s1 if ps else s1 - ms, n)

@@ -25,7 +25,15 @@ class MissingDualJets(MinksurfError):
 
 
 class NewtonDivergence(MinksurfError):
-    """The constrained Newton solve for the Birkhoff point failed to converge."""
+    """The constrained Newton solve for the Birkhoff point failed to converge.
+
+    location is the chart point (s, t) whose normal failed, when the solve
+    ran for a surface's geometry; else None.
+    """
+
+    def __init__(self, message: str, location: tuple | None = None):
+        super().__init__(message)
+        self.location = location
 
 
 class SingularRestriction(MinksurfError):

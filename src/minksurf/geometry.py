@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ComplexEigenvalues, SingularMetric, ZeroDirection
+from .errors import ComplexEigenvalues, NewtonDivergence, SingularMetric, ZeroDirection
 from .norms import NormModel
 from .numerics import (NumericsConfig, DEFAULT_CONFIG, _dot, _invert_2x2_spd, _mat2, _stack_last,
                        first_row, in_row_order, simpson_periodic_mean, sym_generalized_eigen_2x2)
@@ -154,7 +154,13 @@ def _geometry_rows(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.
     Ginv = _invert_2x2_spd(G, "first fundamental form")
     dxi_mat = -Ginv @ II
 
-    eta, E, M_du = norm.birkhoff_du_rows(xi)
+    try:
+        eta, E, M_du = norm.birkhoff_du_rows(xi)
+    except NewtonDivergence as exc:
+        if len(s) != 1:
+            raise  # geometry_batch runs the rows again, one at a time
+        location = (float(s[0]), float(t[0]))
+        raise NewtonDivergence(f"{exc} at (s,t)=({location[0]}, {location[1]})", location) from exc
     pairing = _dot(eta, xi)
     flipped = pairing < 0.0
     # a flip can only occur via a fallback path; re-orient once

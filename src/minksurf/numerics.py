@@ -1,17 +1,20 @@
 """Shared numerical kernels: finite differences, 2x2 inverses and generalized
-eigensolves, periodic Simpson quadrature, guarded linear solves, and
-Brent's bracketed root finder, for one bracket or many advanced in lockstep.
+eigensolves, periodic Simpson quadrature, guarded linear solves,
+Brent's bracketed root finder, for one bracket or many advanced in lockstep,
+and the seeded uniform stream the checks draw their random points from.
 
-All kernels are stateless; tolerances and steps come in as arguments, most of
-them from one NumericsConfig record. They work on arrays of points: a `_rows`
-kernel takes one point per row and a batched field, and the function of one
-point of the same name runs it on a batch of one, adapting the scalar field
-it is given with per_point. The 2x2 kernels take single matrices or stacks.
+All kernels are stateless (the stream is the one object with state);
+tolerances and steps come in as arguments, most of them from one
+NumericsConfig record. They work on arrays of points: a `_rows` kernel takes
+one point per row and a batched field, and the function of one point of the
+same name runs it on a batch of one, adapting the scalar field it is given
+with per_point. The 2x2 kernels take single matrices or stacks.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -545,3 +548,83 @@ def convergence_order(steps, errors) -> float:
     errors = np.maximum(np.abs(np.asarray(errors, dtype=float)), 1e-300)
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     return float(slope)
+
+
+# SeedSequence's hash constants (numpy's bit_generator module) and PCG64's
+# 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix: each call xors its uint32 word with the hash
+    constant, steps the constant (times mult) and scrambles the word with it."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+class UniformStream:
+    """The uniform doubles of numpy's default_rng(entropy), in pure Python.
+
+    entropy is a sequence of non-negative integers. It is hashed into a
+    4-word pool as numpy's SeedSequence does, and the pool's
+    generate_state(4, uint64) seeds a PCG64 generator (a 128-bit LCG with
+    XSL-RR output). uniform(low, high, n) returns the n doubles
+    default_rng(entropy).uniform(low, high, n) returns, bit for bit, so the
+    stream belongs to this package, not to the installed numpy.
+    """
+
+    def __init__(self, entropy):
+        words = []
+        for v in map(operator.index, entropy):
+            if v < 0:
+                raise ValueError(f"entropy must be non-negative, got {v}")
+            while True:  # least significant uint32 word first; 0 is one word
+                words.append(v & _MASK32)
+                v >>= 32
+                if not v:
+                    break
+        hashmix = _hashmix(_INIT_A, _MULT_A)
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for w in words[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(w))
+
+        out = _hashmix(_INIT_B, _MULT_B)
+        state = [out(pool[i % 4]) for i in range(8)]
+        seed = [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+        self._inc = (seed[2] << 64 | seed[3]) << 1 & _MASK128 | 1
+        self._state = ((seed[0] << 64 | seed[1]) + self._inc) * _PCG_MULT + self._inc & _MASK128
+
+    def uniform(self, low: float, high: float, n: int) -> np.ndarray:
+        """n doubles low + (high - low) u, each u the next 53 bits of the stream times 2^-53."""
+        low, span = float(low), float(high) - float(low)
+        state, inc, out = self._state, self._inc, []
+        for _ in range(n):
+            state = state * _PCG_MULT + inc & _MASK128
+            x = (state >> 64 ^ state) & _MASK64
+            rot = state >> 122
+            x = (x >> rot | x << (64 - rot)) & _MASK64
+            out.append(low + span * ((x >> 11) * 2.0 ** -53))
+        self._state = state
+        return np.array(out)

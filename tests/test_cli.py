@@ -252,6 +252,18 @@ def test_valid_run_leaves_jsonschema_unloaded(tmp_path):
     assert out.stderr == "config error: config does not match schema: 'four' is not of type 'number'\n"
 
 
+def test_random_point_checks_leave_numpy_random_unloaded(tmp_path):
+    # the checks draw their points from numerics.UniformStream
+    checks = ["prop-2-1", "prop-2-2", "prop-2-3", "lemma-3-1", "thm-3-1", "prop-3-1", "thm-3-2"]
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "checks": checks})
+    code = ("import sys, minksurf.cli\n"
+            "assert minksurf.cli.main(['run', '--config', sys.argv[1]]) == 0\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    out = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert all(f"] {c}: " in out.stderr for c in checks), out.stderr
+
+
 def test_output_path_and_csv_format(tmp_path):
     report_path = tmp_path / "report.json"
     cfg = write_config(tmp_path, {
@@ -456,6 +468,7 @@ EUCLIDEAN_TORUS = {
     "seed": 1234,
 }
 EUCLIDEAN_CATENOID = {**EUCLIDEAN_TORUS, "surface": {"family": "catenoid"}}
+EUCLIDEAN_SPHERE = {**EUCLIDEAN_TORUS, "surface": {"family": "euclidean_sphere", "r": 1.0}}
 
 # (check, config, a tolerance below its residual there: about a tenth of it)
 RUNNER_CASES = [
@@ -465,6 +478,10 @@ RUNNER_CASES = [
     ("cor-2-1", EUCLIDEAN_TORUS, 1e-14),          # 1.2e-13
     ("minimality-scan", EUCLIDEAN_CATENOID, 4e-10),  # 3.9e-9
     ("cor-2-1", EUCLIDEAN_CATENOID, 3e-17),       # 3.4e-16
+    ("prop-2-2", EUCLIDEAN_TORUS, 7e-17),         # 7.2e-16
+    ("prop-2-3", EUCLIDEAN_TORUS, 3e-17),         # 3.3e-16
+    ("thm-3-2", EUCLIDEAN_TORUS, 6e-10),          # 5.7e-9
+    ("curvature-closed-form", EUCLIDEAN_SPHERE, 9e-17),  # 8.9e-16
 ]
 RUNNER_IDS = [f"{c}-{cfg['surface']['family']}" for c, cfg, _ in RUNNER_CASES]
 

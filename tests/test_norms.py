@@ -440,3 +440,23 @@ def test_lockstep_newton_raises_what_the_row_loop_raises_first(norm, error):
     with pytest.raises(error) as got:
         norm.birkhoff_point_rows(XI_FAIL)
     assert str(got.value) == str(expected)
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-6])
+def test_a_failed_newton_solve_of_a_geometry_names_its_chart_point(t):
+    # t = 0 lies on an lp(4) axis circle, where the FD gauge Hessian makes the
+    # KKT system singular; t = 1e-6 is next to it
+    norm, surface = mk.custom_norm(_lp4_gauge), mk.ellipsoid(1.0, 1.3, 0.8)
+    xi = mk.point_geometry(mk.euclidean_norm(), surface, 0.8, t).xi
+    with pytest.raises(mk.NewtonDivergence) as solve:
+        norm.birkhoff_du_rows(xi[None])
+    assert solve.value.location is None
+    with pytest.raises(mk.NewtonDivergence) as got:
+        mk.point_geometry(norm, surface, 0.8, t)
+    assert str(got.value) == f"{solve.value} at (s,t)=(0.8, {t})"
+    assert got.value.location == (0.8, t)
+    # a batch names its first failing point
+    with pytest.raises(mk.NewtonDivergence) as got:
+        mk.geometry_batch(norm, surface, [0.8, 2.0, 0.8], [1.0, t, t])
+    assert got.value.location == (2.0, t)
+    assert str(got.value).startswith("singular KKT system at x=")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from minksurf.errors import InvalidParameter, NotSPD, NumericalFailure, OddSampleCount
 from minksurf.numerics import (
     NumericsConfig,
+    UniformStream,
     brentq,
     brentq_rows,
     central_diff,
@@ -243,3 +244,33 @@ def test_convergence_order_synthetic():
     steps = np.array([1e-2, 5e-3, 2.5e-3])
     errs = 3.0 * steps**2
     assert convergence_order(steps, errs) == pytest.approx(2.0, abs=1e-6)
+
+
+# Seeds the config schema allows (any integer >= 0; from 2**32 on a seed is
+# several uint32 words of entropy), each with every registry index.
+STREAM_SEEDS = [0, 1, 1234, 377910076, 2**31 - 1, 2**32, 2**70, 2**200]
+# The draws of the random-point checks, in call order: thm-3-2's three
+# centre offsets, then point axes and angles of 10, 40, 50 and 100 draws.
+CHECK_DRAWS = [(-0.3, 0.3, 3)] * 3 + [
+    (0.3, 2.8, 10), (0.1, 2.0 * math.pi, 10),
+    (0.3, 2.0 * math.pi, 40), (0.1, 2.0 * math.pi, 40), (0.0, 2.0 * math.pi, 40),
+    (-1.0, 1.0, 50), (0.1, 6.183185307179586, 50),
+    (0.3, 2.8, 100), (0.1, 6.183185307179586, 100), (0.0, 2.0 * math.pi, 100),
+]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_uniform_stream_draws_the_doubles_of_numpys_default_rng(seed):
+    for index in range(15):
+        ours, numpys = UniformStream([seed, index]), np.random.default_rng([seed, index])
+        for low, high, n in CHECK_DRAWS:
+            got, want = ours.uniform(low, high, n), numpys.uniform(low, high, n)
+            assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+            assert got.tobytes() == want.tobytes(), (seed, index, low, high, n)
+
+
+def test_uniform_stream_takes_non_negative_integers_only():
+    with pytest.raises(ValueError):
+        UniformStream([-1, 0])
+    with pytest.raises(TypeError):
+        UniformStream([1.5, 0])
