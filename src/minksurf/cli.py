@@ -260,29 +260,18 @@ class RunContext:
         return np.mean(self.surface.position(s, t), axis=0)
 
 
-@dataclass
-class CheckResult:
-    id: str
-    paper_anchor: str
-    max_residual: Optional[float]
-    tolerance: float
-    passed: bool
-    worst_point: Optional[tuple[float, float]]
-    n_points: int
-    detail: dict
-
-
-def _aggregate(check_id: str, anchor: str, tol: float,
-               residuals, points: list[tuple[float, float]],
-               detail: dict | None = None) -> CheckResult:
+def _aggregate(tol: float, residuals, points: list[tuple[float, float]],
+               detail: dict | None = None) -> dict:
+    """A check's report entry, less the id and paper anchor that _report adds."""
     if len(residuals) == 0:
-        return CheckResult(check_id, anchor, None, tol, True, None, 0,
-                           dict(detail or {}, note="no applicable points"))
+        return {"max_residual": None, "tolerance": tol, "pass": True, "worst_point": None,
+                "n_points": 0, "detail": dict(detail or {}, note="no applicable points")}
     # argmax takes the first NaN, so a NaN residual is the worst and fails the check.
     i = int(np.argmax(residuals))
     worst = float(residuals[i])
-    return CheckResult(check_id, anchor, worst, tol, bool(worst <= tol),
-                       (points[i][0], points[i][1]), len(residuals), dict(detail or {}))
+    return {"max_residual": worst, "tolerance": tol, "pass": bool(worst <= tol),
+            "worst_point": [points[i][0], points[i][1]], "n_points": len(residuals),
+            "detail": dict(detail or {})}
 
 
 def _where(points: list, mask) -> list:
@@ -305,17 +294,16 @@ def _expected_sphere_curvature(ctx: RunContext) -> float:
         "or to minkowski_sphere surfaces")
 
 
-def _run_curvature_closed_form(ctx: RunContext) -> CheckResult:
+def _run_curvature_closed_form(ctx: RunContext) -> dict:
     kappa = _expected_sphere_curvature(ctx)
     tol = ctx.tolerance("curvature-closed-form", 1e-8 if ctx.analytic else 1e-3)
     g = ctx.geometries()
     residuals = np.max([np.abs(g.lambda1 - kappa), np.abs(g.lambda2 - kappa),
                         np.abs(g.K - kappa**2), np.abs(g.H - kappa)], axis=0)
-    return _aggregate("curvature-closed-form", "§1 (Euclidean reduction)", tol,
-                      residuals, ctx.grid, {"expected_curvature": kappa})
+    return _aggregate(tol, residuals, ctx.grid, {"expected_curvature": kappa})
 
 
-def _run_umbilicity(ctx: RunContext) -> CheckResult:
+def _run_umbilicity(ctx: RunContext) -> dict:
     tol = ctx.tolerance("umbilicity", 1e-6 if ctx.analytic else 1e-3)
     detail = {}
     g = ctx.geometries()
@@ -325,26 +313,24 @@ def _run_umbilicity(ctx: RunContext) -> CheckResult:
         residuals = np.abs(g.W - kappa * np.eye(2)).max(axis=(1, 2))
     else:
         residuals = np.abs(g.lambda1 - g.lambda2)
-    return _aggregate("umbilicity", "Prop 3.2 proof", tol, residuals, ctx.grid, detail)
+    return _aggregate(tol, residuals, ctx.grid, detail)
 
 
-def _run_prop_2_1(ctx: RunContext) -> CheckResult:
+def _run_prop_2_1(ctx: RunContext) -> dict:
     rng = ctx.rng("prop-2-1")
     pts = ctx.random_params(rng, 50)
     nodes = max(8, min(ctx.numerics.quad_nodes, 256))
     residuals = ctx.residuals(pts, lambda gb, _: np.abs(_indicatrix_means(gb, nodes) - gb.H))
-    return _aggregate("prop-2-1", "Prop 2.1", ctx.tolerance("prop-2-1", 1e-10),
-                      residuals, pts, {"nodes": nodes})
+    return _aggregate(ctx.tolerance("prop-2-1", 1e-10), residuals, pts, {"nodes": nodes})
 
 
-def _run_prop_2_2(ctx: RunContext) -> CheckResult:
+def _run_prop_2_2(ctx: RunContext) -> dict:
     rng = ctx.rng("prop-2-2")
     pts = ctx.random_params(rng, 100)
     thetas = rng.uniform(0.0, 2.0 * np.pi, len(pts))
     residuals = ctx.residuals(
         pts, lambda gb, rows: np.abs(_dupin_pair_sums(gb, thetas[rows]) - 2.0 * gb.H))
-    return _aggregate("prop-2-2", "Prop 2.2", ctx.tolerance("prop-2-2", 1e-10),
-                      residuals, pts)
+    return _aggregate(ctx.tolerance("prop-2-2", 1e-10), residuals, pts)
 
 
 def _locate_h_zero_points(ctx: RunContext) -> tuple[list, GeometryBatch]:
@@ -404,37 +390,36 @@ def _asymptotic_orthogonality(gb: GeometryBatch) -> tuple[np.ndarray, np.ndarray
     return np.abs(_quad(X, g.d_mat, Y)), used
 
 
-def _run_cor_2_1(ctx: RunContext) -> CheckResult:
+def _run_cor_2_1(ctx: RunContext) -> dict:
     tol = ctx.tolerance("cor-2-1", 1e-6)
     pts, gb = _locate_h_zero_points(ctx)
     residuals, used = _asymptotic_orthogonality(gb)
-    return _aggregate("cor-2-1", "Cor 2.1", tol, residuals, _where(pts, used),
+    return _aggregate(tol, residuals, _where(pts, used),
                       {"candidates": len(pts), "skipped": int(len(pts) - used.sum())})
 
 
-def _run_prop_2_3(ctx: RunContext) -> CheckResult:
+def _run_prop_2_3(ctx: RunContext) -> dict:
     rng = ctx.rng("prop-2-3")
     pts = ctx.random_params(rng, 100)
 
     def residual(gb, _):
         return np.abs(_determinant_gaussians(gb) - gb.K) / np.maximum(1.0, np.abs(gb.K))
 
-    return _aggregate("prop-2-3", "Prop 2.3", ctx.tolerance("prop-2-3", 1e-8),
-                      ctx.residuals(pts, residual), pts)
+    return _aggregate(ctx.tolerance("prop-2-3", 1e-8), ctx.residuals(pts, residual), pts)
 
 
-def _run_lemma_3_1(ctx: RunContext) -> CheckResult:
+def _run_lemma_3_1(ctx: RunContext) -> dict:
     rng = ctx.rng("lemma-3-1")
     pts = ctx.random_params(rng, 10)
 
     def residual(gb, _):
         return _norm_rows(_tangent_plane_gradients(gb, ctx.surface, ctx.numerics))
 
-    return _aggregate("lemma-3-1", "Lemma 3.1", ctx.tolerance("lemma-3-1", ctx.numerics.critical_tol),
+    return _aggregate(ctx.tolerance("lemma-3-1", ctx.numerics.critical_tol),
                       ctx.residuals(pts, residual), pts)
 
 
-def _run_thm_3_1(ctx: RunContext) -> CheckResult:
+def _run_thm_3_1(ctx: RunContext) -> dict:
     rng = ctx.rng("thm-3-1")
     pts = ctx.random_params(rng, 10)
 
@@ -443,12 +428,11 @@ def _run_thm_3_1(ctx: RunContext) -> CheckResult:
                               gb.s, gb.t, ctx.numerics)
         return np.abs(Hb + gb.h_mat).max(axis=(1, 2)) / np.maximum(1.0, np.abs(gb.h_mat).max(axis=(1, 2)))
 
-    return _aggregate("thm-3-1", "Thm 3.1", ctx.tolerance("thm-3-1", 1e-3),
-                      ctx.residuals(pts, residual), pts)
+    return _aggregate(ctx.tolerance("thm-3-1", 1e-3), ctx.residuals(pts, residual), pts)
 
 
 def _prop_3_1_residuals(ctx: RunContext, gb: GeometryBatch, phis: np.ndarray) -> list:
-    """Prop 3.1 at the points of gb, each along its direction cos(phi) V1 + sin(phi) V2.
+    """Proposition 3.1 at the points of gb, each along its direction cos(phi) V1 + sin(phi) V2.
 
     hess_b D_a(V, V), with a = p - tt eta, is a function psi(tt) of the
     distance tt along the normal; its root in [0.8, 1.2] / k(V) should be
@@ -477,7 +461,7 @@ def _prop_3_1_residuals(ctx: RunContext, gb: GeometryBatch, phis: np.ndarray) ->
     return out
 
 
-def _run_prop_3_1(ctx: RunContext) -> CheckResult:
+def _run_prop_3_1(ctx: RunContext) -> dict:
     rng = ctx.rng("prop-3-1")
     tol = ctx.tolerance("prop-3-1", 1e-4)
     residuals, used = [], []
@@ -495,10 +479,10 @@ def _run_prop_3_1(ctx: RunContext) -> CheckResult:
                 residuals.append(r)
                 used.append(pt)
         start = chunk.stop
-    return _aggregate("prop-3-1", "Prop 3.1", tol, residuals, used)
+    return _aggregate(tol, residuals, used)
 
 
-def _run_thm_3_2(ctx: RunContext) -> CheckResult:
+def _run_thm_3_2(ctx: RunContext) -> dict:
     rng = ctx.rng("thm-3-2")
     centroid = ctx.surface_centroid()
     centers = [centroid + rng.uniform(-0.3, 0.3, 3) for _ in range(3)]
@@ -509,11 +493,10 @@ def _run_thm_3_2(ctx: RunContext) -> CheckResult:
         lap, _ = _laplacians(gb, ctx.norm, ctx.surface, A[rows], ctx.numerics)
         return np.abs(lap - 2.0 * (gb.H * _rho(gb, A[rows]) - 1.0))
 
-    return _aggregate("thm-3-2", "Thm 3.2", ctx.tolerance("thm-3-2", 5e-3),
-                      ctx.residuals(pts, residual), pts)
+    return _aggregate(ctx.tolerance("thm-3-2", 5e-3), ctx.residuals(pts, residual), pts)
 
 
-def _run_minimality_scan(ctx: RunContext) -> CheckResult:
+def _run_minimality_scan(ctx: RunContext) -> dict:
     tol = ctx.tolerance("minimality-scan", 5e-3)
     a = ctx.distance_center()
     h_tol = 1e-6
@@ -523,20 +506,20 @@ def _run_minimality_scan(ctx: RunContext) -> CheckResult:
     A = np.tile(a, (len(sub), 1))
     lap = in_row_order(lambda rows: _laplacians(sub[rows], ctx.norm, ctx.surface, A[rows],
                                                 ctx.numerics)[0], len(sub)) if len(sub) else np.empty(0)
-    return _aggregate("minimality-scan", "§3 Remark (minimality)", tol, np.abs(lap + 2.0),
-                      _where(ctx.grid, flat),
+    return _aggregate(tol, np.abs(lap + 2.0), _where(ctx.grid, flat),
                       {"h_threshold": h_tol, "min_abs_H": float(np.abs(g.H).min(initial=np.inf))})
 
 
-def _run_prop_3_2(ctx: RunContext) -> CheckResult:
+def _run_prop_3_2(ctx: RunContext) -> dict:
     a = ctx.distance_center()
     rep = _rho_spread(ctx.geometries(), a)
     tol = ctx.tolerance("prop-3-2", 1e-8)
-    return CheckResult("prop-3-2", "Prop 3.2", rep["rho_spread"], tol,
-                       bool(rep["rho_spread"] <= tol), None, rep["n_points"],
-                       {"max_umbilic_defect": rep["max_umbilic_defect"],
-                        "rho_min": rep["rho_min"], "rho_max": rep["rho_max"],
-                        "center": [float(v) for v in a]})
+    spread = rep["rho_spread"]
+    return {"max_residual": spread, "tolerance": tol, "pass": bool(spread <= tol),
+            "worst_point": None, "n_points": rep["n_points"],
+            "detail": {"max_umbilic_defect": rep["max_umbilic_defect"],
+                       "rho_min": rep["rho_min"], "rho_max": rep["rho_max"],
+                       "center": [float(v) for v in a]}}
 
 
 def _blaschke_ratios(g: GeometryBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -545,18 +528,17 @@ def _blaschke_ratios(g: GeometryBatch) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(omega) / omega_h, ~degenerate
 
 
-def _run_blaschke_scan(ctx: RunContext) -> CheckResult:
+def _run_blaschke_scan(ctx: RunContext) -> dict:
     tol = ctx.tolerance("blaschke-scan", 1e-8)
     ratio, ok = _blaschke_ratios(ctx.geometries())
     ratios = ratio[ok]
     detail = {"skipped_degenerate": int(len(ok) - ok.sum())}
     if ratios.size:
         detail.update(ratio_min=float(ratios.min()), ratio_max=float(ratios.max()))
-    return _aggregate("blaschke-scan", "Thm 4.2/4.3", tol, np.abs(ratios - 1.0),
-                      _where(ctx.grid, ok), detail)
+    return _aggregate(tol, np.abs(ratios - 1.0), _where(ctx.grid, ok), detail)
 
 
-def _run_affine_normal_compare(ctx: RunContext) -> CheckResult:
+def _run_affine_normal_compare(ctx: RunContext) -> dict:
     tol = ctx.tolerance("affine-normal-compare", 1e-6)
     g = ctx.geometries()
     rows = np.flatnonzero(_blaschke_ratios(g)[1])
@@ -565,11 +547,11 @@ def _run_affine_normal_compare(ctx: RunContext) -> CheckResult:
     normals = np.delete(normals, list(missing), axis=0)
     used = np.zeros(len(g), dtype=bool)
     used[rows] = True
-    return _aggregate("affine-normal-compare", "Thm 4.2", tol, _norm_rows(g.eta[rows] - normals),
+    return _aggregate(tol, _norm_rows(g.eta[rows] - normals),
                       _where(ctx.grid, used), {"skipped_nonelliptic": int(len(g) - len(rows))})
 
 
-def _run_planar_ermakov(ctx: RunContext) -> CheckResult:
+def _run_planar_ermakov(ctx: RunContext) -> dict:
     planar = ctx.raw.get("planar")
     if not planar:
         raise ConfigError("planar-ermakov needs a 'planar' block in the config")
@@ -588,17 +570,16 @@ def _run_planar_ermakov(ctx: RunContext) -> CheckResult:
     tol = ctx.tolerance("planar-ermakov", 1e-12)
     residual = max(rep["r1_sup"], rep["r2_sup"])
     worst_idx = int(np.argmax(np.abs(rep["r2"])))
-    return CheckResult("planar-ermakov", "Thm 4.1", float(residual), tol,
-                       bool(residual <= tol),
-                       (float(rep["thetas"][worst_idx]), 0.0), rep["n"],
-                       {"r1_sup": rep["r1_sup"], "r2_sup": rep["r2_sup"]})
+    return {"max_residual": float(residual), "tolerance": tol, "pass": bool(residual <= tol),
+            "worst_point": [float(rep["thetas"][worst_idx]), 0.0], "n_points": rep["n"],
+            "detail": {"r1_sup": rep["r1_sup"], "r2_sup": rep["r2_sup"]}}
 
 
 @dataclass(frozen=True)
 class CheckSpec:
     anchor: str
     description: str
-    runner: Callable[[RunContext], CheckResult]
+    runner: Callable[[RunContext], dict]
 
 
 REGISTRY: dict[str, CheckSpec] = {
@@ -728,8 +709,8 @@ def build_context(cfg: dict) -> RunContext:
     stray = [key for key in cfg.get("tolerances", {}) if key not in REGISTRY]
     if stray:
         raise ConfigError(f"tolerances name no registered check: {', '.join(map(repr, stray))}")
-    numerics = NumericsConfig(**cfg.get("numerics", {}))
     try:
+        numerics = NumericsConfig(**cfg.get("numerics", {}))
         norm = norm_from_spec(cfg["norm"], numerics)
         surface = surface_from_spec(cfg["surface"], norm)
     except MinksurfError as exc:
@@ -751,31 +732,22 @@ def run_checks(cfg: dict, threads: int = 1) -> dict:
 
 def _report(ctx: RunContext) -> dict:
     cfg = ctx.raw
-    results = []
+    entries = []
     for check_id in cfg["checks"]:
         spec = REGISTRY.get(check_id)
         if spec is None:
             raise ConfigError(f"unknown check id {check_id!r}")
         try:
-            res = spec.runner(ctx)
+            entry = spec.runner(ctx)
         except ConfigError:
             raise
         except MinksurfError as exc:
             location = getattr(exc, "location", None)
             raise NumericalFailure(
                 f"check {check_id!r} failed numerically: {exc}", location=location) from exc
-        results.append(res)
-    report = {
-        "checks": [{
-            "id": r.id,
-            "paper_anchor": r.paper_anchor,
-            "max_residual": r.max_residual,
-            "tolerance": r.tolerance,
-            "pass": r.passed,
-            "worst_point": None if r.worst_point is None else [r.worst_point[0], r.worst_point[1]],
-            "n_points": r.n_points,
-            "detail": r.detail,
-        } for r in results],
+        entries.append({"id": check_id, "paper_anchor": spec.anchor, **entry})
+    return {
+        "checks": entries,
         "environment": {
             "config": cfg,
             "seed": int(cfg["seed"]),
@@ -783,7 +755,6 @@ def _report(ctx: RunContext) -> dict:
             "package": "minksurf",
         },
     }
-    return report
 
 
 FIELD_COLUMNS = ["s", "t", "x", "y", "z", "lambda1", "lambda2", "K", "H",
@@ -802,15 +773,23 @@ def write_fields_csv(path: str, ctx: RunContext) -> None:
             writer.writerow([fmt_17g(v) for v in row] + [fmt_17g(ratio[i]) if ok[i] else ""])
 
 
+def _no_constant(name: str):
+    """Reject NaN, Infinity and -Infinity, which Python's json accepts but RFC 8259 does not."""
+    raise ConfigError(f"config holds {name}, which is not a JSON number")
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_no_constant)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     env_threads = os.environ.get("MSK_THREADS")

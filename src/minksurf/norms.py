@@ -27,7 +27,8 @@ on a batch of one. User callables of one point (custom_norm) are adapted to
 rows with numerics.per_point. The Newton fallback advances the solves of all
 rows in lockstep, with one gauge call per stage, and evaluates no gauge point
 twice: each Hessian reuses the values of its accepted residual.
-birkhoff_du_rows gives u and du from one solve per row.
+Every dual quantity of such a norm reads birkhoff_du_rows, which normalizes
+xi once, solves u once per row and builds du from that u.
 """
 
 from __future__ import annotations
@@ -300,11 +301,15 @@ class NormModel:
 
     # -- dual support function ---------------------------------------------
 
+    # Without dual jets, every dual quantity reads the one route of
+    # birkhoff_du_rows: h_B(xi) = u . xi, grad h_B(xi) = u(xi / |xi|) (degree
+    # 0), and Hess h_B(xi) = E M E^T / |xi| (degree -1).
+
     def dual_value_rows(self, XI) -> np.ndarray:
         XI = self._check_nonzero(XI, "support function")
         if self.dual is not None:
             return np.asarray(self.dual.value(XI), dtype=float)
-        return _dot(self._newton_points(XI), XI)
+        return _dot(self.birkhoff_point_rows(XI), XI)
 
     def dual_gradient_rows(self, XI) -> np.ndarray:
         XI = self._check_nonzero(XI, "support-function gradient")
@@ -312,7 +317,7 @@ class NormModel:
             return np.asarray(self.dual.gradient(XI), dtype=float)
         if self.dual is not None:
             return fd_gradient_rows(self.dual.value, XI, self.fd_step)
-        return self._newton_points(XI)
+        return self.birkhoff_point_rows(XI)
 
     def dual_hessian_rows(self, XI) -> np.ndarray:
         XI = self._check_nonzero(XI, "support-function Hessian")
@@ -320,7 +325,8 @@ class NormModel:
             return np.asarray(self.dual.hessian(XI), dtype=float)
         if self.dual is not None:
             return fd_hessian_rows(self.dual.value, XI, self.fd_step)
-        return self._inverse_weingarten(XI)
+        E, M = self.du_restricted_rows(XI)
+        return E @ M @ np.swapaxes(E, 1, 2) / _norm_rows(XI)[:, None, None]
 
     def dual_third_rows(self, XI) -> Optional[np.ndarray]:
         if self.dual is not None and self.dual.third is not None:
@@ -459,22 +465,20 @@ class NormModel:
             return self.gauge_hessian_rows(X)
         return fd_hessian_rows(self.gauge.value, X, self.fd_step, known)
 
-    def _inverse_weingarten(self, XI, U=None) -> np.ndarray:
-        """Hessians of h_B from the gauge alone (Newton fallback path).
+    def _inverse_weingarten(self, XI, U) -> np.ndarray:
+        """Hess h_B at the unit rows XI from the gauge alone, U holding u at them.
 
         On xi-perp, Hess h_B(xi) = du is the inverse of the Weingarten map of
         ∂B at u = u(xi), Hess F(u) / |grad F(u)| restricted to the same plane
         (Schneider, Convex Bodies, §2.5); xi spans its kernel. Euler's
         identity grad F(u) . u = F(u) = 1 gives |grad F(u)| = 1 / (u . xi)
-        for unit xi, and h_B is homogeneous of degree 1, so the Hessian at
-        a row xi of any length is the unit row's divided by |xi|. Missing
-        gauge Hessians are central differences at _GAUGE_HESSIAN_STEP. U,
-        when given, holds u at the rows of XI, solved already.
+        for unit xi. The map is built at XI / |XI|, the rows the Newton solve
+        normalizes to, and scaled by the degree -1 homogeneity of Hess h_B:
+        both are 1 to roundoff, and point_geometry's bits depend on them.
+        Missing gauge Hessians are central differences at _GAUGE_HESSIAN_STEP.
         """
         r = _norm_rows(XI)
         XI = XI / r[:, None]
-        if U is None:
-            U = self._newton_points(XI)
         if self.gauge.hessian is not None:
             HF = self.gauge_hessian_rows(U)
         else:
@@ -489,8 +493,9 @@ class NormModel:
     def birkhoff_du_rows(self, XI) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """u(xi) and du_restricted(xi) at the rows of XI, as (U, E, M).
 
-        Equal to birkhoff_point_rows and du_restricted_rows; a norm without
-        dual jets solves u(xi) once per row and builds du from that u.
+        A norm without dual jets normalizes each row once, solves u(xi) once
+        and builds du from that u; its birkhoff_point_rows, du_restricted_rows
+        and dual_* methods all read this route.
         """
         if self.dual is not None:
             return (self.birkhoff_point_rows(XI), *self.du_restricted_rows(XI))
@@ -500,6 +505,8 @@ class NormModel:
         return (U, *_restricted(XI, self._inverse_weingarten(XI, U)))
 
     def du_restricted_rows(self, XI) -> tuple[np.ndarray, np.ndarray]:
+        if self.dual is None:
+            return self.birkhoff_du_rows(XI)[1:]
         XI = np.asarray(XI, dtype=float)
         XI = XI / _norm_rows(XI)[:, None]
         return _restricted(XI, self.dual_hessian_rows(XI))

@@ -27,12 +27,16 @@ from .errors import (EvaluationFailure, InvalidParameter, NotSPD,
 class NumericsConfig:
     """The tolerances and steps the curvature pipeline and the checks read.
 
-    fd_step is relative: actual steps are fd_step * max(1, |x|_2) around the
-    evaluation point x. Norm and surface jets take their own fd_step from
-    their specs. richardson is accepted but no pipeline stage reads it yet.
-    newton_tol bounds the residual of the Birkhoff Newton fallback; on FD
-    gauge gradients at step h it is floored at 10 eps / h (about 2.2e-10 at
-    the default step), a floor derived from the step, not a setting.
+    fd_step is relative, fd_step * max(1, |(s, t)|), and sets the chart
+    stencils of lemma-3-1, thm-3-1, prop-3-1, thm-3-2, minimality-scan and
+    affine-normal-compare. A norm's fd_step is relative per row and sets its
+    derivatives under jet_source "fd"; a surface's is an absolute (s, t) step
+    for FD surface jets; the gauge-only du Hessian uses eps^(1/4).
+    richardson is accepted but read by nothing yet. newton_max_iter and
+    newton_tol act only on library norms given by their gauge alone (the CLI
+    cannot build one); on FD gauge gradients at step h, newton_tol is floored
+    at 10 eps / h (about 2.2e-10 at the default step). Numeric fields must be
+    positive, which NaN is not.
     A report does not record the resolved values: its environment holds the
     config as given, so fields left at their defaults do not appear.
     """
@@ -52,7 +56,7 @@ class NumericsConfig:
             self.quad_nodes, self.umbilic_tol, self.critical_tol,
             self.cond_guard,
         )
-        if any(v <= 0 for v in numeric_fields):
+        if any(not v > 0 for v in numeric_fields):
             raise InvalidParameter("all NumericsConfig numeric fields must be positive")
         if self.quad_nodes % 2 != 0:
             raise InvalidParameter("quad_nodes must be even (composite Simpson)")
@@ -88,15 +92,17 @@ def per_point(fn, point_ndim: int = 0):
 def in_row_order(batch, n: int):
     """batch(rows) over all n rows, raising what a per-point loop would raise.
 
-    batch takes a slice of the rows. When the whole batch raises, the rows
-    are run again one at a time, in order, so the exception that escapes is
-    the one of the first failing row, with that row's message and location.
+    batch takes a slice of the rows. When a batch of more than one row
+    raises, the rows are run again one at a time, in order, so the exception
+    that escapes is the one of the first failing row, with that row's
+    message and location. A batch of one row already is that loop.
     """
     try:
         return batch(slice(None))
     except Exception:
-        for i in range(n):
-            batch(slice(i, i + 1))
+        if n > 1:
+            for i in range(n):
+                batch(slice(i, i + 1))
         raise
 
 
@@ -490,27 +496,22 @@ def _brent(a: float, b: float, xtol: float):
 
 def brentq(f, a: float, b: float, xtol: float) -> float:
     """A root of f in the bracket [a, b] by Brent's method, step for step as in
-    scipy's brentq (relative tolerance 4 eps, at most 100 iterations).
+    scipy's brentq (relative tolerance 4 eps, at most 100 iterations): the
+    bracket as the one row of brentq_rows.
 
     Raises InvalidParameter when f(a) and f(b) have the same sign.
     """
-    steps = _brent(a, b, xtol)
-    x = next(steps)
-    while True:
-        try:
-            x = steps.send(f(x))
-        except StopIteration as stop:
-            return stop.value
+    return float(brentq_rows(lambda _, x: [f(float(x[0]))], [a], [b], [xtol])[0])
 
 
 def brentq_rows(f, a, b, xtol, fa=None, fb=None) -> np.ndarray:
     """Roots of f in the brackets [a[i], b[i]], all advanced together by Brent's method.
 
-    Each row takes the steps brentq takes on it, so its root is bitwise
-    brentq's. f is called once per iteration, as f(rows, x) with the indices
-    of the rows still running and their points, and returns their values.
+    Each row takes the steps brentq takes on it alone. f is called once per
+    iteration, as f(rows, x) with the indices of the rows still running and
+    their points, and returns their values.
     The values at a and b, when given as fa and fb, are not asked of f.
-    Raises what brentq on each row in turn would raise first.
+    Raises what solving the rows one at a time, in order, would raise first.
     """
     a, b, xtol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, xtol)))
     ends = [] if fa is None else [fa, fb]

@@ -127,6 +127,30 @@ def test_bad_inputs_exit_two(tmp_path):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("edit, constant", [
+    (lambda cfg: cfg.update(numerics={"fd_step": math.nan}), "NaN"),
+    (lambda cfg: cfg.update(grid={"ns": 8, "nt": 8, "margins": [math.nan, 0.1]}), "NaN"),
+    (lambda cfg: cfg.update(numerics={"umbilic_tol": math.nan}), "NaN"),
+    (lambda cfg: cfg.update(numerics={"cond_guard": math.inf}), "Infinity"),
+    (lambda cfg: cfg.update(center=[-math.inf, 0.0, 0.0]), "-Infinity"),
+], ids=["fd-step-nan", "margin-nan", "umbilic-tol-nan", "cond-guard-infinity", "center-minus-infinity"])
+def test_a_non_finite_config_number_exits_two(tmp_path, edit, constant):
+    # Python's json reads NaN and Infinity, which RFC 8259 does not allow;
+    # before they were rejected, these configs exited 3 or ran and exited 0
+    cfg = copy.deepcopy(BASE_CONFIG)
+    edit(cfg)
+    out = run_cli(["run", "--config", write_config(tmp_path, cfg)])
+    assert out.returncode == 2, out.stderr
+    assert f"config holds {constant}," in out.stderr
+
+
+def test_run_checks_rejects_a_nan_numerics_constant():
+    with pytest.raises(minksurf.InvalidParameter):
+        minksurf.NumericsConfig(umbilic_tol=math.nan)
+    with pytest.raises(minksurf.ConfigError, match="must be positive"):
+        run_checks({**BASE_CONFIG, "numerics": {"umbilic_tol": math.nan}})
+
+
 def test_semantically_invalid_check_exits_two(tmp_path):
     # closed-form curvature check is only defined for the sphere families
     cfg = write_config(tmp_path, {
@@ -454,11 +478,11 @@ def test_config_schema_uses_only_the_keywords_the_fast_check_implements():
 
 
 def test_a_nan_residual_fails_its_check():
-    res = _aggregate("x", "a", 1e-6, [1e-12, math.nan], [(0, 0), (1, 1)])
-    assert not res.passed
-    assert math.isnan(res.max_residual)
-    assert res.worst_point == (1, 1)
-    assert dumps_canonical({"max_residual": res.max_residual}) == '{\n  "max_residual": null\n}'
+    res = _aggregate(1e-6, [1e-12, math.nan], [(0, 0), (1, 1)])
+    assert not res["pass"]
+    assert math.isnan(res["max_residual"])
+    assert res["worst_point"] == [1, 1]
+    assert dumps_canonical({"max_residual": res["max_residual"]}) == '{\n  "max_residual": null\n}'
 
 
 EUCLIDEAN_TORUS = {
@@ -501,6 +525,16 @@ def test_check_fails_through_the_runner_below_its_residual(check_id, cfg, below)
     (result,) = run_checks({**cfg, "checks": [check_id], "tolerances": {check_id: below}})["checks"]
     assert not result["pass"], result
     assert result["tolerance"] == below
+
+
+def test_each_report_entry_takes_its_label_from_the_registry():
+    cfg = {**EUCLIDEAN_SPHERE, "checks": list(REGISTRY), "planar": {"support": "circle", "n": 256}}
+    report = run_checks(cfg)
+    validate_report(report)
+    assert [c["id"] for c in report["checks"]] == list(REGISTRY)
+    assert len(REGISTRY) == 15
+    for entry in report["checks"]:
+        assert entry["paper_anchor"] == REGISTRY[entry["id"]].anchor
 
 
 def test_a_tolerance_that_names_no_check_exits_two(tmp_path):
@@ -614,9 +648,9 @@ def test_root_searches_batch_their_brackets(monkeypatch):
     ctx.surface = dataclasses.replace(ctx.surface, position=counting_position)
     iterations.clear()
     result = REGISTRY["prop-3-1"].runner(ctx)
-    assert result.n_points == 20
+    assert result["n_points"] == 20
     assert singles == []
-    assert sum(placed) == 9 * result.n_points
+    assert sum(placed) == 9 * result["n_points"]
     assert len(iterations) > 1
 
 

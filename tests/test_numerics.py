@@ -182,6 +182,20 @@ def test_brentq_rejects_bracket_without_sign_change():
         brentq(lambda x: x - 3.0, 0.0, 1.0, 1e-12)
 
 
+def test_brentq_asks_a_raising_f_no_point_twice():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) == 5:
+            raise ValueError("no value here")
+        return x**3 - 2.0
+
+    with pytest.raises(ValueError, match="no value here"):
+        brentq(f, 0.0, 3.0, 1e-12)
+    assert len(calls) == len(set(calls)) == 5
+
+
 def test_lockstep_brentq_rejects_a_row_without_sign_change():
     fs = [lambda x: x - 0.5, lambda x: x * x + 1.0, lambda x: x - 0.25]
     with pytest.raises(InvalidParameter, match="same sign"):
