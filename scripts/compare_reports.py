@@ -11,7 +11,11 @@ must be byte-identical; an operation whose config repeats across seeds runs
 once. The 24 points of the custom-norm workload are evaluated once per
 checkout, each checkout in a process of its own, and their eta, lambda1,
 lambda2, indicatrix mean, normal curvature, affine distance rho and its
-tangential part V must agree bit for bit. Prints one line per operation that
+tangential part V must agree bit for bit. So must a fixed probe of public
+finite-difference routes that no CLI config reaches (the b-Hessians with and
+without an explicit step, the nabla-Laplacian of rho, the affine normal,
+numerics' FD kernels, and the dual Hessian and restricted du of FD and
+value-only-dual norms), run the same way. Prints one line per operation that
 differs, naming what differs, then a summary; exits 1 when any operation
 differs.
 """
@@ -53,6 +57,72 @@ for pair, (s, t, phi) in workloads.custom_ops(workloads.build_custom_pairs()):
     print(json.dumps(out))
 """
 
+# Run with a checkout's src/ on PYTHONPATH: one JSON line per probe, its
+# output as the hex form of its floats, or the error it raised. It uses only
+# names that every compared checkout has.
+PROBE_PROGRAM = """
+import json
+import numpy as np
+import minksurf as mk
+from minksurf import numerics
+
+A = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
+INV = np.linalg.inv(A)
+SURFACE = mk.ellipsoid(1.0, 1.3, 0.8)
+POINTS = [(0.8, 2.4), (1.9, 0.7), (2.5, 5.1)]
+NORMS = {
+    "lp4": mk.lp_norm(4.0),
+    "lp4-fd": mk.lp_norm(4.0, jet_source="fd"),
+    "ellipsoid-fd": mk.ellipsoid_norm(A, jet_source="fd"),
+    "custom-value-dual": mk.custom_norm(lambda x: float(np.sqrt(x @ A @ x)),
+                                        dual=mk.ScalarJet(lambda xi: float(np.sqrt(xi @ INV @ xi)))),
+}
+XI = np.array([[0.3, -0.5, 0.8], [1e-3, 0.6, -0.9], [2.0, 1.0, 0.5]])
+P3, D3 = np.array([0.4, -0.7, 1.3]), np.array([0.6, 0.0, -0.8])
+
+
+def f3(x):
+    return float(np.exp(0.3 * x[0]) * np.cos(x[1]) + x[2] ** 3 / 3.0 + x[0] * x[2])
+
+
+def laplacian(norm, s, t):
+    d = mk.nabla_laplacian_rho_details(norm, SURFACE, s, t, [0.1, -0.2, 0.3])
+    return d["laplacian"], d["gauss_defects"]
+
+
+def probes():
+    yield "fd_gradient", numerics.fd_gradient, (f3, P3, 1e-5)
+    yield "fd_hessian", numerics.fd_hessian, (f3, P3, 1e-4)
+    yield "central_diff richardson", lambda *a: numerics.central_diff(*a, richardson=True), (f3, P3, D3, 1e-3)
+    yield "fd_second_directional", numerics.fd_second_directional, (f3, P3, D3, [0.0, 1.0, 0.0], 1e-4)
+    for s, t in POINTS:
+        yield f"affine_normal({s}, {t})", mk.affine_normal, (SURFACE, s, t)
+    for name, norm in NORMS.items():
+        for k, xi in enumerate(XI):
+            yield f"{name} dual_hessian(xi{k})", norm.dual_hessian, (xi,)
+            yield f"{name} du_restricted(xi{k})", norm.du_restricted, (xi,)
+        for s, t in POINTS:
+            at = f"{name} ({s}, {t})"
+            yield f"{at} nabla_laplacian_rho_details", laplacian, (norm, s, t)
+            pg = mk.point_geometry(norm, SURFACE, s, t)
+            for what, field in (("g", mk.tangent_plane_distance_field(pg, SURFACE)),
+                                ("D", mk.minkowski_distance_field(norm, SURFACE, pg.p - 0.7 * pg.eta))):
+                yield f"{at} hess_b_matrix {what}", mk.hess_b_matrix, (field, pg)
+                yield (f"{at} hess_b_at_critical {what} step", mk.hess_b_at_critical,
+                       (field, pg, [1.0, 0.3], [-0.2, 1.0], mk.DEFAULT_CONFIG, 1e-4))
+
+
+for name, fn, args in probes():
+    out = {"name": name}
+    try:
+        value = fn(*args)
+        parts = value if isinstance(value, tuple) else (value,)
+        out["value"] = [float(x).hex() for part in parts for x in np.ravel(part)]
+    except mk.MinksurfError as exc:
+        out["error"] = f"{type(exc).__name__}: {exc}"
+    print(json.dumps(out))
+"""
+
 
 def load_workloads(root: Path):
     sys.path.insert(0, str(root / "perfbench"))
@@ -76,10 +146,10 @@ def run_op(root: Path, config: dict, fields: bool, workdir: Path) -> dict:
             "field CSV": csv_path.read_bytes() if csv_path.exists() else None}
 
 
-def custom_outputs(root: Path, perfbench: Path) -> list[dict]:
-    """The custom-norm points evaluated with root's src/, in a process of their own."""
+def program_outputs(root: Path, program: str, *args: str) -> list[dict]:
+    """The JSON lines program prints with root's src/, in a process of its own."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", CUSTOM_PROGRAM, str(perfbench)], env=env,
+    proc = subprocess.run([sys.executable, "-c", program, *args], env=env,
                           capture_output=True, text=True, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
@@ -110,12 +180,14 @@ def main(argv=None) -> int:
                     if diff:
                         differ += 1
                         print(f"differs: {workload} seed {seed} {op.name}: {', '.join(diff)}")
-    for a, b in zip(custom_outputs(parent, change / "perfbench"), custom_outputs(change, change / "perfbench")):
-        compared += 1
-        diff = [what for what in a.keys() | b.keys() if a.get(what) != b.get(what)]
-        if diff:
-            differ += 1
-            print(f"differs: custom-norm {a['name']}: {', '.join(sorted(diff))}")
+    for label, program, extra in (("custom-norm", CUSTOM_PROGRAM, [str(change / "perfbench")]),
+                                  ("probe", PROBE_PROGRAM, [])):
+        for a, b in zip(program_outputs(parent, program, *extra), program_outputs(change, program, *extra)):
+            compared += 1
+            diff = [what for what in a.keys() | b.keys() if a.get(what) != b.get(what)]
+            if diff:
+                differ += 1
+                print(f"differs: {label} {a['name']}: {', '.join(sorted(diff))}")
     print(f"{compared} operations compared, {differ} differ")
     return 1 if differ else 0
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateH, NonConvexCurve, NonElliptic
 from .geometry import GeometryBatch, _euclidean_frame, geometry_batch
 from .norms import NormModel
-from .numerics import NumericsConfig, DEFAULT_CONFIG, _stack_last, chart_stencil, relative_step
+from .numerics import NumericsConfig, DEFAULT_CONFIG, _central_diffs, _stack_last, gradient_stencil
 from .surfaces import SurfacePatch
 
 
@@ -104,14 +104,14 @@ def _affine_normals(surface: SurfacePatch, s, t, P, G, xi, II,
                               "affine normal needs an elliptic point")
                for i in np.flatnonzero(K_e <= 0.0).tolist()}
     live = np.flatnonzero(K_e > 0.0)
-    h = relative_step(_stack_last(s, t)[live], config.fd_step)
-    S, T = chart_stencil(s[live], t[live], h)
+    h, chart = gradient_stencil(_stack_last(s, t)[live], config.fd_step)
+    S, T = chart[..., 0], chart[..., 1]
     k = _stencil_gaussians(surface, S, T) if live.size else np.empty((0, 4))
     for r in np.flatnonzero((k <= 0.0).any(axis=1)).tolist():
         j = int(np.argmax(k[r] <= 0.0))
         missing[int(live[r])] = NonElliptic(f"K_e <= 0 in the stencil at (s,t)=({S[r, j]}, {T[r, j]})")
     kappa = np.where(k > 0.0, k, 1.0) ** 0.25
-    d_kappa = _stack_last((kappa[:, 0] - kappa[:, 1]) / (2 * h), (kappa[:, 2] - kappa[:, 3]) / (2 * h))
+    d_kappa = _central_diffs(kappa, h)
     flat = np.abs(det_II) < 1e-14 * np.maximum(1.0, np.abs(II).max(axis=(1, 2)) ** 2)
     for i in np.flatnonzero(flat).tolist():
         missing.setdefault(i, DegenerateH(f"second fundamental form degenerate at (s,t)=({s[i]}, {t[i]})"))

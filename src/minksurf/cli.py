@@ -711,6 +711,7 @@ def build_context(cfg: dict) -> RunContext:
         raise ConfigError(f"tolerances name no registered check: {', '.join(map(repr, stray))}")
     try:
         numerics = NumericsConfig(**cfg.get("numerics", {}))
+        _require_json_numbers(cfg)
         norm = norm_from_spec(cfg["norm"], numerics)
         surface = surface_from_spec(cfg["surface"], norm)
     except MinksurfError as exc:
@@ -776,6 +777,18 @@ def write_fields_csv(path: str, ctx: RunContext) -> None:
 def _no_constant(name: str):
     """Reject NaN, Infinity and -Infinity, which Python's json accepts but RFC 8259 does not."""
     raise ConfigError(f"config holds {name}, which is not a JSON number")
+
+
+def _require_json_numbers(node) -> None:
+    """_no_constant for the first non-finite float anywhere in a config built
+    in Python, which no JSON parser has read."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            _require_json_numbers(item)
+    elif isinstance(node, float) and not math.isfinite(node):
+        _no_constant(json.dumps(node))
 
 
 def _cmd_run(args) -> int:

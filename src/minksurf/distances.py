@@ -17,7 +17,9 @@ stencil route (_hessian_stencils): each point's centre, gradient and cross
 points are evaluated in one call. The Laplacian of rho is
 assembled from the explicit Gauss splitting D_X Y = nabla_X Y + h(X,Y) eta,
 so no Christoffel symbols of b or nabla are ever formed. The Laplacian's
-stencil points are evaluated as one geometry batch.
+stencil points are evaluated as one geometry batch. Every chart gradient
+here (the criticality test, lemma-3-1's gradients, the Laplacian) takes its
+step and points from numerics.gradient_stencil.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ from .numerics import (
     _norm_rows,
     _require_finite,
     _stack_last,
-    chart_stencil,
     first_row,
+    gradient_stencil,
     guarded_solve_rows,
     per_point,
-    relative_step,
 )
 from .surfaces import SurfacePatch
 
@@ -154,11 +155,10 @@ def _hessian_stencils(s, t, X, Y, config: NumericsConfig, step: float | None = N
     criticality test and returns hess_b(X_j, Y_j) of each, (len(rows), k).
     """
     st = _stack_last(s, t)
-    h = relative_step(st, config.fd_step)
+    h, grad = gradient_stencil(st, config.fd_step)
     h2 = h if step is None else np.full(len(st), float(step))
-    S, T = chart_stencil(s, t, h)
     cross = [_cross_stencil(st, X[..., j, :], Y[..., j, :], h2) for j in range(X.shape[-2])]
-    chart = np.concatenate([st[:, None], _stack_last(S, T), *cross], axis=1)
+    chart = np.concatenate([st[:, None], grad, *cross], axis=1)
 
     def hessians(rows, f):
         _require_finite(f[:, 1:5].ravel(), chart[rows, 1:5].reshape(-1, 2))
@@ -224,8 +224,7 @@ def _tangent_plane_gradients(gb: GeometryBatch, surface: SurfacePatch,
                              config: NumericsConfig) -> np.ndarray:
     """fd_gradient, at config.fd_step, of each point's tangent_plane_distance_field
     at the point: (N, 2)."""
-    h = relative_step(_stack_last(gb.s, gb.t), config.fd_step)
-    chart = _stack_last(*chart_stencil(gb.s, gb.t, h))
+    h, chart = gradient_stencil(_stack_last(gb.s, gb.t), config.fd_step)
     f = _tangent_plane_values(gb, surface, chart)
     _require_finite(f.ravel(), chart.reshape(-1, 2))
     return _central_diffs(f, h)
@@ -290,13 +289,11 @@ def _laplacians(gb: GeometryBatch, norm: NormModel, surface: SurfacePatch,
     if i is not None:
         raise DegenerateH(f"affine fundamental form has rank < 2 at (s,t)=({gb.s[i]}, {gb.t[i]})")
 
-    h = relative_step(_stack_last(gb.s, gb.t), config.fd_step)
-    S, T = chart_stencil(gb.s, gb.t, h)
-    stencil = geometry_batch(norm, surface, S.ravel(), T.ravel(), config)
+    h, chart = gradient_stencil(_stack_last(gb.s, gb.t), config.fd_step)
+    stencil = geometry_batch(norm, surface, chart[..., 0].ravel(), chart[..., 1].ravel(), config)
     _, V = _affine_distance(stencil, np.repeat(A, 4, axis=0))
-    w = -stencil.ambient(V).reshape(len(gb), 4, 3)
-    h = h[:, None]
-    dw = _stack_last((w[:, 0] - w[:, 1]) / (2 * h), (w[:, 2] - w[:, 3]) / (2 * h))
+    # dw[:, :, k], the derivative of w along the k-th chart axis
+    dw = np.swapaxes(_central_diffs(-stencil.ambient(V).reshape(len(gb), 4, 3), h), 1, 2)
 
     # Coefficients (alpha, beta, gamma) of dw = alpha f_s + beta f_t + gamma eta.
     M = _stack_last(gb.f_s, gb.f_t, gb.eta)

@@ -23,7 +23,7 @@ evaluation on a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
 
@@ -83,40 +83,12 @@ class PointGeometry:
 _FIELDS = tuple(f.name for f in fields(PointGeometry))
 
 
-@dataclass(frozen=True, eq=False)
-class GeometryBatch:
+class _Batch:
     """The fields of PointGeometry at N points, as arrays whose first axis indexes the points.
 
     batch[i] is the PointGeometry of point i; batch[rows], for a slice, a
     mask or an index array, is the GeometryBatch of those points.
     """
-
-    s: np.ndarray
-    t: np.ndarray
-    p: np.ndarray
-    f_s: np.ndarray
-    f_t: np.ndarray
-    G: np.ndarray
-    II: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-    pairing: np.ndarray
-    dxi_mat: np.ndarray
-    W: np.ndarray
-    h_mat: np.ndarray
-    d_mat: np.ndarray
-    b_mat: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    V1: np.ndarray
-    V2: np.ndarray
-    K: np.ndarray
-    H: np.ndarray
-    umbilic: np.ndarray
-    E: np.ndarray
-    M_du: np.ndarray
-    flipped_eta: np.ndarray
-    selfadjoint_defect: np.ndarray
 
     ambient = PointGeometry.ambient
     basis_matrix = PointGeometry.basis_matrix
@@ -129,6 +101,12 @@ class GeometryBatch:
             values = (getattr(self, name)[rows] for name in _FIELDS)
             return PointGeometry(*(v.item() if v.ndim == 0 else v for v in values))
         return GeometryBatch(*(getattr(self, name)[rows] for name in _FIELDS))
+
+
+# One array field per PointGeometry field, in its order.
+GeometryBatch = make_dataclass("GeometryBatch", [(name, np.ndarray) for name in _FIELDS], bases=(_Batch,),
+                               namespace={"__module__": __name__, "__doc__": _Batch.__doc__},
+                               frozen=True, eq=False)
 
 
 def _euclidean_frame(surface: SurfacePatch, s, t):

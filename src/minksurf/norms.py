@@ -18,7 +18,9 @@ not a setting), and du is the inverse Weingarten map of ∂B at u, in closed
 form from one gauge Hessian.
 
 Built-in families carry analytic jets through third order, so Minkowski-sphere
-charts built from u are themselves fully analytic.
+charts built from u are themselves fully analytic. Under jet_source "fd" they
+keep their values only, which NormModel differences at its fd_step like any
+jet given by values.
 
 Everything evaluates rows of points: a ScalarJet maps an (N, 3) array to N
 values (or gradients, Hessians), and each NormModel method of one point is
@@ -45,9 +47,9 @@ from .errors import (
     NewtonDivergence,
     NonSmoothPoint,
 )
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _dot, _gradient_offsets,
-                       _invert_2x2_spd, _norm_rows, _require_finite, _stack_last, fd_gradient_rows,
-                       fd_hessian_rows, first_row, in_row_order, per_point, relative_step)
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _dot, _invert_2x2_spd,
+                       _norm_rows, _require_finite, _stack_last, fd_gradient_rows, fd_hessian_rows,
+                       first_row, gradient_stencil, in_row_order, per_point, relative_step)
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +170,6 @@ def _lp_jets(p: float, guard: float) -> ScalarJet:
         return (p - 1.0) * T
 
     return ScalarJet(value, gradient, hessian, third)
-
-
-def _fd_wrap(jet: ScalarJet, step: float) -> ScalarJet:
-    """Replace a jet's derivatives by central differences of its value, with a
-    relative step per row."""
-    value = jet.value
-
-    def gradient(x):
-        return fd_gradient_rows(value, x, step)
-
-    def hessian(x):
-        return fd_hessian_rows(value, x, step)
-
-    return ScalarJet(value, gradient, hessian, third=None)
 
 
 def tangent_basis(xi: np.ndarray) -> np.ndarray:
@@ -446,8 +434,8 @@ class NormModel:
         if self.gauge.gradient is not None:
             G = np.asarray(self.gauge.gradient(X), dtype=float)
             return self.gauge_value_rows(X), G, None
-        h = relative_step(X, self.fd_step)
-        P = (X[:, None, None, :] + h[:, None, None, None] * _gradient_offsets(3)).reshape(-1, 3)
+        h, P = gradient_stencil(X, self.fd_step)
+        P = P.reshape(-1, 3)
         try:
             vals = np.asarray(self.gauge.value(np.concatenate([P, X])), dtype=float)
         except Exception:
@@ -558,7 +546,7 @@ def euclidean_norm(jet_source: str = "analytic", fd_step: float = 1e-5,
     gauge = _quadform_jets(np.eye(3))
     dual = _quadform_jets(np.eye(3))
     if jet_source == "fd":
-        gauge, dual = _fd_wrap(gauge, fd_step), _fd_wrap(dual, fd_step)
+        gauge, dual = ScalarJet(gauge.value), ScalarJet(dual.value)
     return NormModel("euclidean", gauge, dual, jet_source, fd_step, {}, config=config)
 
 
@@ -578,7 +566,7 @@ def ellipsoid_norm(A, jet_source: str = "analytic", fd_step: float = 1e-5,
     gauge = _quadform_jets(A)
     dual = _quadform_jets(np.linalg.inv(A))
     if jet_source == "fd":
-        gauge, dual = _fd_wrap(gauge, fd_step), _fd_wrap(dual, fd_step)
+        gauge, dual = ScalarJet(gauge.value), ScalarJet(dual.value)
     return NormModel("ellipsoid", gauge, dual, jet_source, fd_step, {"A": A}, config=config)
 
 
@@ -596,7 +584,7 @@ def lp_norm(p: float, jet_source: str = "analytic", fd_step: float = 1e-5,
     gauge = _lp_jets(p, axis_guard)
     dual = _lp_jets(q, axis_guard)
     if jet_source == "fd":
-        gauge, dual = _fd_wrap(gauge, fd_step), _fd_wrap(dual, fd_step)
+        gauge, dual = ScalarJet(gauge.value), ScalarJet(dual.value)
     return NormModel("lp", gauge, dual, jet_source, fd_step,
                      {"p": p, "axis_guard": axis_guard}, config=config)
 

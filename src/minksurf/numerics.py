@@ -3,6 +3,11 @@ eigensolves, periodic Simpson quadrature, guarded linear solves,
 Brent's bracketed root finder, for one bracket or many advanced in lockstep,
 and the seeded uniform stream the checks draw their random points from.
 
+Every first-derivative stencil of the package takes its per-row step and
+its points x +- h e_i from one function, gradient_stencil, and reads its
+differences with _central_diffs; fd_hessian_rows and central_diff place
+their points by the same x + h o.
+
 All kernels are stateless (the stream is the one object with state);
 tolerances and steps come in as arguments, most of them from one
 NumericsConfig record. They work on arrays of points: a `_rows` kernel takes
@@ -165,17 +170,23 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _stack_last(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
+def _place(X: np.ndarray, h: np.ndarray, O: np.ndarray) -> np.ndarray:
+    """The stencil points x + h o of each row x of X (N, n), with the step h
+    of the row, for each offset o (a row of O (m, n)): (N, m, n)."""
+    return X[:, None, :] + h[:, None, None] * O
+
+
 def _central_diff_rows(field, X, offsets, h, richardson: bool) -> np.ndarray:
     """(field(x + h d) - field(x - h d)) / 2h for each row x of X (N, n), each
     direction d and the step h of the row: an (N, k) array.
 
-    offsets (k, 2, n) holds +d, -d for each of the k directions, in the order
+    offsets (2k, n) holds +d, -d for each of the k directions, in the order
     the field is evaluated.
     """
     n = X.shape[1]
 
     def d(h_):
-        f = _field_values(field, (X[:, None, None, :] + h_[:, None, None, None] * offsets).reshape(-1, n))
+        f = _field_values(field, _place(X, h_, offsets).reshape(-1, n))
         return _central_diffs(f.reshape(len(X), -1), h_)
 
     if richardson:
@@ -185,8 +196,9 @@ def _central_diff_rows(field, X, offsets, h, richardson: bool) -> np.ndarray:
 
 def _central_diffs(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     """(f(x + h d) - f(x - h d)) / 2h per row, from each row's values at the
-    pairs of points +d, -d, in that order."""
-    return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h)[:, None]
+    pairs of points +d, -d, in that order along axis 1; a value may be an
+    array (trailing axes), differenced entry by entry."""
+    return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h).reshape((-1,) + (1,) * (f.ndim - 1))
 
 
 @functools.cache
@@ -198,8 +210,8 @@ def _gradient_offsets(n: int) -> np.ndarray:
 
 
 def _plus_minus(D: np.ndarray) -> np.ndarray:
-    """The offsets +d, -d of each direction d (a row of D)."""
-    return np.stack([D, -D], axis=1)
+    """The offsets +d, -d of each direction d (a row of D), one per row."""
+    return np.stack([D, -D], axis=1).reshape(-1, D.shape[1])
 
 
 def central_diff(field, point, direction, step: float, richardson: bool = False) -> float:
@@ -222,6 +234,20 @@ def relative_step(point, step: float):
     if point.ndim == 1:
         return step * max(1.0, float(np.sqrt(point @ point)))
     return step * np.maximum(1.0, np.sqrt(_dot(point, point)))
+
+
+def gradient_stencil(X, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The central-difference gradient stencil of each row x of X (N, n).
+
+    Returns the row's relative step h and its points x + h e_0, x - h e_0,
+    ..., x - h e_(n-1), (N, 2n, n), in the order _central_diffs reads their
+    values: the chart stencils of distances and blaschke and the FD gauge
+    gradients of the Newton solve. fd_gradient_rows places the same points
+    (and, with richardson, those at h / 2).
+    """
+    X = np.asarray(X, dtype=float)
+    h = relative_step(X, step)
+    return h, _place(X, h, _gradient_offsets(X.shape[1]))
 
 
 def fd_gradient_rows(field, X, step: float, richardson: bool = False) -> np.ndarray:
@@ -273,7 +299,7 @@ def fd_hessian_rows(field, X, step: float, known=None) -> np.ndarray:
     N, n = X.shape
     h = relative_step(X, step)
     O = _hessian_offsets(n)
-    pts = (X[:, None, :] + h[:, None, None] * O).reshape(-1, n)
+    pts = _place(X, h, O).reshape(-1, n)
     if known is None:
         f = _field_values(field, pts).reshape(N, -1)
     else:
@@ -317,14 +343,6 @@ def fd_second_directional(field, point, X, Y, step: float) -> float:
     h = np.array([float(step)])
     pts = _cross_stencil(P, np.asarray(X, dtype=float)[None], np.asarray(Y, dtype=float)[None], h)
     return float(_mixed(*_field_values(per_point(field, 1), pts[0]), h)[0])
-
-
-def chart_stencil(s, t, h) -> tuple[np.ndarray, np.ndarray]:
-    """The 4 central-difference points of each chart point (s, t) with step h,
-    as (N, 4) arrays S, T in the order (s+h, t), (s-h, t), (s, t+h), (s, t-h)."""
-    s, t, h = (np.asarray(a, dtype=float)[:, None] for a in (s, t, h))
-    return (np.concatenate([s + h, s - h, s, s], axis=1),
-            np.concatenate([t, t, t + h, t - h], axis=1))
 
 
 def first_row(bad) -> int | None:

@@ -202,7 +202,7 @@ def test_user_callables_see_one_point_at_a_time():
     assert set(seen) == {(3,)}
 
 
-@pytest.mark.parametrize("family", ["euclidean", "lp4"])
+@pytest.mark.parametrize("family", ["euclidean", "lp4", "lp4-fd", "custom"])
 def test_check_kernels_equal_the_one_point_functions_bitwise(family, ellipsoid_std, catenoid_std):
     # the checks' batched residuals are the public functions of one point, row by row
     norm = NORMS[family]()

@@ -151,6 +151,21 @@ def test_run_checks_rejects_a_nan_numerics_constant():
         run_checks({**BASE_CONFIG, "numerics": {"umbilic_tol": math.nan}})
 
 
+@pytest.mark.parametrize("edit", [
+    lambda cfg: cfg.update(grid={"ns": 8, "nt": 8, "margins": [math.nan, 0.1]}),
+    lambda cfg: cfg.update(surface={"family": "ellipsoid", "a": math.nan, "b": 1.3, "c": 0.8}),
+    lambda cfg: cfg.update(tolerances={"prop-2-1": math.nan}),
+    lambda cfg: cfg.update(center=[math.nan, 0.0, 0.0], checks=["prop-3-2"]),
+], ids=["margin", "ellipsoid-a", "tolerance", "center"])
+def test_run_checks_rejects_a_nan_anywhere_in_a_python_config(edit):
+    # no JSON parser reads a config built in Python; before this was checked,
+    # these raised NumericalFailure, or ran and reported a fail or a NaN residual
+    cfg = copy.deepcopy(BASE_CONFIG)
+    edit(cfg)
+    with pytest.raises(minksurf.ConfigError, match="^config holds NaN, which is not a JSON number$"):
+        run_checks(cfg)
+
+
 def test_semantically_invalid_check_exits_two(tmp_path):
     # closed-form curvature check is only defined for the sphere families
     cfg = write_config(tmp_path, {

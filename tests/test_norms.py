@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minksurf as mk
-from minksurf.numerics import _norm_rows, convergence_order
+from minksurf.numerics import _norm_rows, convergence_order, fd_gradient_rows, fd_hessian_rows
 from minksurf.norms import tangent_basis
 from minksurf.surfaces import _sphere_angle_jets
 
@@ -154,6 +154,20 @@ def test_fd_jets_second_order():
         fd = mk.lp_norm(3.0, jet_source="fd", fd_step=float(h))
         errs.append(np.abs(fd.gauge_hessian(x) - exact.gauge_hessian(x)).max())
     assert convergence_order(steps, np.array(errs)) == pytest.approx(2.0, abs=0.2)
+
+
+@pytest.mark.parametrize("build", [mk.euclidean_norm, lambda **kw: mk.ellipsoid_norm(ELLIPSOID_A, **kw),
+                                   lambda **kw: mk.lp_norm(4.0, **kw)], ids=["euclidean", "ellipsoid", "lp4"])
+def test_fd_jets_are_the_differences_of_the_value(build):
+    # a built-in norm under jet_source "fd" keeps its value only, and its
+    # derivatives are numerics' stencils of that value at the norm's step
+    fd, exact = build(jet_source="fd", fd_step=3e-5), build()
+    X = _random_normals(12, 7) * np.linspace(0.3, 4.0, 12)[:, None]
+    for value, gradient, hessian in ((exact.gauge_value_rows, fd.gauge_gradient_rows, fd.gauge_hessian_rows),
+                                     (exact.dual_value_rows, fd.dual_gradient_rows, fd.dual_hessian_rows)):
+        assert np.array_equal(gradient(X), fd_gradient_rows(value, X, fd.fd_step))
+        assert np.array_equal(hessian(X), fd_hessian_rows(value, X, fd.fd_step))
+    assert fd.dual_third(X[0]) is None and not fd.has_analytic_dual_jets
 
 
 def test_tangent_basis_orthonormal():
