@@ -14,8 +14,11 @@ lambda2, indicatrix mean, normal curvature, affine distance rho and its
 tangential part V must agree bit for bit. So must a fixed probe of public
 finite-difference routes that no CLI config reaches (the b-Hessians with and
 without an explicit step, the nabla-Laplacian of rho, the affine normal,
-numerics' FD kernels, and the dual Hessian and restricted du of FD and
-value-only-dual norms), run the same way. Prints one line per operation that
+numerics' FD kernels in 2, 3 and 4 variables, the dual Hessian and restricted
+du of FD and value-only-dual norms, and every field of geometry_batch under
+two gauge-only norms on a 12x12 ellipsoid grid and a 4x4 grid of each norm's
+own sphere, whose rows converge after different numbers of Newton iterations
+and backtrack), run the same way. Prints one line per operation that
 differs, naming what differs, then a summary; exits 1 when any operation
 differs.
 """
@@ -61,6 +64,7 @@ for pair, (s, t, phi) in workloads.custom_ops(workloads.build_custom_pairs()):
 # output as the hex form of its floats, or the error it raised. It uses only
 # names that every compared checkout has.
 PROBE_PROGRAM = """
+import dataclasses
 import json
 import numpy as np
 import minksurf as mk
@@ -77,12 +81,30 @@ NORMS = {
     "custom-value-dual": mk.custom_norm(lambda x: float(np.sqrt(x @ A @ x)),
                                         dual=mk.ScalarJet(lambda xi: float(np.sqrt(xi @ INV @ xi)))),
 }
+GAUGES = {
+    "custom-lp4": lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25),
+    "custom-ellipsoid": lambda x: float(np.sqrt(x @ A @ x)),
+}
 XI = np.array([[0.3, -0.5, 0.8], [1e-3, 0.6, -0.9], [2.0, 1.0, 0.5]])
 P3, D3 = np.array([0.4, -0.7, 1.3]), np.array([0.6, 0.0, -0.8])
 
 
 def f3(x):
     return float(np.exp(0.3 * x[0]) * np.cos(x[1]) + x[2] ** 3 / 3.0 + x[0] * x[2])
+
+
+def f_n(x):
+    return float(np.exp(0.3 * x[0]) * np.cos(x[1]) + np.sum(x ** 3) / 3.0 + x[0] * x[-1])
+
+
+def grid(n, s0, t0):
+    s, t = np.meshgrid(np.linspace(s0, np.pi - s0, n), np.linspace(t0, 2.0 * np.pi - t0, n), indexing="ij")
+    return s.ravel(), t.ravel()
+
+
+def batch_fields(norm, surface, s, t):
+    batch = mk.geometry_batch(norm, surface, s, t)
+    return tuple(getattr(batch, f.name) for f in dataclasses.fields(batch))
 
 
 def laplacian(norm, s, t):
@@ -93,6 +115,8 @@ def laplacian(norm, s, t):
 def probes():
     yield "fd_gradient", numerics.fd_gradient, (f3, P3, 1e-5)
     yield "fd_hessian", numerics.fd_hessian, (f3, P3, 1e-4)
+    yield "fd_hessian 2 variables", numerics.fd_hessian, (f_n, P3[:2], 1e-4)
+    yield "fd_hessian 4 variables", numerics.fd_hessian, (f_n, np.append(P3, -0.9), 1e-4)
     yield "central_diff richardson", lambda *a: numerics.central_diff(*a, richardson=True), (f3, P3, D3, 1e-3)
     yield "fd_second_directional", numerics.fd_second_directional, (f3, P3, D3, [0.0, 1.0, 0.0], 1e-4)
     for s, t in POINTS:
@@ -110,6 +134,13 @@ def probes():
                 yield f"{at} hess_b_matrix {what}", mk.hess_b_matrix, (field, pg)
                 yield (f"{at} hess_b_at_critical {what} step", mk.hess_b_at_critical,
                        (field, pg, [1.0, 0.3], [-0.2, 1.0], mk.DEFAULT_CONFIG, 1e-4))
+
+
+    for name, gauge in GAUGES.items():
+        norm = mk.custom_norm(gauge)
+        yield f"{name} geometry_batch 12x12 ellipsoid", batch_fields, (norm, SURFACE, *grid(12, 0.3, 0.05))
+        yield (f"{name} geometry_batch 4x4 own sphere", batch_fields,
+               (norm, mk.minkowski_sphere(norm, 1.5), *grid(4, 0.4, 0.1)))
 
 
 for name, fn, args in probes():

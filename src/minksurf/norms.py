@@ -28,7 +28,8 @@ generated from its `_rows` twin by one helper, _one_point, and runs the twin
 on a batch of one. User callables of one point (custom_norm) are adapted to
 rows with numerics.per_point. The Newton fallback advances the solves of all
 rows in lockstep, with one gauge call per stage, and evaluates no gauge point
-twice: each Hessian reuses the values of its accepted residual.
+twice: each Hessian reuses the step and axis values of its accepted
+residual and places only its cross points.
 Every dual quantity of such a norm reads birkhoff_du_rows, which normalizes
 xi once, solves u once per row and builds du from that u.
 """
@@ -47,9 +48,9 @@ from .errors import (
     NewtonDivergence,
     NonSmoothPoint,
 )
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _dot, _invert_2x2_spd,
-                       _norm_rows, _require_finite, _stack_last, fd_gradient_rows, fd_hessian_rows,
-                       first_row, gradient_stencil, in_row_order, per_point, relative_step)
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _dot, _hessian_rows,
+                       _invert_2x2_spd, _norm_rows, _require_finite, _stack_last, fd_gradient_rows,
+                       fd_hessian_rows, first_row, gradient_stencil, in_row_order, per_point, relative_step)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +348,11 @@ class NormModel:
 
         Every row takes the steps of its own solve; the rows advance together,
         with one gauge call per Newton iteration for the Hessians and one per
-        backtracking trial for the residuals. On FD gauge gradients the
-        residual test is floored at 10 eps / h, h the gradient step, below
-        which differences of the gauge value carry no information. The
-        solution is projected radially onto ∂B, x / F(x), so it lies on ∂B
+        backtracking trial for the residuals. The state holds the running rows
+        only, and a trial that every row takes becomes it. On FD gauge
+        gradients the residual test is floored at 10 eps / h, h the gradient
+        step, below which differences of the gauge value carry no information.
+        The solution is projected radially onto ∂B, x / F(x), so it lies on ∂B
         to roundoff wherever the solve stopped.
         """
         if not self.allow_newton and len(XI):
@@ -360,51 +362,58 @@ class NormModel:
         tol = np.full(len(XI), cfg.newton_tol)
         if self.gauge.gradient is None:
             tol = np.maximum(tol, _FD_RESIDUAL_FLOOR / relative_step(XI, self.fd_step))
-        X = XI / self.gauge_value_rows(XI)[:, None]
-        F, G, known = self._value_gradient_rows(X)
-        mu = _dot(G, XI)
-        res = np.concatenate([G - mu[:, None] * XI, F[:, None] - 1.0], axis=1)
-        U = np.empty_like(XI)
-        live = np.arange(len(XI))  # the rows still iterating
+        U, rows = np.empty_like(XI), np.arange(len(XI))  # rows: those still iterating
 
-        def stop(rows):
-            U[rows] = X[rows] / F[rows, None]
+        def stage(X, mu, XI):
+            """The state at the rows X, with multipliers mu (None: grad F . xi)."""
+            F, G, known, h = self._value_gradient_rows(X)
+            mu = _dot(G, XI) if mu is None else mu
+            res = np.concatenate([G - mu[:, None] * XI, F[:, None] - 1.0], axis=1)
+            return [X, mu, F, G, res, _norm_rows(res), known, h]
 
+        def stop(stopped):
+            """Project the rows stopped onto ∂B, x / F, and drop them from the state."""
+            nonlocal rows, XI, tol, state
+            U[rows[stopped]] = state[0][stopped] / state[2][stopped, None]
+            keep = np.delete(np.arange(len(rows)), stopped)
+            rows, XI, tol = rows[keep], XI[keep], tol[keep]
+            state = [None if a is None else a[keep] for a in state]
+
+        state = stage(XI / self.gauge_value_rows(XI)[:, None], None, XI)
         for _ in range(cfg.newton_max_iter):
-            res_norm = _norm_rows(res[live])
-            done = res_norm <= tol[live]
-            stop(live[done])
-            live, res_norm = live[~done], res_norm[~done]
-            if not len(live):
-                return U
-            J = np.zeros((len(live), 4, 4))
-            J[:, :3, :3] = self._newton_hessian_rows(X[live], None if known is None else known[live])
-            J[:, :3, 3] = -XI[live]
-            J[:, 3, :3] = G[live]
+            done = state[5] <= tol
+            if done.any():
+                stop(done)
+                if not len(rows):
+                    return U
+            X, mu, F, G, res, res_norm, known, h = state
+            J = np.zeros((len(rows), 4, 4))
+            J[:, :3, :3] = self._newton_hessian_rows(X, known, h)
+            J[:, :3, 3] = -XI
+            J[:, 3, :3] = G
             try:
-                delta = np.linalg.solve(J, -res[live][:, :, None])[:, :, 0]
+                delta = np.linalg.solve(J, -res[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
-                raise NewtonDivergence(f"singular KKT system at x={X[live[0]]!r}") from exc
+                raise NewtonDivergence(f"singular KKT system at x={X[0]!r}") from exc
             # Backtrack until the residual shrinks; full steps on quartic-like
             # gauges can overshoot badly from the radial seed.
-            damp = np.ones(len(live))
-            trying = np.arange(len(live))  # positions in live still backtracking
+            damp, trying = 1.0, slice(None)  # the rows still backtracking
             for _ in range(40):
-                rows = live[trying]
-                x_try = X[rows] + damp[trying, None] * delta[trying, :3]
-                mu_try = mu[rows] + damp[trying] * delta[trying, 3]
-                F_try, G_try, known_try = self._value_gradient_rows(x_try)
-                res_try = np.concatenate([G_try - mu_try[:, None] * XI[rows], F_try[:, None] - 1.0], axis=1)
-                better = _norm_rows(res_try) < res_norm[trying]
-                took = rows[better]
-                X[took], mu[took], F[took], G[took], res[took] = (
-                    x_try[better], mu_try[better], F_try[better], G_try[better], res_try[better])
-                if known is not None:
-                    known[took] = known_try[better]
+                step = damp * delta[trying]
+                trial = stage(X[trying] + step[:, :3], mu[trying] + step[:, 3], XI[trying])
+                better = trial[5] < res_norm[trying]
+                if isinstance(trying, slice) and better.all():  # every row takes its full step
+                    state = trial
+                    break
+                trying = np.arange(len(rows))[trying]
+                took = trying[better]
+                for a, b in zip(state, trial):
+                    if a is not None:
+                        a[took] = b[better]
                 trying = trying[~better]
                 if not len(trying):
                     break
-                damp[trying] *= 0.5
+                damp *= 0.5
             else:
                 # FD-quality gradients floor the achievable residual; accept
                 # a stall within the relaxed tolerance.
@@ -412,28 +421,26 @@ class NormModel:
                 i = first_row(~(stalled <= 100.0 * cfg.newton_tol))
                 if i is not None:
                     raise NewtonDivergence(f"Birkhoff Newton stalled at |residual| = {stalled[i]:.3e}")
-                stop(live[trying])
-                live = np.delete(live, trying)
-        res_norm = _norm_rows(res[live])
-        i = first_row(~(res_norm <= np.maximum(tol[live], 100.0 * cfg.newton_tol)))
+                stop(trying)
+        i = first_row(~(state[5] <= np.maximum(tol, 100.0 * cfg.newton_tol)))
         if i is not None:
             raise NewtonDivergence(
                 f"Birkhoff Newton did not converge in {cfg.newton_max_iter} iterations "
-                f"(|residual| = {res_norm[i]:.3e})")
-        stop(live)
+                f"(|residual| = {state[5][i]:.3e})")
+        stop(slice(None))
         return U
 
     def _value_gradient_rows(self, X):
         """F and grad F at the rows of X, as gauge_value_rows and
         gauge_gradient_rows give them, and for an FD gradient each row's gauge
         values at x and at its gradient stencil, in fd_hessian_rows' known
-        layout (else None). An FD gradient takes one gauge call for all
-        points; when it raises, the calls of the two methods are made again,
-        so the exception is theirs."""
+        layout, and its step (else None, None). An FD gradient takes one gauge
+        call for all points; when it raises, the calls of the two methods are
+        made again, so the exception is theirs."""
         X = self._check_nonzero(X, "gauge gradient")
         if self.gauge.gradient is not None:
             G = np.asarray(self.gauge.gradient(X), dtype=float)
-            return self.gauge_value_rows(X), G, None
+            return self.gauge_value_rows(X), G, None, None
         h, P = gradient_stencil(X, self.fd_step)
         P = P.reshape(-1, 3)
         try:
@@ -444,14 +451,13 @@ class NormModel:
             raise
         stencil = _require_finite(vals[:len(P)], P).reshape(len(X), 6)
         F = vals[len(P):]
-        return F, _central_diffs(stencil, h), np.concatenate([F[:, None], stencil], axis=1)
+        return F, _central_diffs(stencil, h), np.concatenate([F[:, None], stencil], axis=1), h
 
-    def _newton_hessian_rows(self, X, known) -> np.ndarray:
-        """The gauge Hessians of a Newton iteration, with the FD stencil's
-        centre and axis values taken from known when given."""
+    def _newton_hessian_rows(self, X, known, h) -> np.ndarray:
+        """The gauge Hessians of a Newton iteration; FD ones at the step h, from the known values."""
         if known is None or self.gauge.hessian is not None:
             return self.gauge_hessian_rows(X)
-        return fd_hessian_rows(self.gauge.value, X, self.fd_step, known)
+        return _hessian_rows(self.gauge.value, X, h, known)
 
     def _inverse_weingarten(self, XI, U) -> np.ndarray:
         """Hess h_B at the unit rows XI from the gauge alone, U holding u at them.

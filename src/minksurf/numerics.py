@@ -6,7 +6,8 @@ and the seeded uniform stream the checks draw their random points from.
 Every first-derivative stencil of the package takes its per-row step and
 its points x +- h e_i from one function, gradient_stencil, and reads its
 differences with _central_diffs; fd_hessian_rows and central_diff place
-their points by the same x + h o.
+their points by the same x + h o, and fd_hessian_rows assembles its
+Hessians from a stencil layout cached per dimension.
 
 All kernels are stateless (the stream is the one object with state);
 tolerances and steps come in as arguments, most of them from one
@@ -41,7 +42,8 @@ class NumericsConfig:
     newton_tol act only on library norms given by their gauge alone (the CLI
     cannot build one); on FD gauge gradients at step h, newton_tol is floored
     at 10 eps / h (about 2.2e-10 at the default step). Numeric fields must be
-    positive, which NaN is not.
+    positive and finite (NaN and inf are not), newton_max_iter and quad_nodes
+    integral (64.0 is kept as the int 64).
     A report does not record the resolved values: its environment holds the
     config as given, so fields left at their defaults do not appear.
     """
@@ -56,13 +58,16 @@ class NumericsConfig:
     cond_guard: float = 1e8
 
     def __post_init__(self):
-        numeric_fields = (
-            self.fd_step, self.newton_max_iter, self.newton_tol,
-            self.quad_nodes, self.umbilic_tol, self.critical_tol,
-            self.cond_guard,
-        )
+        numeric_fields = (self.fd_step, self.newton_max_iter, self.newton_tol, self.quad_nodes,
+                          self.umbilic_tol, self.critical_tol, self.cond_guard)
         if any(not v > 0 for v in numeric_fields):
             raise InvalidParameter("all NumericsConfig numeric fields must be positive")
+        if any(v == np.inf for v in numeric_fields):
+            raise InvalidParameter("all NumericsConfig numeric fields must be finite")
+        for name, v in (("newton_max_iter", self.newton_max_iter), ("quad_nodes", self.quad_nodes)):
+            if v != int(v):
+                raise InvalidParameter(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.quad_nodes % 2 != 0:
             raise InvalidParameter("quad_nodes must be even (composite Simpson)")
 
@@ -271,18 +276,31 @@ def _mixed(fpp, fpm, fmp, fmm, h):
 
 
 @functools.cache
-def _hessian_offsets(n: int) -> np.ndarray:
-    """Stencil offsets of fd_hessian in evaluation order: the centre, then per
-    axis i the pair +-e_i followed by the cross stencils (i, j), j > i."""
-    eye = np.eye(n)
-    offsets = [np.zeros(n)]
+def _hessian_layout(n: int) -> tuple[np.ndarray, ...]:
+    """fd_hessian_rows' stencil in R^n: its offsets in evaluation order, the
+    positions of the known layout (the centre, +-e_i) and of the cross points,
+    and per Hessian entry the positions a, b, c, d (2n^2 + 1 holds a zero) and
+    weights w, s of ((f_a - w f_b) - f_c + f_d) / (s h^2), with each (i, j)'s entry."""
+    eye, zero = np.eye(n), 2 * n * n + 1
+    offsets, axis, cross, terms, entries = [np.zeros(n)], [0], [], [], np.zeros((n, n), dtype=int)
     for i in range(n):
+        k = len(offsets)
+        axis += [k, k + 1]
+        entries[i, i] = len(terms)
+        terms.append((k, 0, zero, k + 1, 2.0, 1.0))  # f(x + h e_i) - 2 f(x) + f(x - h e_i)
         offsets += [eye[i], -eye[i]]
         for j in range(i + 1, n):
+            k = len(offsets)
+            entries[i, j] = entries[j, i] = len(terms)
+            cross += [k, k + 1, k + 2, k + 3]
+            terms.append((k, k + 1, k + 2, k + 3, 1.0, 4.0))  # f++ - f+- - f-+ + f--
             offsets += [eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]]
-    offsets = np.array(offsets)
-    offsets.flags.writeable = False
-    return offsets
+    terms = np.array(terms).T
+    layout = (np.array(offsets), np.array(axis), np.array(cross, dtype=int),
+              terms[:4].astype(int), terms[4], terms[5], entries.ravel())
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def fd_hessian_rows(field, X, step: float, known=None) -> np.ndarray:
@@ -296,28 +314,23 @@ def fd_hessian_rows(field, X, step: float, known=None) -> np.ndarray:
     all points were.
     """
     X = np.asarray(X, dtype=float)
+    return _hessian_rows(field, X, relative_step(X, step), known)
+
+
+def _hessian_rows(field, X: np.ndarray, h: np.ndarray, known=None) -> np.ndarray:
+    """fd_hessian_rows at the rows of X with the step h of each row given."""
     N, n = X.shape
-    h = relative_step(X, step)
-    O = _hessian_offsets(n)
-    pts = _place(X, h, O).reshape(-1, n)
+    O, axis, cross, terms, w, s, entries = _hessian_layout(n)
+    f = np.zeros((N, len(O) + 1))  # the values at the stencil, and a zero
     if known is None:
-        f = _field_values(field, pts).reshape(N, -1)
+        f[:, :-1] = _field_values(field, _place(X, h, O).reshape(-1, n)).reshape(N, -1)
     else:
-        axis = np.abs(O).sum(axis=1) <= 1.0
-        f = np.empty((N, len(O)))
         f[:, axis] = known
-        cross = pts.reshape(N, -1, n)[:, ~axis].reshape(-1, n)
-        f[:, ~axis] = _field_values(field, cross, finite=False).reshape(N, -1)
-        _require_finite(f.ravel(), pts)
-    hess = np.empty((N, n, n))
-    k = 1
-    for i in range(n):
-        hess[:, i, i] = (f[:, k] - 2.0 * f[:, 0] + f[:, k + 1]) / h**2
-        k += 2
-        for j in range(i + 1, n):
-            hess[:, i, j] = hess[:, j, i] = _mixed(*f[:, k:k + 4].T, h)
-            k += 4
-    return hess
+        f[:, cross] = _field_values(field, _place(X, h, O[cross]).reshape(-1, n), finite=False).reshape(N, -1)
+        if not np.isfinite(f).all():
+            _require_finite(f[:, :-1].ravel(), _place(X, h, O).reshape(-1, n))
+    a, b, c, d = f[:, terms].transpose(1, 0, 2)
+    return (((a - w * b) - c + d) / ((h * h)[:, None] * s))[:, entries].reshape(N, n, n)
 
 
 def fd_hessian(field, point, step: float) -> np.ndarray:

@@ -4,11 +4,16 @@ The ellipsoid curvature formulas are the classical ones for
 f(s,t) = (a sin s cos t, b sin s sin t, c cos s); both were re-derived
 symbolically (first/second fundamental forms, sympy) before being frozen
 here, with the normal oriented outward and convexity counted positive.
+fd_hessian_rows_by_pairs is the FD Hessian kernel as it was written before
+its Hessian was assembled from a cached layout: one stencil built per call,
+one pair of entries filled per (i, j).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from minksurf.numerics import _field_values, _mixed, _place, _require_finite, relative_step
 
 
 def ellipsoid_gaussian(a: float, b: float, c: float, p: np.ndarray) -> float:
@@ -35,3 +40,36 @@ def torus_gaussian(R: float, r: float, s: float) -> float:
 
 def torus_mean(R: float, r: float, s: float) -> float:
     return (R + 2.0 * r * np.cos(s)) / (2.0 * r * (R + r * np.cos(s)))
+
+
+def fd_hessian_rows_by_pairs(field, X, step: float, known=None) -> np.ndarray:
+    """numerics.fd_hessian_rows, stencil offset by offset and entry by entry."""
+    X = np.asarray(X, dtype=float)
+    N, n = X.shape
+    eye = np.eye(n)
+    O = [np.zeros(n)]
+    for i in range(n):
+        O += [eye[i], -eye[i]]
+        for j in range(i + 1, n):
+            O += [eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]]
+    O = np.array(O)
+    h = relative_step(X, step)
+    pts = _place(X, h, O).reshape(-1, n)
+    if known is None:
+        f = _field_values(field, pts).reshape(N, -1)
+    else:
+        axis = np.abs(O).sum(axis=1) <= 1.0
+        f = np.empty((N, len(O)))
+        f[:, axis] = known
+        cross = pts.reshape(N, -1, n)[:, ~axis].reshape(-1, n)
+        f[:, ~axis] = _field_values(field, cross, finite=False).reshape(N, -1)
+        _require_finite(f.ravel(), pts)
+    hess = np.empty((N, n, n))
+    k = 1
+    for i in range(n):
+        hess[:, i, i] = (f[:, k] - 2.0 * f[:, 0] + f[:, k + 1]) / h**2
+        k += 2
+        for j in range(i + 1, n):
+            hess[:, i, j] = hess[:, j, i] = _mixed(*f[:, k:k + 4].T, h)
+            k += 4
+    return hess

@@ -339,7 +339,7 @@ def test_gauge_only_work_counts(monkeypatch):
     XI = _random_normals(40, 0)
     for xi in XI:
         norm.birkhoff_point(xi)
-    assert calls[0] <= 4442  # 111 gauge values per solve
+    assert calls[0] == 4442  # 111 gauge values per solve
 
     solves = _count_solves(monkeypatch)
     norm.dual_hessian(XI[0])
@@ -430,15 +430,46 @@ def _solve_one_at_a_time(norm, XI):
 
 
 def _stages(monkeypatch):
-    """Per-row counts of the lockstep solve's residual and Hessian stages."""
-    counts = {"residual": 0, "hessian": 0}
+    """Per-row counts of the lockstep solve's residual and Hessian stages, and
+    the numbers of their calls."""
+    counts = {"residual": 0, "hessian": 0, "residual calls": 0, "hessian calls": 0}
     for name, stage in (("residual", "_value_gradient_rows"), ("hessian", "_newton_hessian_rows")):
         def counted(self, *args, _fn=getattr(mk.NormModel, stage), _name=name):
             counts[_name] += len(args[0])
+            counts[f"{_name} calls"] += 1
             return _fn(self, *args)
 
         monkeypatch.setattr(mk.NormModel, stage, counted)
     return counts
+
+
+def test_lockstep_newton_work_is_pinned(monkeypatch):
+    """One lockstep of 40 rows takes the 4,442 gauge values of their 40 solves
+    of one row, in 17 residual stages (298 rows) and 6 Hessian stages (193
+    rows). A stage of no row costs no gauge value, so only the numbers of
+    calls show the trials that backtracking rows no longer need."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return _lp4_gauge(x)
+
+    stages = _stages(monkeypatch)
+    mk.custom_norm(counted)._newton_points(_random_normals(40, 0))
+    assert calls[0] == 4442
+    assert stages == {"residual": 298, "hessian": 193, "residual calls": 17, "hessian calls": 6}
+
+
+def test_an_integral_float_newton_max_iter_solves_as_its_int():
+    """newton_max_iter=50.0 is the int 50 (as a float it stopped the solve with
+    a TypeError), and 2.5 is refused when the config is built."""
+    XI = _random_normals(5, 3)
+    config = mk.NumericsConfig(newton_max_iter=50.0)
+    assert config.newton_max_iter == 50 and type(config.newton_max_iter) is int
+    assert np.array_equal(mk.custom_norm(_lp4_gauge, config=config).birkhoff_point_rows(XI),
+                          mk.custom_norm(_lp4_gauge).birkhoff_point_rows(XI))
+    with pytest.raises(mk.InvalidParameter, match="newton_max_iter must be an integer, got 2.5"):
+        mk.NumericsConfig(newton_max_iter=2.5)
 
 
 def test_lockstep_newton_equals_solves_of_one_row(monkeypatch):

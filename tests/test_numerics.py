@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fd_hessian_rows_by_pairs
 
-from minksurf.errors import InvalidParameter, NotSPD, NumericalFailure, OddSampleCount
+from minksurf.errors import EvaluationFailure, InvalidParameter, NotSPD, NumericalFailure, OddSampleCount
 from minksurf.numerics import (
     NumericsConfig,
     UniformStream,
@@ -17,7 +18,10 @@ from minksurf.numerics import (
     convergence_order,
     fd_gradient,
     fd_hessian,
+    fd_hessian_rows,
     fd_second_directional,
+    gradient_stencil,
+    relative_step,
     guarded_solve,
     simpson_periodic_mean,
     sym_eigen_2x2,
@@ -41,6 +45,23 @@ def test_config_rejects_bad_values():
         NumericsConfig(quad_nodes=7)
     with pytest.raises(InvalidParameter):
         NumericsConfig(newton_max_iter=0)
+
+
+@pytest.mark.parametrize("name", ["fd_step", "newton_max_iter", "newton_tol", "quad_nodes",
+                                  "umbilic_tol", "critical_tol", "cond_guard"])
+def test_config_rejects_non_finite_and_non_integral_values(name):
+    """Every numeric field refuses NaN and +-inf (inf was taken), and the
+    integer fields refuse non-integral values (2.5 was taken, and stopped a
+    gauge-only Newton solve with a TypeError); 64.0 is kept as the int 64."""
+    for bad, words in ((math.nan, "must be positive"), (-math.inf, "must be positive"),
+                       (math.inf, "must be finite")):
+        with pytest.raises(InvalidParameter, match=words):
+            NumericsConfig(**{name: bad})
+    if name in ("newton_max_iter", "quad_nodes"):
+        with pytest.raises(InvalidParameter, match=f"{name} must be an integer"):
+            NumericsConfig(**{name: 2.5})
+        value = getattr(NumericsConfig(**{name: 64.0}), name)
+        assert value == 64 and type(value) is int
 
 
 def test_central_diff_quadratic():
@@ -72,6 +93,60 @@ def test_fd_gradient_and_hessian_polynomial():
     H = fd_hessian(f, x, 1e-4)
     assert np.allclose(H, [[2 * -0.7, 2 * 1.2], [2 * 1.2, 6 * -0.7]], atol=1e-5)
     assert np.allclose(H, H.T)
+
+
+def _smooth_field(X):
+    """A batched field on R^n whose Hessian has no zero entry."""
+    return np.exp(0.3 * X[:, 0]) * np.cos(X[:, 1]) + (X**3).sum(axis=1) / 3.0 + X[:, 0] * X[:, -1]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _known(field, X, step):
+    """Each row's values at x and at its gradient stencil, fd_hessian_rows' known layout."""
+    P = gradient_stencil(X, step)[1]
+    return np.concatenate([field(X)[:, None], field(P.reshape(-1, X.shape[1])).reshape(len(X), -1)], axis=1)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fd_hessian_rows_equals_the_loop_over_pairs_bitwise(n, rows):
+    """The Hessian assembled from the cached layout is the per-pair loop's, bit
+    for bit, with and without known values, and fails where the loop fails,
+    with the same exception and message."""
+    X = np.random.default_rng(10 * n + rows).uniform(-2.0, 2.0, (rows, n))
+    X[0] *= 0.2  # a row inside the unit ball takes the absolute step
+    # the first cross point, x + h (e_0 + e_1), of the last row
+    cross = X[-1] + relative_step(X, 1e-4)[-1] * (np.eye(n)[0] + np.eye(n)[1])
+
+    def raising(Y):
+        if (Y == cross).all(axis=1).any():
+            raise ValueError("no value here")
+        return _smooth_field(Y)
+
+    def infinite(Y):
+        return np.where((Y == cross).all(axis=1), np.inf, _smooth_field(Y))
+
+    for step in (1e-4, 1e-3):
+        known = _known(_smooth_field, X, step)
+        for args in ((X, step), (X, step, known)):
+            got = fd_hessian_rows(_smooth_field, *args)
+            assert np.array_equal(got, fd_hessian_rows_by_pairs(_smooth_field, *args))
+            assert np.array_equal(got, np.swapaxes(got, 1, 2))
+    known = _known(_smooth_field, X, 1e-4)
+    bad_centre = known.copy()
+    bad_centre[-1, 0] = np.nan
+    for field, args in ((raising, ()), (raising, (known,)), (infinite, ()), (infinite, (known,)),
+                        (_smooth_field, (bad_centre,))):
+        got = _outcome(fd_hessian_rows, field, X, 1e-4, *args)
+        want = _outcome(fd_hessian_rows_by_pairs, field, X, 1e-4, *args)
+        assert isinstance(want, EvaluationFailure)
+        assert type(got) is type(want) and str(got) == str(want)
 
 
 def test_fd_second_directional_quadratic_exact():
