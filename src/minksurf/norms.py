@@ -28,8 +28,8 @@ generated from its `_rows` twin by one helper, _one_point, and runs the twin
 on a batch of one. User callables of one point (custom_norm) are adapted to
 rows with numerics.per_point. The Newton fallback advances the solves of all
 rows in lockstep, with one gauge call per stage, and evaluates no gauge point
-twice: each Hessian reuses the step and axis values of its accepted
-residual and places only its cross points.
+twice: each Hessian reuses the axis values of its accepted residual and
+places only its cross points.
 Every dual quantity of such a norm reads birkhoff_du_rows, which normalizes
 xi once, solves u once per row and builds du from that u.
 """
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,9 +48,9 @@ from .errors import (
     NewtonDivergence,
     NonSmoothPoint,
 )
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _dot, _hessian_rows,
-                       _invert_2x2_spd, _norm_rows, _require_finite, _stack_last, fd_gradient_rows,
-                       fd_hessian_rows, first_row, gradient_stencil, in_row_order, per_point, relative_step)
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _dot, _invert_2x2_spd,
+                       _norm_rows, _require_finite, _stack_last, fd_gradient_rows, fd_hessian_rows,
+                       first_row, gradient_stencil, in_row_order, per_point, relative_step)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,18 @@ _FD_RESIDUAL_FLOOR = 10.0 * np.finfo(float).eps
 # roundoff at h = eps^(1/4), about 1.2e-4; at the gradients' step of 1e-5 the
 # roundoff alone would be about 1e-6.
 _GAUGE_HESSIAN_STEP = np.finfo(float).eps ** 0.25
+
+
+class _NewtonRows(NamedTuple):
+    """The lockstep Newton's state at its running rows (known: None unless FD)."""
+
+    X: np.ndarray
+    mu: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    res: np.ndarray
+    res_norm: np.ndarray
+    known: Optional[np.ndarray]
 
 
 def _restricted(XI: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,11 +361,11 @@ class NormModel:
         Every row takes the steps of its own solve; the rows advance together,
         with one gauge call per Newton iteration for the Hessians and one per
         backtracking trial for the residuals. The state holds the running rows
-        only, and a trial that every row takes becomes it. On FD gauge
-        gradients the residual test is floored at 10 eps / h, h the gradient
-        step, below which differences of the gauge value carry no information.
-        The solution is projected radially onto ∂B, x / F(x), so it lies on ∂B
-        to roundoff wherever the solve stopped.
+        only; a row leaves it when it stops. On FD gauge gradients the
+        residual test is floored at 10 eps / h, h the gradient step, below
+        which differences of the gauge value carry no information. The
+        solution is projected radially onto ∂B, x / F(x), so it lies on ∂B to
+        roundoff wherever the solve stopped.
         """
         if not self.allow_newton and len(XI):
             raise MissingDualJets("custom norm has no dual jets and the Newton fallback is disabled")
@@ -366,29 +378,29 @@ class NormModel:
 
         def stage(X, mu, XI):
             """The state at the rows X, with multipliers mu (None: grad F . xi)."""
-            F, G, known, h = self._value_gradient_rows(X)
+            F, G, known = self._value_gradient_rows(X)
             mu = _dot(G, XI) if mu is None else mu
             res = np.concatenate([G - mu[:, None] * XI, F[:, None] - 1.0], axis=1)
-            return [X, mu, F, G, res, _norm_rows(res), known, h]
+            return _NewtonRows(X, mu, F, G, res, _norm_rows(res), known)
 
         def stop(stopped):
             """Project the rows stopped onto ∂B, x / F, and drop them from the state."""
             nonlocal rows, XI, tol, state
-            U[rows[stopped]] = state[0][stopped] / state[2][stopped, None]
+            U[rows[stopped]] = state.X[stopped] / state.F[stopped, None]
             keep = np.delete(np.arange(len(rows)), stopped)
             rows, XI, tol = rows[keep], XI[keep], tol[keep]
-            state = [None if a is None else a[keep] for a in state]
+            state = _NewtonRows(*(None if a is None else a[keep] for a in state))
 
         state = stage(XI / self.gauge_value_rows(XI)[:, None], None, XI)
         for _ in range(cfg.newton_max_iter):
-            done = state[5] <= tol
+            done = state.res_norm <= tol
             if done.any():
                 stop(done)
                 if not len(rows):
                     return U
-            X, mu, F, G, res, res_norm, known, h = state
+            X, mu, F, G, res, res_norm, known = state
             J = np.zeros((len(rows), 4, 4))
-            J[:, :3, :3] = self._newton_hessian_rows(X, known, h)
+            J[:, :3, :3] = self._newton_hessian_rows(X, known)
             J[:, :3, 3] = -XI
             J[:, 3, :3] = G
             try:
@@ -397,15 +409,11 @@ class NormModel:
                 raise NewtonDivergence(f"singular KKT system at x={X[0]!r}") from exc
             # Backtrack until the residual shrinks; full steps on quartic-like
             # gauges can overshoot badly from the radial seed.
-            damp, trying = 1.0, slice(None)  # the rows still backtracking
+            damp, trying = 1.0, np.arange(len(rows))  # the rows still backtracking
             for _ in range(40):
                 step = damp * delta[trying]
                 trial = stage(X[trying] + step[:, :3], mu[trying] + step[:, 3], XI[trying])
-                better = trial[5] < res_norm[trying]
-                if isinstance(trying, slice) and better.all():  # every row takes its full step
-                    state = trial
-                    break
-                trying = np.arange(len(rows))[trying]
+                better = trial.res_norm < res_norm[trying]
                 took = trying[better]
                 for a, b in zip(state, trial):
                     if a is not None:
@@ -422,11 +430,11 @@ class NormModel:
                 if i is not None:
                     raise NewtonDivergence(f"Birkhoff Newton stalled at |residual| = {stalled[i]:.3e}")
                 stop(trying)
-        i = first_row(~(state[5] <= np.maximum(tol, 100.0 * cfg.newton_tol)))
+        i = first_row(~(state.res_norm <= np.maximum(tol, 100.0 * cfg.newton_tol)))
         if i is not None:
             raise NewtonDivergence(
                 f"Birkhoff Newton did not converge in {cfg.newton_max_iter} iterations "
-                f"(|residual| = {state[5][i]:.3e})")
+                f"(|residual| = {state.res_norm[i]:.3e})")
         stop(slice(None))
         return U
 
@@ -434,13 +442,13 @@ class NormModel:
         """F and grad F at the rows of X, as gauge_value_rows and
         gauge_gradient_rows give them, and for an FD gradient each row's gauge
         values at x and at its gradient stencil, in fd_hessian_rows' known
-        layout, and its step (else None, None). An FD gradient takes one gauge
-        call for all points; when it raises, the calls of the two methods are
-        made again, so the exception is theirs."""
+        layout (else None). An FD gradient takes one gauge call for all
+        points; when it raises, the calls of the two methods are made again,
+        so the exception is theirs."""
         X = self._check_nonzero(X, "gauge gradient")
         if self.gauge.gradient is not None:
             G = np.asarray(self.gauge.gradient(X), dtype=float)
-            return self.gauge_value_rows(X), G, None, None
+            return self.gauge_value_rows(X), G, None
         h, P = gradient_stencil(X, self.fd_step)
         P = P.reshape(-1, 3)
         try:
@@ -451,13 +459,14 @@ class NormModel:
             raise
         stencil = _require_finite(vals[:len(P)], P).reshape(len(X), 6)
         F = vals[len(P):]
-        return F, _central_diffs(stencil, h), np.concatenate([F[:, None], stencil], axis=1), h
+        return F, _central_diffs(stencil, h), np.concatenate([F[:, None], stencil], axis=1)
 
-    def _newton_hessian_rows(self, X, known, h) -> np.ndarray:
-        """The gauge Hessians of a Newton iteration; FD ones at the step h, from the known values."""
+    def _newton_hessian_rows(self, X, known) -> np.ndarray:
+        """The gauge Hessians of a Newton iteration, with the FD stencil's
+        centre and axis values taken from known when given."""
         if known is None or self.gauge.hessian is not None:
             return self.gauge_hessian_rows(X)
-        return _hessian_rows(self.gauge.value, X, h, known)
+        return fd_hessian_rows(self.gauge.value, X, self.fd_step, known)
 
     def _inverse_weingarten(self, XI, U) -> np.ndarray:
         """Hess h_B at the unit rows XI from the gauge alone, U holding u at them.

@@ -277,27 +277,19 @@ def _mixed(fpp, fpm, fmp, fmm, h):
 
 @functools.cache
 def _hessian_layout(n: int) -> tuple[np.ndarray, ...]:
-    """fd_hessian_rows' stencil in R^n: its offsets in evaluation order, the
-    positions of the known layout (the centre, +-e_i) and of the cross points,
-    and per Hessian entry the positions a, b, c, d (2n^2 + 1 holds a zero) and
-    weights w, s of ((f_a - w f_b) - f_c + f_d) / (s h^2), with each (i, j)'s entry."""
-    eye, zero = np.eye(n), 2 * n * n + 1
-    offsets, axis, cross, terms, entries = [np.zeros(n)], [0], [], [], np.zeros((n, n), dtype=int)
+    """fd_hessian_rows' stencil in R^n: its offsets in evaluation order (the
+    centre, then per axis i the pair +-e_i followed by the cross stencils
+    (i, j), j > i), the positions of the centre and the +-e_i (the known
+    layout) and of the cross points, and the entries (i, j), i < j, in order."""
+    eye = np.eye(n)
+    offsets, axis, cross = [np.zeros(n)], [0], []
     for i in range(n):
-        k = len(offsets)
-        axis += [k, k + 1]
-        entries[i, i] = len(terms)
-        terms.append((k, 0, zero, k + 1, 2.0, 1.0))  # f(x + h e_i) - 2 f(x) + f(x - h e_i)
+        axis += [len(offsets), len(offsets) + 1]
         offsets += [eye[i], -eye[i]]
         for j in range(i + 1, n):
-            k = len(offsets)
-            entries[i, j] = entries[j, i] = len(terms)
-            cross += [k, k + 1, k + 2, k + 3]
-            terms.append((k, k + 1, k + 2, k + 3, 1.0, 4.0))  # f++ - f+- - f-+ + f--
+            cross += range(len(offsets), len(offsets) + 4)
             offsets += [eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]]
-    terms = np.array(terms).T
-    layout = (np.array(offsets), np.array(axis), np.array(cross, dtype=int),
-              terms[:4].astype(int), terms[4], terms[5], entries.ravel())
+    layout = (np.array(offsets), np.array(axis), np.array(cross, dtype=int), *np.triu_indices(n, 1))
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -314,23 +306,22 @@ def fd_hessian_rows(field, X, step: float, known=None) -> np.ndarray:
     all points were.
     """
     X = np.asarray(X, dtype=float)
-    return _hessian_rows(field, X, relative_step(X, step), known)
-
-
-def _hessian_rows(field, X: np.ndarray, h: np.ndarray, known=None) -> np.ndarray:
-    """fd_hessian_rows at the rows of X with the step h of each row given."""
     N, n = X.shape
-    O, axis, cross, terms, w, s, entries = _hessian_layout(n)
-    f = np.zeros((N, len(O) + 1))  # the values at the stencil, and a zero
+    h = relative_step(X, step)
+    O, axis, cross, iu, ju = _hessian_layout(n)
     if known is None:
-        f[:, :-1] = _field_values(field, _place(X, h, O).reshape(-1, n)).reshape(N, -1)
+        f = _field_values(field, _place(X, h, O).reshape(-1, n)).reshape(N, -1)
     else:
+        f = np.empty((N, len(O)))
         f[:, axis] = known
         f[:, cross] = _field_values(field, _place(X, h, O[cross]).reshape(-1, n), finite=False).reshape(N, -1)
         if not np.isfinite(f).all():
-            _require_finite(f[:, :-1].ravel(), _place(X, h, O).reshape(-1, n))
-    a, b, c, d = f[:, terms].transpose(1, 0, 2)
-    return (((a - w * b) - c + d) / ((h * h)[:, None] * s))[:, entries].reshape(N, n, n)
+            _require_finite(f.ravel(), _place(X, h, O).reshape(-1, n))
+    hess = np.empty((N, n, n))
+    diag = np.arange(n)
+    hess[:, diag, diag] = (f[:, axis[1::2]] - 2.0 * f[:, :1] + f[:, axis[2::2]]) / (h**2)[:, None]
+    hess[:, iu, ju] = hess[:, ju, iu] = _mixed(*f[:, cross].reshape(N, -1, 4).transpose(2, 0, 1), h[:, None])
+    return hess
 
 
 def fd_hessian(field, point, step: float) -> np.ndarray:
