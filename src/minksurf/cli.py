@@ -6,7 +6,9 @@ Subcommands:
       requested checks. Writes a JSON report (stdout, or output.path from the
       config) and optionally a per-point CSV field table. Exit codes: 0 on a
       completed run (even with failing checks), 1 when --strict and a check
-      failed, 2 on configuration errors, 3 on numerical failures.
+      failed, 2 on configuration errors (a config that cannot be read or is
+      not UTF-8 JSON included) and on an output that cannot be written, 3 on
+      numerical failures.
   list-checks
       Print the check registry.
   schema [config|report]
@@ -36,8 +38,8 @@ loads numpy's random module.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import gc
 import json
 import math
 import numbers
@@ -696,10 +698,6 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def fmt_17g(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # run driver
 # ---------------------------------------------------------------------------
@@ -763,15 +761,19 @@ FIELD_COLUMNS = ["s", "t", "x", "y", "z", "lambda1", "lambda2", "K", "H",
 
 
 def write_fields_csv(path: str, ctx: RunContext) -> None:
-    """Per-point field table, RFC-4180 (CRLF, '.' decimal), 17 significant digits."""
+    """Per-point field table, RFC-4180 (CRLF, '.' decimal), 17 significant digits.
+
+    blaschke_ratio is empty where h is degenerate; nan, inf and -0 are
+    written as Python's "%.17g" writes them.
+    """
     g = ctx.geometries()
     ratio, ok = _blaschke_ratios(g)
     columns = [g.s, g.t, g.p[:, 0], g.p[:, 1], g.p[:, 2], g.lambda1, g.lambda2, g.K, g.H, g.pairing]
+    ratios = ["%.17g" % r if keep else "" for r, keep in zip(ratio.tolist(), ok.tolist())]
+    row = "%.17g," * len(columns) + "%s\r\n"
+    lines = [row % cells for cells in zip(*(c.tolist() for c in columns), ratios)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELD_COLUMNS)
-        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
-            writer.writerow([fmt_17g(v) for v in row] + [fmt_17g(ratio[i]) if ok[i] else ""])
+        fh.write(",".join(FIELD_COLUMNS) + "\r\n" + "".join(lines))
 
 
 def _no_constant(name: str):
@@ -793,12 +795,12 @@ def _require_json_numbers(node) -> None:
 
 def _cmd_run(args) -> int:
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh, parse_constant=_no_constant)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
@@ -820,12 +822,20 @@ def _cmd_run(args) -> int:
         output = cfg.get("output", {})
         out_path = output.get("path")
         out_format = output.get("format", "json")
-        if args.fields or (out_format == "csv" and out_path):
-            write_fields_csv(args.fields or out_path, ctx)
-        if out_path and out_format == "json":
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        else:
+        fields_path = args.fields or (out_path if out_format == "csv" else None)
+        report_path = out_path if out_format == "json" else None
+        target = fields_path
+        try:
+            if fields_path:
+                write_fields_csv(fields_path, ctx)
+            target = report_path
+            if report_path:
+                with open(report_path, "w") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+        if not report_path:
             sys.stdout.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -886,5 +896,19 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def process_main() -> None:
+    """The process entry point of `python -m minksurf.cli` and the `minksurf` script.
+
+    Runs main() and exits with its code. Every object then alive is frozen
+    first, so the interpreter's last collection at shutdown does not walk
+    the heap; shutdown still flushes stdout and stderr, runs atexit handlers
+    and tears down modules. main() itself leaves the collector alone.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

@@ -6,13 +6,18 @@ symbolically (first/second fundamental forms, sympy) before being frozen
 here, with the normal oriented outward and convexity counted positive.
 fd_hessian_rows_by_pairs is the FD Hessian kernel as it was written before
 its Hessian was assembled from a cached layout: one stencil built per call,
-one pair of entries filled per (i, j).
+one pair of entries filled per (i, j). write_fields_csv_by_csv_writer is the
+field table writer as it was before each row became one string template:
+csv.writer, and format(v, ".17g") per value.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
+from minksurf.cli import FIELD_COLUMNS, _blaschke_ratios
 from minksurf.numerics import _field_values, _mixed, _place, _require_finite, relative_step
 
 
@@ -73,3 +78,16 @@ def fd_hessian_rows_by_pairs(field, X, step: float, known=None) -> np.ndarray:
             hess[:, i, j] = hess[:, j, i] = _mixed(*f[:, k:k + 4].T, h)
             k += 4
     return hess
+
+
+def write_fields_csv_by_csv_writer(path, ctx) -> None:
+    """cli.write_fields_csv through csv.writer, one format call per value."""
+    g = ctx.geometries()
+    ratio, ok = _blaschke_ratios(g)
+    columns = [g.s, g.t, g.p[:, 0], g.p[:, 1], g.p[:, 2], g.lambda1, g.lambda2, g.K, g.H, g.pairing]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(FIELD_COLUMNS)
+        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+            writer.writerow([format(float(v), ".17g") for v in row]
+                            + [format(float(ratio[i]), ".17g") if ok[i] else ""])

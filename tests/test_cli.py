@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import copy
 import csv
+import ast
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ import minksurf.blaschke
 import minksurf.cli
 import minksurf.distances
 import minksurf.geometry
+from oracles import write_fields_csv_by_csv_writer
 from minksurf.cli import (
     REGISTRY,
     _CONFIG_KEYWORDS,
@@ -324,6 +329,118 @@ def test_output_path_and_csv_format(tmp_path):
     assert csv_path.exists()
     with open(csv_path, newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + 8 * 8
+
+
+@pytest.mark.parametrize("where", ["fields", "output-path"])
+def test_an_unwritable_output_exits_two(tmp_path, where):
+    # exit 1 is --strict's code for a failing check; before this was caught,
+    # an OSError ended the run in a traceback with exit 1
+    target = tmp_path / "missing" / "out"
+    cfg = dict(BASE_CONFIG, checks=["prop-2-3"])
+    args = []
+    if where == "fields":
+        args = ["--fields", str(target)]
+    else:
+        cfg["output"] = {"format": "json", "path": str(target)}
+    out = run_cli(["run", "--config", write_config(tmp_path, cfg), *args])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"error: cannot write {target}: No such file or directory\n"
+    assert out.stdout == ""
+
+
+def test_a_config_that_is_not_utf8_exits_two(tmp_path):
+    # RFC 8259 JSON is UTF-8; before the config was opened as UTF-8, these
+    # bytes raised UnicodeDecodeError, a traceback with exit 1
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    out = run_cli(["run", "--config", str(path)])
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: config is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+
+def _special_values_context():
+    """A 2x2 lp(4) ellipsoid run whose geometry holds nan, inf, -inf and -0.0;
+    its blaschke_ratio is nan at the first point (h is nan) and empty at the
+    second (h is 0)."""
+    ctx = minksurf.cli.build_context({**BASE_CONFIG, "grid": {"ns": 2, "nt": 2, "margins": [0.3, 0.1]}})
+    g = ctx.geometries()
+    special = np.array([np.nan, np.inf, -np.inf, -0.0])
+    h = g.h_mat.copy()
+    h[0, 0, 0], h[1] = np.nan, 0.0
+    gb = dataclasses.replace(g, s=special, lambda1=special[::-1].copy(), h_mat=h)
+    return dataclasses.replace(ctx, _geoms=gb)
+
+
+@pytest.mark.parametrize("context, empty_ratios, cells", [
+    # the torus grid holds the parabolic circles s = pi/2, 3pi/2, where h is degenerate
+    (lambda: minksurf.cli.build_context({**EUCLIDEAN_TORUS, "grid": {"ns": 8, "nt": 8, "margins": [0.0, 0.1]},
+                                         "checks": ["blaschke-scan"]}), 16, set()),
+    (lambda: minksurf.cli.build_context(BASE_CONFIG), 0, set()),
+    (_special_values_context, 1, {"nan", "inf", "-inf", "-0"}),
+], ids=["euclidean-torus", "lp4-ellipsoid", "nan-inf-minus-zero"])
+def test_field_table_bytes_equal_the_csv_writer_oracle(tmp_path, context, empty_ratios, cells):
+    ctx = context()
+    fast, oracle = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+    with np.errstate(invalid="ignore"):   # det of a nan h
+        minksurf.cli.write_fields_csv(str(fast), ctx)
+        write_fields_csv_by_csv_writer(str(oracle), ctx)
+    raw = fast.read_bytes()
+    assert raw == oracle.read_bytes()
+    rows = raw.decode().split("\r\n")
+    assert rows[-1] == "" and len(rows) == 2 + len(ctx.geometries())
+    assert [row.rsplit(",", 1)[1] for row in rows[1:-1]].count("") == empty_ratios
+    assert cells <= set(",".join(rows[1:]).split(","))
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "checks": ["prop-2-3"]})
+    frozen = gc.get_freeze_count()
+    assert minksurf.cli.main(["run", "--config", cfg]) == 0
+    assert minksurf.cli.main(["list-checks"]) == 0
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def _script_target() -> str:
+    """The `minksurf` entry of pyproject.toml's [project.scripts] table."""
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    return re.search(r'^\[project\.scripts\]\nminksurf = "([^"]+)"$', pyproject, re.M).group(1)
+
+
+def test_the_console_script_is_the_entry_the_main_block_calls():
+    module, name = _script_target().split(":")
+    assert module == "minksurf.cli"
+    tree = ast.parse(Path(minksurf.cli.__file__).read_text())
+    main_blocks = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for block in main_blocks for stmt in block.body] == [f"{name}()"]
+
+
+def test_the_console_script_runs_as_python_m(tmp_path):
+    module, name = _script_target().split(":")
+    # what an installed console script runs: sys.exit(<target>())
+    program = f"import sys; from {module} import {name}; sys.exit({name}())"
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "checks": ["prop-2-1"],
+                                  "tolerances": {"prop-2-1": 1e-30}})
+    for args in (["run", "--config", cfg, "--strict"], ["run", "--config", str(tmp_path / "no.json")],
+                 ["list-checks"], ["run"]):
+        via_script = subprocess.run([sys.executable, "-c", program, *args], capture_output=True, text=True)
+        via_module = run_cli(args)
+        assert (via_script.returncode, via_script.stdout, via_script.stderr) == \
+            (via_module.returncode, via_module.stdout, via_module.stderr)
+        assert via_script.returncode == {"run": 1 if "--strict" in args else 2,
+                                         "list-checks": 0}[args[0]]
+
+
+def test_the_process_entry_freezes_the_heap_and_still_runs_atexit():
+    program = ("import atexit, gc\n"
+               "from minksurf.cli import process_main\n"
+               "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, gc.isenabled()))\n"
+               "process_main()\n")
+    out = subprocess.run([sys.executable, "-c", program, "list-checks"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("curvature-closed-form ")
+    assert out.stdout.endswith("\nfrozen True True\n")
 
 
 def test_tolerance_override_recorded(tmp_path):
