@@ -8,10 +8,13 @@ workloads (as perfbench/workloads.py of CHANGE defines them) runs once with
 each checkout's src/ on PYTHONPATH, in a fresh directory of its own. The
 report on stdout, the field CSV, stderr and the exit code of the two runs
 must be byte-identical; an operation whose config repeats across seeds runs
-once. The 24 points of the custom-norm workload are evaluated once per
-checkout, each checkout in a process of its own, and their eta, lambda1,
-lambda2, indicatrix mean, normal curvature, affine distance rho and its
-tangential part V must agree bit for bit. So must a fixed probe of public
+once. One rejected config per keyword of the config schema, each with a
+single violation, runs the same way: it must exit 2 with PARENT, and its
+exit code and stderr must be byte-identical. The 24 points of the
+custom-norm workload are evaluated once per checkout, each checkout in a
+process of its own, and their eta, lambda1, lambda2, indicatrix mean, normal
+curvature, affine distance rho and its tangential part V must agree bit for
+bit. So must a fixed probe of public
 finite-difference routes that no CLI config reaches (the b-Hessians with and
 without an explicit step, the nabla-Laplacian of rho, the affine normal,
 numerics' FD kernels in 2, 3 and 4 variables, the dual Hessian and restricted
@@ -34,6 +37,30 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("paper-suite", "grid-sweep")
+
+# A valid config, and one edit of it per keyword of the config schema that
+# makes the config violate that keyword, and only that one.
+VALID = {"norm": {"family": "euclidean"}, "surface": {"family": "euclidean_sphere", "r": 1.0},
+         "grid": {"ns": 4, "nt": 4}, "checks": ["curvature-closed-form"], "seed": 1}
+REJECTED = {
+    "type": {"norm": {"family": "lp", "p": "four"}},
+    "enum": {"surface": {"family": "cube"}},
+    "required": {"seed": None},
+    "additionalProperties false": {"extra": 1},
+    "additionalProperties schema": {"tolerances": {"prop-2-1": "tight"}},
+    "items": {"center": [0.0, 0.0, True]},
+    "minItems": {"checks": []},
+    "maxItems": {"grid": {"ns": 4, "nt": 4, "margins": [0.1, 0.1, 0.1]}},
+    "minimum": {"grid": {"ns": 1, "nt": 4}},
+    "exclusiveMinimum": {"surface": {"family": "euclidean_sphere", "r": 0}},
+}
+
+
+def rejected_config(edit: dict) -> dict:
+    """VALID with edit applied; a None value deletes its key."""
+    config = {**VALID, **edit}
+    return {key: value for key, value in config.items() if value is not None}
+
 
 # Run with a checkout's src/ on PYTHONPATH and the perfbench directory whose
 # workloads.py defines the points as argv[1]: one JSON line per custom-norm
@@ -211,6 +238,17 @@ def main(argv=None) -> int:
                     if diff:
                         differ += 1
                         print(f"differs: {workload} seed {seed} {op.name}: {', '.join(diff)}")
+        for keyword, edit in REJECTED.items():
+            config = rejected_config(edit)
+            a = run_op(parent, config, False, Path(tmp) / f"rejected-{compared}-parent")
+            b = run_op(change, config, False, Path(tmp) / f"rejected-{compared}-change")
+            compared += 1
+            diff = [what for what in a if a[what] != b[what]]
+            if a["exit code"] != 2 or not a["stderr"]:
+                diff.append("not rejected")
+            if diff:
+                differ += 1
+                print(f"differs: rejected config ({keyword}): {', '.join(diff)}")
     for label, program, extra in (("custom-norm", CUSTOM_PROGRAM, [str(change / "perfbench")]),
                                   ("probe", PROBE_PROGRAM, [])):
         for a, b in zip(program_outputs(parent, program, *extra), program_outputs(change, program, *extra)):

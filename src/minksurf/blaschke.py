@@ -222,21 +222,25 @@ def ellipse_support(a: float, b: float) -> Callable[[float], float]:
 
 
 def support_from_csv(path) -> np.ndarray:
-    """Read (theta, g) pairs; require a uniform grid over [0, 2pi) starting at 0."""
+    """Read (theta, g) pairs from a UTF-8 CSV file; require a uniform grid over
+    [0, 2pi) starting at 0. A file that cannot be read is a ConfigError."""
     thetas, values = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if len(row) != 2:
-                raise ConfigError(f"support CSV rows must be 'theta,g'; got {row!r}")
-            try:
-                thetas.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError:
-                if not thetas:  # tolerate a single header row
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.reader(fh):
+                if not row or row[0].strip().startswith("#"):
                     continue
-                raise ConfigError(f"non-numeric support CSV row {row!r}")
+                if len(row) != 2:
+                    raise ConfigError(f"support CSV rows must be 'theta,g'; got {row!r}")
+                try:
+                    thetas.append(float(row[0]))
+                    values.append(float(row[1]))
+                except ValueError:
+                    if not thetas:  # tolerate a single header row
+                        continue
+                    raise ConfigError(f"non-numeric support CSV row {row!r}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read support CSV: {exc}") from exc
     n = len(values)
     if n < 4:
         raise ConfigError("support CSV needs at least 4 samples")

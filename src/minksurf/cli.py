@@ -28,11 +28,13 @@ kernels on a batch of one.
 --threads and MSK_THREADS are accepted and have no effect (a non-integer
 MSK_THREADS is still a configuration error, exit 2).
 
-The CLI needs numpy. A config that conforms to the config schema is accepted
-by an in-repo check of the schema's keywords, so a valid run never imports
-jsonschema; jsonschema words the error of a rejected config, and validates
-reports in the test suite. scipy is a test dependency only, and a run never
-loads numpy's random module.
+The CLI needs numpy only. An in-repo check of the config schema's keywords
+validates the config. A rejected config reports its first violation, worded
+as the reference JSON Schema validator of the test suite words that keyword:
+an object's own type, enum, required and additionalProperties come before
+its values, the values are taken in the config's key order, and a list's
+bounds come before its items. That validator and scipy are test dependencies
+only, and a run never loads numpy's random module.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ def load_schema(which: str) -> dict:
 
 
 # The draft 2020-12 keywords the shipped config schema uses ($schema, $id and
-# title are annotations); `_conforms` implements exactly these, and the test
-# suite fails if the schema uses any other.
+# title are annotations); `_schema_violation` implements exactly these, and the
+# test suite fails if the schema uses any other.
 _CONFIG_KEYWORDS = frozenset({
     "$schema", "$id", "title", "type", "required", "properties", "additionalProperties",
     "enum", "items", "minItems", "maxItems", "minimum", "exclusiveMinimum"})
@@ -119,72 +121,57 @@ _IS_TYPE = {
 }
 
 
-def _conforms(instance, schema) -> bool:
-    """Whether instance satisfies schema, under draft 2020-12 and _CONFIG_KEYWORDS.
+def _schema_violation(instance, schema) -> Optional[str]:
+    """The first way instance violates schema, under draft 2020-12 and
+    _CONFIG_KEYWORDS, worded as the test suite's reference validator words
+    that keyword; None if it conforms.
 
-    Each keyword applies only to instances of its own type, as in the draft.
-    An enum is matched for string instances only: any other instance is
-    rejected here, and jsonschema then decides.
+    Each keyword applies only to instances of its own type, as in the draft,
+    and an enum of strings matches string instances only. First means: an
+    instance's own type and enum come first; then an object's required and
+    additionalProperties: false before its values, which are taken in the
+    instance's key order; and a list's minItems and maxItems before its
+    items, in order.
     """
-    if schema is True or schema is False:
-        return schema
+    if schema is True:
+        return None
     if "type" in schema and not _IS_TYPE[schema["type"]](instance):
-        return False
+        return f"{instance!r} is not of type {schema['type']!r}"
     if "enum" in schema and not (isinstance(instance, str) and instance in schema["enum"]):
-        return False
+        return f"{instance!r} is not one of {schema['enum']!r}"
+    values, subschemas = (), ()
     if isinstance(instance, dict):
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties", True)
-        return (all(key in instance for key in schema.get("required", ()))
-                and all(_conforms(value, props.get(key, extra)) for key, value in instance.items()))
-    if isinstance(instance, list):
-        return (schema.get("minItems", 0) <= len(instance) <= schema.get("maxItems", math.inf)
-                and all(_conforms(item, schema.get("items", True)) for item in instance))
-    if _IS_TYPE["number"](instance):
-        # NaN compares false both ways, so it passes both bounds, as in jsonschema.
-        return not (("minimum" in schema and instance < schema["minimum"])
-                    or ("exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]))
-    return True
-
-
-@functools.cache
-def _validator(which: str):
-    """The jsonschema validator of a shipped schema, built once per process.
-
-    The shipped schemas are not checked against the metaschema here; the
-    test suite does that.
-    """
-    import jsonschema
-
-    schema = load_schema(which)
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
-def _schema_error(instance: dict, which: str):
-    """The error jsonschema.validate would raise for instance, or None."""
-    from jsonschema.exceptions import best_match
-
-    return best_match(_validator(which).iter_errors(instance))
+        missing = [key for key in schema.get("required", ()) if key not in instance]
+        if missing:
+            return f"{missing[0]!r} is a required property"
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        extras = sorted((key for key in instance if key not in props), key=str)
+        if extras and extra is False:
+            return "Additional properties are not allowed (%s %s unexpected)" % (
+                ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+        values, subschemas = instance.values(), [props.get(key, extra) for key in instance]
+    elif isinstance(instance, list):
+        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if len(instance) < low:
+            return f"{instance!r} {'should be non-empty' if low == 1 else 'is too short'}"
+        if len(instance) > high:  # the schema has no maxItems of 0
+            return f"{instance!r} is too long"
+        values, subschemas = instance, [schema.get("items", True)] * len(instance)
+    elif _IS_TYPE["number"](instance):
+        # NaN compares false both ways, so it passes both bounds, as in the reference validator.
+        if "minimum" in schema and instance < schema["minimum"]:
+            return f"{instance!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
+            return (f"{instance!r} is less than or equal to the minimum of "
+                    f"{schema['exclusiveMinimum']!r}")
+    return next(filter(None, map(_schema_violation, values, subschemas)), None)
 
 
 def validate_config(cfg: dict) -> None:
-    """Accept cfg if it conforms to the config schema, else raise ConfigError.
-
-    A config `_conforms` accepts is valid; only a rejected one loads
-    jsonschema, which decides and words the error.
-    """
-    if _conforms(cfg, load_schema("config")):
-        return
-    error = _schema_error(cfg, "config")
-    if error is not None:
-        raise ConfigError(f"config does not match schema: {error.message}") from error
-
-
-def validate_report(report: dict) -> None:
-    """Validate a report against the shipped schema (used by the test suite)."""
-    error = _schema_error(report, "report")
-    if error is not None:
-        raise error
+    """Raise ConfigError with the first violation of the config schema in cfg, if any."""
+    message = _schema_violation(cfg, load_schema("config"))
+    if message is not None:
+        raise ConfigError(f"config does not match schema: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +702,15 @@ def build_context(cfg: dict) -> RunContext:
     except MinksurfError as exc:
         raise ConfigError(str(exc)) from exc
     grid_cfg = cfg["grid"]
-    margins = tuple(grid_cfg.get("margins", (1e-3, 0.0)))
+    margins = tuple(float(m) for m in grid_cfg.get("margins", (1e-3, 0.0)))
+    domain = surface.domain
+    for axis, m, lo, hi, periodic in zip("st", margins, domain[::2], domain[1::2], surface.periodic):
+        # A wider margin puts grid and random points outside [lo, hi].
+        if not periodic and m > hi - lo:
+            raise ConfigError(f"grid margin {m} on {axis} is wider than the chart's [{lo}, {hi}]")
     return RunContext(
         raw=cfg, norm=norm, surface=surface, numerics=numerics,
-        ns=int(grid_cfg["ns"]), nt=int(grid_cfg["nt"]),
-        margins=(float(margins[0]), float(margins[1])),
+        ns=int(grid_cfg["ns"]), nt=int(grid_cfg["nt"]), margins=margins,
         seed=int(cfg["seed"]),
     )
 

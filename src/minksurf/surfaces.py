@@ -217,6 +217,9 @@ def graph(phi_jet: Callable[[float, float], tuple], domain=(-1.0, 1.0, -1.0, 1.0
 def _graph(phi_jet, domain=(-1.0, 1.0, -1.0, 1.0), jet_source: str = "analytic",
            fd_step: float = 1e-5, name: str = "graph", params: dict | None = None) -> SurfacePatch:
     """graph for a phi_jet that takes parameter arrays."""
+    s0, s1, t0, t1 = domain
+    if not (s0 < s1 and t0 < t1):
+        raise InvalidParameter(f"graph domain {list(domain)} needs s0 < s1 and t0 < t1")
 
     def position(s, t):
         return _stack_last(s, t, phi_jet(s, t)[0])

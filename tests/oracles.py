@@ -8,16 +8,20 @@ fd_hessian_rows_by_pairs is the FD Hessian kernel as it was written before
 its Hessian was assembled from a cached layout: one stencil built per call,
 one pair of entries filled per (i, j). write_fields_csv_by_csv_writer is the
 field table writer as it was before each row became one string template:
-csv.writer, and format(v, ".17g") per value.
+csv.writer, and format(v, ".17g") per value. schema_validator is
+jsonschema's validator of a shipped schema, against which the CLI's own
+config check is tested and reports are validated.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 
+import jsonschema
 import numpy as np
 
-from minksurf.cli import FIELD_COLUMNS, _blaschke_ratios
+from minksurf.cli import FIELD_COLUMNS, _blaschke_ratios, load_schema
 from minksurf.numerics import _field_values, _mixed, _place, _require_finite, relative_step
 
 
@@ -91,3 +95,17 @@ def write_fields_csv_by_csv_writer(path, ctx) -> None:
         for i, row in enumerate(zip(*(c.tolist() for c in columns))):
             writer.writerow([format(float(v), ".17g") for v in row]
                             + [format(float(ratio[i]), ".17g") if ok[i] else ""])
+
+
+@functools.cache
+def schema_validator(which: str):
+    """The jsonschema validator of the shipped schema which ("config" or "report")."""
+    schema = load_schema(which)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def validate_report(report: dict) -> None:
+    """Raise jsonschema's best-matching error if report does not match the report schema."""
+    error = jsonschema.exceptions.best_match(schema_validator("report").iter_errors(report))
+    if error is not None:
+        raise error

@@ -22,18 +22,16 @@ import minksurf.blaschke
 import minksurf.cli
 import minksurf.distances
 import minksurf.geometry
-from oracles import write_fields_csv_by_csv_writer
+from oracles import schema_validator, validate_report, write_fields_csv_by_csv_writer
 from minksurf.cli import (
     REGISTRY,
     _CONFIG_KEYWORDS,
     _aggregate,
-    _conforms,
-    _validator,
+    _schema_violation,
     dumps_canonical,
     load_schema,
     run_checks,
     validate_config,
-    validate_report,
 )
 
 BASE_CONFIG = {
@@ -185,6 +183,28 @@ def test_semantically_invalid_check_exits_two(tmp_path):
     assert run_cli(["run", "--config", cfg2]).returncode == 2
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({**BASE_CONFIG, "surface": {"family": "ellipsoid", "a": 1.0, "b": 1.3, "c": 0.8},
+      "grid": {"ns": 8, "nt": 8, "margins": [4.0, 0.1]}, "checks": ["umbilicity"]},
+     "grid margin 4.0 on s is wider than the chart's [0.0, 3.14"),
+    ({**BASE_CONFIG, "surface": {"family": "saddle", "domain": [1, -1, -1, 1]}},
+     "graph domain [1, -1, -1, 1] needs s0 < s1 and t0 < t1"),
+], ids=["margin-wider-than-axis", "saddle-domain-reversed"])
+def test_a_grid_that_leaves_its_chart_exits_two(tmp_path, cfg, message):
+    # before, both exited 3 as a numerical failure: parameter s outside the chart
+    out = run_cli(["run", "--config", write_config(tmp_path, cfg)])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(f"config error: {message}"), out.stderr
+
+
+def test_a_margin_no_wider_than_its_axis_still_runs():
+    # catenoid s in [-0.2, 0.2]: a margin of 0.3 reverses the grid's s axis
+    # but keeps every point in the chart
+    cfg = {**EUCLIDEAN_CATENOID, "surface": {"family": "catenoid", "s_extent": 0.2},
+           "grid": {"ns": 4, "nt": 4, "margins": [0.3, 0.0]}, "checks": ["minimality-scan", "prop-2-1"]}
+    assert all(c["pass"] for c in run_checks(cfg)["checks"])
+
+
 def test_numerical_breakdown_exits_three(tmp_path):
     # a grid with zero margin touches the ellipsoid chart poles, where the
     # immersion degenerates
@@ -280,19 +300,19 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_valid_run_leaves_jsonschema_unloaded(tmp_path):
-    # A valid config is accepted without jsonschema; a rejected one loads it
-    # to word the error, which is unchanged.
-    cfg = write_config(tmp_path, {**BASE_CONFIG, "checks": ["prop-2-3"]})
+    # The CLI's own check accepts a valid config and words the error of a
+    # rejected one; neither run loads jsonschema.
     code = ("import sys, minksurf.cli\n"
-            "assert minksurf.cli.main(['run', '--config', sys.argv[1]]) == 0\n"
+            "assert minksurf.cli.main(['run', '--config', sys.argv[1]]) == int(sys.argv[2])\n"
             "loaded = {'jsonschema', 'referencing'} & set(sys.modules)\n"
             "assert not loaded, loaded\n")
-    out = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True, text=True)
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "checks": ["prop-2-3"]})
+    out = subprocess.run([sys.executable, "-c", code, cfg, "0"], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 
     bad = write_config(tmp_path, {**BASE_CONFIG, "norm": {"family": "lp", "p": "four"}}, "bad.json")
-    out = run_cli(["run", "--config", bad])
-    assert out.returncode == 2
+    out = subprocess.run([sys.executable, "-c", code, bad, "2"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
     assert out.stderr == "config error: config does not match schema: 'four' is not of type 'number'\n"
 
 
@@ -472,7 +492,7 @@ def test_validate_config_rejects_unknown_keys():
 
 
 def test_shipped_schemas_match_their_metaschema():
-    # validate_config builds its validator once and does not re-check the schema
+    # validate_config walks the config schema and does not check it
     import jsonschema
     for which in ("config", "report"):
         schema = load_schema(which)
@@ -571,10 +591,20 @@ def mutated_configs(draw):
     return cfg
 
 
+def assert_agrees_with_jsonschema(cfg):
+    """The CLI's check accepts cfg exactly when jsonschema does, and where
+    jsonschema finds one error, words it as jsonschema does."""
+    errors = list(schema_validator("config").iter_errors(cfg))
+    message = _schema_violation(cfg, load_schema("config"))
+    assert (message is None) == (not errors), (cfg, message, errors)
+    if len(errors) == 1:
+        assert message == errors[0].message, cfg
+
+
 @settings(max_examples=400, deadline=None)
 @given(mutated_configs())
 def test_fast_config_check_agrees_with_jsonschema(cfg):
-    assert _conforms(cfg, load_schema("config")) == _validator("config").is_valid(cfg)
+    assert_agrees_with_jsonschema(cfg)
 
 
 def test_fast_config_check_follows_draft_2020_12():
@@ -599,12 +629,45 @@ def test_fast_config_check_follows_draft_2020_12():
         FULL_CONFIG,
     ]
     for cfg in edge_cases:
-        assert _conforms(cfg, schema) == _validator("config").is_valid(cfg), cfg
+        assert_agrees_with_jsonschema(cfg)
+
+
+# Configs with several violations, and the one the CLI reports: an object's
+# own type, enum, required and additionalProperties come before its values,
+# the values are taken in the config's key order, and a list's bounds come
+# before its items.
+SEVERAL_VIOLATIONS = {
+    "missing-root-key-first": (
+        {**{k: v for k, v in BASE_CONFIG.items() if k != "seed"}, "norm": {"family": "lp", "p": "four"}},
+        "'seed' is a required property"),
+    "two-values-in-key-order": (
+        {**BASE_CONFIG, "grid": {"ns": 0, "nt": "eight"}},
+        "0 is less than the minimum of 2"),
+    "config-key-order-not-schema-order": (
+        {"seed": -1, **{k: v for k, v in BASE_CONFIG.items() if k != "seed"},
+         "norm": {"family": "lp", "p": "four"}},
+        "-1 is less than the minimum of 0"),
+    "list-bounds-before-items": (
+        {**BASE_CONFIG, "grid": {"ns": 8, "nt": 8, "margins": [0.1, -1.0, 0.2]}},
+        "[0.1, -1.0, 0.2] is too long"),
+    "extras-before-values": (
+        {**BASE_CONFIG, "norm": {"family": "lp", "p": "four", "q": 2}, "zeta": 1, "extra": 1},
+        "Additional properties are not allowed ('extra', 'zeta' were unexpected)"),
+}
+
+
+@pytest.mark.parametrize("cfg, message", SEVERAL_VIOLATIONS.values(), ids=list(SEVERAL_VIOLATIONS))
+def test_a_config_with_several_violations_reports_the_first(cfg, message):
+    assert len(list(schema_validator("config").iter_errors(cfg))) > 1
+    with pytest.raises(minksurf.ConfigError) as got:
+        validate_config(cfg)
+    assert str(got.value) == f"config does not match schema: {message}"
 
 
 def test_config_schema_uses_only_the_keywords_the_fast_check_implements():
     for sub in _subschemas(load_schema("config")):
         assert set(sub) <= _CONFIG_KEYWORDS, set(sub) - _CONFIG_KEYWORDS
+        assert sub.get("maxItems") != 0, sub  # worded "is expected to be empty"
         assert isinstance(sub.get("type", ""), str), sub["type"]
         assert all(isinstance(v, str) for v in sub.get("enum", [])), sub["enum"]
 
@@ -821,6 +884,25 @@ def test_planar_check_through_cli(tmp_path):
     assert out2.returncode == 1  # the ellipse genuinely fails the condition
     rep2 = json.loads(out2.stdout)
     assert rep2["checks"][0]["max_residual"] > 0.1
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"0,1\n\xff,1\n"), "'utf-8' codec can't decode byte 0xff"),
+], ids=["missing", "directory", "not-utf8"])
+def test_an_unreadable_support_csv_exits_two(tmp_path, make, reason):
+    # before, these raised FileNotFoundError, IsADirectoryError and
+    # UnicodeDecodeError: a traceback with exit 1, --strict's failing-check code
+    support = tmp_path / "support.csv"
+    make(support)
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "checks": ["planar-ermakov"],
+                                  "planar": {"csv": str(support)}})
+    out = run_cli(["run", "--config", cfg, "--strict"])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error: cannot read support CSV: "), out.stderr
+    assert reason in out.stderr
+    assert len(out.stderr.splitlines()) == 1
 
 
 def test_check_runners_build_no_point_geometry(monkeypatch):

@@ -186,6 +186,14 @@ def test_torus_requires_valid_radii():
         mk.torus(1.0, -0.2)
 
 
+@pytest.mark.parametrize("domain", [(1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 0.5, 0.5)])
+def test_graph_requires_a_nonempty_domain(domain):
+    with pytest.raises(mk.InvalidParameter, match="needs s0 < s1 and t0 < t1"):
+        mk.saddle(domain=domain)
+    with pytest.raises(mk.InvalidParameter):
+        mk.graph(lambda s, t: (0.0,) * 6, domain)
+
+
 def test_flip_orientation():
     sph = mk.euclidean_sphere(1.0)
     assert mk.flip_orientation(sph).orientation == -sph.orientation
