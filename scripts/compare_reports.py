@@ -10,7 +10,13 @@ report on stdout, the field CSV, stderr and the exit code of the two runs
 must be byte-identical; an operation whose config repeats across seeds runs
 once. One rejected config per keyword of the config schema, each with a
 single violation, runs the same way: it must exit 2 with PARENT, and its
-exit code and stderr must be byte-identical. The 24 points of the
+exit code and stderr must be byte-identical. So does a config that fails
+numerically, thm-3-2 under a cond_guard of 2.0, which must exit 3. The
+peak RSS of every CLI child (os.wait4's ru_maxrss) is printed as a table,
+one line per operation, PARENT -> CHANGE; it does not decide the outcome.
+The two runs of an operation take turns at going first.
+Both checkouts' src/minksurf is byte-compiled first, as perfbench does, so
+that no child spends memory compiling a module. The 24 points of the
 custom-norm workload are evaluated once per checkout, each checkout in a
 process of its own, and their eta, lambda1, lambda2, indicatrix mean, normal
 curvature, affine distance rho and its tangential part V must agree bit for
@@ -29,6 +35,7 @@ differs.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import subprocess
@@ -60,6 +67,16 @@ def rejected_config(edit: dict) -> dict:
     """VALID with edit applied; a None value deletes its key."""
     config = {**VALID, **edit}
     return {key: value for key, value in config.items() if value is not None}
+
+
+# Configs that must fail, by label, with the exit code PARENT must give:
+# the rejected ones, and thm-3-2 on the lp(4) torus, whose Gauss split at the
+# first random point has cond_2 3.086, above a guard of 2.0.
+FAILING = [(f"rejected config ({keyword})", rejected_config(edit), 2) for keyword, edit in REJECTED.items()]
+FAILING.append(("numerical failure (cond_guard 2.0)",
+                {"norm": {"family": "lp", "p": 4.0}, "surface": {"family": "torus", "R": 2.0, "r": 1.2},
+                 "grid": {"ns": 8, "nt": 8, "margins": [0.3, 0.1]}, "checks": ["thm-3-2"], "seed": 1234,
+                 "numerics": {"cond_guard": 2.0}}, 3))
 
 
 # Run with a checkout's src/ on PYTHONPATH and the perfbench directory whose
@@ -189,19 +206,34 @@ def load_workloads(root: Path):
     return workloads
 
 
-def run_op(root: Path, config: dict, fields: bool, workdir: Path) -> dict:
-    """Run one operation with root's src/ in workdir: its outputs, by name."""
+def run_op(root: Path, config: dict, fields: bool, workdir: Path) -> tuple[dict, float]:
+    """Run one operation with root's src/ in workdir: its outputs, by name,
+    and the child's peak RSS in MB."""
     workdir.mkdir()
     cfg_path, csv_path = workdir / "config.json", workdir / "fields.csv"
+    out_path, err_path = workdir / "stdout", workdir / "stderr"
     cfg_path.write_text(json.dumps(config))
     args = [sys.executable, "-m", "minksurf.cli", "run", "--config", cfg_path.name]
     if fields:
         args += ["--fields", csv_path.name]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.pop("MSK_THREADS", None)
-    proc = subprocess.run(args, cwd=workdir, env=env, capture_output=True)
-    return {"exit code": proc.returncode, "report": proc.stdout, "stderr": proc.stderr,
-            "field CSV": csv_path.read_bytes() if csv_path.exists() else None}
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        proc = subprocess.Popen(args, cwd=workdir, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+    outputs = {"exit code": os.waitstatus_to_exitcode(status), "report": out_path.read_bytes(),
+               "stderr": err_path.read_bytes(),
+               "field CSV": csv_path.read_bytes() if csv_path.exists() else None}
+    return outputs, usage.ru_maxrss / 1024.0
+
+
+def run_both(parent: Path, change: Path, config: dict, fields: bool, workdir: Path,
+             change_first: bool) -> tuple[tuple[dict, float], tuple[dict, float]]:
+    """run_op with PARENT and with CHANGE, in workdir-parent and workdir-change;
+    CHANGE runs first when change_first, so that neither side is always second."""
+    order = [("change", change), ("parent", parent)] if change_first else [("parent", parent), ("change", change)]
+    got = {side: run_op(root, config, fields, workdir.with_name(f"{workdir.name}-{side}")) for side, root in order}
+    return got["parent"], got["change"]
 
 
 def program_outputs(root: Path, program: str, *args: str) -> list[dict]:
@@ -220,8 +252,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     workloads = load_workloads(change)
+    for root in (parent, change):
+        if not compileall.compile_dir(root / "src" / "minksurf", quiet=1):
+            raise SystemExit(f"byte-compiling {root / 'src'} failed")
 
-    seen, compared, differ = set(), 0, 0
+    seen, compared, differ, rss = set(), 0, 0, []
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
         for seed in args.seeds:
             for workload in WORKLOADS:
@@ -230,25 +265,28 @@ def main(argv=None) -> int:
                     if key in seen:
                         continue
                     seen.add(key)
-                    base = Path(tmp) / str(compared)
-                    a = run_op(parent, op.config, op.fields, base.with_name(f"{compared}-parent"))
-                    b = run_op(change, op.config, op.fields, base.with_name(f"{compared}-change"))
+                    (a, rss_a), (b, rss_b) = run_both(parent, change, op.config, op.fields,
+                                                      Path(tmp) / str(compared), compared % 2 == 1)
                     compared += 1
+                    rss.append((f"{workload} seed {seed} {op.name}", rss_a, rss_b))
                     diff = [what for what in a if a[what] != b[what]]
                     if diff:
                         differ += 1
                         print(f"differs: {workload} seed {seed} {op.name}: {', '.join(diff)}")
-        for keyword, edit in REJECTED.items():
-            config = rejected_config(edit)
-            a = run_op(parent, config, False, Path(tmp) / f"rejected-{compared}-parent")
-            b = run_op(change, config, False, Path(tmp) / f"rejected-{compared}-change")
+        for label, config, exit_code in FAILING:
+            (a, rss_a), (b, rss_b) = run_both(parent, change, config, False,
+                                              Path(tmp) / f"failing-{compared}", compared % 2 == 1)
             compared += 1
+            rss.append((label, rss_a, rss_b))
             diff = [what for what in a if a[what] != b[what]]
-            if a["exit code"] != 2 or not a["stderr"]:
-                diff.append("not rejected")
+            if a["exit code"] != exit_code or not a["stderr"]:
+                diff.append(f"did not exit {exit_code}")
             if diff:
                 differ += 1
-                print(f"differs: rejected config ({keyword}): {', '.join(diff)}")
+                print(f"differs: {label}: {', '.join(diff)}")
+    print("peak RSS of each CLI child, MB: parent -> change")
+    for name, rss_a, rss_b in rss:
+        print(f"  {name:64s} {rss_a:7.2f} -> {rss_b:7.2f}  ({rss_b - rss_a:+.2f})")
     for label, program, extra in (("custom-norm", CUSTOM_PROGRAM, [str(change / "perfbench")]),
                                   ("probe", PROBE_PROGRAM, [])):
         for a, b in zip(program_outputs(parent, program, *extra), program_outputs(change, program, *extra)):

@@ -14,7 +14,8 @@ same code on a batch of one.
 The planar sibling: a closed convex curve's support function g makes the
 position field an affine normal exactly when g'' + g = g^{-3} (Ermakov-Pinney),
 equivalently when the Euclidean curvature equals g^3. Both residuals are
-computed spectrally on periodic samples.
+computed on periodic samples, with g'' in closed form where the support has
+one (ellipses and circles) and spectral otherwise.
 """
 
 from __future__ import annotations
@@ -188,17 +189,24 @@ def planar_support_check(support, n: int = 2048) -> dict:
     {r1, r2, r1_sup, r2_sup, n, thetas}: r1 = k_e - g^3 (curvature form) and
     r2 = g'' + g - g^{-3} (Ermakov-Pinney form). The two vanish together —
     they are the same condition through k_e^{-1} = g'' + g.
+    A callable with a closed-form g'' (a second_derivative attribute, as
+    ellipse_support gives) is evaluated on all nodes at once and its g'' is
+    used; for other callables and for samples g'' is spectral.
     """
+    second = getattr(support, "second_derivative", None)
     if callable(support):
         thetas = 2.0 * np.pi * np.arange(n) / n
-        g = np.array([float(support(th)) for th in thetas])
+        if second is None:
+            g = np.array([float(support(th)) for th in thetas])
+        else:
+            g = np.asarray(support(thetas), dtype=float)
     else:
         g = np.asarray(support, dtype=float)
         n = g.size
         thetas = 2.0 * np.pi * np.arange(n) / n
     if g.min() <= 0.0:
         raise NonConvexCurve("support function must be strictly positive")
-    g2 = spectral_second_derivative(g)
+    g2 = spectral_second_derivative(g) if second is None else second(thetas)
     radius = g2 + g  # radius of curvature of the support-g curve
     if radius.min() <= 0.0:
         raise NonConvexCurve("g'' + g <= 0 somewhere: the curve is not strictly convex")
@@ -213,11 +221,28 @@ def planar_support_check(support, n: int = 2048) -> dict:
 
 
 def ellipse_support(a: float, b: float) -> Callable[[float], float]:
-    """Support function of the axis-aligned ellipse with semi-axes a, b."""
+    """Support function of the axis-aligned ellipse with semi-axes a, b; a = b
+    is the circle of that radius.
+
+    g(theta) is a float at one angle and an array at an array of angles.
+    g.second_derivative(theta) is the closed form g'' = u''/(2g) - u'^2/(4ug)
+    of u = g^2 = a^2 cos^2 theta + b^2 sin^2 theta, which planar_support_check
+    uses in place of the spectral derivative. u is written m + d cos 2 theta,
+    m = (a^2 + b^2)/2 and d = (a^2 - b^2)/2, so that a circle's g is its
+    radius and its g'' is 0, exactly.
+    """
+    m, d = (a * a + b * b) / 2.0, (a * a - b * b) / 2.0
 
     def g(theta):
-        return float(np.sqrt((a * np.cos(theta)) ** 2 + (b * np.sin(theta)) ** 2))
+        value = np.sqrt(m + d * np.cos(2.0 * theta))
+        return float(value) if np.ndim(theta) == 0 else value
 
+    def second_derivative(theta):
+        two = 2.0 * np.asarray(theta, dtype=float)
+        u = m + d * np.cos(two)
+        return -(2.0 * d * np.cos(two) + d * d * np.sin(two) ** 2 / u) / np.sqrt(u)
+
+    g.second_derivative = second_derivative
     return g
 
 

@@ -553,7 +553,7 @@ def _run_planar_ermakov(ctx: RunContext) -> dict:
                                                    float(planar.get("b", 1.5))), n)
     elif planar.get("support") == "circle":
         radius = float(planar.get("radius", 1.0))
-        rep = planar_support_check(lambda th: radius, n)
+        rep = planar_support_check(ellipse_support(radius, radius), n)
     else:
         raise ConfigError("planar block needs 'support': 'circle' | 'ellipse', or 'csv'")
     tol = ctx.tolerance("planar-ermakov", 1e-12)

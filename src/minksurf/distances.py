@@ -282,7 +282,8 @@ def _laplacians(gb: GeometryBatch, norm: NormModel, surface: SurfacePatch,
     per point), and the two Gauss-splitting defects of each point.
 
     The 4 stencil points of all points are one geometry batch, and the Gauss
-    splits one stacked guarded solve.
+    splits one stacked guarded solve: a point whose frame [f_s, f_t, eta] has
+    cond_2 above config.cond_guard raises NumericalFailure at its (s, t).
     """
     det_h = np.linalg.det(gb.h_mat)
     i = first_row(np.abs(det_h) < 1e-10 * np.maximum(1.0, np.abs(gb.h_mat).max(axis=(1, 2)) ** 2))

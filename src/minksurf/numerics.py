@@ -1,5 +1,6 @@
 """Shared numerical kernels: finite differences, 2x2 inverses and generalized
-eigensolves, periodic Simpson quadrature, guarded linear solves,
+eigensolves, periodic Simpson quadrature, linear solves guarded by a
+condition number that is a closed form for 2x2 and 3x3 systems,
 Brent's bracketed root finder, for one bracket or many advanced in lockstep,
 and the seeded uniform stream the checks draw their random points from.
 
@@ -446,16 +447,83 @@ def simpson_periodic_mean(samples) -> float:
     return integral / (2.0 * np.pi)
 
 
+def _sym_top_eigenvalue_3x3(G: np.ndarray) -> np.ndarray:
+    """The largest eigenvalue of each symmetric 3x3 matrix of a stack.
+
+    Smith's trigonometric formula (O. K. Smith, CACM 4 (1961) 168) gives the
+    eigenvalues q + 2p cos(phi + 2 pi k / 3) from the invariants of G, with
+    cos 3 phi = det B / 2 and B = (G - q I) / p. Where the two largest are the
+    closer pair (det B < 0), the invariants fix their
+    split only to about sqrt(eps) of the spread, so there the largest is the
+    one of G compressed onto the plane orthogonal to the eigenvector of the
+    smallest, which is well separated: the longest cross product of two rows
+    of G minus that eigenvalue.
+    """
+    q = np.trace(G, axis1=-2, axis2=-1) / 3.0
+    A = G - q[..., None, None] * np.eye(3)
+    p = np.sqrt((A * A).sum(axis=(-2, -1)) / 6.0)
+    B = A / np.where(p > 0.0, p, 1.0)[..., None, None]
+    r = 0.5 * _dot(B[..., 0, :], _cross(B[..., 1, :], B[..., 2, :]))
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    top = q + 2.0 * p * np.cos(phi)
+    close = r < 0.0
+    if close.any():
+        Gc = G[close]
+        bottom = (q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0))[close]
+        C = Gc - bottom[:, None, None] * np.eye(3)
+        cand = np.stack([_cross(C[:, 0], C[:, 1]), _cross(C[:, 0], C[:, 2]), _cross(C[:, 1], C[:, 2])], axis=1)
+        u = cand[np.arange(len(C)), np.argmax(_dot(cand, cand), axis=1)]
+        u /= _norm_rows(u)[:, None]
+        v = _cross(u, np.eye(3)[np.argmin(np.abs(u), axis=1)])
+        v /= _norm_rows(v)[:, None]
+        P = _stack_last(v, _cross(u, v))
+        top[close] = sym_eigen_2x2(np.swapaxes(P, 1, 2) @ Gc @ P)[0][:, 1]
+    return top
+
+
+def _lu_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's LU inverses of a stack of matrices, and the mask of the matrices
+    with a zero pivot (exactly singular), whose inverse is left as the identity."""
+    singular = np.zeros(M.shape[:-2], dtype=bool)
+    try:
+        return np.linalg.inv(M), singular
+    except np.linalg.LinAlgError:
+        inv = np.empty_like(M)
+    for i in np.ndindex(singular.shape):
+        try:
+            inv[i] = np.linalg.inv(M[i])
+        except np.linalg.LinAlgError:
+            inv[i], singular[i] = np.eye(M.shape[-1]), True
+    return inv, singular
+
+
+def _cond_2(M: np.ndarray) -> np.ndarray:
+    """cond_2 = sigma_max(M) sigma_max(M^-1) of each 2x2 or 3x3 matrix of a stack.
+
+    Each sigma_max^2 is the largest eigenvalue of a Gram matrix, in closed
+    form; M^-1 is numpy's LU inverse, the factorization the solve runs. The
+    relative error is about eps cond_2. A matrix with a zero LU pivot
+    (exactly singular) has cond_2 inf.
+    """
+    inv, singular = _lu_inverses(M)
+    top = (lambda G: sym_eigen_2x2(G)[0][..., 1]) if M.shape[-1] == 2 else _sym_top_eigenvalue_3x3
+    cond = np.sqrt(top(np.swapaxes(M, -1, -2) @ M) * top(np.swapaxes(inv, -1, -2) @ inv))
+    return np.where(singular, np.inf, cond)
+
+
 def guarded_solve_rows(M: np.ndarray, rhs: np.ndarray, cond_guard: float,
                       locations=None) -> np.ndarray:
     """Solve the stacked systems M[i] x = rhs[i] (rhs[i] a vector or a matrix).
 
     Raises NumericalFailure, with locations[i] as its location, for the first
-    system whose cond_2(M[i]) exceeds the guard.
+    system whose cond_2(M[i]) exceeds the guard or is not finite (an exactly
+    singular M[i] has cond_2 inf). For 2x2 and 3x3 systems cond_2 is the
+    closed form of _cond_2, so the guard runs no SVD; other sizes take
+    numpy's SVD-based cond. The solve is numpy's LU solve either way.
     """
     M = np.asarray(M, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    cond = np.linalg.cond(M)
+    cond = _cond_2(M) if M.shape[-1] in (2, 3) else np.linalg.cond(M)
     i = first_row(~np.isfinite(cond) | (cond > cond_guard))
     if i is not None:
         raise NumericalFailure(

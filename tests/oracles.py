@@ -8,7 +8,11 @@ fd_hessian_rows_by_pairs is the FD Hessian kernel as it was written before
 its Hessian was assembled from a cached layout: one stencil built per call,
 one pair of entries filled per (i, j). write_fields_csv_by_csv_writer is the
 field table writer as it was before each row became one string template:
-csv.writer, and format(v, ".17g") per value. schema_validator is
+csv.writer, and format(v, ".17g") per value. cond_by_svd is the condition
+number the linear-solve guard took from numpy's SVD before it had a closed
+form. quadratic_dual_hessian and lq_dual_hessian are the Hessians of the
+dual norms of the ellipsoid (and Euclidean) and lp families, written out by
+hand for the graph oracle. schema_validator is
 jsonschema's validator of a shipped schema, against which the CLI's own
 config check is tested and reports are validated.
 """
@@ -49,6 +53,28 @@ def torus_gaussian(R: float, r: float, s: float) -> float:
 
 def torus_mean(R: float, r: float, s: float) -> float:
     return (R + 2.0 * r * np.cos(s)) / (2.0 * r * (R + r * np.cos(s)))
+
+
+def cond_by_svd(M: np.ndarray) -> np.ndarray:
+    """cond_2 of each matrix of a stack, sigma_max / sigma_min from numpy's SVD."""
+    return np.linalg.cond(M)
+
+
+def quadratic_dual_hessian(B: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Hessians of F°(xi) = sqrt(xi^T B xi) at the rows of xi:
+    B / F° - (B xi)(B xi)^T / F°^3."""
+    Bxi = xi @ B
+    F = np.sqrt(np.einsum("ni,ni->n", xi, Bxi))[:, None, None]
+    return B / F - Bxi[:, :, None] * Bxi[:, None, :] / F**3
+
+
+def lq_dual_hessian(q: float, xi: np.ndarray) -> np.ndarray:
+    """Hessians of F°(xi) = |xi|_q at the rows of xi, with g = grad F°:
+    (q - 1) / F° (diag(|xi_i|^(q-2)) / F°^(q-2) - g g^T)."""
+    F = np.sum(np.abs(xi) ** q, axis=1) ** (1.0 / q)
+    g = np.abs(xi) ** (q - 1.0) * np.sign(xi) / F[:, None] ** (q - 1.0)
+    diag = np.abs(xi) ** (q - 2.0) / F[:, None] ** (q - 2.0)
+    return (q - 1.0) / F[:, None, None] * (diag[:, :, None] * np.eye(3) - g[:, :, None] * g[:, None, :])
 
 
 def fd_hessian_rows_by_pairs(field, X, step: float, known=None) -> np.ndarray:

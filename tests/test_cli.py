@@ -5,6 +5,7 @@ import csv
 import ast
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import os
@@ -884,6 +885,53 @@ def test_planar_check_through_cli(tmp_path):
     assert out2.returncode == 1  # the ellipse genuinely fails the condition
     rep2 = json.loads(out2.stdout)
     assert rep2["checks"][0]["max_residual"] > 0.1
+
+
+def test_a_closed_form_support_solves_ermakov_pinney_through_the_runner():
+    # ab = 1: the ellipse's equi-affine normal is -x. A spectral g'' of its
+    # 2048 samples has a roundoff floor of 2e-8, above the 1e-12 tolerance;
+    # the analytic g'' reads 2.8e-14.
+    cfg = {**EUCLIDEAN_TORUS, "checks": ["planar-ermakov"],
+           "planar": {"support": "ellipse", "a": 2.0, "b": 0.5}}
+    (result,) = run_checks(cfg)["checks"]
+    assert result["pass"], result
+    assert result["max_residual"] < 1e-13
+    assert result["n_points"] == 2048
+
+
+def test_closed_form_supports_leave_numpy_fft_unloaded(tmp_path):
+    code = ("import sys, minksurf.cli\n"
+            "assert minksurf.cli.main(['run', '--config', sys.argv[1]]) == 0\n"
+            "assert 'numpy.fft' not in sys.modules\n")
+    for planar in ({"support": "circle", "radius": 1.0}, {"support": "ellipse", "a": 2.0, "b": 0.5}):
+        cfg = write_config(tmp_path, {**EUCLIDEAN_TORUS, "checks": ["planar-ermakov"], "planar": planar})
+        out = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
+
+def test_a_rejected_gauss_split_exits_three_with_its_location(tmp_path):
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "surface": {"family": "torus", "R": 2.0, "r": 1.2},
+                                  "checks": ["thm-3-2"], "numerics": {"cond_guard": 2.0}})
+    out = run_cli(["run", "--config", cfg])
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == ("numerical failure at (6.073602268720633, 1.9015615709985356): check 'thm-3-2' "
+                          "failed numerically: linear solve rejected: condition number 3.086e+00 "
+                          "exceeds guard 2.000e+00\n")
+
+
+def test_the_laplacian_checks_compute_no_svd(monkeypatch):
+    # numpy.linalg.cond looks svd up in the module that defines it, so that
+    # module's name is patched as well as the public one
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD was computed")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(inspect.getmodule(inspect.unwrap(np.linalg.cond)), "svd", no_svd)
+    for cfg, check in ((EUCLIDEAN_TORUS, "thm-3-2"), (EUCLIDEAN_CATENOID, "thm-3-2"),
+                       (EUCLIDEAN_CATENOID, "minimality-scan"), (BASE_CONFIG, "thm-3-2")):
+        (result,) = run_checks({**cfg, "checks": [check]})["checks"]
+        assert result["pass"] and result["n_points"] > 0, result
 
 
 @pytest.mark.parametrize("make, reason", [

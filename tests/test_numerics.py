@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fd_hessian_rows_by_pairs
+from oracles import cond_by_svd, fd_hessian_rows_by_pairs
 
 from minksurf.errors import EvaluationFailure, InvalidParameter, NotSPD, NumericalFailure, OddSampleCount
 from minksurf.numerics import (
@@ -20,9 +20,11 @@ from minksurf.numerics import (
     fd_hessian,
     fd_hessian_rows,
     fd_second_directional,
+    _cond_2,
     gradient_stencil,
     relative_step,
     guarded_solve,
+    guarded_solve_rows,
     simpson_periodic_mean,
     sym_eigen_2x2,
     sym_generalized_eigen_2x2,
@@ -327,6 +329,90 @@ def test_guarded_solve_flags_ill_conditioned():
         guarded_solve(M, np.ones(2), cond_guard=1e8, location="here")
     out = guarded_solve(np.eye(2), np.array([3.0, 4.0]), cond_guard=1e8)
     assert np.allclose(out, [3.0, 4.0])
+
+
+EPS = np.finfo(float).eps
+
+
+def _condition_stack(kind: str, n: int, N: int = 2000) -> np.ndarray:
+    """N matrices n x n: Gaussian, Gaussian with rows scaled by 1e-3 to 1e3,
+    ill-conditioned (singular values 1 down to 1e-13), or with a repeated
+    largest or smallest singular value, as the frame [f_s, f_t, eta] of a
+    Euclidean sphere has."""
+    rng = np.random.default_rng([n, len(kind)])
+    if kind == "random":
+        return rng.standard_normal((N, n, n))
+    if kind == "scaled":
+        return rng.standard_normal((N, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (N, n, 1))
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((N, n, n)))[0] for _ in range(2))
+    sv = np.ones((N, n))
+    if kind == "ill-conditioned":
+        sv[:, 1:] = 10.0 ** -rng.uniform(0.0, 13.0, (N, n - 1))
+    elif kind == "repeated-largest":
+        sv[:, -1] = 10.0 ** -rng.uniform(0.0, 6.0, N)
+    else:
+        sv[:, 0] = 10.0 ** rng.uniform(0.0, 6.0, N)
+    return Q1 @ (sv[:, :, None] * Q2)
+
+
+CONDITION_KINDS = ["random", "scaled", "ill-conditioned", "repeated-largest", "repeated-smallest"]
+
+
+@pytest.mark.parametrize("kind", CONDITION_KINDS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_condition_number_matches_the_svd(n, kind):
+    # Smith's formula alone reads 4.5e-9 relative on repeated-largest 3x3
+    # stacks; the 2x2 compression of _sym_top_eigenvalue_3x3 brings them
+    # within a few eps * cond, like the others.
+    M = _condition_stack(kind, n)
+    ref = cond_by_svd(M)
+    assert (np.abs(_cond_2(M) - ref) <= 100.0 * EPS * ref * ref).all()
+
+
+@pytest.mark.parametrize("guard", [1e2, 1e8, 1e12])
+@pytest.mark.parametrize("n", [2, 3])
+def test_guard_verdicts_equal_the_svd_ones(n, guard):
+    M = np.concatenate([_condition_stack(kind, n) for kind in CONDITION_KINDS])
+    rejected = cond_by_svd(M) > guard
+    assert 0 < rejected.sum() < len(M)
+    mismatch = np.flatnonzero((_cond_2(M) > guard) != rejected)
+    assert mismatch.size == 0, mismatch
+    locations = [(i, -i) for i in range(len(M))]
+    with pytest.raises(NumericalFailure) as failure:
+        guarded_solve_rows(M, np.ones((len(M), n)), guard, locations)
+    assert failure.value.location == locations[int(np.argmax(rejected))]
+
+
+@pytest.mark.parametrize("singular", [
+    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],   # a zero LU pivot
+    [[1.0, 0.0, 3.0], [2.0, 0.0, 6.0], [1.0, 0.0, 1.0]],   # a zero column
+    [[1.0, 2.0], [2.0, 4.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+], ids=["3x3-zero-pivot", "3x3-zero-column", "2x2-rank-one", "2x2-zero"])
+def test_a_singular_row_fails_at_its_own_index(singular):
+    singular = np.array(singular)
+    n = len(singular)
+    M = np.repeat(np.eye(n)[None], 5, axis=0) + 0.1 * np.arange(5)[:, None, None]
+    M[3] = singular
+    with pytest.raises(NumericalFailure) as failure:
+        guarded_solve_rows(M, np.ones((5, n)), 1e8, ["a", "b", "c", "d", "e"])
+    assert failure.value.location == "d"
+    assert "condition number inf exceeds guard 1.000e+08" in str(failure.value)
+    ok = np.delete(M, 3, axis=0)
+    assert np.array_equal(guarded_solve_rows(ok, np.ones((4, n)), 1e8),
+                          np.linalg.solve(ok, np.ones((4, n, 1)))[..., 0])
+
+
+def test_a_4x4_stack_still_solves_and_is_guarded():
+    rng = np.random.default_rng(4)
+    M = np.eye(4) + 0.2 * rng.standard_normal((6, 4, 4))
+    rhs = rng.standard_normal((6, 4))
+    assert np.array_equal(guarded_solve_rows(M, rhs, 1e8), np.linalg.solve(M, rhs[..., None])[..., 0])
+    M[2] = np.diag([1.0, 1.0, 1.0, 1e-10])
+    with pytest.raises(NumericalFailure) as failure:
+        guarded_solve_rows(M, rhs, 1e8, list(range(6)))
+    assert failure.value.location == 2
+    assert "condition number 1.000e+10" in str(failure.value)
 
 
 def test_convergence_order_synthetic():
