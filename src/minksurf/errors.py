@@ -25,7 +25,8 @@ class MissingDualJets(MinksurfError):
 
 
 class NewtonDivergence(MinksurfError):
-    """The constrained Newton solve for the Birkhoff point failed to converge.
+    """The Newton solve for the Birkhoff point (the gauge's minimum on the
+    plane x . xi = 1) failed: a singular Hessian, a stall or no convergence.
 
     location is the chart point (s, t) whose normal failed, when the solve
     ran for a surface's geometry; else None.

@@ -10,12 +10,14 @@ A norm enters the library as a pair of scalar jets:
 The gradient of h_B at a Euclidean-unit xi is the boundary point of B whose
 Euclidean outer normal is xi — i.e. u(xi), the inverse Euclidean Gauss map of
 ∂B. The Birkhoff normal field of a surface is then a single jet evaluation,
-eta = u(xi), with no root-finding in the hot path. A projected-Newton fallback
-covers custom norms supplied without dual jets: u is a Newton solve on the
-gauge, whose residual test newton_tol is floored at 10 eps / h when the gauge
-gradients are central differences at step h (a floor derived from the step,
-not a setting), and du is the inverse Weingarten map of ∂B at u, in closed
-form from one gauge Hessian.
+eta = u(xi), with no root-finding in the hot path. A Newton fallback covers
+custom norms supplied without dual jets. Since h_B(xi) = 1 / min{F(x) :
+x . xi = 1}, u is the minimiser x* of the gauge on that plane, scaled onto
+∂B: a convex problem in the plane's 2 coordinates, solved by damped Newton
+(Schneider, Convex Bodies, §1.7). Its residual test newton_tol is floored at
+10 eps / h when the gauge gradients are central differences at step h (a
+floor derived from the step, not a setting). du is the inverse of the
+gauge's Hessian on the plane at x*, the Weingarten map of ∂B at u.
 
 Built-in families carry analytic jets through third order, so Minkowski-sphere
 charts built from u are themselves fully analytic. Under jet_source "fd" they
@@ -28,8 +30,9 @@ generated from its `_rows` twin by one helper, _one_point, and runs the twin
 on a batch of one. User callables of one point (custom_norm) are adapted to
 rows with numerics.per_point. The Newton fallback advances the solves of all
 rows in lockstep, with one gauge call per stage, and evaluates no gauge point
-twice: each Hessian reuses the axis values of its accepted residual and
-places only its cross points.
+twice: an FD iteration takes the 5 values of the plane gradient stencil (x
+and x +- h e_j, e_j the plane's basis) and the 4 cross points of the plane
+Hessian, which reuses those 5; an FD du is one more 9-point plane Hessian.
 Every dual quantity of such a norm reads birkhoff_du_rows, which normalizes
 xi once, solves u once per row and builds du from that u.
 """
@@ -48,9 +51,10 @@ from .errors import (
     NewtonDivergence,
     NonSmoothPoint,
 )
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _dot, _invert_2x2_spd,
-                       _norm_rows, _require_finite, _stack_last, fd_gradient_rows, fd_hessian_rows,
-                       first_row, gradient_stencil, in_row_order, per_point, relative_step)
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _dot, _field_values,
+                       _invert_2x2_spd, _norm_rows, _require_finite, _stack_last, fd_gradient_rows,
+                       fd_hessian_rows, first_row, gradient_stencil, in_row_order, per_point,
+                       relative_step)
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +201,21 @@ _GAUGE_HESSIAN_STEP = np.finfo(float).eps ** 0.25
 
 
 class _NewtonRows(NamedTuple):
-    """The lockstep Newton's state at its running rows (known: None unless FD)."""
+    """The lockstep Newton's state at its running rows: the points x on their
+    planes, F(x), the plane gradients E^T grad F(x) and their norms, and for
+    FD gradients the 5 known stencil values (else None)."""
 
     X: np.ndarray
-    mu: np.ndarray
     F: np.ndarray
     G: np.ndarray
-    res: np.ndarray
     res_norm: np.ndarray
     known: Optional[np.ndarray]
 
 
-def _restricted(XI: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, M): the tangent bases of the unit rows XI and the matrices H
-    restricted to them, E^T H E, symmetrized."""
-    E = tangent_basis(XI)
+def _in_basis(E: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """E^T H E for the bases E (N, n, k) and matrices H (N, n, n), symmetrized."""
     M = np.swapaxes(E, 1, 2) @ H @ E
-    return E, 0.5 * (M + np.swapaxes(M, 1, 2))
+    return 0.5 * (M + np.swapaxes(M, 1, 2))
 
 
 def _nonzero_rows(X: np.ndarray) -> bool:
@@ -350,22 +352,29 @@ class NormModel:
         return self._newton_points(XI)
 
     def _newton_points(self, XI) -> np.ndarray:
-        """u at each row of XI by projected Newton, all rows in lockstep;
-        raises what solving the rows one at a time, in order, raises first."""
+        """u at each row of XI by Newton on the plane x . xi = 1, all rows in
+        lockstep; raises what solving the rows one at a time, in order,
+        raises first."""
         XI = np.asarray(XI, dtype=float).reshape(-1, 3)
         return in_row_order(lambda rows: self._newton_lockstep(XI[rows]), len(XI))
 
     def _newton_lockstep(self, XI) -> np.ndarray:
-        """Solve grad F(x) = mu xi, F(x) = 1 by damped Newton, seeded at xi / F(xi).
+        """Minimise F on the plane x . xi = 1 by damped Newton, seeded at xi.
+
+        min{F(x) : x . xi = 1} = 1 / h_B(xi) (Schneider, Convex Bodies, §1.7),
+        and the minimiser x* lies on the ray of u(xi), so u = x* / F(x*) lies
+        on ∂B to roundoff wherever the solve stopped. In the coordinates y of
+        x = xi + E y, E = tangent_basis(xi), g(y) = F(x) is convex; a step
+        solves the 2x2 system Hess g d = -grad g, with grad g = E^T grad F
+        and Hess g = E^T Hess F E.
 
         Every row takes the steps of its own solve; the rows advance together,
         with one gauge call per Newton iteration for the Hessians and one per
-        backtracking trial for the residuals. The state holds the running rows
+        backtracking trial for the gradients. The state holds the running rows
         only; a row leaves it when it stops. On FD gauge gradients the
-        residual test is floored at 10 eps / h, h the gradient step, below
-        which differences of the gauge value carry no information. The
-        solution is projected radially onto ∂B, x / F(x), so it lies on ∂B to
-        roundoff wherever the solve stopped.
+        residual test |grad g| <= newton_tol is floored at 10 eps / h, h the
+        gradient step at the seed, below which differences of the gauge value
+        carry no information.
         """
         if not self.allow_newton and len(XI):
             raise MissingDualJets("custom norm has no dual jets and the Newton fallback is disabled")
@@ -374,45 +383,43 @@ class NormModel:
         tol = np.full(len(XI), cfg.newton_tol)
         if self.gauge.gradient is None:
             tol = np.maximum(tol, _FD_RESIDUAL_FLOOR / relative_step(XI, self.fd_step))
+        E = tangent_basis(XI)
         U, rows = np.empty_like(XI), np.arange(len(XI))  # rows: those still iterating
 
-        def stage(X, mu, XI):
-            """The state at the rows X, with multipliers mu (None: grad F . xi)."""
-            F, G, known = self._value_gradient_rows(X)
-            mu = _dot(G, XI) if mu is None else mu
-            res = np.concatenate([G - mu[:, None] * XI, F[:, None] - 1.0], axis=1)
-            return _NewtonRows(X, mu, F, G, res, _norm_rows(res), known)
+        def stage(X, E):
+            """The state at the rows X of the planes with bases E."""
+            F, G, known = self._plane_gradient_rows(X, E)
+            return _NewtonRows(X, F, G, _norm_rows(G), known)
 
         def stop(stopped):
             """Project the rows stopped onto ∂B, x / F, and drop them from the state."""
-            nonlocal rows, XI, tol, state
+            nonlocal rows, E, tol, state
             U[rows[stopped]] = state.X[stopped] / state.F[stopped, None]
             keep = np.delete(np.arange(len(rows)), stopped)
-            rows, XI, tol = rows[keep], XI[keep], tol[keep]
+            rows, E, tol = rows[keep], E[keep], tol[keep]
             state = _NewtonRows(*(None if a is None else a[keep] for a in state))
 
-        state = stage(XI / self.gauge_value_rows(XI)[:, None], None, XI)
+        state = stage(XI, E)
         for _ in range(cfg.newton_max_iter):
             done = state.res_norm <= tol
             if done.any():
                 stop(done)
                 if not len(rows):
                     return U
-            X, mu, F, G, res, res_norm, known = state
-            J = np.zeros((len(rows), 4, 4))
-            J[:, :3, :3] = self._newton_hessian_rows(X, known)
-            J[:, :3, 3] = -XI
-            J[:, 3, :3] = G
-            try:
-                delta = np.linalg.solve(J, -res[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError as exc:
-                raise NewtonDivergence(f"singular KKT system at x={X[0]!r}") from exc
-            # Backtrack until the residual shrinks; full steps on quartic-like
-            # gauges can overshoot badly from the radial seed.
+            X, F, G, res_norm, known = state
+            H = self._plane_hessian_rows(X, E, self.fd_step, known)
+            det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+            i = first_row(det == 0.0)
+            if i is not None:
+                raise NewtonDivergence(f"singular gauge Hessian on the plane x.xi = 1 at x={X[i]!r}")
+            d0 = (H[:, 0, 1] * G[:, 1] - H[:, 1, 1] * G[:, 0]) / det
+            d1 = (H[:, 1, 0] * G[:, 0] - H[:, 0, 0] * G[:, 1]) / det
+            delta = E[:, :, 0] * d0[:, None] + E[:, :, 1] * d1[:, None]
+            # Backtrack until the gradient shrinks; full steps on quartic-like
+            # gauges can overshoot badly from the seed.
             damp, trying = 1.0, np.arange(len(rows))  # the rows still backtracking
             for _ in range(40):
-                step = damp * delta[trying]
-                trial = stage(X[trying] + step[:, :3], mu[trying] + step[:, 3], XI[trying])
+                trial = stage(X[trying] + damp * delta[trying], E[trying])
                 better = trial.res_norm < res_norm[trying]
                 took = trying[better]
                 for a, b in zip(state, trial):
@@ -438,81 +445,67 @@ class NormModel:
         stop(slice(None))
         return U
 
-    def _value_gradient_rows(self, X):
-        """F and grad F at the rows of X, as gauge_value_rows and
-        gauge_gradient_rows give them, and for an FD gradient each row's gauge
-        values at x and at its gradient stencil, in fd_hessian_rows' known
-        layout (else None). An FD gradient takes one gauge call for all
-        points; when it raises, the calls of the two methods are made again,
-        so the exception is theirs."""
-        X = self._check_nonzero(X, "gauge gradient")
+    def _plane_gradient_rows(self, X, E):
+        """F and its gradient E^T grad F along the plane of each row x of X,
+        E (N, 3, 2) the planes' bases, and for an FD gradient each row's gauge
+        values at x and at its plane gradient stencil, in fd_hessian_rows'
+        known layout (else None). An FD gradient takes one gauge call for all
+        points; when it raises, the stencil and then the values are evaluated
+        again, so the exception is theirs and names the gauge's argument x."""
         if self.gauge.gradient is not None:
             G = np.asarray(self.gauge.gradient(X), dtype=float)
-            return self.gauge_value_rows(X), G, None
-        h, P = gradient_stencil(X, self.fd_step)
+            return self.gauge_value_rows(X), (G[:, None, :] @ E)[:, 0], None
+        h, P = gradient_stencil(X, self.fd_step, E)
         P = P.reshape(-1, 3)
         try:
             vals = np.asarray(self.gauge.value(np.concatenate([P, X])), dtype=float)
         except Exception:
-            self.gauge_gradient_rows(X)
+            _field_values(self.gauge.value, P)
             self.gauge_value_rows(X)
             raise
-        stencil = _require_finite(vals[:len(P)], P).reshape(len(X), 6)
+        stencil = _require_finite(vals[:len(P)], P).reshape(len(X), 4)
         F = vals[len(P):]
         return F, _central_diffs(stencil, h), np.concatenate([F[:, None], stencil], axis=1)
 
-    def _newton_hessian_rows(self, X, known) -> np.ndarray:
-        """The gauge Hessians of a Newton iteration, with the FD stencil's
-        centre and axis values taken from known when given."""
-        if known is None or self.gauge.hessian is not None:
-            return self.gauge_hessian_rows(X)
-        return fd_hessian_rows(self.gauge.value, X, self.fd_step, known)
-
-    def _inverse_weingarten(self, XI, U) -> np.ndarray:
-        """Hess h_B at the unit rows XI from the gauge alone, U holding u at them.
-
-        On xi-perp, Hess h_B(xi) = du is the inverse of the Weingarten map of
-        ∂B at u = u(xi), Hess F(u) / |grad F(u)| restricted to the same plane
-        (Schneider, Convex Bodies, §2.5); xi spans its kernel. Euler's
-        identity grad F(u) . u = F(u) = 1 gives |grad F(u)| = 1 / (u . xi)
-        for unit xi. The map is built at XI / |XI|, the rows the Newton solve
-        normalizes to, and scaled by the degree -1 homogeneity of Hess h_B:
-        both are 1 to roundoff, and point_geometry's bits depend on them.
-        Missing gauge Hessians are central differences at _GAUGE_HESSIAN_STEP.
-        """
-        r = _norm_rows(XI)
-        XI = XI / r[:, None]
+    def _plane_hessian_rows(self, X, E, step: float, known=None) -> np.ndarray:
+        """E^T Hess F E at the rows of X: the gauge's own Hessian restricted to
+        the planes with bases E, or central differences along E at the relative
+        step, with the centre and gradient-stencil values taken from known
+        when given."""
         if self.gauge.hessian is not None:
-            HF = self.gauge_hessian_rows(U)
-        else:
-            HF = fd_hessian_rows(self.gauge.value, U, _GAUGE_HESSIAN_STEP)
-        E = tangent_basis(XI)
-        Et = np.swapaxes(E, 1, 2)
-        W = (Et @ HF @ E) * _dot(U, XI)[:, None, None]
-        M = _invert_2x2_spd(0.5 * (W + np.swapaxes(W, 1, 2)),
-                            "Weingarten map of the unit ball's boundary")
-        return E @ M @ Et / r[:, None, None]
+            return _in_basis(E, np.asarray(self.gauge.hessian(X), dtype=float))
+        return fd_hessian_rows(self.gauge.value, X, step, known, E)
 
     def birkhoff_du_rows(self, XI) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """u(xi) and du_restricted(xi) at the rows of XI, as (U, E, M).
 
-        A norm without dual jets normalizes each row once, solves u(xi) once
-        and builds du from that u; its birkhoff_point_rows, du_restricted_rows
-        and dual_* methods all read this route.
+        A norm without dual jets normalizes each row once and solves u(xi)
+        once; its birkhoff_point_rows, du_restricted_rows and dual_* methods
+        all read this route. M inverts the Hessian of F on the plane
+        x . xi = 1 at its minimiser x* = u / (u . xi), which is
+        (u . xi) Hess F(u), the Weingarten map of ∂B at u (Schneider, Convex
+        Bodies, §2.5). Hess F(u) is taken on u-perp, basis B = tangent_basis(u),
+        and carried to E along u, its kernel: v = B (B^T v) + t u. So the
+        stencil's points depend on u alone, and a xi whose last bits differ
+        but which solves to the same u gets the same differences. A gauge
+        without a Hessian is differenced along B at _GAUGE_HESSIAN_STEP.
         """
         if self.dual is not None:
             return (self.birkhoff_point_rows(XI), *self.du_restricted_rows(XI))
         XI = self._check_nonzero(XI, "Birkhoff point")
         XI = XI / _norm_rows(XI)[:, None]
         U = self._newton_points(XI)
-        return (U, *_restricted(XI, self._inverse_weingarten(XI, U)))
+        E, B = tangent_basis(XI), tangent_basis(U)
+        W = _in_basis(np.swapaxes(B, 1, 2) @ E, self._plane_hessian_rows(U, B, _GAUGE_HESSIAN_STEP))
+        return U, E, _invert_2x2_spd(W * _dot(U, XI)[:, None, None], "Weingarten map of the unit ball's boundary")
 
     def du_restricted_rows(self, XI) -> tuple[np.ndarray, np.ndarray]:
         if self.dual is None:
             return self.birkhoff_du_rows(XI)[1:]
         XI = np.asarray(XI, dtype=float)
         XI = XI / _norm_rows(XI)[:, None]
-        return _restricted(XI, self.dual_hessian_rows(XI))
+        E = tangent_basis(XI)
+        return E, _in_basis(E, self.dual_hessian_rows(XI))
 
     def dupin_form_rows(self, ETA, X, Y) -> np.ndarray:
         n = self.gauge_gradient_rows(ETA)
@@ -535,8 +528,9 @@ class NormModel:
                             """Third partials of h_B, or None when not analytically available.""")
     birkhoff_point = _one_point(birkhoff_point_rows, "xi", """u(xi): the point of ∂B whose Euclidean outer normal is xi.
 
-        Computed as grad h_B(xi) when dual jets exist; projected Newton on the
-        Lagrange system grad F(x) = mu xi, F(x) = 1 otherwise.
+        Computed as grad h_B(xi) when dual jets exist; otherwise x* / F(x*),
+        x* the minimiser of F on the plane x . xi = 1, found by damped Newton
+        in the plane's 2 coordinates.
         """)
     du_restricted = _one_point(du_restricted_rows, "xi", """Restrict Hess h_B(xi) to the tangent plane xi-perp.
 
@@ -618,10 +612,13 @@ def custom_norm(gauge, dual=None, allow_newton: bool = True,
     """A user-supplied norm, as a ScalarJet or a bare value callable of one point x.
 
     The callables are adapted to rows of points with numerics.per_point.
-    Without dual jets, Birkhoff points fall back to a projected Newton solve
-    on the gauge (unless allow_newton=False), the rows of a batch advanced in
-    lockstep; gauge derivatives missing from the jet come from central
-    differences.
+    Without dual jets (and unless allow_newton=False), the Birkhoff point
+    u(xi) is x* / F(x*), x* the minimiser of F on the plane x . xi = 1, by
+    damped Newton in the plane's 2 coordinates, the rows of a batch advanced
+    in lockstep; du is the inverse of F's Hessian on that plane at x*. Gauge
+    derivatives missing from the jet come from central differences along the
+    plane: 9 gauge values per Newton iteration (a 5-point gradient stencil and
+    4 cross points) and 9 for du.
     """
     gauge = _per_point_jet(gauge)
     if dual is not None:

@@ -8,7 +8,9 @@ Every first-derivative stencil of the package takes its per-row step and
 its points x +- h e_i from one function, gradient_stencil, and reads its
 differences with _central_diffs; fd_hessian_rows and central_diff place
 their points by the same x + h o, and fd_hessian_rows assembles its
-Hessians from a stencil layout cached per dimension.
+Hessians from a stencil layout cached per dimension. gradient_stencil and
+fd_hessian_rows also run along a basis given per row, which is how the
+gauge-only Newton differences the gauge on a plane of R^3.
 
 All kernels are stateless (the stream is the one object with state);
 tolerances and steps come in as arguments, most of them from one
@@ -41,10 +43,12 @@ class NumericsConfig:
     for FD surface jets; the gauge-only du Hessian uses eps^(1/4).
     richardson is accepted but read by nothing yet. newton_max_iter and
     newton_tol act only on library norms given by their gauge alone (the CLI
-    cannot build one); on FD gauge gradients at step h, newton_tol is floored
-    at 10 eps / h (about 2.2e-10 at the default step). Numeric fields must be
-    positive and finite (NaN and inf are not), newton_max_iter and quad_nodes
-    integral (64.0 is kept as the int 64).
+    cannot build one), whose Newton stops once the gauge's gradient along
+    the plane x . xi = 1 has norm at most newton_tol; on FD gauge gradients
+    at step h, newton_tol is floored at 10 eps / h (about 2.2e-10 at the
+    default step). Numeric fields must be positive and finite (NaN and inf
+    are not), newton_max_iter and quad_nodes integral (64.0 is kept as the
+    int 64).
     A report does not record the resolved values: its environment holds the
     config as given, so fields left at their defaults do not appear.
     """
@@ -242,18 +246,27 @@ def relative_step(point, step: float):
     return step * np.maximum(1.0, np.sqrt(_dot(point, point)))
 
 
-def gradient_stencil(X, step: float) -> tuple[np.ndarray, np.ndarray]:
+def _along(O: np.ndarray, basis) -> np.ndarray:
+    """Offsets O (m, k) as they are, or along each row's basis (N, n, k): the
+    points' offsets sum_j o_j b_j, (N, m, n)."""
+    return O if basis is None else O @ np.swapaxes(basis, 1, 2)
+
+
+def gradient_stencil(X, step: float, basis=None) -> tuple[np.ndarray, np.ndarray]:
     """The central-difference gradient stencil of each row x of X (N, n).
 
     Returns the row's relative step h and its points x + h e_0, x - h e_0,
     ..., x - h e_(n-1), (N, 2n, n), in the order _central_diffs reads their
     values: the chart stencils of distances and blaschke and the FD gauge
     gradients of the Newton solve. fd_gradient_rows places the same points
-    (and, with richardson, those at h / 2).
+    (and, with richardson, those at h / 2). With basis (N, n, k), the
+    directions are each row's k columns b_j instead of the e_i, and the
+    differences are the gradients along the plane they span.
     """
     X = np.asarray(X, dtype=float)
     h = relative_step(X, step)
-    return h, _place(X, h, _gradient_offsets(X.shape[1]))
+    k = X.shape[1] if basis is None else basis.shape[2]
+    return h, _place(X, h, _along(_gradient_offsets(k), basis))
 
 
 def fd_gradient_rows(field, X, step: float, richardson: bool = False) -> np.ndarray:
@@ -296,28 +309,32 @@ def _hessian_layout(n: int) -> tuple[np.ndarray, ...]:
     return layout
 
 
-def fd_hessian_rows(field, X, step: float, known=None) -> np.ndarray:
+def fd_hessian_rows(field, X, step: float, known=None, basis=None) -> np.ndarray:
     """Central-difference Hessians of a batched scalar field at the rows of X, symmetrized.
 
     Diagonal: (f(x+h e_i) - 2 f(x) + f(x-h e_i)) / h^2.
     Off-diagonal: the standard 4-point cross stencil. Steps are relative per row.
     known (N, 2n + 1), when given, holds each row's values at x and at the
-    points fd_gradient_rows places, x + h e_0, x - h e_0, ..., at the same
-    step; only the cross points are evaluated, and errors are raised as if
-    all points were.
+    points gradient_stencil places, x + h e_0, x - h e_0, ..., at the same
+    step and basis; only the cross points are evaluated, and errors are
+    raised as if all points were. With basis (N, n, k), the stencil runs
+    along each row's columns b_j, and the Hessian is k x k, B^T Hess B.
     """
     X = np.asarray(X, dtype=float)
-    N, n = X.shape
+    N, d = X.shape
+    n = d if basis is None else basis.shape[2]
     h = relative_step(X, step)
     O, axis, cross, iu, ju = _hessian_layout(n)
+    O = _along(O, basis)
     if known is None:
-        f = _field_values(field, _place(X, h, O).reshape(-1, n)).reshape(N, -1)
+        f = _field_values(field, _place(X, h, O).reshape(-1, d)).reshape(N, -1)
     else:
-        f = np.empty((N, len(O)))
+        f = np.empty((N, O.shape[-2]))
         f[:, axis] = known
-        f[:, cross] = _field_values(field, _place(X, h, O[cross]).reshape(-1, n), finite=False).reshape(N, -1)
+        f[:, cross] = _field_values(field, _place(X, h, O[..., cross, :]).reshape(-1, d),
+                                    finite=False).reshape(N, -1)
         if not np.isfinite(f).all():
-            _require_finite(f.ravel(), _place(X, h, O).reshape(-1, n))
+            _require_finite(f.ravel(), _place(X, h, O).reshape(-1, d))
     hess = np.empty((N, n, n))
     diag = np.arange(n)
     hess[:, diag, diag] = (f[:, axis[1::2]] - 2.0 * f[:, :1] + f[:, axis[2::2]]) / (h**2)[:, None]

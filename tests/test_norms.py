@@ -265,18 +265,39 @@ def _random_normals(n, seed):
     return xi / np.linalg.norm(xi, axis=1)[:, None]
 
 
-@pytest.mark.parametrize("gauge, reference, tol", [
-    (_lp4_gauge, lambda: mk.lp_norm(4.0), 5e-7),
-    (_ellipsoid_gauge, lambda: mk.ellipsoid_norm(ELLIPSOID_A), 5e-7),
-    (mk.lp_norm(4.0).gauge, lambda: mk.lp_norm(4.0), 1e-9),
-], ids=["lp4", "ellipsoid", "lp4-gauge-jet"])
-def test_gauge_only_du_matches_the_analytic_norm(gauge, reference, tol):
+def _near_axis_normals(n, seed):
+    """n unit normals, row i with its component i % 3 equal to +-1e-3: each
+    lies 1e-3 from a coordinate plane, next to an lp(4) axis circle."""
+    rng = np.random.default_rng(seed)
+    xi, i = rng.normal(size=(n, 3)), np.arange(n)
+    xi[i, i % 3] = 0.0
+    xi *= math.sqrt(1.0 - 1e-6) / np.linalg.norm(xi, axis=1)[:, None]
+    xi[i, i % 3] = 1e-3 * rng.choice([-1.0, 1.0], n)
+    return xi
+
+
+RANDOM_NORMALS, NEAR_AXIS_NORMALS = _random_normals(40, 0), _near_axis_normals(40, 0)
+
+
+@pytest.mark.parametrize("gauge, reference, tol, XI", [
+    (_lp4_gauge, lambda: mk.lp_norm(4.0), 5e-7, RANDOM_NORMALS),
+    (_ellipsoid_gauge, lambda: mk.ellipsoid_norm(ELLIPSOID_A), 5e-7, RANDOM_NORMALS),
+    (mk.lp_norm(4.0).gauge, lambda: mk.lp_norm(4.0), 1e-9, RANDOM_NORMALS),
+    # the central-difference floor of du next to an axis circle: its
+    # truncation along e_i is about h^2 / (6 u_i^2), and u_i ~ 0.1 here;
+    # 21 of the 40 rows read above 5e-7, at most 8.8e-7 (ROADMAP item 1)
+    pytest.param(_lp4_gauge, lambda: mk.lp_norm(4.0), 5e-7, NEAR_AXIS_NORMALS,
+                 marks=pytest.mark.xfail(strict=True, reason="FD du floor next to an lp(4) axis circle")),
+    (_ellipsoid_gauge, lambda: mk.ellipsoid_norm(ELLIPSOID_A), 5e-7, NEAR_AXIS_NORMALS),
+    (mk.lp_norm(4.0).gauge, lambda: mk.lp_norm(4.0), 1e-9, NEAR_AXIS_NORMALS),
+], ids=["lp4", "ellipsoid", "lp4-gauge-jet", "lp4-near-axis", "ellipsoid-near-axis", "lp4-gauge-jet-near-axis"])
+def test_gauge_only_du_matches_the_analytic_norm(gauge, reference, tol, XI):
     """du of a norm without dual jets, from its gauge Hessian at u, agrees
     with the analytic dual Hessian over 40 normals (the differenced Newton
     solves it replaces were off by 1.7e-6 on lp(4) and 5.9e-7 on the
-    ellipsoid). A gauge jet with derivatives is differenced nowhere."""
+    ellipsoid), at random and 1e-3 from the coordinate planes. A gauge jet
+    with derivatives is differenced nowhere."""
     norm, ref = mk.custom_norm(gauge), reference()
-    XI = _random_normals(40, 0)
     _, M = norm.du_restricted_rows(XI)
     _, M_ref = ref.du_restricted_rows(XI)
     err = np.abs(M - M_ref).max(axis=(1, 2)) / np.abs(M_ref).max(axis=(1, 2))
@@ -328,7 +349,8 @@ def _count_solves(monkeypatch):
 def test_gauge_only_work_counts(monkeypatch):
     """A Newton solve stops at the floor of its FD gradients and evaluates no
     gauge point twice, and one dual Hessian row costs one solve (it took 6,
-    and 1,304 gauge values per solve; then 152 per solve)."""
+    and 1,304 gauge values per solve; then 152, and 111 with 4-variable KKT
+    steps before the solve became a 2-variable minimisation)."""
     calls = [0]
 
     def counted(x):
@@ -339,7 +361,7 @@ def test_gauge_only_work_counts(monkeypatch):
     XI = _random_normals(40, 0)
     for xi in XI:
         norm.birkhoff_point(xi)
-    assert calls[0] == 4442  # 111 gauge values per solve
+    assert calls[0] == 2254  # 56.35 gauge values per solve
 
     solves = _count_solves(monkeypatch)
     norm.dual_hessian(XI[0])
@@ -433,7 +455,7 @@ def _stages(monkeypatch):
     """Per-row counts of the lockstep solve's residual and Hessian stages, and
     the numbers of their calls."""
     counts = {"residual": 0, "hessian": 0, "residual calls": 0, "hessian calls": 0}
-    for name, stage in (("residual", "_value_gradient_rows"), ("hessian", "_newton_hessian_rows")):
+    for name, stage in (("residual", "_plane_gradient_rows"), ("hessian", "_plane_hessian_rows")):
         def counted(self, *args, _fn=getattr(mk.NormModel, stage), _name=name):
             counts[_name] += len(args[0])
             counts[f"{_name} calls"] += 1
@@ -444,10 +466,11 @@ def _stages(monkeypatch):
 
 
 def test_lockstep_newton_work_is_pinned(monkeypatch):
-    """One lockstep of 40 rows takes the 4,442 gauge values of their 40 solves
-    of one row, in 17 residual stages (298 rows) and 6 Hessian stages (193
-    rows). A stage of no row costs no gauge value, so only the numbers of
-    calls show the trials that backtracking rows no longer need."""
+    """One lockstep of 40 rows takes the 2,254 gauge values of their 40 solves
+    of one row, in 17 gradient stages (298 rows of 5 plane-stencil values)
+    and 6 Hessian stages (191 rows of 4 cross points). A stage of no row
+    costs no gauge value, so only the numbers of calls show the trials that
+    backtracking rows no longer need."""
     calls = [0]
 
     def counted(x):
@@ -456,8 +479,8 @@ def test_lockstep_newton_work_is_pinned(monkeypatch):
 
     stages = _stages(monkeypatch)
     mk.custom_norm(counted)._newton_points(_random_normals(40, 0))
-    assert calls[0] == 4442
-    assert stages == {"residual": 298, "hessian": 193, "residual calls": 17, "hessian calls": 6}
+    assert calls[0] == 2254
+    assert stages == {"residual": 298, "hessian": 191, "residual calls": 17, "hessian calls": 6}
 
 
 def test_an_integral_float_newton_max_iter_solves_as_its_int():
@@ -494,10 +517,11 @@ def test_lockstep_newton_equals_solves_of_one_row(monkeypatch):
 
 
 def _stencil_point(xi, offset):
-    """The gauge stencil point seed + h offset of the solve of xi (h the
-    relative FD step at the radial seed)."""
-    x = xi / _lp4_gauge(xi)
-    return x + 1e-5 * max(1.0, float(np.linalg.norm(x))) * np.asarray(offset, dtype=float)
+    """The gauge stencil point xi + h E offset of the solve of xi, seeded at
+    xi on the plane x . xi = 1: offset is in the plane's coordinates, E is
+    tangent_basis(xi) and h the relative FD step at the seed."""
+    h = 1e-5 * max(1.0, float(np.linalg.norm(xi)))
+    return xi + h * (tangent_basis(xi) @ np.asarray(offset, dtype=float))
 
 
 def _failing_at(points, value=None):
@@ -515,7 +539,7 @@ def _failing_at(points, value=None):
 # unit rows that normalizing leaves bitwise unchanged, so the solves' seeds
 # are the points _stencil_point starts from
 XI_FAIL = np.array([xi for xi in _random_normals(40, 11) if np.array_equal(xi / np.linalg.norm(xi), xi)][:6])
-E0, E1 = np.eye(3)[0], np.eye(3)[1]
+E0, E1 = np.eye(2)  # the plane coordinates' axes
 
 
 @pytest.mark.parametrize("norm, error", [
@@ -543,10 +567,11 @@ def test_lockstep_newton_raises_what_the_row_loop_raises_first(norm, error):
     assert str(got.value) == str(expected)
 
 
-@pytest.mark.parametrize("t", [0.0, 1e-6])
+@pytest.mark.parametrize("t", [0.0])
 def test_a_failed_newton_solve_of_a_geometry_names_its_chart_point(t):
-    # t = 0 lies on an lp(4) axis circle, where the FD gauge Hessian makes the
-    # KKT system singular; t = 1e-6 is next to it
+    # t = 0 lies on an lp(4) axis circle: along the plane's direction e_y the
+    # FD gauge values are flat to the last bit, so the plane Hessian is
+    # exactly singular
     norm, surface = mk.custom_norm(_lp4_gauge), mk.ellipsoid(1.0, 1.3, 0.8)
     xi = mk.point_geometry(mk.euclidean_norm(), surface, 0.8, t).xi
     with pytest.raises(mk.NewtonDivergence) as solve:
@@ -560,4 +585,21 @@ def test_a_failed_newton_solve_of_a_geometry_names_its_chart_point(t):
     with pytest.raises(mk.NewtonDivergence) as got:
         mk.geometry_batch(norm, surface, [0.8, 2.0, 0.8], [1.0, t, t])
     assert got.value.location == (2.0, t)
-    assert str(got.value).startswith("singular KKT system at x=")
+    assert str(got.value).startswith("singular gauge Hessian on the plane x.xi = 1 at x=")
+
+
+@pytest.mark.parametrize("t, eta_tol, curvature_tol", [(1e-6, 5e-8, 1e-4), (1e-4, 1e-8, 1e-5), (1e-3, 1e-9, 2e-6)],
+                         ids=["1e-06", "0.0001", "0.001"])
+def test_a_gauge_only_geometry_next_to_an_lp4_axis_circle_matches_the_built_in(t, eta_tol, curvature_tol):
+    """Next to the axis circle t = 0 the plane minimisation solves u (the KKT
+    system of the 4-variable solve was singular at t = 1e-6 and 1e-4), and
+    eta and the curvatures agree with lp_norm(4.0). The gaps grow towards
+    the circle as the FD truncation of du does: measured 2.2e-8, 3.7e-9,
+    4.4e-10 in eta and 3.0e-5, 4.7e-6, 6.1e-7 relative in lambda2 (2,660.8,
+    123.5, 26.6)."""
+    norm, ref, surface = mk.custom_norm(_lp4_gauge), mk.lp_norm(4.0), mk.ellipsoid(1.0, 1.3, 0.8)
+    got, want = mk.point_geometry(norm, surface, 0.8, t), mk.point_geometry(ref, surface, 0.8, t)
+    assert np.abs(got.eta - want.eta).max() <= eta_tol
+    for name in ("lambda1", "lambda2", "K", "H"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert abs(a - b) / max(1.0, abs(b)) <= curvature_tol, name

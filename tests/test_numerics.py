@@ -151,6 +151,31 @@ def test_fd_hessian_rows_equals_the_loop_over_pairs_bitwise(n, rows):
         assert type(got) is type(want) and str(got) == str(want)
 
 
+def test_fd_stencils_along_a_basis_difference_the_field_on_its_plane():
+    """With a basis B per row, gradient_stencil and fd_hessian_rows difference
+    the field along B's columns: a quadratic's B^T grad and B^T Hess B, to
+    roundoff, and the Hessian from the gradient stencil's values as known
+    equals the one that evaluates all 9 points, bit for bit."""
+    rng = np.random.default_rng(4)
+    Q = rng.normal(size=(3, 3))
+    Q = Q + Q.T
+    c = rng.normal(size=3)
+
+    def quadratic(Y):
+        return 0.5 * np.einsum("ni,ij,nj->n", Y, Q, Y) + Y @ c
+
+    X = rng.uniform(-2.0, 2.0, (6, 3))
+    B = np.linalg.qr(rng.normal(size=(6, 3, 3)))[0][:, :, :2]
+    h, P = gradient_stencil(X, 1e-3, B)
+    values = quadratic(P.reshape(-1, 3)).reshape(6, 4)
+    grad = (values[:, 0::2] - values[:, 1::2]) / (2.0 * h[:, None])
+    assert np.allclose(grad, np.einsum("nik,ni->nk", B, X @ Q + c), rtol=0, atol=1e-9)
+    hess = fd_hessian_rows(quadratic, X, 1e-3, None, B)
+    assert np.allclose(hess, np.swapaxes(B, 1, 2) @ Q @ B, rtol=0, atol=1e-7)
+    known = np.concatenate([quadratic(X)[:, None], values], axis=1)
+    assert np.array_equal(fd_hessian_rows(quadratic, X, 1e-3, known, B), hess)
+
+
 def test_fd_second_directional_quadratic_exact():
     A = np.array([[2.0, 0.5], [0.5, -1.0]])
     f = lambda x: float(x @ A @ x)
