@@ -29,7 +29,11 @@ two gauge-only norms on a 12x12 ellipsoid grid and a 4x4 grid of each norm's
 own sphere, whose rows converge after different numbers of Newton iterations
 and backtrack), run the same way. Prints one line per operation that
 differs, naming what differs, then a summary; exits 1 when any operation
-differs.
+differs. A differing custom-norm point or gauge-only geometry_batch probe
+also prints each checkout's largest gap in eta, lambda1 and lambda2 to the
+analytic route: the same points under the built-in norm the gauge is the
+value of (a workload pair's ref_norm and ref_surface). The gaps do not
+decide the outcome.
 """
 
 from __future__ import annotations
@@ -79,15 +83,25 @@ FAILING.append(("numerical failure (cond_guard 2.0)",
                  "numerics": {"cond_guard": 2.0}}, 3))
 
 
+# The largest gap in eta, lambda1 and lambda2 between two geometries (of a
+# point or a batch): the programs' distance to the analytic route.
+ROUTE_GAP = """
+def route_gap(got, want):
+    return max(float(np.abs(np.subtract(getattr(got, k), getattr(want, k))).max())
+               for k in ("eta", "lambda1", "lambda2"))
+"""
+
 # Run with a checkout's src/ on PYTHONPATH and the perfbench directory whose
 # workloads.py defines the points as argv[1]: one JSON line per custom-norm
-# point, each output as the hex form of its floats, or the error it raised.
+# point, each output as the hex form of its floats, or the error it raised,
+# and its route_gap to the pair's reference.
 CUSTOM_PROGRAM = """
 import json, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 import workloads
 import minksurf as mk
+""" + ROUTE_GAP + """
 
 for pair, (s, t, phi) in workloads.custom_ops(workloads.build_custom_pairs()):
     out = {"name": f"{pair.name}@({s:.3f},{t:.3f})"}
@@ -99,20 +113,23 @@ for pair, (s, t, phi) in workloads.custom_ops(workloads.build_custom_pairs()):
                   "indicatrix mean": mk.mean_by_indicatrix_average(pg),
                   "normal curvature": mk.normal_curvature(pg, X), "rho": rho, "V": V}
         out.update((k, [float(x).hex() for x in np.ravel(v)]) for k, v in values.items())
+        out["gap"] = route_gap(pg, mk.point_geometry(pair.ref_norm, pair.ref_surface, s, t))
     except mk.MinksurfError as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
     print(json.dumps(out))
 """
 
 # Run with a checkout's src/ on PYTHONPATH: one JSON line per probe, its
-# output as the hex form of its floats, or the error it raised. It uses only
-# names that every compared checkout has.
+# output as the hex form of its floats, or the error it raised, and for a
+# gauge-only geometry_batch its route_gap to the built-in norm's. It uses
+# only names that every compared checkout has.
 PROBE_PROGRAM = """
 import dataclasses
 import json
 import numpy as np
 import minksurf as mk
 from minksurf import numerics
+""" + ROUTE_GAP + """
 
 A = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
 INV = np.linalg.inv(A)
@@ -126,9 +143,10 @@ NORMS = {
                                         dual=mk.ScalarJet(lambda xi: float(np.sqrt(xi @ INV @ xi)))),
 }
 GAUGES = {
-    "custom-lp4": lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25),
-    "custom-ellipsoid": lambda x: float(np.sqrt(x @ A @ x)),
+    "custom-lp4": (lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25), mk.lp_norm(4.0)),
+    "custom-ellipsoid": (lambda x: float(np.sqrt(x @ A @ x)), mk.ellipsoid_norm(A)),
 }
+REFERENCES = {}  # gauge-only probe name -> the geometry_batch arguments of its analytic route
 XI = np.array([[0.3, -0.5, 0.8], [1e-3, 0.6, -0.9], [2.0, 1.0, 0.5]])
 P3, D3 = np.array([0.4, -0.7, 1.3]), np.array([0.6, 0.0, -0.8])
 
@@ -180,11 +198,13 @@ def probes():
                        (field, pg, [1.0, 0.3], [-0.2, 1.0], mk.DEFAULT_CONFIG, 1e-4))
 
 
-    for name, gauge in GAUGES.items():
+    for name, (gauge, ref) in GAUGES.items():
         norm = mk.custom_norm(gauge)
-        yield f"{name} geometry_batch 12x12 ellipsoid", batch_fields, (norm, SURFACE, *grid(12, 0.3, 0.05))
-        yield (f"{name} geometry_batch 4x4 own sphere", batch_fields,
-               (norm, mk.minkowski_sphere(norm, 1.5), *grid(4, 0.4, 0.1)))
+        for what, surface, ref_surface, st in (
+                ("12x12 ellipsoid", SURFACE, SURFACE, grid(12, 0.3, 0.05)),
+                ("4x4 own sphere", mk.minkowski_sphere(norm, 1.5), mk.minkowski_sphere(ref, 1.5), grid(4, 0.4, 0.1))):
+            REFERENCES[f"{name} geometry_batch {what}"] = (ref, ref_surface, *st)
+            yield f"{name} geometry_batch {what}", batch_fields, (norm, surface, *st)
 
 
 for name, fn, args in probes():
@@ -193,6 +213,8 @@ for name, fn, args in probes():
         value = fn(*args)
         parts = value if isinstance(value, tuple) else (value,)
         out["value"] = [float(x).hex() for part in parts for x in np.ravel(part)]
+        if name in REFERENCES:
+            out["gap"] = route_gap(mk.geometry_batch(*args), mk.geometry_batch(*REFERENCES[name]))
     except mk.MinksurfError as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
     print(json.dumps(out))
@@ -291,10 +313,13 @@ def main(argv=None) -> int:
                                   ("probe", PROBE_PROGRAM, [])):
         for a, b in zip(program_outputs(parent, program, *extra), program_outputs(change, program, *extra)):
             compared += 1
-            diff = [what for what in a.keys() | b.keys() if a.get(what) != b.get(what)]
+            diff = [what for what in a.keys() | b.keys() if what != "gap" and a.get(what) != b.get(what)]
             if diff:
                 differ += 1
                 print(f"differs: {label} {a['name']}: {', '.join(sorted(diff))}")
+                if "gap" in a and "gap" in b:
+                    print(f"  largest gap in eta, lambda1, lambda2 to the analytic route: "
+                          f"{a['gap']:.2e} -> {b['gap']:.2e}")
     print(f"{compared} operations compared, {differ} differ")
     return 1 if differ else 0
 

@@ -83,6 +83,15 @@ class NumericsConfig:
 DEFAULT_CONFIG = NumericsConfig()
 
 
+def check_jet_options(jet_source, fd_step) -> None:
+    """Raise InvalidParameter unless jet_source is "analytic" or "fd" and
+    fd_step is finite and positive: the jet options of a norm or a surface."""
+    if jet_source not in ("analytic", "fd"):
+        raise InvalidParameter(f"unknown jet_source {jet_source!r}")
+    if not 0.0 < fd_step < np.inf:
+        raise InvalidParameter(f"fd_step must be finite and positive, got {fd_step!r}")
+
+
 def per_point(fn, point_ndim: int = 0):
     """Adapt fn, a callable of one point, to batches of points.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateJet, InvalidParameter, OutOfDomain
 from .norms import NormModel
-from .numerics import _cross, _norm_rows, _stack_last, first_row, per_point
+from .numerics import _cross, _norm_rows, _stack_last, check_jet_options, first_row, per_point
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,8 @@ class SurfacePatch:
     position is always available; jet is the analytic second-order jet and may
     be None, in which case (or when jet_source == "fd") central differences of
     position supply the derivatives. orientation multiplies the raw normal
-    f_s x f_t; +1 keeps it, -1 flips it.
+    f_s x f_t; +1 keeps it, -1 flips it. jet_source must be "analytic" or
+    "fd" and fd_step finite and positive.
     """
 
     name: str
@@ -66,6 +67,9 @@ class SurfacePatch:
     fd_step: float = 1e-5
     immersion_guard: float = 1e-10
     params: dict | None = None
+
+    def __post_init__(self):
+        check_jet_options(self.jet_source, self.fd_step)
 
     def wrap(self, s, t):
         """Wrap periodic coordinates into the domain; raise OutOfDomain otherwise.
@@ -123,14 +127,23 @@ def _fd_jet(position, s, t, step: float) -> SurfaceJet:
     """Central-difference second-order jet of a position-only chart.
 
     position is called once, on the 9 stencil points of every (s, t),
-    offset-major: all centres, then all (s + h, t), and so on.
+    offset-major: all centres, then all (s + h, t), and so on. A position
+    with a `near` attribute (the chart of a gauge-only Minkowski sphere) is
+    called on the centres alone, and near(S, T, P) once on the 8 offsets,
+    P the position of each offset's centre.
     """
     h = step
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     S = np.stack([s, s + h, s - h, s, s, s + h, s + h, s - h, s - h])
     T = np.stack([t, t, t, t + h, t - h, t + h, t - h, t + h, t - h])
+    near = getattr(position, "near", None)
+    if near is None:
+        P = position(S.ravel(), T.ravel())
+    else:
+        P = np.asarray(position(s.ravel(), t.ravel()), dtype=float)
+        P = np.concatenate([P, near(S[1:].ravel(), T[1:].ravel(), np.tile(P, (8, 1)))])
     f, fp_s, fm_s, fp_t, fm_t, fpp, fpm, fmp, fmm = np.asarray(
-        position(S.ravel(), T.ravel()), dtype=float).reshape(S.shape + (-1,))
+        P, dtype=float).reshape(S.shape + (-1,))
     return SurfaceJet(
         f=f,
         f_s=(fp_s - fm_s) / (2 * h),
@@ -305,8 +318,17 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
     of the Euclidean unit sphere; by construction the Euclidean outer normal at
     the image point is xi(s,t). When the norm carries analytic dual jets
     through third order the chart jet is analytic (u = grad h_B, du = Hess h_B,
-    d²u = third); otherwise positions are exact and derivatives fall back to
-    central differences.
+    d²u = third), and jet_source None or "analytic" selects it; otherwise
+    positions are exact and derivatives fall back to central differences, and
+    jet_source "analytic" raises InvalidParameter.
+
+    A norm without dual jets solves u by Newton at every point of the FD
+    stencil. The stencil's centres are solved from xi, and its 8 offsets,
+    fd_step away in (s, t), in one more batch started at their centre's u: a
+    start O(fd_step) from the solution, which Newton corrects in about one
+    iteration where a solve from xi takes 4 or 5 on lp(4). A point's geometry
+    then takes about 243 gauge values on lp(4) instead of 576 (a predictor-
+    corrector step; Allgower & Georg, Numerical Continuation Methods, Ch. 2).
     """
     if rho <= 0:
         raise InvalidParameter("Minkowski sphere radius must be positive")
@@ -316,9 +338,21 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
         xi = _unit_sphere(s, t)
         return c + rho * norm.birkhoff_point_rows(xi.reshape(-1, 3)).reshape(xi.shape)
 
+    if norm.dual is None:
+        def near(s, t, P):
+            """position at (s, t), each Newton solve started at the Birkhoff
+            point of P, a nearby point of the sphere."""
+            xi = _unit_sphere(s, t).reshape(-1, 3)
+            return c + rho * norm._newton_points(xi / _norm_rows(xi)[:, None], P - c)
+
+        position.near = near
+
     analytic = norm.has_analytic_dual_jets
     if jet_source is None:
         jet_source = "analytic" if analytic else "fd"
+    if jet_source == "analytic" and not analytic:
+        raise InvalidParameter(f"jet_source 'analytic' needs analytic dual jets through third order, "
+                               f"which the {norm.family} norm does not carry")
 
     jet = None
     if analytic:
@@ -446,8 +480,6 @@ def surface_from_spec(spec: dict, norm: NormModel | None = None) -> SurfacePatch
     family = spec.get("family")
     jet_source = spec.get("jet_source", "analytic")
     fd_step = float(spec.get("fd_step", 1e-5))
-    if jet_source not in ("analytic", "fd"):
-        raise InvalidParameter(f"unknown jet_source {jet_source!r}")
     kw = {"jet_source": jet_source, "fd_step": fd_step}
     if family == "euclidean_sphere":
         return euclidean_sphere(float(spec["r"]), spec.get("center", (0, 0, 0)), **kw)
@@ -464,6 +496,6 @@ def surface_from_spec(spec: dict, norm: NormModel | None = None) -> SurfacePatch
         if norm is None:
             raise InvalidParameter("minkowski_sphere surface needs the run's norm")
         return minkowski_sphere(norm, float(spec["rho"]), spec.get("center", (0, 0, 0)),
-                                jet_source=None if jet_source == "analytic" else "fd",
+                                jet_source=None if jet_source == "analytic" else jet_source,
                                 fd_step=fd_step)
     raise InvalidParameter(f"unknown surface family {family!r}")

@@ -69,6 +69,22 @@ def test_invalid_families():
         mk.ellipsoid_norm(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: mk.lp_norm(4.0, jet_source="FD"),
+    lambda: mk.ellipsoid_norm(np.eye(3), jet_source="Analytic"),
+    lambda: mk.lp_norm(4.0, jet_source="fd", fd_step=0.0),
+    lambda: mk.euclidean_norm(fd_step=float("nan")),
+    lambda: mk.custom_norm(lambda x: float(np.linalg.norm(x)), fd_step=-1e-5),
+    lambda: mk.custom_norm(lambda x: float(np.linalg.norm(x)), fd_step=float("inf")),
+], ids=["FD", "Analytic", "zero-step", "nan-step", "negative-step", "inf-step"])
+def test_a_norm_refuses_unknown_jet_options(make):
+    """A jet_source other than "analytic" and "fd", or an fd_step that is not
+    finite and positive, is refused when the norm is built ("FD" gave
+    analytic jets labelled FD, and a zero step NaN dual Hessians)."""
+    with pytest.raises(mk.InvalidParameter, match=r"unknown jet_source|fd_step must be finite and positive"):
+        make()
+
+
 def test_birkhoff_point_basics(eu, lp4):
     xi = np.array([0.3, -0.8, 0.5])
     xi /= np.linalg.norm(xi)
@@ -514,6 +530,60 @@ def test_lockstep_newton_equals_solves_of_one_row(monkeypatch):
         assert np.array_equal(norm.birkhoff_point_rows(XI), [norm.birkhoff_point(xi) for xi in XI])
     assert len(set(iterations)) > 2
     assert any(k > i for k, i in zip(trials, iterations))
+
+
+def _offset_normals(XI, h=1e-5):
+    """XI turned by about h: the normals of a chart stencil's offsets."""
+    XN = XI + h * np.roll(XI, 1, axis=1)
+    return XN / np.linalg.norm(XN, axis=1)[:, None]
+
+
+def test_a_seeded_lockstep_row_equals_its_seeded_solve_of_one_row(monkeypatch):
+    """Rows started at a nearby row's u (the offsets of a sphere chart's
+    stencil) land bit for bit where their own seeded solve of one row lands,
+    next to rows started from (about) xi that take more iterations. The 12
+    rows take 16, 12 and 24 Newton iterations in all from their neighbours'
+    u, and 55, 36 and 60 from xi; u moves by no more than the FD gradients
+    resolve."""
+    XI = _random_normals(12, 7)
+    XN = _offset_normals(XI)
+    stages = _stages(monkeypatch)
+    iterations = []
+    for gauge in (_lp4_gauge, _ellipsoid_gauge, mk.lp_norm(4.0).gauge):
+        norm = mk.custom_norm(gauge)
+        U = norm._newton_points(XI)
+        for seed in (None, U):
+            stages.update(hessian=0)
+            norm._newton_points(XN, seed)
+            iterations.append(stages["hessian"])
+        seed = np.where(np.arange(12)[:, None] % 3 == 0, XN, U)  # every third row from about xi
+        got = norm._newton_points(XN, seed)
+        alone = [norm._newton_points(xi[None], x[None])[0] for xi, x in zip(XN, seed)]
+        assert np.array_equal(got, alone)
+        assert np.abs(got - norm._newton_points(XN)).max() <= 1e-9
+    assert iterations == [55, 16, 36, 12, 60, 24]
+
+
+def test_a_seeded_lockstep_raises_what_the_row_loop_raises_first():
+    """A gauge that fails next to the solutions of rows 2 and 4 fails the
+    seeded batch with row 2's exception, as solving row after row does."""
+    XN = _offset_normals(XI_FAIL)
+    U = mk.custom_norm(_lp4_gauge)._newton_points(XI_FAIL)
+
+    def gauge(x):
+        for i in (2, 4):
+            if np.abs(x / _lp4_gauge(x) - U[i]).max() < 1e-3:
+                raise ValueError(f"no gauge near row {i} at {x!r}")
+        return _lp4_gauge(x)
+
+    norm = mk.custom_norm(gauge)
+    with pytest.raises(mk.EvaluationFailure) as one:
+        for i in range(len(XN)):
+            norm._newton_points(XN[i:i + 1], U[i:i + 1])
+    assert "no gauge near row 2" in str(one.value)
+    with pytest.raises(mk.EvaluationFailure) as got:
+        norm._newton_points(XN, U)
+    assert str(got.value) == str(one.value)
 
 
 def _stencil_point(xi, offset):

@@ -134,7 +134,10 @@ def test_minkowski_sphere_custom_norm_falls_back_to_fd():
 
 def test_fd_jet_places_its_stencil_in_one_position_call(monkeypatch):
     """The 9 stencil points of every chart point go to position in one call,
-    offset-major, and a Minkowski sphere solves them as one Newton batch."""
+    offset-major. A Minkowski sphere of a gauge-only norm solves them in two
+    Newton batches: the centres from xi, then the 8 offsets of every centre,
+    offset-major, each started at its centre's point (they were one batch of
+    27 rows from xi)."""
     calls = []
     surf = mk.graph(lambda s, t: (s * s * t + np.sin(t), 0, 0, 0, 0, 0), jet_source="fd")
 
@@ -153,11 +156,86 @@ def test_fd_jet_places_its_stencil_in_one_position_call(monkeypatch):
 
     solves = []
     newton_points = mk.NormModel._newton_points
-    monkeypatch.setattr(mk.NormModel, "_newton_points",
-                        lambda self, XI: solves.append(len(XI)) or newton_points(self, XI))
+
+    def solve(self, XI, seed=None):
+        solves.append((len(XI), seed))
+        return newton_points(self, XI, seed)
+
+    monkeypatch.setattr(mk.NormModel, "_newton_points", solve)
     norm = mk.custom_norm(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25))
-    mk.evaluate_jets(mk.minkowski_sphere(norm, 1.5), s + 1.0, t)
-    assert solves == [27]
+    jets = mk.evaluate_jets(mk.minkowski_sphere(norm, 1.5), s + 1.0, t)
+    assert [(n, seed is None) for n, seed in solves] == [(3, True), (24, False)]
+    assert np.array_equal(solves[1][1], np.tile(jets.f, (8, 1)))
+
+
+A_NORM = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
+SPHERE_GAUGES = [(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25), lambda: mk.lp_norm(4.0)),
+                 (lambda x: float(np.sqrt(x @ A_NORM @ x)), lambda: mk.ellipsoid_norm(A_NORM))]
+
+
+@pytest.mark.parametrize("gauge, values", [(SPHERE_GAUGES[0][0], 483), (SPHERE_GAUGES[1][0], 441)],
+                         ids=["lp4", "ellipsoid"])
+def test_a_gauge_only_sphere_jet_takes_its_pinned_gauge_values(gauge, values):
+    """The FD jets of a gauge-only Minkowski sphere at 3 chart points take
+    exactly this many gauge values: the offsets started at their centre's
+    point take 1 Newton iteration each. Solved from xi, as the centres are,
+    the same jets took 1,323 (lp(4)) and 936 (ellipsoid gauge)."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return gauge(x)
+
+    sphere = mk.minkowski_sphere(mk.custom_norm(counted), 1.5)
+    mk.evaluate_jets(sphere, np.array([1.1, 1.3, 0.8]), np.array([0.5, -0.4, 0.2]))
+    assert calls[0] == values
+
+
+@pytest.mark.parametrize("gauge, reference", SPHERE_GAUGES, ids=["lp4", "ellipsoid"])
+def test_a_gauge_only_sphere_is_umbilic_like_the_analytic_sphere(gauge, reference):
+    """Over a 6x6 grid, the FD chart of a gauge-only sphere, its offsets
+    solved from their centre's point, has W = Id / rho and the curvatures
+    of the built-in norm's analytic sphere: measured at most 1.7e-5 (lp(4))
+    and 4.8e-5 (ellipsoid gauge) in W, lambda1 and lambda2, and 5.5e-10 in
+    eta (solved from xi: 9.7e-6 and 3.2e-5, and 5.7e-10; both starts sit
+    at the chart's noise floor, about eps / h in the positions)."""
+    norm, ref = mk.custom_norm(gauge), reference()
+    s, t = np.meshgrid(np.linspace(0.4, np.pi - 0.4, 6), np.linspace(0.1, 2.0 * np.pi - 0.1, 6), indexing="ij")
+    s, t = s.ravel(), t.ravel()
+    got = mk.geometry_batch(norm, mk.minkowski_sphere(norm, 1.5), s, t)
+    want = mk.geometry_batch(ref, mk.minkowski_sphere(ref, 1.5), s, t)
+    assert np.abs(got.W - np.eye(2) / 1.5).max() <= 1e-4
+    assert np.abs(got.eta - want.eta).max() <= 2e-9
+    for name in ("lambda1", "lambda2"):
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-4, name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mk.ellipsoid(1.0, 1.3, 0.8, jet_source="Analytic"),
+    lambda: mk.torus(2.0, 1.2, jet_source="FD"),
+    lambda: mk.ellipsoid(1.0, 1.3, 0.8, jet_source="fd", fd_step=0),
+    lambda: mk.euclidean_sphere(1.0, jet_source="fd", fd_step=-1e-5),
+    lambda: mk.catenoid(fd_step=float("nan")),
+    lambda: mk.saddle(fd_step=float("inf")),
+    lambda: replace(mk.ellipsoid(1.0, 1.3, 0.8), jet_source="symbolic"),
+    lambda: mk.surface_from_spec({"family": "minkowski_sphere", "rho": 1.5, "jet_source": "FD"}, mk.lp_norm(4.0)),
+], ids=["Analytic", "FD", "zero-step", "negative-step", "nan-step", "inf-step", "replace", "spec"])
+def test_a_surface_refuses_unknown_jet_options(make):
+    """A jet_source other than "analytic" and "fd", or an fd_step that is not
+    finite and positive, is refused when the patch is built (a zero step
+    gave NaN jets and a SingularRestriction later; "Analytic" ran FD jets)."""
+    with pytest.raises(mk.InvalidParameter, match=r"unknown jet_source|fd_step must be finite and positive"):
+        make()
+
+
+def test_an_analytic_sphere_chart_needs_analytic_dual_jets():
+    """jet_source "analytic" on a norm without third-order dual jets raises
+    (it gave a patch labelled "analytic" that ran FD jets); None picks FD."""
+    for norm in (mk.custom_norm(SPHERE_GAUGES[0][0]), mk.lp_norm(4.0, jet_source="fd")):
+        with pytest.raises(mk.InvalidParameter, match="needs analytic dual jets"):
+            mk.minkowski_sphere(norm, 1.5, jet_source="analytic")
+        assert mk.minkowski_sphere(norm, 1.5).jet_source == "fd"
+    assert mk.minkowski_sphere(mk.lp_norm(4.0), 1.5, jet_source="analytic").jet_source == "analytic"
 
 
 def test_orientation_outward_families():
