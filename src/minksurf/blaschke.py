@@ -4,7 +4,7 @@ For an immersion with transversal field eta, the induced volume form is
 omega(X, Y) = det[X, Y, eta] and the h-volume is omega_h = |det h(X_i, X_j)|^{1/2};
 the transversal field is a Blaschke structure when |omega| = omega_h. The
 affine normal of an elliptic surface point decomposes over the Euclidean data
-as K_e^{1/4} xi + Z with II(Z, X) = X(K_e^{1/4}). Comparing the Birkhoff
+as K_e^{1/4} xi + Z with II(Z, X) = -X(K_e^{1/4}). Comparing the Birkhoff
 normal field against the affine normal measures how far a norm is from being
 Euclidean — the discrepancy vanishes identically only in the inner-product
 case. Volume forms and affine normals are computed for many points at once,
@@ -20,7 +20,6 @@ one (ellipses and circles) and spectral otherwise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -29,12 +28,12 @@ import numpy as np
 from .errors import ConfigError, DegenerateH, NonConvexCurve, NonElliptic
 from .geometry import GeometryBatch, _euclidean_frame, geometry_batch
 from .norms import NormModel
-from .numerics import NumericsConfig, DEFAULT_CONFIG, _central_diffs, _stack_last, gradient_stencil
+from .numerics import NumericsConfig, DEFAULT_CONFIG, _Record, _central_diffs, _stack_last, gradient_stencil
 from .surfaces import SurfacePatch
 
 
-@dataclass(frozen=True, eq=False)
-class BlaschkeSample:
+@dataclass(init=False, repr=False, eq=False)
+class BlaschkeSample(_Record, frozen=True, eq=False):
     """Volume-form data of (norm, surface) at one point, transversal eta."""
 
     omega: float
@@ -89,10 +88,11 @@ def _affine_normals(surface: SurfacePatch, s, t, P, G, xi, II,
                     config: NumericsConfig) -> tuple[np.ndarray, dict]:
     """The affine normals K_e^{1/4} xi + Z at points with Euclidean frames (P, G, xi, II).
 
-    Z solves II(Z, X) = X(K_e^{1/4}) for the chart directions X, with II the
-    Euclidean second fundamental form (the affine fundamental form of the
-    transversal xi) and the right side computed by central differences of the
-    Euclidean Gaussian curvature field at the 4 stencil points of every point.
+    Z solves II(Z, X) = -X(K_e^{1/4}) for the chart directions X, which makes
+    the derivative of the normal along X tangent, with II the Euclidean second
+    fundamental form (the affine fundamental form of the transversal xi) and
+    the right side computed by central differences of the Euclidean Gaussian
+    curvature field at the 4 stencil points of every point.
     Returns the normals, NaN where there is none, and a map from those row
     indices to the NonElliptic or DegenerateH that a point meets first: K_e
     at the point, K_e at its stencil points in order, then det II.
@@ -119,7 +119,7 @@ def _affine_normals(surface: SurfacePatch, s, t, P, G, xi, II,
     normals = np.full((len(s), 3), np.nan)
     ok = np.array([i not in missing for i in live.tolist()], dtype=bool)
     i = live[ok]
-    Z = np.linalg.solve(II[i], d_kappa[ok][:, :, None])
+    Z = np.linalg.solve(II[i], -d_kappa[ok][:, :, None])
     normals[i] = K_e[i, None] ** 0.25 * xi[i] + (P[i] @ Z)[:, :, 0]
     return normals, missing
 
@@ -249,6 +249,8 @@ def ellipse_support(a: float, b: float) -> Callable[[float], float]:
 def support_from_csv(path) -> np.ndarray:
     """Read (theta, g) pairs from a UTF-8 CSV file; require a uniform grid over
     [0, 2pi) starting at 0. A file that cannot be read is a ConfigError."""
+    import csv  # here, so that a run without a support CSV does not load it
+
     thetas, values = [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:

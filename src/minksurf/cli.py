@@ -89,7 +89,7 @@ from .geometry import (
 from .norms import NormModel, norm_from_spec
 # The CLI calls brentq_rows only; brentq stays bound here for perfbench/tracing.py,
 # which wraps cli.brentq.
-from .numerics import (NumericsConfig, UniformStream, _norm_rows, _stack_last, brentq,  # noqa: F401
+from .numerics import (NumericsConfig, UniformStream, _Record, _norm_rows, _stack_last, brentq,  # noqa: F401
                        brentq_rows, in_row_order)
 from .surfaces import SurfacePatch, grid_points, surface_from_spec
 
@@ -178,8 +178,12 @@ def validate_config(cfg: dict) -> None:
 # run context
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunContext:
+@dataclass(init=False, repr=False, eq=False)
+class RunContext(_Record):
+    """What one run's checks read: the config as given, the norm, surface and
+    numerics built from it, the grid and seed, and the grid's geometry, once
+    computed."""
+
     raw: dict
     norm: NormModel
     surface: SurfacePatch
@@ -564,8 +568,10 @@ def _run_planar_ermakov(ctx: RunContext) -> dict:
             "detail": {"r1_sup": rep["r1_sup"], "r2_sup": rep["r2_sup"]}}
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+@dataclass(init=False, repr=False, eq=False)
+class CheckSpec(_Record, frozen=True):
+    """A registered check: its paper anchor, its description and its runner."""
+
     anchor: str
     description: str
     runner: Callable[[RunContext], dict]
@@ -658,19 +664,23 @@ def _canon(obj):
 
 def dumps_canonical(obj, indent: int = 0) -> str:
     """JSON text with sorted keys and floats at 17 significant digits."""
-    obj = _canon(obj)
+    return _dumps(_canon(obj), indent)
+
+
+def _dumps(obj, indent: int) -> str:
+    """dumps_canonical of an object that _canon has already normalized."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {dumps_canonical(v, indent + 1)}"
+        items = [f"{inner}{json.dumps(k)}: {_dumps(v, indent + 1)}"
                  for k, v in sorted(obj.items())]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        items = [f"{inner}{dumps_canonical(v, indent + 1)}" for v in obj]
+        items = [f"{inner}{_dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"

@@ -35,6 +35,7 @@ from .norms import NormModel
 from .numerics import (
     NumericsConfig,
     DEFAULT_CONFIG,
+    _Record,
     _central_diffs,
     _cross_stencil,
     _dot,
@@ -52,8 +53,8 @@ from .numerics import (
 from .surfaces import SurfacePatch
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceData:
+@dataclass(init=False, repr=False, eq=False)
+class DistanceData(_Record, frozen=True, eq=False):
     """Affine-distance data of one surface point relative to a base point."""
 
     base_point: np.ndarray

@@ -29,13 +29,13 @@ import numpy as np
 
 from .errors import ComplexEigenvalues, NewtonDivergence, SingularMetric, ZeroDirection
 from .norms import NormModel
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _dot, _invert_2x2_spd, _mat2, _stack_last,
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _dot, _invert_2x2_spd, _mat2, _stack_last,
                        first_row, in_row_order, simpson_periodic_mean, sym_generalized_eigen_2x2)
 from .surfaces import SurfacePatch, _normal_jets
 
 
-@dataclass(frozen=True, eq=False)
-class PointGeometry:
+@dataclass(init=False, repr=False, eq=False)
+class PointGeometry(_Record, frozen=True, eq=False):
     """All pointwise geometric data of (norm, surface) at one parameter point.
 
     Tangent vectors are 2-vectors of coordinates in the chart basis
@@ -83,7 +83,7 @@ class PointGeometry:
 _FIELDS = tuple(f.name for f in fields(PointGeometry))
 
 
-class _Batch:
+class _Batch(_Record, frozen=True, eq=False):
     """The fields of PointGeometry at N points, as arrays whose first axis indexes the points.
 
     batch[i] is the PointGeometry of point i; batch[rows], for a slice, a
@@ -106,7 +106,7 @@ class _Batch:
 # One array field per PointGeometry field, in its order.
 GeometryBatch = make_dataclass("GeometryBatch", [(name, np.ndarray) for name in _FIELDS], bases=(_Batch,),
                                namespace={"__module__": __name__, "__doc__": _Batch.__doc__},
-                               frozen=True, eq=False)
+                               init=False, repr=False, eq=False)
 
 
 def _euclidean_frame(surface: SurfacePatch, s, t):

@@ -53,7 +53,7 @@ from .errors import (
     NewtonDivergence,
     NonSmoothPoint,
 )
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _dot, _field_values,
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _central_diffs, _cross, _dot, _field_values,
                        _invert_2x2_spd, _norm_rows, _require_finite, _stack_last, check_jet_options,
                        fd_gradient_rows, fd_hessian_rows, first_row, gradient_stencil, in_row_order,
                        per_point, relative_step)
@@ -63,8 +63,8 @@ from .numerics import (NumericsConfig, DEFAULT_CONFIG, _central_diffs, _cross, _
 # scalar jets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalarJet:
+@dataclass(init=False, repr=False, eq=False)
+class ScalarJet(_Record, frozen=True):
     """A scalar field on R^3 with optional derivatives, evaluated on rows.
 
     Each callable takes an (N, 3) array, one point per row:
@@ -254,8 +254,8 @@ def _one_point(rows, params: str, doc: str | None = None):
 # the norm model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormModel:
+@dataclass(init=False, repr=False, eq=False)
+class NormModel(_Record, frozen=True):
     """An admissible norm given by primal gauge and dual support-function jets.
 
     Every method of one point has a twin with the suffix _rows that takes an

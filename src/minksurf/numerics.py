@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, asdict
+import reprlib
+from dataclasses import MISSING, FrozenInstanceError, asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +34,134 @@ from .errors import (EvaluationFailure, InvalidParameter, NotSPD,
                      NumericalFailure, OddSampleCount, SingularRestriction)
 
 
-@dataclass(frozen=True)
-class NumericsConfig:
+class _Layout(NamedTuple):
+    """What a record's shared methods read of its dataclass fields."""
+
+    names: tuple            # the fields, in order
+    name_set: frozenset     # the same, as a set
+    fields: tuple           # their dataclasses.Field objects
+    repr_names: tuple       # the fields repr shows
+    compare_names: tuple    # the fields eq compares
+    hash_names: tuple       # the fields hash reads
+    post_init: object       # the class's __post_init__, or None
+
+
+class _Record:
+    """The methods of the package's records, written once instead of generated per class.
+
+    A record is a subclass declared with @dataclass(init=False, repr=False,
+    eq=False), which registers its fields (so dataclasses.fields, replace and
+    asdict work on it) and compiles no code. This base gives it what the
+    dataclass decorator would generate: __init__ (positional and keyword
+    arguments, defaults, default factories, then __post_init__), __repr__,
+    and under the class keywords eq (default True) and frozen (default
+    False) the field-wise __eq__ and __hash__ (None unless frozen) and a
+    __setattr__/__delattr__ raising FrozenInstanceError. A subclass
+    inherits its parent's keywords and methods; one declared with
+    @dataclass(frozen=True) is accepted under a frozen record, as it would
+    be under a frozen dataclass.
+    """
+
+    _frozen = False
+    _eq = True
+
+    def __init_subclass__(cls, frozen=None, eq=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._layout = None  # read from the dataclass fields at the first construction
+        for base in cls.__mro__[1:]:
+            # dataclasses checks a subclass's frozen against its bases'
+            # __dataclass_params__, where the decorator recorded frozen=False.
+            if issubclass(base, _Record) and "__dataclass_params__" in vars(base):
+                base.__dataclass_params__.frozen = base._frozen
+        if frozen is None and eq is None:
+            return
+        cls._frozen = cls._frozen if frozen is None else frozen
+        cls._eq = cls._eq if eq is None else eq
+        if cls._frozen:
+            cls.__setattr__ = _Record._frozen_setattr
+            cls.__delattr__ = _Record._frozen_delattr
+        cls.__eq__ = _Record._fields_eq if cls._eq else object.__eq__
+        cls.__hash__ = (_Record._fields_hash if cls._frozen else None) if cls._eq else object.__hash__
+
+    @classmethod
+    def _read_layout(cls) -> _Layout:
+        fs = fields(cls)
+        names = tuple(f.name for f in fs)
+        cls._layout = _Layout(names, frozenset(names), fs, tuple(f.name for f in fs if f.repr),
+                              tuple(f.name for f in fs if f.compare),
+                              tuple(f.name for f in fs if (f.compare if f.hash is None else f.hash)),
+                              getattr(cls, "__post_init__", None))
+        return cls._layout
+
+    def __init__(self, *args, **kwargs):
+        layout = self._layout or self._read_layout()
+        names = layout.names
+        if not kwargs and len(args) == len(names):
+            values = dict(zip(names, args))
+        elif not args and kwargs.keys() == layout.name_set:
+            values = {name: kwargs[name] for name in names}
+        else:
+            values = self._bind(layout, args, kwargs)
+        object.__setattr__(self, "__dict__", values)
+        if layout.post_init is not None:
+            layout.post_init(self)
+
+    def _bind(self, layout: _Layout, args: tuple, kwargs: dict) -> dict:
+        """The field values of a call that is not all positional or all keyword,
+        or the TypeError, worded as Python words it, of a call that does not fit."""
+        where = f"{type(self).__qualname__}.__init__()"
+        values = dict(zip(layout.names, args))
+        for name, value in kwargs.items():
+            if name not in layout.name_set:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+            values[name] = value
+        n_max = len(layout.names) + 1
+        if len(args) + 1 > n_max:
+            n_min = n_max - sum(f.default is not MISSING or f.default_factory is not MISSING
+                                for f in layout.fields)
+            takes = f"from {n_min} to {n_max}" if n_min < n_max else f"{n_max}"
+            raise TypeError(f"{where} takes {takes} positional arguments but {len(args) + 1} were given")
+        missing = [f"{f.name!r}" for f in layout.fields if f.name not in values
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            listed = (missing[0] if len(missing) == 1 else f"{missing[0]} and {missing[1]}" if len(missing) == 2
+                      else ", ".join(missing[:-1]) + f", and {missing[-1]}")
+            raise TypeError(f"{where} missing {len(missing)} required positional "
+                            f"argument{'s' if len(missing) > 1 else ''}: {listed}")
+        return {f.name: values[f.name] if f.name in values
+                else f.default if f.default is not MISSING else f.default_factory()
+                for f in layout.fields}
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        layout = self._layout or self._read_layout()
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in layout.repr_names) + ")")
+
+    def _fields_eq(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = (self._layout or self._read_layout()).compare_names
+        return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+
+    def _fields_hash(self):
+        names = (self._layout or self._read_layout()).hash_names
+        return hash(tuple(getattr(self, n) for n in names))
+
+    def _frozen_setattr(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _frozen_delattr(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    __eq__ = _fields_eq
+    __hash__ = None
+
+
+@dataclass(init=False, repr=False, eq=False)
+class NumericsConfig(_Record, frozen=True):
     """The tolerances and steps the curvature pipeline and the checks read.
 
     fd_step is relative, fd_step * max(1, |(s, t)|), and sets the chart

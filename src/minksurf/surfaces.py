@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import DegenerateJet, InvalidParameter, OutOfDomain
 from .norms import NormModel
-from .numerics import _cross, _norm_rows, _stack_last, check_jet_options, first_row, per_point
+from .numerics import _Record, _cross, _norm_rows, _stack_last, check_jet_options, first_row, per_point
 
 
-@dataclass(frozen=True)
-class SurfaceJet:
+@dataclass(init=False, repr=False, eq=False)
+class SurfaceJet(_Record, frozen=True):
     """Second-order jet of a chart: 3-vectors at one parameter point, or (N, 3)
     arrays at N of them."""
 
@@ -44,8 +44,8 @@ class SurfaceJet:
                           self.f_ss[rows], self.f_st[rows], self.f_tt[rows])
 
 
-@dataclass(frozen=True, eq=False)
-class SurfacePatch:
+@dataclass(init=False, repr=False, eq=False)
+class SurfacePatch(_Record, frozen=True, eq=False):
     """A parametric immersion f: [s0,s1] x [t0,t1] -> R^3.
 
     position(s, t) and jet(s, t) take parameter arrays of shape (N,) and

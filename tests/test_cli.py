@@ -681,6 +681,21 @@ def test_a_nan_residual_fails_its_check():
     assert dumps_canonical({"max_residual": res["max_residual"]}) == '{\n  "max_residual": null\n}'
 
 
+def test_dumps_canonical_normalizes_each_value_once(monkeypatch):
+    obj = {"b": (np.float64(0.1), [np.int64(3), {"z": np.array([1.5, 2.0]), 2: None}]),
+           "a": {}, "c": [], "d": True, "e": math.inf, "f": "x"}
+    text = ('{\n  "a": {},\n  "b": [\n    0.10000000000000001,\n    [\n      3,\n      {\n'
+            '        "2": null,\n        "z": [\n          1.5,\n          2\n        ]\n      }\n'
+            '    ]\n  ],\n  "c": [],\n  "d": true,\n  "e": null,\n  "f": "x"\n}')
+    calls = []
+    canon = minksurf.cli._canon
+    monkeypatch.setattr(minksurf.cli, "_canon", lambda v: calls.append(v) or canon(v))
+    minksurf.cli._canon(obj)
+    per_tree = len(calls)
+    assert dumps_canonical(obj) == text
+    assert len(calls) == 2 * per_tree
+
+
 EUCLIDEAN_TORUS = {
     "norm": {"family": "euclidean"},
     "surface": {"family": "torus", "R": 2.0, "r": 1.2},
