@@ -33,7 +33,10 @@ differs. A differing custom-norm point or gauge-only geometry_batch probe
 also prints each checkout's largest gap in eta, lambda1 and lambda2 to the
 analytic route: the same points under the built-in norm the gauge is the
 value of (a workload pair's ref_norm and ref_surface). The gaps do not
-decide the outcome.
+decide the outcome. Nor does the table printed last: the gauge values each
+custom-norm pair takes for its points in one round (a workload round's
+traced custom.gauge_evals, split by pair), PARENT -> CHANGE, a work count
+that does not depend on the machine.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def route_gap(got, want):
 # Run with a checkout's src/ on PYTHONPATH and the perfbench directory whose
 # workloads.py defines the points as argv[1]: one JSON line per custom-norm
 # point, each output as the hex form of its floats, or the error it raised,
-# and its route_gap to the pair's reference.
+# its route_gap to the pair's reference, and the gauge values it took.
 CUSTOM_PROGRAM = """
 import json, sys
 import numpy as np
@@ -103,8 +106,16 @@ import workloads
 import minksurf as mk
 """ + ROUTE_GAP + """
 
-for pair, (s, t, phi) in workloads.custom_ops(workloads.build_custom_pairs()):
-    out = {"name": f"{pair.name}@({s:.3f},{t:.3f})"}
+calls = [0]
+
+
+def count():
+    calls[0] += 1
+
+
+for pair, (s, t, phi) in workloads.custom_ops(workloads.build_custom_pairs(count)):
+    out = {"name": f"{pair.name}@({s:.3f},{t:.3f})", "pair": pair.name}
+    calls[0] = 0
     try:
         pg = mk.point_geometry(pair.norm, pair.surface, s, t)
         X = np.array([np.cos(phi), np.sin(phi)])
@@ -113,6 +124,7 @@ for pair, (s, t, phi) in workloads.custom_ops(workloads.build_custom_pairs()):
                   "indicatrix mean": mk.mean_by_indicatrix_average(pg),
                   "normal curvature": mk.normal_curvature(pg, X), "rho": rho, "V": V}
         out.update((k, [float(x).hex() for x in np.ravel(v)]) for k, v in values.items())
+        out["gauge values"] = calls[0]
         out["gap"] = route_gap(pg, mk.point_geometry(pair.ref_norm, pair.ref_surface, s, t))
     except mk.MinksurfError as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
@@ -221,6 +233,10 @@ for name, fn, args in probes():
 """
 
 
+# What the programs print besides their outputs; it does not decide the outcome.
+INFORMATIVE = ("gap", "gauge values", "pair")
+
+
 def load_workloads(root: Path):
     sys.path.insert(0, str(root / "perfbench"))
     import workloads
@@ -309,17 +325,27 @@ def main(argv=None) -> int:
     print("peak RSS of each CLI child, MB: parent -> change")
     for name, rss_a, rss_b in rss:
         print(f"  {name:64s} {rss_a:7.2f} -> {rss_b:7.2f}  ({rss_b - rss_a:+.2f})")
+    gauge_values = {}
     for label, program, extra in (("custom-norm", CUSTOM_PROGRAM, [str(change / "perfbench")]),
                                   ("probe", PROBE_PROGRAM, [])):
         for a, b in zip(program_outputs(parent, program, *extra), program_outputs(change, program, *extra)):
             compared += 1
-            diff = [what for what in a.keys() | b.keys() if what != "gap" and a.get(what) != b.get(what)]
+            if "pair" in a:
+                totals = gauge_values.setdefault(a["pair"], [0, 0])
+                totals[0] += a.get("gauge values", 0)
+                totals[1] += b.get("gauge values", 0)
+            diff = [what for what in a.keys() | b.keys()
+                    if what not in INFORMATIVE and a.get(what) != b.get(what)]
             if diff:
                 differ += 1
                 print(f"differs: {label} {a['name']}: {', '.join(sorted(diff))}")
                 if "gap" in a and "gap" in b:
                     print(f"  largest gap in eta, lambda1, lambda2 to the analytic route: "
                           f"{a['gap']:.2e} -> {b['gap']:.2e}")
+    print("gauge values of one custom-norm round (its points of each pair): parent -> change")
+    for name, (values_a, values_b) in [*gauge_values.items(),
+                                       ("all pairs", [sum(v[k] for v in gauge_values.values()) for k in (0, 1)])]:
+        print(f"  {name:64s} {values_a:7d} -> {values_b:7d}  ({values_b - values_a:+d})")
     print(f"{compared} operations compared, {differ} differ")
     return 1 if differ else 0
 

@@ -132,8 +132,10 @@ def _geometry_rows(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.
     Ginv = _invert_2x2_spd(G, "first fundamental form")
     dxi_mat = -Ginv @ II
 
+    chart = getattr(surface.position, "_gauge_sphere", None)
+    seed = chart.seed(jet.f) if chart is not None and chart.norm is norm else None
     try:
-        eta, E, M_du = norm.birkhoff_du_rows(xi)
+        eta, E, M_du = norm.birkhoff_du_rows(xi, seed)
     except NewtonDivergence as exc:
         if len(s) != 1:
             raise  # geometry_batch runs the rows again, one at a time

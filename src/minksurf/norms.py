@@ -36,7 +36,9 @@ Hessian, which reuses those 5; an FD du is one more 9-point plane Hessian.
 Every dual quantity of such a norm reads birkhoff_du_rows, which normalizes
 xi once, solves u once per row and builds du from that u. A solve starts at
 xi, or at a point near its solution when the caller knows one: the chart of
-a Minkowski sphere starts its FD stencil's offsets at their centre's u.
+a Minkowski sphere starts its FD stencil's offsets at their centre's tangent
+predictor u_c + du_c (xi - xi_c), and the sphere's Birkhoff normal at the
+chart centre's u.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ class NormModel(_Record, frozen=True):
     dual: Optional[ScalarJet] = None
     jet_source: str = "analytic"
     fd_step: float = 1e-5
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict, hash=False)
     allow_newton: bool = True
     config: NumericsConfig = DEFAULT_CONFIG
 
@@ -488,12 +490,14 @@ class NormModel(_Record, frozen=True):
             return _in_basis(E, np.asarray(self.gauge.hessian(X), dtype=float))
         return fd_hessian_rows(self.gauge.value, X, step, known, E)
 
-    def birkhoff_du_rows(self, XI) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def birkhoff_du_rows(self, XI, _seed=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """u(xi) and du_restricted(xi) at the rows of XI, as (U, E, M).
 
         A norm without dual jets normalizes each row once and solves u(xi)
         once; its birkhoff_point_rows, du_restricted_rows and dual_* methods
-        all read this route. M inverts the Hessian of F on the plane
+        all read this route. The private _seed, rows near each row's u,
+        starts its solve there instead of at xi (_newton_points' seed); a
+        norm with dual jets ignores it. M inverts the Hessian of F on the plane
         x . xi = 1 at its minimiser x* = u / (u . xi), which is
         (u . xi) Hess F(u), the Weingarten map of ∂B at u (Schneider, Convex
         Bodies, §2.5). Hess F(u) is taken on u-perp, basis B = tangent_basis(u),
@@ -506,7 +510,7 @@ class NormModel(_Record, frozen=True):
             return (self.birkhoff_point_rows(XI), *self.du_restricted_rows(XI))
         XI = self._check_nonzero(XI, "Birkhoff point")
         XI = XI / _norm_rows(XI)[:, None]
-        U = self._newton_points(XI)
+        U = self._newton_points(XI, _seed)
         E, B = tangent_basis(XI), tangent_basis(U)
         W = _in_basis(np.swapaxes(B, 1, 2) @ E, self._plane_hessian_rows(U, B, _GAUGE_HESSIAN_STEP))
         return U, E, _invert_2x2_spd(W * _dot(U, XI)[:, None, None], "Weingarten map of the unit ball's boundary")
@@ -632,7 +636,8 @@ def custom_norm(gauge, dual=None, allow_newton: bool = True,
     plane: 9 gauge values per Newton iteration (a 5-point gradient stencil and
     4 cross points) and 9 for du. The FD chart of such a norm's
     minkowski_sphere starts the solves of its 8 stencil offsets at their
-    centre's u, about one iteration each instead of 4 or 5 from xi.
+    centre's tangent predictor, where most pass the Newton test with the 5
+    values of their first gradient (4 or 5 iterations from xi).
     fd_step must be finite and positive.
     """
     gauge = _per_point_jet(gauge)

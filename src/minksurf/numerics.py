@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import operator
 import reprlib
-from dataclasses import MISSING, FrozenInstanceError, asdict, dataclass, fields
+from dataclasses import _HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError, asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +44,29 @@ class _Layout(NamedTuple):
     compare_names: tuple    # the fields eq compares
     hash_names: tuple       # the fields hash reads
     post_init: object       # the class's __post_init__, or None
+
+
+class _FieldSignature:
+    """A record class's __signature__: its fields as the parameters of the
+    __init__ the dataclass decorator would write, with their annotations,
+    defaults and `<factory>` for default factories, so inspect.signature and
+    help() show them. Built at the first lookup and cached per class; None
+    (inspect's own reading) on a class that declares no fields."""
+
+    def __get__(self, obj, cls):
+        sig = cls.__dict__.get("_signature")
+        if sig is None and hasattr(cls, "__dataclass_fields__"):
+            import inspect
+
+            sig = inspect.Signature(
+                [inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                                   default=(f.default if f.default is not MISSING
+                                            else inspect.Parameter.empty if f.default_factory is MISSING
+                                            else _HAS_DEFAULT_FACTORY),
+                                   annotation=f.type)
+                 for f in fields(cls)], return_annotation=None)
+            cls._signature = sig
+        return sig
 
 
 class _Record:
@@ -158,6 +181,7 @@ class _Record:
 
     __eq__ = _fields_eq
     __hash__ = None
+    __signature__ = _FieldSignature()
 
 
 @dataclass(init=False, repr=False, eq=False)

@@ -127,21 +127,19 @@ def _fd_jet(position, s, t, step: float) -> SurfaceJet:
     """Central-difference second-order jet of a position-only chart.
 
     position is called once, on the 9 stencil points of every (s, t),
-    offset-major: all centres, then all (s + h, t), and so on. A position
-    with a `near` attribute (the chart of a gauge-only Minkowski sphere) is
-    called on the centres alone, and near(S, T, P) once on the 8 offsets,
-    P the position of each offset's centre.
+    offset-major: all centres, then all (s + h, t), and so on. The chart of
+    a gauge-only Minkowski sphere, marked by a _GaugeSphereChart, places the
+    same stencil with its stencil method instead.
     """
     h = step
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     S = np.stack([s, s + h, s - h, s, s, s + h, s + h, s - h, s - h])
     T = np.stack([t, t, t, t + h, t - h, t + h, t - h, t + h, t - h])
-    near = getattr(position, "near", None)
-    if near is None:
+    chart = getattr(position, "_gauge_sphere", None)
+    if chart is None:
         P = position(S.ravel(), T.ravel())
     else:
-        P = np.asarray(position(s.ravel(), t.ravel()), dtype=float)
-        P = np.concatenate([P, near(S[1:].ravel(), T[1:].ravel(), np.tile(P, (8, 1)))])
+        P = chart.stencil(S.reshape(9, -1), T.reshape(9, -1))
     f, fp_s, fm_s, fp_t, fm_t, fpp, fpm, fmp, fmm = np.asarray(
         P, dtype=float).reshape(S.shape + (-1,))
     return SurfaceJet(
@@ -310,6 +308,41 @@ def catenoid(c: float = 1.0, s_extent: float = 1.2, jet_source: str = "analytic"
                         params={"c": c, "s_extent": s_extent})
 
 
+class _GaugeSphereChart:
+    """The chart center + rho u(xi(s, t)) of a Minkowski sphere of a norm
+    without dual jets, the private mark its position callable carries as
+    `_gauge_sphere`: _fd_jet places the chart's stencil with stencil, and
+    _geometry_rows starts eta's solve at seed, for this norm object only.
+
+    Each u is a Newton solve. A stencil solves its centres from xi, by
+    birkhoff_du_rows, which also gives du_c = E M E^T there. Each of the 8
+    offsets starts at its centre's tangent predictor u_c + du_c (xi - xi_c),
+    O(fd_step^2) from its solution (the predictor-corrector step of
+    continuation; Allgower & Georg, Numerical Continuation Methods, Ch. 2).
+    """
+
+    __slots__ = ("norm", "center", "rho")
+
+    def __init__(self, norm: NormModel, center: np.ndarray, rho: float):
+        self.norm, self.center, self.rho = norm, center, rho
+
+    def stencil(self, S, T) -> np.ndarray:
+        """The chart at S, T, (9, N) each with the centres in row 0, as (9N, 3)
+        points, offset-major."""
+        xi = _unit_sphere(S, T)
+        U, E, M = self.norm.birkhoff_du_rows(xi[0])
+        xi = xi / _norm_rows(xi)[..., None]
+        du = E @ M @ np.swapaxes(E, 1, 2)
+        predicted = U + (du @ (xi[1:] - xi[0])[..., None])[..., 0]
+        offsets = self.norm._newton_points(xi[1:].reshape(-1, 3), predicted.reshape(-1, 3))
+        return self.center + self.rho * np.concatenate([U, offsets])
+
+    def seed(self, f) -> np.ndarray:
+        """u at the chart points f, (f - center) / rho: where the Birkhoff
+        normal of a point with f as its stencil centre starts its solve."""
+        return (f - self.center) / self.rho
+
+
 def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
                      jet_source: str | None = None, fd_step: float = 1e-5) -> SurfacePatch:
     """The Minkowski sphere S_rho(center) = {F(x - center) = rho} of a norm.
@@ -323,12 +356,16 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
     jet_source "analytic" raises InvalidParameter.
 
     A norm without dual jets solves u by Newton at every point of the FD
-    stencil. The stencil's centres are solved from xi, and its 8 offsets,
-    fd_step away in (s, t), in one more batch started at their centre's u: a
-    start O(fd_step) from the solution, which Newton corrects in about one
-    iteration where a solve from xi takes 4 or 5 on lp(4). A point's geometry
-    then takes about 243 gauge values on lp(4) instead of 576 (a predictor-
-    corrector step; Allgower & Georg, Numerical Continuation Methods, Ch. 2).
+    stencil, and the chart marks itself with a _GaugeSphereChart. The
+    stencil's centres are solved from xi, with their du; its 8 offsets,
+    fd_step away in (s, t), are one more batch, each started at its centre's
+    tangent predictor u_c + du_c (xi - xi_c), O(fd_step^2) from its solution,
+    where the Newton test usually passes at once (a predictor-corrector step;
+    Allgower & Georg, Numerical Continuation Methods, Ch. 2). point_geometry
+    under the same norm object starts eta's solve at the chart centre's u.
+    One point's geometry then takes about 130 gauge values on lp(4) and 101
+    on an ellipsoid gauge (243 and 184 with the offsets started at u_c and
+    eta solved from xi, 576 and 332 with every solve from xi).
     """
     if rho <= 0:
         raise InvalidParameter("Minkowski sphere radius must be positive")
@@ -339,13 +376,7 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
         return c + rho * norm.birkhoff_point_rows(xi.reshape(-1, 3)).reshape(xi.shape)
 
     if norm.dual is None:
-        def near(s, t, P):
-            """position at (s, t), each Newton solve started at the Birkhoff
-            point of P, a nearby point of the sphere."""
-            xi = _unit_sphere(s, t).reshape(-1, 3)
-            return c + rho * norm._newton_points(xi / _norm_rows(xi)[:, None], P - c)
-
-        position.near = near
+        position._gauge_sphere = _GaugeSphereChart(norm, c, rho)
 
     analytic = norm.has_analytic_dual_jets
     if jet_source is None:

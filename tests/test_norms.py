@@ -354,9 +354,9 @@ def _count_solves(monkeypatch):
     solves = [0]
     newton_points = mk.NormModel._newton_points
 
-    def counted_solve(self, XI):
+    def counted_solve(self, XI, seed=None):
         solves[0] += len(XI)
-        return newton_points(self, XI)
+        return newton_points(self, XI, seed)
 
     monkeypatch.setattr(mk.NormModel, "_newton_points", counted_solve)
     return solves

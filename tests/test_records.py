@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
+import pydoc
 import subprocess
 import sys
 
@@ -136,6 +138,39 @@ def test_a_record_behaves_as_its_dataclass_twin(name):
         got, want = _outcome(lambda: cls(*args, **kwargs)), _outcome(lambda: twin(*args, **kwargs))
         assert got == want
         assert (got[0] is TypeError) == raises
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_a_record_has_its_dataclass_twins_signature(name):
+    """inspect.signature and help() show a record's fields as the twin's
+    generated __init__ shows them: annotations, defaults and <factory> (they
+    read (*args, **kwargs) from the shared __init__)."""
+    cls = type(INSTANCES[name])
+    sig, want = inspect.signature(cls), inspect.signature(_twin(cls))
+    assert sig == want
+    assert str(sig) == str(want)
+    assert f"{name}{sig}" in pydoc.render_doc(cls, renderer=pydoc.plaintext)
+
+
+def test_a_norm_keys_a_dict():
+    """A norm hashes without its params dict, which eq still compares, so
+    equal norms hash equal (hash raised TypeError: unhashable type 'dict')."""
+    norm = mk.lp_norm(4.0)
+    same = dataclasses.replace(norm)
+    assert same == norm and hash(same) == hash(norm)
+    assert {norm: "lp4"}[same] == "lp4"
+    assert dataclasses.replace(norm, params={"p": 3.0}) != norm
+    assert len({mk.lp_norm(4.0), mk.lp_norm(4.0)}) == 2  # their gauges are different closures
+
+
+def test_surface_patches_hash_by_identity():
+    """A SurfacePatch (frozen, eq=False) keeps object's hash and eq, with a
+    dict in its params."""
+    surf = mk.ellipsoid(1.0, 1.3, 0.8)
+    assert type(surf).__hash__ is object.__hash__
+    assert hash(surf) == object.__hash__(surf)
+    copied = dataclasses.replace(surf)
+    assert copied != surf and {surf: 1}.get(copied) is None
 
 
 def test_defaults_and_factories_are_filled_per_instance():

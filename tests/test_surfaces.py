@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minksurf as mk
-from minksurf.numerics import convergence_order
-from minksurf.surfaces import SurfacePatch, evaluate_jet
+from minksurf.numerics import _norm_rows, convergence_order
+from minksurf.surfaces import SurfacePatch, _sphere_angle_jets, evaluate_jet
 
 
 def fd_clone(surface: SurfacePatch, step: float = 1e-5) -> SurfacePatch:
@@ -135,9 +135,10 @@ def test_minkowski_sphere_custom_norm_falls_back_to_fd():
 def test_fd_jet_places_its_stencil_in_one_position_call(monkeypatch):
     """The 9 stencil points of every chart point go to position in one call,
     offset-major. A Minkowski sphere of a gauge-only norm solves them in two
-    Newton batches: the centres from xi, then the 8 offsets of every centre,
-    offset-major, each started at its centre's point (they were one batch of
-    27 rows from xi)."""
+    Newton batches: the centres from xi, with their du, then the 8 offsets
+    of every centre, offset-major, each started at its centre's tangent
+    predictor u_c + du_c (xi - xi_c), O(h^2) from its solution (they were
+    started at u_c, O(h) away, and before that solved from xi)."""
     calls = []
     surf = mk.graph(lambda s, t: (s * s * t + np.sin(t), 0, 0, 0, 0, 0), jet_source="fd")
 
@@ -154,6 +155,17 @@ def test_fd_jet_places_its_stencil_in_one_position_call(monkeypatch):
     assert np.array_equal(T[-3:], t - h)
     assert np.array_equal(jets.f_st, mk.evaluate_jets(surf, s, t).f_st)
 
+    norm = mk.custom_norm(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25))
+    sphere = mk.minkowski_sphere(norm, 1.5)
+    s, t = sphere.wrap(s + 1.0, t)
+    S = np.stack([s, s + h, s - h, s, s, s + h, s + h, s - h, s - h])
+    T = np.stack([t, t, t, t + h, t - h, t + h, t - h, t + h, t - h])
+    xi = _sphere_angle_jets(S, T)[0]
+    U, E, M = norm.birkhoff_du_rows(xi[0])
+    xi = xi / _norm_rows(xi)[..., None]
+    predicted = (U + (E @ M @ np.swapaxes(E, 1, 2) @ (xi[1:] - xi[0])[..., None])[..., 0]).reshape(-1, 3)
+    solved = norm.birkhoff_point_rows(xi[1:].reshape(-1, 3))
+
     solves = []
     newton_points = mk.NormModel._newton_points
 
@@ -162,10 +174,12 @@ def test_fd_jet_places_its_stencil_in_one_position_call(monkeypatch):
         return newton_points(self, XI, seed)
 
     monkeypatch.setattr(mk.NormModel, "_newton_points", solve)
-    norm = mk.custom_norm(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25))
-    jets = mk.evaluate_jets(mk.minkowski_sphere(norm, 1.5), s + 1.0, t)
+    jets = mk.evaluate_jets(sphere, s, t)
     assert [(n, seed is None) for n, seed in solves] == [(3, True), (24, False)]
-    assert np.array_equal(solves[1][1], np.tile(jets.f, (8, 1)))
+    assert np.array_equal(jets.f, 1.5 * U)
+    assert np.array_equal(solves[1][1], predicted)
+    assert np.abs(predicted - solved).max() <= 1e-9
+    assert np.abs(np.tile(U, (8, 1)) - solved).max() >= 1e-6
 
 
 A_NORM = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
@@ -173,32 +187,127 @@ SPHERE_GAUGES = [(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25), lambda: mk.lp
                  (lambda x: float(np.sqrt(x @ A_NORM @ x)), lambda: mk.ellipsoid_norm(A_NORM))]
 
 
-@pytest.mark.parametrize("gauge, values", [(SPHERE_GAUGES[0][0], 483), (SPHERE_GAUGES[1][0], 441)],
-                         ids=["lp4", "ellipsoid"])
-def test_a_gauge_only_sphere_jet_takes_its_pinned_gauge_values(gauge, values):
-    """The FD jets of a gauge-only Minkowski sphere at 3 chart points take
-    exactly this many gauge values: the offsets started at their centre's
-    point take 1 Newton iteration each. Solved from xi, as the centres are,
-    the same jets took 1,323 (lp(4)) and 936 (ellipsoid gauge)."""
+def _counted(gauge):
+    """gauge, and a list whose first entry counts its calls."""
     calls = [0]
 
     def counted(x):
         calls[0] += 1
         return gauge(x)
 
+    return counted, calls
+
+
+@pytest.mark.parametrize("gauge, values", [(SPHERE_GAUGES[0][0], 294), (SPHERE_GAUGES[1][0], 252)],
+                         ids=["lp4", "ellipsoid"])
+def test_a_gauge_only_sphere_jet_takes_its_pinned_gauge_values(gauge, values):
+    """The FD jets of a gauge-only Minkowski sphere at 3 chart points take
+    exactly this many gauge values: 3 solves from xi and their du, and 24
+    offsets that start at their tangent predictor and pass the Newton test
+    there (5 gauge values each). Started at their centre's point, one
+    iteration each, the same jets took 483 (lp(4)) and 441 (ellipsoid
+    gauge); solved from xi, as the centres are, 1,323 and 936."""
+    counted, calls = _counted(gauge)
     sphere = mk.minkowski_sphere(mk.custom_norm(counted), 1.5)
     mk.evaluate_jets(sphere, np.array([1.1, 1.3, 0.8]), np.array([0.5, -0.4, 0.2]))
     assert calls[0] == values
 
 
+@pytest.mark.parametrize("gauge, values", [(SPHERE_GAUGES[0][0], 104), (SPHERE_GAUGES[1][0], 95)],
+                         ids=["lp4", "ellipsoid"])
+def test_a_gauge_only_sphere_point_takes_its_pinned_gauge_values(gauge, values):
+    """point_geometry of a gauge-only sphere, under the norm the sphere was
+    built from, takes exactly this many gauge values: one solve from xi,
+    the 8 offsets from their predictor, and eta's solve from the chart
+    centre's u, each with its du. When eta was solved from xi and the
+    offsets from their centre's u, the same point took 203 (lp(4)) and 185
+    (ellipsoid gauge)."""
+    counted, calls = _counted(gauge)
+    norm = mk.custom_norm(counted)
+    mk.point_geometry(norm, mk.minkowski_sphere(norm, 1.5), 1.1, 0.5)
+    assert calls[0] == values
+
+
+@pytest.mark.parametrize("gauge, reference", SPHERE_GAUGES, ids=["lp4", "ellipsoid"])
+def test_a_gauge_only_sphere_chart_has_the_analytic_first_derivatives(gauge, reference):
+    """Over an 8x8 grid, f_s and f_t of a gauge-only sphere's FD chart match
+    the analytic sphere's to 5e-6: the predictor's O(h^2) error is even in
+    the offset, so central differences cancel it. Measured 7.9e-7 (lp(4))
+    and 4.6e-8 (ellipsoid gauge); with the offsets started at their centre's
+    u, each stopped elsewhere inside its Newton tolerance, they read 3.1e-5
+    and 8.4e-6."""
+    s, t = np.meshgrid(np.linspace(0.4, np.pi - 0.4, 8), np.linspace(0.1, 2.0 * np.pi - 0.1, 8), indexing="ij")
+    s, t = s.ravel(), t.ravel()
+    got = mk.evaluate_jets(mk.minkowski_sphere(mk.custom_norm(gauge), 1.5), s, t)
+    want = mk.evaluate_jets(mk.minkowski_sphere(reference(), 1.5), s, t)
+    for name in ("f_s", "f_t"):
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 5e-6, name
+
+
+def _unseeded_fields_agree(norm, surface, s, t):
+    """geometry_batch of norm on surface, whose eta, E and M_du are bit for
+    bit those of birkhoff_du_rows(xi), the solve from xi."""
+    batch = mk.geometry_batch(norm, surface, s, t)
+    eta, E, M = norm.birkhoff_du_rows(batch.xi)
+    assert not batch.flipped_eta.any()
+    assert np.array_equal(batch.eta, eta)
+    assert np.array_equal(batch.E, E)
+    assert np.array_equal(batch.M_du, M)
+
+
+@pytest.mark.parametrize("gauge", [g for g, _ in SPHERE_GAUGES], ids=["lp4", "ellipsoid"])
+def test_eta_starts_at_the_chart_centre_only_on_the_norms_own_sphere(gauge):
+    """A gauge-only norm solves eta from xi on any surface other than a
+    sphere built from this very norm object: on ellipsoid(1, 1.3, 0.8), and
+    on a sphere of an equal gauge in another custom_norm. On its own sphere
+    it starts at the chart centre's u and lands within the solve's
+    tolerance of the solve from xi."""
+    s, t = np.meshgrid(np.linspace(0.4, np.pi - 0.4, 6), np.linspace(0.1, 2.0 * np.pi - 0.1, 6), indexing="ij")
+    s, t = s.ravel(), t.ravel()
+    norm = mk.custom_norm(gauge)
+    _unseeded_fields_agree(norm, mk.ellipsoid(1.0, 1.3, 0.8), s, t)
+    other = mk.minkowski_sphere(mk.custom_norm(gauge), 1.5)
+    _unseeded_fields_agree(norm, other, s, t)
+    own = mk.geometry_batch(norm, mk.minkowski_sphere(norm, 1.5), s, t)
+    assert np.array_equal(own.p, mk.geometry_batch(norm, other, s, t).p)
+    assert np.abs(own.eta - norm.birkhoff_point_rows(own.xi)).max() <= 1e-9
+
+
+# The points of an lp(4) sphere next to its axis circle t = 0, on a 7-point
+# t grid over |t| <= 3e-4 (index k: t = (k - 3) 1e-4), at which a gauge-only
+# lp(4) point_geometry raised when its offsets started at their centre's u
+# and eta was solved from xi.
+NEAR_AXIS_RAISED = {(0.5, 0), (0.5, 3), (0.5, 6), (0.8, 1), (0.8, 2), (0.8, 3), (0.8, 4),
+                    (1.2, 1), (1.2, 2), (1.2, 3), (1.2, 4), (1.2, 5)}
+
+
+def test_a_gauge_only_sphere_next_to_an_axis_circle_raises_no_more_often():
+    """Next to the lp(4) axis circle, the predictor and eta's warm start
+    make no point raise that raised without them (9 of these 21 raise, 12
+    did). On t = 0 itself du is undefined and the point is refused."""
+    norm = mk.custom_norm(SPHERE_GAUGES[0][0])
+    sphere = mk.minkowski_sphere(norm, 1.5)
+    raised = set()
+    for s in (0.5, 0.8, 1.2):
+        for k, t in enumerate(np.linspace(-3e-4, 3e-4, 7)):
+            try:
+                mk.point_geometry(norm, sphere, s, t)
+            except mk.MinksurfError:
+                raised.add((s, k))
+    assert raised <= NEAR_AXIS_RAISED
+    assert {(0.5, 3), (0.8, 3), (1.2, 3)} <= raised
+
+
 @pytest.mark.parametrize("gauge, reference", SPHERE_GAUGES, ids=["lp4", "ellipsoid"])
 def test_a_gauge_only_sphere_is_umbilic_like_the_analytic_sphere(gauge, reference):
     """Over a 6x6 grid, the FD chart of a gauge-only sphere, its offsets
-    solved from their centre's point, has W = Id / rho and the curvatures
-    of the built-in norm's analytic sphere: measured at most 1.7e-5 (lp(4))
-    and 4.8e-5 (ellipsoid gauge) in W, lambda1 and lambda2, and 5.5e-10 in
-    eta (solved from xi: 9.7e-6 and 3.2e-5, and 5.7e-10; both starts sit
-    at the chart's noise floor, about eps / h in the positions)."""
+    started at their tangent predictor, has W = Id / rho and the curvatures
+    of the built-in norm's analytic sphere: measured at most 1.4e-5 (lp(4))
+    and 4.9e-5 (ellipsoid gauge) in W, lambda1 and lambda2, and 5.5e-10 in
+    eta (offsets started at their centre's point: 1.7e-5 and 4.8e-5;
+    solved from xi: 9.7e-6 and 3.2e-5; every start sits at the noise floor
+    of II, a second difference of positions on the unit sphere's boundary,
+    about eps / h^2)."""
     norm, ref = mk.custom_norm(gauge), reference()
     s, t = np.meshgrid(np.linspace(0.4, np.pi - 0.4, 6), np.linspace(0.1, 2.0 * np.pi - 0.1, 6), indexing="ij")
     s, t = s.ravel(), t.ravel()
