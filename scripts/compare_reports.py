@@ -23,8 +23,11 @@ curvature, affine distance rho and its tangential part V must agree bit for
 bit. So must a fixed probe of public
 finite-difference routes that no CLI config reaches (the b-Hessians with and
 without an explicit step, the nabla-Laplacian of rho, the affine normal,
-numerics' FD kernels in 2, 3 and 4 variables, the dual Hessian and restricted
-du of FD and value-only-dual norms, and every field of geometry_batch under
+numerics' FD kernels in 2, 3 and 4 variables, with and without Richardson's
+h, h/2 combination, the dual Hessian and restricted du of FD and
+value-only-dual norms, the FD surface jets (evaluate_jets) of a torus, a
+saddle and a linear reparametrization of an ellipsoid chart that has no
+jet, and every field of geometry_batch under
 two gauge-only norms on a 12x12 ellipsoid grid and a 4x4 grid of each norm's
 own sphere, whose rows converge after different numbers of Newton iterations
 and backtrack), run the same way. Prints one line per operation that
@@ -181,6 +184,11 @@ def batch_fields(norm, surface, s, t):
     return tuple(getattr(batch, f.name) for f in dataclasses.fields(batch))
 
 
+def jet_fields(surface, s, t):
+    jet = mk.evaluate_jets(surface, s, t)
+    return tuple(getattr(jet, f.name) for f in dataclasses.fields(jet))
+
+
 def laplacian(norm, s, t):
     d = mk.nabla_laplacian_rho_details(norm, SURFACE, s, t, [0.1, -0.2, 0.3])
     return d["laplacian"], d["gauss_defects"]
@@ -192,9 +200,18 @@ def probes():
     yield "fd_hessian 2 variables", numerics.fd_hessian, (f_n, P3[:2], 1e-4)
     yield "fd_hessian 4 variables", numerics.fd_hessian, (f_n, np.append(P3, -0.9), 1e-4)
     yield "central_diff richardson", lambda *a: numerics.central_diff(*a, richardson=True), (f3, P3, D3, 1e-3)
+    yield "fd_gradient richardson", lambda *a: numerics.fd_gradient(*a, richardson=True), (f3, 3.0 * P3, 1e-3)
     yield "fd_second_directional", numerics.fd_second_directional, (f3, P3, D3, [0.0, 1.0, 0.0], 1e-4)
     for s, t in POINTS:
         yield f"affine_normal({s}, {t})", mk.affine_normal, (SURFACE, s, t)
+    square = np.meshgrid(np.linspace(-0.9, 0.8, 6), np.linspace(-0.85, 0.9, 6), indexing="ij")
+    jetless = dataclasses.replace(SURFACE, jet=None)
+    for what, surface, st in (
+            ("FD torus", mk.torus(2.0, 0.7, jet_source="fd"), grid(6, 0.1, 0.2)),
+            ("FD saddle", mk.saddle(0.8, jet_source="fd"), tuple(a.ravel() for a in square)),
+            ("linear reparametrization of a jet-less ellipsoid chart",
+             mk.reparametrize_linear(jetless, [[0.5, 0.1], [-0.2, 0.8]], (0.3, 0.4)), grid(5, 0.5, 0.2))):
+        yield f"evaluate_jets {what}", jet_fields, (surface, *st)
     for name, norm in NORMS.items():
         for k, xi in enumerate(XI):
             yield f"{name} dual_hessian(xi{k})", norm.dual_hessian, (xi,)

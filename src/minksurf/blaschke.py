@@ -248,24 +248,26 @@ def ellipse_support(a: float, b: float) -> Callable[[float], float]:
 
 def support_from_csv(path) -> np.ndarray:
     """Read (theta, g) pairs from a UTF-8 CSV file; require a uniform grid over
-    [0, 2pi) starting at 0. A file that cannot be read is a ConfigError."""
+    [0, 2pi) starting at 0. Blank rows and rows starting with # are skipped,
+    and the first other row may be a header; a file that cannot be read, or
+    any later non-numeric row, is a ConfigError."""
     import csv  # here, so that a run without a support CSV does not load it
 
     thetas, values = [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().startswith("#"):
-                    continue
+            rows = (row for row in csv.reader(fh) if row and not row[0].strip().startswith("#"))
+            for k, row in enumerate(rows):
                 if len(row) != 2:
                     raise ConfigError(f"support CSV rows must be 'theta,g'; got {row!r}")
                 try:
-                    thetas.append(float(row[0]))
-                    values.append(float(row[1]))
+                    theta, g = float(row[0]), float(row[1])
                 except ValueError:
-                    if not thetas:  # tolerate a single header row
+                    if k == 0:  # tolerate a single header row
                         continue
                     raise ConfigError(f"non-numeric support CSV row {row!r}")
+                thetas.append(theta)
+                values.append(g)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read support CSV: {exc}") from exc
     n = len(values)

@@ -818,12 +818,14 @@ def _cmd_run(args) -> int:
 
     try:
         ctx = build_context(cfg)
-        report = _report(ctx)
-        text = dumps_canonical(report) + "\n"
         output = cfg.get("output", {})
         out_path = output.get("path")
         out_format = output.get("format", "json")
         fields_path = args.fields or (out_path if out_format == "csv" else None)
+        if out_format == "csv" and not fields_path:
+            raise ConfigError("output.format 'csv' needs output.path or --fields")
+        report = _report(ctx)
+        text = dumps_canonical(report) + "\n"
         report_path = out_path if out_format == "json" else None
         target = fields_path
         try:

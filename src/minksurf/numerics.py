@@ -6,9 +6,10 @@ and the seeded uniform stream the checks draw their random points from.
 
 Every first-derivative stencil of the package takes its per-row step and
 its points x +- h e_i from one function, gradient_stencil, and reads its
-differences with _central_diffs; fd_hessian_rows and central_diff place
-their points by the same x + h o, and fd_hessian_rows assembles its
-Hessians from a stencil layout cached per dimension. gradient_stencil and
+differences with _central_diffs. Every second-difference stencil is one
+layout cached per dimension, _hessian_layout: the centre, gradient_stencil's
+points, then the cross points of each pair of axes; _second_diffs reads it,
+for fd_hessian_rows and for the FD surface jet. gradient_stencil and
 fd_hessian_rows also run along a basis given per row, which is how the
 gauge-only Newton differences the gauge on a plane of R^3.
 
@@ -347,22 +348,11 @@ def _place(X: np.ndarray, h: np.ndarray, O: np.ndarray) -> np.ndarray:
     return X[:, None, :] + h[:, None, None] * O
 
 
-def _central_diff_rows(field, X, offsets, h, richardson: bool) -> np.ndarray:
-    """(field(x + h d) - field(x - h d)) / 2h for each row x of X (N, n), each
-    direction d and the step h of the row: an (N, k) array.
-
-    offsets (2k, n) holds +d, -d for each of the k directions, in the order
-    the field is evaluated.
-    """
-    n = X.shape[1]
-
-    def d(h_):
-        f = _field_values(field, _place(X, h_, offsets).reshape(-1, n))
-        return _central_diffs(f.reshape(len(X), -1), h_)
-
-    if richardson:
-        return (4.0 * d(h / 2.0) - d(h)) / 3.0
-    return d(h)
+def _central_diff_rows(field, h, P) -> np.ndarray:
+    """(field(x + h d) - field(x - h d)) / 2h for each row x, with the step h
+    of the row and its points P (N, 2k, n), x + h d, x - h d for each of k
+    directions d, in the order the field is evaluated: an (N, k) array."""
+    return _central_diffs(_field_values(field, P.reshape(-1, P.shape[2])).reshape(len(P), -1), h)
 
 
 def _central_diffs(f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -370,6 +360,11 @@ def _central_diffs(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     pairs of points +d, -d, in that order along axis 1; a value may be an
     array (trailing axes), differenced entry by entry."""
     return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h).reshape((-1,) + (1,) * (f.ndim - 1))
+
+
+def _richardson(d, h, richardson: bool):
+    """A central difference d at step h, or with richardson (4 d(h / 2) - d(h)) / 3, O(h^4)."""
+    return (4.0 * d(h / 2.0) - d(h)) / 3.0 if richardson else d(h)
 
 
 @functools.cache
@@ -393,7 +388,8 @@ def central_diff(field, point, direction, step: float, richardson: bool = False)
     """
     X = np.asarray(point, dtype=float)[None]
     offsets = _plus_minus(np.asarray(direction, dtype=float)[None])
-    return float(_central_diff_rows(per_point(field, 1), X, offsets, np.array([step]), richardson)[0, 0])
+    return float(_richardson(lambda h: _central_diff_rows(per_point(field, 1), h, _place(X, h, offsets)),
+                             np.array([step]), richardson)[0, 0])
 
 
 def relative_step(point, step: float):
@@ -418,11 +414,11 @@ def gradient_stencil(X, step: float, basis=None) -> tuple[np.ndarray, np.ndarray
 
     Returns the row's relative step h and its points x + h e_0, x - h e_0,
     ..., x - h e_(n-1), (N, 2n, n), in the order _central_diffs reads their
-    values: the chart stencils of distances and blaschke and the FD gauge
-    gradients of the Newton solve. fd_gradient_rows places the same points
-    (and, with richardson, those at h / 2). With basis (N, n, k), the
-    directions are each row's k columns b_j instead of the e_i, and the
-    differences are the gradients along the plane they span.
+    values: the chart stencils of distances and blaschke, the FD gauge
+    gradients of the Newton solve, fd_gradient_rows (at step / 2 as well,
+    with richardson) and _hessian_layout's points after its centre. With
+    basis (N, n, k), the directions are each row's k columns b_j instead of
+    the e_i, and the differences are the gradients along the plane they span.
     """
     X = np.asarray(X, dtype=float)
     h = relative_step(X, step)
@@ -436,7 +432,7 @@ def fd_gradient_rows(field, X, step: float, richardson: bool = False) -> np.ndar
     field maps (M, n) rows to M values; steps are relative per row.
     """
     X = np.asarray(X, dtype=float)
-    return _central_diff_rows(field, X, _gradient_offsets(X.shape[1]), relative_step(X, step), richardson)
+    return _richardson(lambda step_: _central_diff_rows(field, *gradient_stencil(X, step_)), step, richardson)
 
 
 def fd_gradient(field, point, step: float, richardson: bool = False) -> np.ndarray:
@@ -452,22 +448,31 @@ def _mixed(fpp, fpm, fmp, fmm, h):
 
 @functools.cache
 def _hessian_layout(n: int) -> tuple[np.ndarray, ...]:
-    """fd_hessian_rows' stencil in R^n: its offsets in evaluation order (the
-    centre, then per axis i the pair +-e_i followed by the cross stencils
-    (i, j), j > i), the positions of the centre and the +-e_i (the known
-    layout) and of the cross points, and the entries (i, j), i < j, in order."""
-    eye = np.eye(n)
-    offsets, axis, cross = [np.zeros(n)], [0], []
-    for i in range(n):
-        axis += [len(offsets), len(offsets) + 1]
-        offsets += [eye[i], -eye[i]]
-        for j in range(i + 1, n):
-            cross += range(len(offsets), len(offsets) + 4)
-            offsets += [eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]]
-    layout = (np.array(offsets), np.array(axis), np.array(cross, dtype=int), *np.triu_indices(n, 1))
+    """The second-difference stencil in R^n: its offsets (the centre, then
+    gradient_stencil's +-e_i in its order, then e_i + e_j, e_i - e_j,
+    -e_i + e_j, -e_i - e_j for each pair i < j in order), the diagonal's
+    indices and the pairs' (i, j), which _second_diffs fills."""
+    iu, ju = np.triu_indices(n, 1)
+    e, f = np.eye(n)[iu], np.eye(n)[ju]
+    cross = np.stack([e + f, e - f, -e + f, -e - f], axis=1).reshape(-1, n)
+    layout = (np.concatenate([np.zeros((1, n)), _gradient_offsets(n), cross]), np.arange(n), iu, ju)
     for a in layout:
         a.flags.writeable = False
     return layout
+
+
+def _second_diffs(f: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric (N, n, n) second differences, from each row's values f (N, m)
+    on _hessian_layout(n) at the step h of the row: (f(x + h e_i) - 2 f(x) +
+    f(x - h e_i)) / h^2, and the cross stencil off the diagonal. A value may
+    be an array (trailing axes, carried after n x n), differenced entry by entry."""
+    _, diag, iu, ju = _hessian_layout(n)
+    h = h.reshape((-1,) + (1,) * (f.ndim - 1))
+    hess = np.empty(f.shape[:1] + (n, n) + f.shape[2:])
+    hess[:, diag, diag] = (f[:, 1:2 * n + 1:2] - 2.0 * f[:, :1] + f[:, 2:2 * n + 1:2]) / h**2
+    c = f[:, 2 * n + 1:]
+    hess[:, iu, ju] = hess[:, ju, iu] = _mixed(c[:, 0::4], c[:, 1::4], c[:, 2::4], c[:, 3::4], h)
+    return hess
 
 
 def fd_hessian_rows(field, X, step: float, known=None, basis=None) -> np.ndarray:
@@ -477,30 +482,24 @@ def fd_hessian_rows(field, X, step: float, known=None, basis=None) -> np.ndarray
     Off-diagonal: the standard 4-point cross stencil. Steps are relative per row.
     known (N, 2n + 1), when given, holds each row's values at x and at the
     points gradient_stencil places, x + h e_0, x - h e_0, ..., at the same
-    step and basis; only the cross points are evaluated, and errors are
-    raised as if all points were. With basis (N, n, k), the stencil runs
-    along each row's columns b_j, and the Hessian is k x k, B^T Hess B.
+    step and basis, the first 2n + 1 of _hessian_layout; only the cross points
+    are evaluated, and errors are raised as if all points were. With basis
+    (N, n, k), the stencil runs along each row's columns b_j, and the Hessian
+    is k x k, B^T Hess B.
     """
     X = np.asarray(X, dtype=float)
     N, d = X.shape
     n = d if basis is None else basis.shape[2]
     h = relative_step(X, step)
-    O, axis, cross, iu, ju = _hessian_layout(n)
-    O = _along(O, basis)
+    O = _along(_hessian_layout(n)[0], basis)
     if known is None:
         f = _field_values(field, _place(X, h, O).reshape(-1, d)).reshape(N, -1)
     else:
-        f = np.empty((N, O.shape[-2]))
-        f[:, axis] = known
-        f[:, cross] = _field_values(field, _place(X, h, O[..., cross, :]).reshape(-1, d),
-                                    finite=False).reshape(N, -1)
+        cross = _field_values(field, _place(X, h, O[..., 2 * n + 1:, :]).reshape(-1, d), finite=False)
+        f = np.concatenate([known, cross.reshape(N, -1)], axis=1)
         if not np.isfinite(f).all():
             _require_finite(f.ravel(), _place(X, h, O).reshape(-1, d))
-    hess = np.empty((N, n, n))
-    diag = np.arange(n)
-    hess[:, diag, diag] = (f[:, axis[1::2]] - 2.0 * f[:, :1] + f[:, axis[2::2]]) / (h**2)[:, None]
-    hess[:, iu, ju] = hess[:, ju, iu] = _mixed(*f[:, cross].reshape(N, -1, 4).transpose(2, 0, 1), h[:, None])
-    return hess
+    return _second_diffs(f, h, n)
 
 
 def fd_hessian(field, point, step: float) -> np.ndarray:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DegenerateJet, InvalidParameter, OutOfDomain
 from .norms import NormModel
-from .numerics import _Record, _cross, _norm_rows, _stack_last, check_jet_options, first_row, per_point
+from .numerics import (_Record, _central_diffs, _cross, _hessian_layout, _norm_rows, _second_diffs, _stack_last,
+                       check_jet_options, first_row, per_point)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -126,30 +127,22 @@ def evaluate_jet(surface: SurfacePatch, s: float, t: float) -> SurfaceJet:
 def _fd_jet(position, s, t, step: float) -> SurfaceJet:
     """Central-difference second-order jet of a position-only chart.
 
-    position is called once, on the 9 stencil points of every (s, t),
-    offset-major: all centres, then all (s + h, t), and so on. The chart of
-    a gauge-only Minkowski sphere, marked by a _GaugeSphereChart, places the
-    same stencil with its stencil method instead.
+    The stencil of every (s, t) is numerics' Hessian layout in the plane at
+    the absolute step, the centre first, and numerics differences it.
+    position is called once, on the 9 points of every (s, t), offset-major:
+    all centres, then all (s + h, t), and so on. The chart of a gauge-only
+    Minkowski sphere, marked by a _GaugeSphereChart, places the same stencil
+    with its stencil method instead.
     """
-    h = step
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    S = np.stack([s, s + h, s - h, s, s, s + h, s + h, s - h, s - h])
-    T = np.stack([t, t, t, t + h, t - h, t + h, t - h, t + h, t - h])
+    O = _hessian_layout(2)[0].reshape((9,) + (1,) * s.ndim + (2,))
+    S, T = s + step * O[..., 0], t + step * O[..., 1]
     chart = getattr(position, "_gauge_sphere", None)
-    if chart is None:
-        P = position(S.ravel(), T.ravel())
-    else:
-        P = chart.stencil(S.reshape(9, -1), T.reshape(9, -1))
-    f, fp_s, fm_s, fp_t, fm_t, fpp, fpm, fmp, fmm = np.asarray(
-        P, dtype=float).reshape(S.shape + (-1,))
-    return SurfaceJet(
-        f=f,
-        f_s=(fp_s - fm_s) / (2 * h),
-        f_t=(fp_t - fm_t) / (2 * h),
-        f_ss=(fp_s - 2 * f + fm_s) / h**2,
-        f_tt=(fp_t - 2 * f + fm_t) / h**2,
-        f_st=(fpp - fpm - fmp + fmm) / (4 * h**2),
-    )
+    P = position(S.ravel(), T.ravel()) if chart is None else chart.stencil(S.reshape(9, -1), T.reshape(9, -1))
+    # one stencil row, whose values carry the parameter grid as trailing axes
+    f, h = np.asarray(P, dtype=float).reshape((1,) + S.shape + (-1,)), np.array([step])
+    (f_s, f_t), H = _central_diffs(f[:, 1:5], h)[0], _second_diffs(f, h, 2)[0]
+    return SurfaceJet(f[0, 0], f_s, f_t, H[0, 0], H[0, 1], H[1, 1])
 
 
 # ---------------------------------------------------------------------------

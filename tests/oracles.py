@@ -6,7 +6,9 @@ symbolically (first/second fundamental forms, sympy) before being frozen
 here, with the normal oriented outward and convexity counted positive.
 fd_hessian_rows_by_pairs is the FD Hessian kernel as it was written before
 its Hessian was assembled from a cached layout: one stencil built per call,
-one pair of entries filled per (i, j). write_fields_csv_by_csv_writer is the
+one pair of entries filled per (i, j). fd_jet_by_formulas is the FD surface
+jet as it was before numerics placed and differenced its stencil: its own
+9-point stencil and six difference formulas. write_fields_csv_by_csv_writer is the
 field table writer as it was before each row became one string template:
 csv.writer, and format(v, ".17g") per value. cond_by_svd is the condition
 number the linear-solve guard took from numpy's SVD before it had a closed
@@ -27,6 +29,7 @@ import numpy as np
 
 from minksurf.cli import FIELD_COLUMNS, _blaschke_ratios, load_schema
 from minksurf.numerics import _field_values, _mixed, _place, _require_finite, relative_step
+from minksurf.surfaces import SurfaceJet
 
 
 def ellipsoid_gaussian(a: float, b: float, c: float, p: np.ndarray) -> float:
@@ -108,6 +111,29 @@ def fd_hessian_rows_by_pairs(field, X, step: float, known=None) -> np.ndarray:
             hess[:, i, j] = hess[:, j, i] = _mixed(*f[:, k:k + 4].T, h)
             k += 4
     return hess
+
+
+def fd_jet_by_formulas(position, s, t, step: float) -> SurfaceJet:
+    """surfaces._fd_jet, its stencil written out and each derivative by its formula."""
+    h = step
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    S = np.stack([s, s + h, s - h, s, s, s + h, s + h, s - h, s - h])
+    T = np.stack([t, t, t, t + h, t - h, t + h, t - h, t + h, t - h])
+    chart = getattr(position, "_gauge_sphere", None)
+    if chart is None:
+        P = position(S.ravel(), T.ravel())
+    else:
+        P = chart.stencil(S.reshape(9, -1), T.reshape(9, -1))
+    f, fp_s, fm_s, fp_t, fm_t, fpp, fpm, fmp, fmm = np.asarray(
+        P, dtype=float).reshape(S.shape + (-1,))
+    return SurfaceJet(
+        f=f,
+        f_s=(fp_s - fm_s) / (2 * h),
+        f_t=(fp_t - fm_t) / (2 * h),
+        f_ss=(fp_s - 2 * f + fm_s) / h**2,
+        f_tt=(fp_t - 2 * f + fm_t) / h**2,
+        f_st=(fpp - fpm - fmp + fmm) / (4 * h**2),
+    )
 
 
 def write_fields_csv_by_csv_writer(path, ctx) -> None:

@@ -200,6 +200,20 @@ def test_support_csv_round_trip(tmp_path):
     assert np.abs(loaded - g).max() == 0.0
 
 
+def test_support_csv_skips_one_header_row_only(tmp_path):
+    # before, every non-numeric row ahead of the first number was skipped, so
+    # these three rows read as headers and the 8 samples passed
+    th = 2 * np.pi * np.arange(8) / 8
+    data = [f"{x:.17g},1.0" for x in th]
+    path = tmp_path / "support.csv"
+    path.write_text("\n".join(["theta,g", "not,numbers", "x,y", *data]) + "\n")
+    with pytest.raises(mk.ConfigError, match=r"^non-numeric support CSV row \['not', 'numbers'\]$"):
+        mk.support_from_csv(path)
+    # a header whose theta cell is numeric is skipped whole, not half read
+    path.write_text("\n".join(["# comment", "", "0,g", *data]) + "\n")
+    assert mk.support_from_csv(path).tolist() == [1.0] * 8
+
+
 def test_support_csv_requires_uniform_grid(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0,1.0\n0.5,1.0\n1.0,1.0\n2.0,1.0\n")

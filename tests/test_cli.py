@@ -352,6 +352,28 @@ def test_output_path_and_csv_format(tmp_path):
         assert len(list(csv.reader(fh))) == 1 + 8 * 8
 
 
+def test_a_csv_output_needs_a_path(tmp_path):
+    # before, this run wrote no field table and exited 0
+    cfg = {"norm": {"family": "euclidean"}, "surface": {"family": "euclidean_sphere", "r": 1.0},
+           "grid": {"ns": 4, "nt": 4}, "checks": ["curvature-closed-form"], "seed": 1,
+           "output": {"format": "csv"}}
+    out = run_cli(["run", "--config", write_config(tmp_path, cfg)])
+    assert out.returncode == 2
+    assert out.stderr == "config error: output.format 'csv' needs output.path or --fields\n"
+    assert out.stdout == ""
+    # --fields names the table; it also takes precedence over a CSV output.path
+    fields, ignored = tmp_path / "fields.csv", tmp_path / "ignored.csv"
+    for output in ({"format": "csv"}, {"format": "csv", "path": str(ignored)}):
+        out = run_cli(["run", "--config", write_config(tmp_path, {**cfg, "output": output}),
+                       "--fields", str(fields)])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["checks"][0]["pass"]
+        with open(fields, newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 4 * 4
+        fields.unlink()
+    assert not ignored.exists()
+
+
 @pytest.mark.parametrize("where", ["fields", "output-path"])
 def test_an_unwritable_output_exits_two(tmp_path, where):
     # exit 1 is --strict's code for a failing check; before this was caught,

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fd_jet_by_formulas
 
 import minksurf as mk
+import minksurf.surfaces
 from minksurf.numerics import _norm_rows, convergence_order
 from minksurf.surfaces import SurfacePatch, _sphere_angle_jets, evaluate_jet
 
@@ -180,6 +182,46 @@ def test_fd_jet_places_its_stencil_in_one_position_call(monkeypatch):
     assert np.array_equal(solves[1][1], predicted)
     assert np.abs(predicted - solved).max() <= 1e-9
     assert np.abs(np.tile(U, (8, 1)) - solved).max() >= 1e-6
+
+
+FD_JET_CASES = {
+    "ellipsoid": (lambda: mk.ellipsoid(1.0, 1.3, 0.8, jet_source="fd"),
+                  np.linspace(0.3, 2.8, 6), np.linspace(0.1, 6.1, 6)),
+    "graph": (lambda: mk.graph(lambda s, t: (np.exp(0.4 * s) * np.cos(t) + s * t * t, 0, 0, 0, 0, 0),
+                               jet_source="fd"),
+              np.array([[-0.7, 0.1, 0.5], [0.2, 0.9, -0.3]]), np.array([[0.3, -0.8, 0.6], [0.05, -0.4, 0.7]])),
+    "reparametrized jet-less chart": (
+        lambda: mk.reparametrize_linear(replace(mk.ellipsoid(1.0, 1.3, 0.8), jet=None),
+                                        [[0.7, 0.2], [-0.3, 1.1]], (0.4, 0.9)),
+        np.linspace(0.2, 1.4, 5), np.linspace(-0.5, 1.5, 5)),
+    "gauge-only sphere": (lambda: mk.minkowski_sphere(
+        mk.custom_norm(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25)), 1.5, center=(0.1, -0.2, 0.3)),
+        np.linspace(0.4, 2.7, 4), np.linspace(0.1, 6.0, 4)),
+}
+
+
+@pytest.mark.parametrize("case", FD_JET_CASES)
+def test_fd_jets_equal_the_formulas_of_their_stencil_bitwise(monkeypatch, case):
+    """An FD surface jet, read from numerics' Hessian layout by its shared
+    difference kernels, equals the six formulas on the hand-written 9-point
+    stencil bit for bit: directly, through reparametrize_linear's chain rule,
+    and through the stencil of a gauge-only sphere's chart."""
+    make, s, t = FD_JET_CASES[case]
+    surface = make()
+    got = mk.evaluate_jets(surface, s, t)
+    calls = []
+
+    def formulas(*args):
+        calls.append(args)
+        return fd_jet_by_formulas(*args)
+
+    monkeypatch.setattr(minksurf.surfaces, "_fd_jet", formulas)
+    want = mk.evaluate_jets(surface, s, t)
+    assert len(calls) == 1
+    for field in ("f", "f_s", "f_t", "f_ss", "f_st", "f_tt"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape == np.shape(s) + (3,)
+        assert a.tobytes() == b.tobytes(), field
 
 
 A_NORM = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
