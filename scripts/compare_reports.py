@@ -30,7 +30,10 @@ saddle and a linear reparametrization of an ellipsoid chart that has no
 jet, and every field of geometry_batch under
 two gauge-only norms on a 12x12 ellipsoid grid and a 4x4 grid of each norm's
 own sphere, whose rows converge after different numbers of Newton iterations
-and backtrack), run the same way. Prints one line per operation that
+and backtrack), run the same way. So must, as text, each of the package's
+records' signature (str(inspect.signature)) and the errors of its calls that
+do not fit its fields: an unknown keyword, a field given twice, one argument
+too many and, where a field is required, no arguments. Prints one line per operation that
 differs, naming what differs, then a summary; exits 1 when any operation
 differs. A differing custom-norm point or gauge-only geometry_batch probe
 also prints each checkout's largest gap in eta, lambda1 and lambda2 to the
@@ -250,6 +253,43 @@ for name, fn, args in probes():
 """
 
 
+# Run with a checkout's src/ on PYTHONPATH: for each of the package's
+# records, one JSON line per call that does not fit its fields (an unknown
+# keyword, a field given twice, one argument too many, and no arguments where
+# a field is required), with the error it raised, and one with its signature
+# as inspect shows it.
+RECORDS_PROGRAM = """
+import dataclasses
+import inspect
+import json
+import minksurf.cli
+from minksurf.numerics import _Record
+
+
+def records(cls=_Record):
+    for sub in cls.__subclasses__():
+        if dataclasses.is_dataclass(sub) and sub.__module__.startswith("minksurf."):
+            yield sub
+        yield from records(sub)
+
+
+for cls in sorted(records(), key=lambda c: c.__qualname__):
+    fields = dataclasses.fields(cls)
+    values = {f.name: None for f in fields}
+    calls = {"unknown keyword": ((), {**values, "no_such_field": 1}), "duplicate": ((None,), values),
+             "one argument too many": ((None,) * (len(fields) + 1), {})}
+    if any(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING for f in fields):
+        calls["missing fields"] = ((), {})
+    for what, (args, kwargs) in calls.items():
+        try:
+            cls(*args, **kwargs)
+            error = None
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"name": f"{cls.__qualname__} {what}", "error": error}))
+    print(json.dumps({"name": f"{cls.__qualname__} signature", "value": str(inspect.signature(cls))}))
+"""
+
 # What the programs print besides their outputs; it does not decide the outcome.
 INFORMATIVE = ("gap", "gauge values", "pair")
 
@@ -344,7 +384,7 @@ def main(argv=None) -> int:
         print(f"  {name:64s} {rss_a:7.2f} -> {rss_b:7.2f}  ({rss_b - rss_a:+.2f})")
     gauge_values = {}
     for label, program, extra in (("custom-norm", CUSTOM_PROGRAM, [str(change / "perfbench")]),
-                                  ("probe", PROBE_PROGRAM, [])):
+                                  ("probe", PROBE_PROGRAM, []), ("record", RECORDS_PROGRAM, [])):
         for a, b in zip(program_outputs(parent, program, *extra), program_outputs(change, program, *extra)):
             compared += 1
             if "pair" in a:

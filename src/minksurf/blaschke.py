@@ -28,7 +28,8 @@ import numpy as np
 from .errors import ConfigError, DegenerateH, NonConvexCurve, NonElliptic
 from .geometry import GeometryBatch, _euclidean_frame, geometry_batch
 from .norms import NormModel
-from .numerics import NumericsConfig, DEFAULT_CONFIG, _Record, _central_diffs, _stack_last, gradient_stencil
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _central_diffs, _stack_last, gradient_stencil,
+                       in_row_order)
 from .surfaces import SurfacePatch
 
 
@@ -67,23 +68,6 @@ def _volume_forms(gb: GeometryBatch):
     return omega, np.sqrt(np.abs(np.where(degenerate, np.nan, det_h))), degenerate
 
 
-def _stencil_gaussians(surface: SurfacePatch, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """K_e at the stencil points S, T (one row of points per centre), in one call.
-
-    When that call raises, the points are evaluated again one at a time in
-    the per-point order, leaving the rest of a row once K_e <= 0 there, so
-    the error raised is the one a per-point loop meets first.
-    """
-    try:
-        return _gaussians(surface, S.ravel(), T.ravel()).reshape(S.shape)
-    except Exception:
-        for s_row, t_row in zip(S, T):
-            for s_, t_ in zip(s_row, t_row):
-                if _gaussians(surface, [s_], [t_])[0] <= 0.0:
-                    break
-        raise
-
-
 def _affine_normals(surface: SurfacePatch, s, t, P, G, xi, II,
                     config: NumericsConfig) -> tuple[np.ndarray, dict]:
     """The affine normals K_e^{1/4} xi + Z at points with Euclidean frames (P, G, xi, II).
@@ -92,7 +76,10 @@ def _affine_normals(surface: SurfacePatch, s, t, P, G, xi, II,
     the derivative of the normal along X tangent, with II the Euclidean second
     fundamental form (the affine fundamental form of the transversal xi) and
     the right side computed by central differences of the Euclidean Gaussian
-    curvature field at the 4 stencil points of every point.
+    curvature field at the 4 stencil points of every point. Those K_e are
+    evaluated through numerics.in_row_order with each point's 4 stencil points
+    in one call, as affine_normal evaluates them for that point alone, so an
+    exception that escapes is the one a loop of affine_normal meets first.
     Returns the normals, NaN where there is none, and a map from those row
     indices to the NonElliptic or DegenerateH that a point meets first: K_e
     at the point, K_e at its stencil points in order, then det II.
@@ -107,7 +94,8 @@ def _affine_normals(surface: SurfacePatch, s, t, P, G, xi, II,
     live = np.flatnonzero(K_e > 0.0)
     h, chart = gradient_stencil(_stack_last(s, t)[live], config.fd_step)
     S, T = chart[..., 0], chart[..., 1]
-    k = _stencil_gaussians(surface, S, T) if live.size else np.empty((0, 4))
+    k = (in_row_order(lambda rows: _gaussians(surface, S[rows].ravel(), T[rows].ravel()).reshape(-1, 4),
+                      live.size) if live.size else np.empty((0, 4)))
     for r in np.flatnonzero((k <= 0.0).any(axis=1)).tolist():
         j = int(np.argmax(k[r] <= 0.0))
         missing[int(live[r])] = NonElliptic(f"K_e <= 0 in the stencil at (s,t)=({S[r, j]}, {T[r, j]})")

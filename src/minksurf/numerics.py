@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import operator
 import reprlib
-from dataclasses import _HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError, asdict, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, asdict, dataclass, field, fields, make_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,33 +41,22 @@ class _Layout(NamedTuple):
     names: tuple            # the fields, in order
     name_set: frozenset     # the same, as a set
     fields: tuple           # their dataclasses.Field objects
+    required: frozenset     # the fields without a default or a default factory
     repr_names: tuple       # the fields repr shows
     compare_names: tuple    # the fields eq compares
     hash_names: tuple       # the fields hash reads
     post_init: object       # the class's __post_init__, or None
 
 
-class _FieldSignature:
-    """A record class's __signature__: its fields as the parameters of the
-    __init__ the dataclass decorator would write, with their annotations,
-    defaults and `<factory>` for default factories, so inspect.signature and
-    help() show them. Built at the first lookup and cached per class; None
-    (inspect's own reading) on a class that declares no fields."""
+class _TwinSignature:
+    """A record class's __signature__: the signature of its dataclass twin, so
+    inspect.signature and help() show its fields; None (inspect's own reading)
+    on a class that declares no fields."""
 
     def __get__(self, obj, cls):
-        sig = cls.__dict__.get("_signature")
-        if sig is None and hasattr(cls, "__dataclass_fields__"):
-            import inspect
+        import inspect
 
-            sig = inspect.Signature(
-                [inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                                   default=(f.default if f.default is not MISSING
-                                            else inspect.Parameter.empty if f.default_factory is MISSING
-                                            else _HAS_DEFAULT_FACTORY),
-                                   annotation=f.type)
-                 for f in fields(cls)], return_annotation=None)
-            cls._signature = sig
-        return sig
+        return inspect.signature(cls._dataclass_twin()) if hasattr(cls, "__dataclass_fields__") else None
 
 
 class _Record:
@@ -83,7 +72,11 @@ class _Record:
     __setattr__/__delattr__ raising FrozenInstanceError. A subclass
     inherits its parent's keywords and methods; one declared with
     @dataclass(frozen=True) is accepted under a frozen record, as it would
-    be under a frozen dataclass.
+    be under a frozen dataclass. What only a failing call or a signature
+    lookup needs comes from the class's dataclass twin, which
+    dataclasses.make_dataclass builds of its fields when first asked: a call
+    that does not fit the fields is made on the twin, which raises Python's
+    own TypeError, and __signature__ is the twin's.
     """
 
     _frozen = False
@@ -111,7 +104,9 @@ class _Record:
     def _read_layout(cls) -> _Layout:
         fs = fields(cls)
         names = tuple(f.name for f in fs)
-        cls._layout = _Layout(names, frozenset(names), fs, tuple(f.name for f in fs if f.repr),
+        cls._layout = _Layout(names, frozenset(names), fs,
+                              frozenset(f.name for f in fs if f.default is MISSING and f.default_factory is MISSING),
+                              tuple(f.name for f in fs if f.repr),
                               tuple(f.name for f in fs if f.compare),
                               tuple(f.name for f in fs if (f.compare if f.hash is None else f.hash)),
                               getattr(cls, "__post_init__", None))
@@ -132,31 +127,28 @@ class _Record:
 
     def _bind(self, layout: _Layout, args: tuple, kwargs: dict) -> dict:
         """The field values of a call that is not all positional or all keyword,
-        or the TypeError, worded as Python words it, of a call that does not fit."""
-        where = f"{type(self).__qualname__}.__init__()"
+        with the defaults filled in. A call that does not fit the fields (one
+        argument too many, a field given twice, an unknown keyword, a required
+        field missing) is made on the class's dataclass twin instead, whose
+        __init__ raises the TypeError Python words for it."""
         values = dict(zip(layout.names, args))
-        for name, value in kwargs.items():
-            if name not in layout.name_set:
-                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-            if name in values:
-                raise TypeError(f"{where} got multiple values for argument {name!r}")
-            values[name] = value
-        n_max = len(layout.names) + 1
-        if len(args) + 1 > n_max:
-            n_min = n_max - sum(f.default is not MISSING or f.default_factory is not MISSING
-                                for f in layout.fields)
-            takes = f"from {n_min} to {n_max}" if n_min < n_max else f"{n_max}"
-            raise TypeError(f"{where} takes {takes} positional arguments but {len(args) + 1} were given")
-        missing = [f"{f.name!r}" for f in layout.fields if f.name not in values
-                   and f.default is MISSING and f.default_factory is MISSING]
-        if missing:
-            listed = (missing[0] if len(missing) == 1 else f"{missing[0]} and {missing[1]}" if len(missing) == 2
-                      else ", ".join(missing[:-1]) + f", and {missing[-1]}")
-            raise TypeError(f"{where} missing {len(missing)} required positional "
-                            f"argument{'s' if len(missing) > 1 else ''}: {listed}")
+        values.update(kwargs)  # a value is lost if zip drops it or a keyword repeats it
+        if not (len(values) == len(args) + len(kwargs) and layout.required <= values.keys() <= layout.name_set):
+            self._dataclass_twin()(*args, **kwargs)
         return {f.name: values[f.name] if f.name in values
                 else f.default if f.default is not MISSING else f.default_factory()
                 for f in layout.fields}
+
+    @classmethod
+    def _dataclass_twin(cls) -> type:
+        """The dataclass the decorator would make of cls's fields, which raises
+        cls's call errors and gives its signature. Built at the first call, which
+        only a call that does not fit or a signature lookup makes, and kept on cls."""
+        twin = cls.__dict__.get("_twin")
+        if twin is None:
+            cls._twin = twin = make_dataclass(cls.__qualname__, [
+                (f.name, f.type, field(default=f.default, default_factory=f.default_factory)) for f in fields(cls)])
+        return twin
 
     @reprlib.recursive_repr()
     def __repr__(self):
@@ -182,7 +174,7 @@ class _Record:
 
     __eq__ = _fields_eq
     __hash__ = None
-    __signature__ = _FieldSignature()
+    __signature__ = _TwinSignature()
 
 
 @dataclass(init=False, repr=False, eq=False)

@@ -505,12 +505,18 @@ def surface_from_spec(spec: dict, norm: NormModel | None = None) -> SurfacePatch
     jet_source = spec.get("jet_source", "analytic")
     fd_step = float(spec.get("fd_step", 1e-5))
     kw = {"jet_source": jet_source, "fd_step": fd_step}
+
+    def required(key):
+        if key not in spec:
+            raise InvalidParameter(f"{family} surface spec needs field {key!r}")
+        return float(spec[key])
+
     if family == "euclidean_sphere":
-        return euclidean_sphere(float(spec["r"]), spec.get("center", (0, 0, 0)), **kw)
+        return euclidean_sphere(required("r"), spec.get("center", (0, 0, 0)), **kw)
     if family == "ellipsoid":
-        return ellipsoid(float(spec["a"]), float(spec["b"]), float(spec["c"]), **kw)
+        return ellipsoid(required("a"), required("b"), required("c"), **kw)
     if family == "torus":
-        return torus(float(spec["R"]), float(spec["r"]), **kw)
+        return torus(required("R"), required("r"), **kw)
     if family == "catenoid":
         return catenoid(float(spec.get("c", 1.0)), float(spec.get("s_extent", 1.2)), **kw)
     if family == "saddle":
@@ -519,7 +525,7 @@ def surface_from_spec(spec: dict, norm: NormModel | None = None) -> SurfacePatch
     if family == "minkowski_sphere":
         if norm is None:
             raise InvalidParameter("minkowski_sphere surface needs the run's norm")
-        return minkowski_sphere(norm, float(spec["rho"]), spec.get("center", (0, 0, 0)),
+        return minkowski_sphere(norm, required("rho"), spec.get("center", (0, 0, 0)),
                                 jet_source=None if jet_source == "analytic" else jet_source,
                                 fd_step=fd_step)
     raise InvalidParameter(f"unknown surface family {family!r}")

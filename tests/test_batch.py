@@ -189,6 +189,34 @@ def test_affine_normal_reasons_match_the_single_point(eu):
     assert np.abs(normals[0] - mk.affine_normal(tor, s[0], t[0])).max() == 0.0
 
 
+def _cubic(s, t):
+    """A user graph function of one point: phi = s^3/6 + t^2/2 and its jet; K_e has the sign of s."""
+    return (s ** 3 / 6.0 + t * t / 2.0, s * s / 2.0, t, s, 0.0, 1.0)
+
+
+def test_affine_normal_batch_raises_what_the_loop_raises_first(eu):
+    # both stencils leave the chart at t = 1 + h; the first point's also has
+    # K_e < 0 at s - h, so a replay that leaves a row at its first K_e <= 0
+    # never meets that row's OutOfDomain and raises the second point's
+    cubic = mk.graph(_cubic)
+    s, t = [5e-6, 0.5], [1.0, 1.0]
+    loop = _first_error(lambda: [mk.affine_normal(cubic, *p) for p in zip(s, t)])
+    assert loop == (mk.OutOfDomain, "parameter t=1.00001 outside [-1.0, 1.0]")
+    assert _first_error(lambda: _grid_affine_normals(geometry_batch(eu, cubic, s, t), cubic,
+                                                     mk.DEFAULT_CONFIG)) == loop
+
+
+def test_affine_normals_of_hyperbolic_points_are_nan(eu):
+    # no point is elliptic, so no stencil is evaluated: a user graph's callable
+    # cannot take an empty batch
+    cubic = mk.graph(_cubic)
+    s, t = [-0.5, -0.2], [0.0, 0.3]
+    normals, missing = _grid_affine_normals(geometry_batch(eu, cubic, s, t), cubic, mk.DEFAULT_CONFIG)
+    assert sorted(missing) == [0, 1] and np.isnan(normals).all()
+    for i in (0, 1):
+        assert _first_error(lambda: mk.affine_normal(cubic, s[i], t[i])) == (type(missing[i]), str(missing[i]))
+
+
 def test_user_callables_see_one_point_at_a_time():
     seen = []
 

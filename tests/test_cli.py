@@ -198,6 +198,22 @@ def test_a_grid_that_leaves_its_chart_exits_two(tmp_path, cfg, message):
     assert out.stderr.startswith(f"config error: {message}"), out.stderr
 
 
+@pytest.mark.parametrize("family, key", [
+    ("euclidean_sphere", "r"), ("ellipsoid", "a"), ("ellipsoid", "b"), ("ellipsoid", "c"),
+    ("torus", "R"), ("torus", "r"), ("minkowski_sphere", "rho"),
+])
+def test_a_surface_without_a_required_field_exits_two(tmp_path, capsys, family, key):
+    # the schema accepts these specs, so only surface_from_spec can refuse them
+    spec = {"family": family, **{"euclidean_sphere": {"r": 1.5}, "ellipsoid": {"a": 1.0, "b": 1.3, "c": 0.8},
+                                 "torus": {"R": 2.0, "r": 1.2}, "minkowski_sphere": {"rho": 1.5}}[family]}
+    del spec[key]
+    cfg = {"norm": {"family": "euclidean"}, "surface": spec,
+           "grid": {"ns": 4, "nt": 4}, "checks": ["prop-2-1"], "seed": 1}
+    validate_config(cfg)
+    assert minksurf.cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {family} surface spec needs field {key!r}\n"
+
+
 def test_a_margin_no_wider_than_its_axis_still_runs():
     # catenoid s in [-0.2, 0.2]: a margin of 0.3 reverses the grid's s axis
     # but keeps every point in the chart

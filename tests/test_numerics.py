@@ -140,6 +140,16 @@ def test_fd_hessian_rows_equals_the_loop_over_pairs_bitwise(n, rows):
             got = fd_hessian_rows(_smooth_field, *args)
             assert np.array_equal(got, fd_hessian_rows_by_pairs(_smooth_field, *args))
             assert np.array_equal(got, np.swapaxes(got, 1, 2))
+    # at the first row a linear field reads about 2 at x + h e_i and 1e-20 or
+    # roundoff at x - h e_i: (f+ - 2f) + f- keeps that value, (f- - 2f) + f+
+    # rounds it away, so the diagonal's operand order shows in the bits
+    h = relative_step(X, 1e-4)[0]
+
+    def steep(Y):
+        return (1.0 + (Y - X[0]).sum(axis=1) / h) + 1e-20
+
+    for args in ((X, 1e-4), (X, 1e-4, _known(steep, X, 1e-4))):
+        assert np.array_equal(fd_hessian_rows(steep, *args), fd_hessian_rows_by_pairs(steep, *args))
     known = _known(_smooth_field, X, 1e-4)
     bad_centre = known.copy()
     bad_centre[-1, 0] = np.nan

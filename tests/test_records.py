@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import inspect
+import json
 import pydoc
 import subprocess
 import sys
@@ -150,6 +151,40 @@ def test_a_record_has_its_dataclass_twins_signature(name):
     assert sig == want
     assert str(sig) == str(want)
     assert f"{name}{sig}" in pydoc.render_doc(cls, renderer=pydoc.plaintext)
+
+
+def test_only_a_misfit_call_or_a_signature_builds_a_twin():
+    """A record builds its dataclass twin for a call that does not fit its
+    fields or for its signature, never on import or in a valid run: the README
+    config through run_checks and a gauge-only point_geometry build none."""
+    code = (
+        "import json, sys, inspect\n"
+        "import numpy as np\n"
+        "import minksurf.cli\n"
+        "import minksurf as mk\n"
+        "from minksurf.numerics import _Record\n"
+        "def twins():\n"
+        "    found, todo = [], [_Record]\n"
+        "    while todo:\n"
+        "        cls = todo.pop()\n"
+        "        todo += cls.__subclasses__()\n"
+        "        found += [cls.__qualname__] if '_twin' in vars(cls) else []\n"
+        "    return sorted(found)\n"
+        "minksurf.cli.run_checks(json.loads(sys.argv[1]))\n"
+        "norm = mk.custom_norm(lambda x: float(np.sum(x ** 4) ** 0.25))\n"
+        "mk.point_geometry(norm, mk.minkowski_sphere(norm, 1.5), 0.8, 2.4)\n"
+        "print(twins())\n"
+        "inspect.signature(mk.NumericsConfig)\n"
+        "try:\n"
+        "    mk.SurfaceJet()\n"
+        "except TypeError:\n"
+        "    print(twins())\n"
+    )
+    readme = {**README_CONFIG, "grid": {"ns": 8, "nt": 8, "margins": [0.3, 0.1]},
+              "checks": ["prop-2-1", "prop-2-3", "thm-3-2"]}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(readme)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == ["[]", "['NumericsConfig', 'SurfaceJet']", ""]
 
 
 def test_a_norm_keys_a_dict():
