@@ -20,8 +20,10 @@ of the PCG64 stream of numpy's default_rng, so they do not depend on the
 installed numpy; floats are emitted with 17 significant digits,
 keys are sorted, and no timestamps are recorded. A run evaluates the grid
 geometry once, as one batch of arrays in one thread, and every check and the
-field table read it from there; the random points of a check are one batch
-as well, and a root search advances all its brackets as one batch per step.
+field table read it from there. The seven checks graded at random points are
+each a sampler, which makes every draw from the check's stream, and a batched
+kernel, and one runner joins them; a check's random points are one batch as
+well, and a root search advances all its brackets as one batch per step.
 Every check computes its residuals as array expressions over its batch and
 builds no PointGeometry; the library's functions of one point run the same
 kernels on a batch of one.
@@ -209,13 +211,6 @@ class RunContext(_Record):
         s, t = np.array(pts, dtype=float).reshape(-1, 2).T
         return geometry_batch(self.norm, self.surface, s, t, self.numerics)
 
-    def residuals(self, pts, residual: Callable):
-        """residual(gb, rows) over all the points pts, gb the geometry batch of pts[rows].
-
-        Raises what evaluating the points one at a time would raise first.
-        """
-        return in_row_order(lambda rows: residual(self.batch(pts[rows]), rows), len(pts))
-
     def rng(self, check_id: str) -> UniformStream:
         # Seeded per check from the registry index, so the stream is stable
         # regardless of which other checks run.
@@ -309,23 +304,6 @@ def _run_umbilicity(ctx: RunContext) -> dict:
     return _aggregate(tol, residuals, ctx.grid, detail)
 
 
-def _run_prop_2_1(ctx: RunContext) -> dict:
-    rng = ctx.rng("prop-2-1")
-    pts = ctx.random_params(rng, 50)
-    nodes = max(8, min(ctx.numerics.quad_nodes, 256))
-    residuals = ctx.residuals(pts, lambda gb, _: np.abs(_indicatrix_means(gb, nodes) - gb.H))
-    return _aggregate(ctx.tolerance("prop-2-1", 1e-10), residuals, pts, {"nodes": nodes})
-
-
-def _run_prop_2_2(ctx: RunContext) -> dict:
-    rng = ctx.rng("prop-2-2")
-    pts = ctx.random_params(rng, 100)
-    thetas = rng.uniform(0.0, 2.0 * np.pi, len(pts))
-    residuals = ctx.residuals(
-        pts, lambda gb, rows: np.abs(_dupin_pair_sums(gb, thetas[rows]) - 2.0 * gb.H))
-    return _aggregate(ctx.tolerance("prop-2-2", 1e-10), residuals, pts)
-
-
 def _locate_h_zero_points(ctx: RunContext) -> tuple[list, GeometryBatch]:
     """The points with H = 0, and their geometry as one batch: the whole grid
     when H vanishes identically, else the grid points where H is 0 and the
@@ -389,104 +367,6 @@ def _run_cor_2_1(ctx: RunContext) -> dict:
     residuals, used = _asymptotic_orthogonality(gb)
     return _aggregate(tol, residuals, _where(pts, used),
                       {"candidates": len(pts), "skipped": int(len(pts) - used.sum())})
-
-
-def _run_prop_2_3(ctx: RunContext) -> dict:
-    rng = ctx.rng("prop-2-3")
-    pts = ctx.random_params(rng, 100)
-
-    def residual(gb, _):
-        return np.abs(_determinant_gaussians(gb) - gb.K) / np.maximum(1.0, np.abs(gb.K))
-
-    return _aggregate(ctx.tolerance("prop-2-3", 1e-8), ctx.residuals(pts, residual), pts)
-
-
-def _run_lemma_3_1(ctx: RunContext) -> dict:
-    rng = ctx.rng("lemma-3-1")
-    pts = ctx.random_params(rng, 10)
-
-    def residual(gb, _):
-        return _norm_rows(_tangent_plane_gradients(gb, ctx.surface, ctx.numerics))
-
-    return _aggregate(ctx.tolerance("lemma-3-1", ctx.numerics.critical_tol),
-                      ctx.residuals(pts, residual), pts)
-
-
-def _run_thm_3_1(ctx: RunContext) -> dict:
-    rng = ctx.rng("thm-3-1")
-    pts = ctx.random_params(rng, 10)
-
-    def residual(gb, _):
-        Hb = _hess_b_matrices(lambda chart: _tangent_plane_values(gb, ctx.surface, chart),
-                              gb.s, gb.t, ctx.numerics)
-        return np.abs(Hb + gb.h_mat).max(axis=(1, 2)) / np.maximum(1.0, np.abs(gb.h_mat).max(axis=(1, 2)))
-
-    return _aggregate(ctx.tolerance("thm-3-1", 1e-3), ctx.residuals(pts, residual), pts)
-
-
-def _prop_3_1_residuals(ctx: RunContext, gb: GeometryBatch, phis: np.ndarray) -> list:
-    """Proposition 3.1 at the points of gb, each along its direction cos(phi) V1 + sin(phi) V2.
-
-    hess_b D_a(V, V), with a = p - tt eta, is a function psi(tt) of the
-    distance tt along the normal; its root in [0.8, 1.2] / k(V) should be
-    1 / k(V). Gives |root k(V) - 1| per point (inf when psi keeps its sign
-    on the bracket), or None where k(V) <= 1e-6. The roots of all points
-    advance together.
-    """
-    V = np.cos(phis)[:, None] * gb.V1 + np.sin(phis)[:, None] * gb.V2
-    k = _normal_curvatures(gb, V)
-    out = [None] * len(gb)
-    rows = np.flatnonzero(k > 1e-6)
-    if not len(rows):
-        return out
-    t_star = 1.0 / k[rows]
-    psi = _normal_line_hessians(ctx.norm, ctx.surface, gb[rows], V[rows], ctx.numerics)
-    every = np.arange(len(rows))
-    lo, hi = 0.8 * t_star, 1.2 * t_star
-    p_lo, p_hi = psi(every, lo), psi(every, hi)
-    signed = np.flatnonzero(p_lo * p_hi < 0.0)
-    roots = brentq_rows(lambda r, tt: psi(signed[r], tt), lo[signed], hi[signed],
-                        1e-10 * t_star[signed], p_lo[signed], p_hi[signed])
-    residual = np.full(len(rows), np.inf)
-    residual[signed] = np.abs(roots - t_star[signed]) / t_star[signed]
-    for i, r in zip(rows.tolist(), residual.tolist()):
-        out[i] = r
-    return out
-
-
-def _run_prop_3_1(ctx: RunContext) -> dict:
-    rng = ctx.rng("prop-3-1")
-    tol = ctx.tolerance("prop-3-1", 1e-4)
-    residuals, used = [], []
-    attempts = ctx.random_params(rng, 40)
-    phis = rng.uniform(0.0, 2.0 * np.pi, len(attempts))
-    # Up to 20 points are used: each chunk holds as many attempts as points
-    # are still missing, so no attempt is evaluated that the count excludes.
-    start = 0
-    while len(residuals) < 20 and start < len(attempts):
-        chunk = slice(start, start + 20 - len(residuals))
-        pts, angles = attempts[chunk], phis[chunk]
-        values = ctx.residuals(pts, lambda gb, rows: _prop_3_1_residuals(ctx, gb, angles[rows]))
-        for pt, r in zip(pts, values):
-            if r is not None:
-                residuals.append(r)
-                used.append(pt)
-        start = chunk.stop
-    return _aggregate(tol, residuals, used)
-
-
-def _run_thm_3_2(ctx: RunContext) -> dict:
-    rng = ctx.rng("thm-3-2")
-    centroid = ctx.surface_centroid()
-    centers = [centroid + rng.uniform(-0.3, 0.3, 3) for _ in range(3)]
-    pts = ctx.random_params(rng, 50)
-    A = np.array([centers[i % 3] for i in range(len(pts))])
-
-    def residual(gb, rows):
-        lap, _ = _laplacians(gb, ctx.norm, ctx.surface, A[rows], ctx.numerics)
-        return np.abs(lap - 2.0 * (gb.H * _rho(gb, A[rows]) - 1.0))
-
-    return _aggregate(ctx.tolerance("thm-3-2", 5e-3), ctx.residuals(pts, residual), pts)
 
 
 def _run_minimality_scan(ctx: RunContext) -> dict:
@@ -568,13 +448,117 @@ def _run_planar_ermakov(ctx: RunContext) -> dict:
             "detail": {"r1_sup": rep["r1_sup"], "r2_sup": rep["r2_sup"]}}
 
 
+# ---------------------------------------------------------------------------
+# sampled checks: a sampler and a kernel each, joined by one runner
+# ---------------------------------------------------------------------------
+
+def _chart_points(n: int, angles: bool = False) -> Callable:
+    """The sampler of n uniform chart points; with angles, a direction angle
+    in [0, 2 pi) per point is drawn after all the points."""
+    def points(ctx: RunContext, rng: UniformStream):
+        pts = ctx.random_params(rng, n)
+        return pts, rng.uniform(0.0, 2.0 * np.pi, n) if angles else None
+    return points
+
+
+def _centred_points(n: int) -> Callable:
+    """The sampler of 3 distance centres, each within 0.3 of the surface's
+    centroid in every coordinate, drawn first, then of n uniform chart
+    points; point i takes centre i mod 3."""
+    def points(ctx: RunContext, rng: UniformStream):
+        centroid = ctx.surface_centroid()
+        centers = [centroid + rng.uniform(-0.3, 0.3, 3) for _ in range(3)]
+        pts = ctx.random_params(rng, n)
+        return pts, np.array([centers[i % 3] for i in range(n)])
+    return points
+
+
+def _indicatrix_nodes(ctx: RunContext) -> int:
+    return max(8, min(ctx.numerics.quad_nodes, 256))
+
+
+def _thm_3_1_residual(ctx: RunContext, gb: GeometryBatch, _) -> np.ndarray:
+    Hb = _hess_b_matrices(lambda chart: _tangent_plane_values(gb, ctx.surface, chart),
+                          gb.s, gb.t, ctx.numerics)
+    return np.abs(Hb + gb.h_mat).max(axis=(1, 2)) / np.maximum(1.0, np.abs(gb.h_mat).max(axis=(1, 2)))
+
+
+def _prop_3_1_residual(ctx: RunContext, gb: GeometryBatch, phis: np.ndarray) -> list:
+    """Proposition 3.1 at the points of gb, each along its direction cos(phi) V1 + sin(phi) V2.
+
+    hess_b D_a(V, V), with a = p - tt eta, is a function psi(tt) of the
+    distance tt along the normal; its root in [0.8, 1.2] / k(V) should be
+    1 / k(V). Gives |root k(V) - 1| per point (inf when psi keeps its sign
+    on the bracket), or None where k(V) <= 1e-6. The roots of all points
+    advance together.
+    """
+    V = np.cos(phis)[:, None] * gb.V1 + np.sin(phis)[:, None] * gb.V2
+    k = _normal_curvatures(gb, V)
+    out = [None] * len(gb)
+    rows = np.flatnonzero(k > 1e-6)
+    if not len(rows):
+        return out
+    t_star = 1.0 / k[rows]
+    psi = _normal_line_hessians(ctx.norm, ctx.surface, gb[rows], V[rows], ctx.numerics)
+    every = np.arange(len(rows))
+    lo, hi = 0.8 * t_star, 1.2 * t_star
+    p_lo, p_hi = psi(every, lo), psi(every, hi)
+    signed = np.flatnonzero(p_lo * p_hi < 0.0)
+    roots = brentq_rows(lambda r, tt: psi(signed[r], tt), lo[signed], hi[signed],
+                        1e-10 * t_star[signed], p_lo[signed], p_hi[signed])
+    residual = np.full(len(rows), np.inf)
+    residual[signed] = np.abs(roots - t_star[signed]) / t_star[signed]
+    for i, r in zip(rows.tolist(), residual.tolist()):
+        out[i] = r
+    return out
+
+
+def _run_sampled(check_id: str, ctx: RunContext) -> dict:
+    """The runner of every sampled check: its sampler draws from the check's
+    stream, and its kernel grades the points in chunks, each of as many
+    points as applicable ones are still missing, so no point is evaluated
+    that `graded` leaves out. A chunk is one geometry batch, and raises what
+    evaluating its points one at a time would raise first."""
+    spec = REGISTRY[check_id]
+    pts, data = spec.points(ctx, ctx.rng(check_id))
+    wanted = len(pts) if spec.graded is None else spec.graded
+    residuals, used, start = [], [], 0
+    while len(residuals) < wanted and start < len(pts):
+        chunk = slice(start, start + wanted - len(residuals))
+        sub, part = pts[chunk], None if data is None else data[chunk]
+        values = in_row_order(lambda rows: spec.residual(
+            ctx, ctx.batch(sub[rows]), None if part is None else part[rows]), len(sub))
+        for pt, value in zip(sub, values):
+            if value is not None:
+                residuals.append(value)
+                used.append(pt)
+        start = chunk.stop
+    default = spec.tolerance(ctx) if callable(spec.tolerance) else spec.tolerance
+    return _aggregate(ctx.tolerance(check_id, default), residuals, used,
+                      spec.detail(ctx) if spec.detail else None)
+
+
 @dataclass(init=False, repr=False, eq=False)
 class CheckSpec(_Record, frozen=True):
-    """A registered check: its paper anchor, its description and its runner."""
+    """A registered check: its paper anchor, its description and its runner.
+
+    A sampled check, graded at random chart points, also has a sampler,
+    points(ctx, rng) -> (points, data), which makes every draw and gives a
+    data row per point (angles, distance centres) or None, and a batched
+    kernel, residual(ctx, gb, data), whose None marks a point the identity
+    does not apply to. Its runner, _run_sampled, grades `graded` applicable
+    points (None: all), at the default tolerance (a number or a function of
+    the run context), with detail(ctx) as the entry's detail.
+    """
 
     anchor: str
     description: str
     runner: Callable[[RunContext], dict]
+    points: Optional[Callable] = None
+    residual: Optional[Callable] = None
+    tolerance: float | Callable | None = None
+    graded: Optional[int] = None
+    detail: Optional[Callable] = None
 
 
 REGISTRY: dict[str, CheckSpec] = {
@@ -589,11 +573,14 @@ REGISTRY: dict[str, CheckSpec] = {
     "prop-2-1": CheckSpec(
         "Prop 2.1",
         "mean curvature equals the indicatrix average of the normal curvature",
-        _run_prop_2_1),
+        functools.partial(_run_sampled, "prop-2-1"), points=_chart_points(50), tolerance=1e-10,
+        residual=lambda ctx, gb, _: np.abs(_indicatrix_means(gb, _indicatrix_nodes(ctx)) - gb.H),
+        detail=lambda ctx: {"nodes": _indicatrix_nodes(ctx)}),
     "prop-2-2": CheckSpec(
         "Prop 2.2",
         "Dupin-orthogonal normal curvatures sum to 2H",
-        _run_prop_2_2),
+        functools.partial(_run_sampled, "prop-2-2"), points=_chart_points(100, angles=True), tolerance=1e-10,
+        residual=lambda ctx, gb, thetas: np.abs(_dupin_pair_sums(gb, thetas) - 2.0 * gb.H)),
     "cor-2-1": CheckSpec(
         "Cor 2.1",
         "asymptotic directions are Dupin orthogonal where H = 0, K < 0",
@@ -601,23 +588,31 @@ REGISTRY: dict[str, CheckSpec] = {
     "prop-2-3": CheckSpec(
         "Prop 2.3",
         "K equals det(h)/det(b)",
-        _run_prop_2_3),
+        functools.partial(_run_sampled, "prop-2-3"), points=_chart_points(100), tolerance=1e-8,
+        residual=lambda ctx, gb, _: (np.abs(_determinant_gaussians(gb) - gb.K)
+                                     / np.maximum(1.0, np.abs(gb.K)))),
     "lemma-3-1": CheckSpec(
         "Lemma 3.1",
         "the anchor point is critical for the tangent-plane distance",
-        _run_lemma_3_1),
+        functools.partial(_run_sampled, "lemma-3-1"), points=_chart_points(10),
+        tolerance=lambda ctx: ctx.numerics.critical_tol,
+        residual=lambda ctx, gb, _: _norm_rows(_tangent_plane_gradients(gb, ctx.surface, ctx.numerics))),
     "thm-3-1": CheckSpec(
         "Thm 3.1",
         "hess_b of the tangent-plane distance equals -h",
-        _run_thm_3_1),
+        functools.partial(_run_sampled, "thm-3-1"), points=_chart_points(10), tolerance=1e-3,
+        residual=_thm_3_1_residual),
     "prop-3-1": CheckSpec(
         "Prop 3.1",
         "hess D_a(V,V) = 0 exactly at distance 1/k(V) along the normal",
-        _run_prop_3_1),
+        functools.partial(_run_sampled, "prop-3-1"), points=_chart_points(40, angles=True), tolerance=1e-4,
+        residual=_prop_3_1_residual, graded=20),
     "thm-3-2": CheckSpec(
         "Thm 3.2",
         "Laplacian of the affine distance equals 2(H rho - 1)",
-        _run_thm_3_2),
+        functools.partial(_run_sampled, "thm-3-2"), points=_centred_points(50), tolerance=5e-3,
+        residual=lambda ctx, gb, A: np.abs(_laplacians(gb, ctx.norm, ctx.surface, A, ctx.numerics)[0]
+                                           - 2.0 * (gb.H * _rho(gb, A) - 1.0))),
     "minimality-scan": CheckSpec(
         "§3 Remark (minimality)",
         "where H = 0 the affine-distance Laplacian is -2",

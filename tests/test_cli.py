@@ -917,6 +917,41 @@ def test_readme_config_passes_thm_3_2_at_seed_1():
     assert result["pass"], result
 
 
+# What each sampled check drew at seed 1234 on the README config before its
+# runner became a sampler and a kernel: the number of points, the first and
+# the last point, and the first and last row of their data (direction
+# angles, distance centres), if any.
+SAMPLER_DRAWS = {
+    "prop-2-1": (50, (2.4307798112593804, 4.78426684262858), (2.7744837621091816, 1.774245598145302), None),
+    "prop-2-2": (100, (1.9322696590506627, 3.7165237058286147), (1.8038468451264067, 3.7668553356198347),
+                 (5.495511051937462, 0.42333070246709953)),
+    "prop-2-3": (100, (0.7446726005475202, 2.6383085148355514), (0.3501638542904499, 4.74449491111104), None),
+    "lemma-3-1": (10, (1.1524928554530696, 5.698941625712422), (2.367625683318415, 0.5429362725059447), None),
+    "thm-3-1": (10, (1.583212609041361, 1.352437678254374), (0.5024428437076779, 4.8901943842660245), None),
+    "prop-3-1": (40, (2.5681514824476874, 5.587926061446971), (2.128114729485498, 1.2711961796343283),
+                 (1.9838057753725675, 6.1222166696399105)),
+    "thm-3-2": (50, (1.9227361299627728, 2.087880751219407), (0.8998149029581057, 6.169964228883584),
+                ([0.04807585566662362, 0.13519899553407935, -0.06748266231879718],
+                 [-0.05850993491563575, -0.14885865296043227, 0.26572147050084055])),
+}
+
+
+def test_the_sampled_checks_are_the_seven_random_point_checks():
+    assert [cid for cid, spec in REGISTRY.items() if spec.points is not None] == list(SAMPLER_DRAWS)
+
+
+@pytest.mark.parametrize("check_id", list(SAMPLER_DRAWS))
+def test_a_sampler_draws_what_its_check_drew(check_id):
+    n, first, last, data = SAMPLER_DRAWS[check_id]
+    ctx = minksurf.cli.build_context(BASE_CONFIG)
+    pts, rows = REGISTRY[check_id].points(ctx, ctx.rng(check_id))
+    assert (len(pts), pts[0], pts[-1]) == (n, first, last)
+    if data is None:
+        assert rows is None
+    else:
+        assert (len(rows), rows[0].tolist(), rows[-1].tolist()) == (n, *data)
+
+
 def test_planar_check_through_cli(tmp_path):
     cfg = write_config(tmp_path, {
         **BASE_CONFIG,

@@ -286,6 +286,41 @@ def test_a_gauge_only_sphere_chart_has_the_analytic_first_derivatives(gauge, ref
         assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 5e-6, name
 
 
+def _gauge_sphere_jets():
+    """evaluate_jets of the lp(4) gauge's sphere (rho = 1.5) and of the
+    analytic lp(4) sphere over an 8x8 grid with margins (0.4, 0.1), and the
+    analytic sphere's unit normals."""
+    s, t = np.meshgrid(np.linspace(0.4, np.pi - 0.4, 8), np.linspace(0.1, 2.0 * np.pi - 0.1, 8), indexing="ij")
+    s, t = s.ravel(), t.ravel()
+    got = mk.evaluate_jets(mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[0][0]), 1.5), s, t)
+    want = mk.evaluate_jets(mk.minkowski_sphere(mk.lp_norm(4.0), 1.5), s, t)
+    normal = np.cross(want.f_s, want.f_t)
+    return got, want, normal / _norm_rows(normal)[:, None]
+
+
+def test_a_gauge_only_sphere_chart_has_the_analytic_positions_and_normal_second_derivatives():
+    """The gauge-only lp(4) sphere's positions match the analytic sphere's
+    to 1e-9 (measured 2.1e-10), and the normal parts of f_ss, f_st and f_tt,
+    all that the geometry reads of them, to 5e-5 (measured 7.5e-6)."""
+    got, want, normal = _gauge_sphere_jets()
+    assert np.abs(got.f - want.f).max() <= 1e-9
+    for name in ("f_ss", "f_st", "f_tt"):
+        gap = getattr(got, name) - getattr(want, name)
+        assert np.abs(np.sum(gap * normal, axis=1)).max() <= 5e-5, name
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(e): the tangential parts of the gauge-only "
+                                       "sphere's FD second derivatives are off by O(1)")
+def test_a_gauge_only_sphere_chart_has_the_analytic_second_derivatives():
+    """f_ss, f_st and f_tt of the gauge-only lp(4) sphere read 6.1, 2.7 and
+    12.6 away from the analytic sphere's: each offset position carries
+    about 1e-10 of tangential error, which the second difference divides by
+    h^2 = 1e-10. It passes once they match as their normal parts do."""
+    got, want, _ = _gauge_sphere_jets()
+    for name in ("f_ss", "f_st", "f_tt"):
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 5e-5, name
+
+
 def _unseeded_fields_agree(norm, surface, s, t):
     """geometry_batch of norm on surface, whose eta, E and M_du are bit for
     bit those of birkhoff_du_rows(xi), the solve from xi."""
