@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ConfigError, DegenerateH, NonConvexCurve, NonElliptic
 from .geometry import GeometryBatch, _euclidean_frame, geometry_batch
 from .norms import NormModel
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _central_diffs, _stack_last, gradient_stencil,
-                       in_row_order)
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _central_diffs, _near_singular, _stack_last,
+                       gradient_stencil, in_row_order)
 from .surfaces import SurfacePatch
 
 
@@ -64,7 +64,7 @@ def _volume_forms(gb: GeometryBatch):
     """
     omega = np.linalg.det(_stack_last(gb.f_s, gb.f_t, gb.eta))
     det_h = np.linalg.det(gb.h_mat)
-    degenerate = np.abs(det_h) < 1e-14 * np.maximum(1.0, np.abs(gb.h_mat).max(axis=(1, 2)) ** 2)
+    degenerate = _near_singular(det_h, gb.h_mat, 1e-14)
     return omega, np.sqrt(np.abs(np.where(degenerate, np.nan, det_h))), degenerate
 
 
@@ -101,7 +101,7 @@ def _affine_normals(surface: SurfacePatch, s, t, P, G, xi, II,
         missing[int(live[r])] = NonElliptic(f"K_e <= 0 in the stencil at (s,t)=({S[r, j]}, {T[r, j]})")
     kappa = np.where(k > 0.0, k, 1.0) ** 0.25
     d_kappa = _central_diffs(kappa, h)
-    flat = np.abs(det_II) < 1e-14 * np.maximum(1.0, np.abs(II).max(axis=(1, 2)) ** 2)
+    flat = _near_singular(det_II, II, 1e-14)
     for i in np.flatnonzero(flat).tolist():
         missing.setdefault(i, DegenerateH(f"second fundamental form degenerate at (s,t)=({s[i]}, {t[i]})"))
     normals = np.full((len(s), 3), np.nan)

@@ -42,6 +42,7 @@ from .numerics import (
     _field_values,
     _mat2,
     _mixed,
+    _near_singular,
     _norm_rows,
     _require_finite,
     _stack_last,
@@ -287,7 +288,7 @@ def _laplacians(gb: GeometryBatch, norm: NormModel, surface: SurfacePatch,
     cond_2 above config.cond_guard raises NumericalFailure at its (s, t).
     """
     det_h = np.linalg.det(gb.h_mat)
-    i = first_row(np.abs(det_h) < 1e-10 * np.maximum(1.0, np.abs(gb.h_mat).max(axis=(1, 2)) ** 2))
+    i = first_row(_near_singular(det_h, gb.h_mat, 1e-10))
     if i is not None:
         raise DegenerateH(f"affine fundamental form has rank < 2 at (s,t)=({gb.s[i]}, {gb.t[i]})")
 

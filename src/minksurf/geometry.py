@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ComplexEigenvalues, NewtonDivergence, SingularMetric, ZeroDirection
 from .norms import NormModel
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _dot, _invert_2x2_spd, _mat2, _stack_last,
-                       first_row, in_row_order, simpson_periodic_mean, sym_generalized_eigen_2x2)
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _dot, _invert_2x2_spd, _mat2, _near_singular,
+                       _stack_last, first_row, in_row_order, simpson_periodic_mean, sym_generalized_eigen_2x2)
 from .surfaces import SurfacePatch, _normal_jets
 
 
@@ -311,8 +311,7 @@ def asymptotic_directions(pg: PointGeometry, zero_tol: float = 1e-10) -> list[np
 def _determinant_gaussians(g) -> np.ndarray:
     """gaussian_by_determinants of a PointGeometry, or of each point of a GeometryBatch."""
     det_b = np.linalg.det(g.b_mat)
-    scale = np.maximum(1.0, np.abs(g.b_mat).max(axis=(-2, -1))) ** 2
-    if np.any(np.abs(det_b) < 1e-14 * scale):
+    if np.any(_near_singular(det_b, g.b_mat, 1e-14)):
         raise SingularMetric("weighted Dupin metric is numerically singular")
     return np.linalg.det(g.h_mat) / det_b
 

@@ -20,9 +20,10 @@ floor derived from the step, not a setting). du is the inverse of the
 gauge's Hessian on the plane at x*, the Weingarten map of ∂B at u.
 
 Built-in families carry analytic jets through third order, so Minkowski-sphere
-charts built from u are themselves fully analytic. Under jet_source "fd" they
-keep their values only, which NormModel differences at its fd_step like any
-jet given by values.
+charts built from u are themselves fully analytic. jet_source selects the
+route, as on a SurfacePatch: under "fd" every derivative is central
+differences of the jets' values, even where the jets carry their own
+(NormModel._own makes this choice for every caller).
 
 Everything evaluates rows of points: a ScalarJet maps an (N, 3) array to N
 values (or gradients, Hessians), and each NormModel method of one point is
@@ -227,18 +228,13 @@ def _nonzero_rows(X: np.ndarray) -> bool:
     return bool(X.all() or X.any(axis=-1).all())
 
 
-def _one(x) -> np.ndarray:
-    """One point as a batch of one row."""
-    return np.asarray(x, dtype=float)[None]
-
-
 def _one_point(rows, params: str, doc: str | None = None):
     """The NormModel method of the points params generated from its twin rows:
     rows on a batch of one, and row 0 of what it returns (a float for values;
     None stays None, and a tuple gives the tuple of its rows 0)."""
 
     def method(self, *points):
-        out = rows(self, *map(_one, points))
+        out = rows(self, *(np.asarray(x, dtype=float)[None] for x in points))
         if out is None:
             return None
         if isinstance(out, tuple):
@@ -264,7 +260,8 @@ class NormModel(_Record, frozen=True):
     (N, 3) array, one point per row; the method of one point is generated
     from its twin by _one_point and runs it on a batch of one. Immutable after
     construction; every method is a pure function of its arguments.
-    jet_source must be "analytic" or "fd" and fd_step finite and positive.
+    jet_source, "analytic" or "fd", selects the route of every derivative of
+    gauge and dual (_own); fd_step must be finite and positive.
     """
 
     family: str
@@ -298,17 +295,24 @@ class NormModel(_Record, frozen=True):
             raise NonSmoothPoint(f"{what} requested at the origin, where the norm is not smooth")
         return X
 
+    def _own(self, jet: ScalarJet, k: int):
+        """jet's own derivative of order k (1, 2 or 3) under jet_source "analytic",
+        when it has one; otherwise None: central differences of its value at
+        fd_step (du's gauge Hessian at its own step), and no third derivative."""
+        return (jet.gradient, jet.hessian, jet.third)[k - 1] if self.jet_source == "analytic" else None
+
+    def _derivative_rows(self, jet: ScalarJet, k: int, X) -> np.ndarray:
+        """jet's gradient (k = 1) or Hessian (k = 2) at the rows of X, by _own's route."""
+        own = self._own(jet, k)
+        if own is not None:
+            return np.asarray(own(X), dtype=float)
+        return (fd_gradient_rows, fd_hessian_rows)[k - 1](jet.value, X, self.fd_step)
+
     def gauge_gradient_rows(self, X) -> np.ndarray:
-        X = self._check_nonzero(X, "gauge gradient")
-        if self.gauge.gradient is not None:
-            return np.asarray(self.gauge.gradient(X), dtype=float)
-        return fd_gradient_rows(self.gauge.value, X, self.fd_step)
+        return self._derivative_rows(self.gauge, 1, self._check_nonzero(X, "gauge gradient"))
 
     def gauge_hessian_rows(self, X) -> np.ndarray:
-        X = self._check_nonzero(X, "gauge Hessian")
-        if self.gauge.hessian is not None:
-            return np.asarray(self.gauge.hessian(X), dtype=float)
-        return fd_hessian_rows(self.gauge.value, X, self.fd_step)
+        return self._derivative_rows(self.gauge, 2, self._check_nonzero(X, "gauge Hessian"))
 
     # -- dual support function ---------------------------------------------
 
@@ -324,31 +328,26 @@ class NormModel(_Record, frozen=True):
 
     def dual_gradient_rows(self, XI) -> np.ndarray:
         XI = self._check_nonzero(XI, "support-function gradient")
-        if self.dual is not None and self.dual.gradient is not None:
-            return np.asarray(self.dual.gradient(XI), dtype=float)
         if self.dual is not None:
-            return fd_gradient_rows(self.dual.value, XI, self.fd_step)
+            return self._derivative_rows(self.dual, 1, XI)
         return self.birkhoff_point_rows(XI)
 
     def dual_hessian_rows(self, XI) -> np.ndarray:
         XI = self._check_nonzero(XI, "support-function Hessian")
-        if self.dual is not None and self.dual.hessian is not None:
-            return np.asarray(self.dual.hessian(XI), dtype=float)
         if self.dual is not None:
-            return fd_hessian_rows(self.dual.value, XI, self.fd_step)
+            return self._derivative_rows(self.dual, 2, XI)
         E, M = self.du_restricted_rows(XI)
         return E @ M @ np.swapaxes(E, 1, 2) / _norm_rows(XI)[:, None, None]
 
     def dual_third_rows(self, XI) -> Optional[np.ndarray]:
-        if self.dual is not None and self.dual.third is not None:
-            XI = self._check_nonzero(XI, "support-function third derivative")
-            return np.asarray(self.dual.third(XI), dtype=float)
-        return None
+        third = None if self.dual is None else self._own(self.dual, 3)
+        if third is None:
+            return None
+        return np.asarray(third(self._check_nonzero(XI, "support-function third derivative")), dtype=float)
 
     @property
     def has_analytic_dual_jets(self) -> bool:
-        return (self.dual is not None and self.dual.gradient is not None
-                and self.dual.hessian is not None and self.dual.third is not None)
+        return self.dual is not None and all(self._own(self.dual, k) is not None for k in (1, 2, 3))
 
     # -- Birkhoff machinery --------------------------------------------------
 
@@ -395,7 +394,7 @@ class NormModel(_Record, frozen=True):
         cfg = self.config
         XI = XI / _norm_rows(XI)[:, None]
         tol = np.full(len(XI), cfg.newton_tol)
-        if self.gauge.gradient is None:
+        if self._own(self.gauge, 1) is None:
             tol = np.maximum(tol, _FD_RESIDUAL_FLOOR / relative_step(XI, self.fd_step))
         E = tangent_basis(XI)
         U, rows = np.empty_like(XI), np.arange(len(XI))  # rows: those still iterating
@@ -466,8 +465,9 @@ class NormModel(_Record, frozen=True):
         known layout (else None). An FD gradient takes one gauge call for all
         points; when it raises, the stencil and then the values are evaluated
         again, so the exception is theirs and names the gauge's argument x."""
-        if self.gauge.gradient is not None:
-            G = np.asarray(self.gauge.gradient(X), dtype=float)
+        gradient = self._own(self.gauge, 1)
+        if gradient is not None:
+            G = np.asarray(gradient(X), dtype=float)
             return self.gauge_value_rows(X), (G[:, None, :] @ E)[:, 0], None
         h, P = gradient_stencil(X, self.fd_step, E)
         P = P.reshape(-1, 3)
@@ -486,8 +486,9 @@ class NormModel(_Record, frozen=True):
         the planes with bases E, or central differences along E at the relative
         step, with the centre and gradient-stencil values taken from known
         when given."""
-        if self.gauge.hessian is not None:
-            return _in_basis(E, np.asarray(self.gauge.hessian(X), dtype=float))
+        hessian = self._own(self.gauge, 2)
+        if hessian is not None:
+            return _in_basis(E, np.asarray(hessian(X), dtype=float))
         return fd_hessian_rows(self.gauge.value, X, step, known, E)
 
     def birkhoff_du_rows(self, XI, _seed=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -568,11 +569,8 @@ class NormModel(_Record, frozen=True):
 def euclidean_norm(jet_source: str = "analytic", fd_step: float = 1e-5,
                    config: NumericsConfig = DEFAULT_CONFIG) -> NormModel:
     """The standard Euclidean norm; self-dual, u = identity on the unit sphere."""
-    gauge = _quadform_jets(np.eye(3))
-    dual = _quadform_jets(np.eye(3))
-    if jet_source == "fd":
-        gauge, dual = ScalarJet(gauge.value), ScalarJet(dual.value)
-    return NormModel("euclidean", gauge, dual, jet_source, fd_step, {}, config=config)
+    return NormModel("euclidean", _quadform_jets(np.eye(3)), _quadform_jets(np.eye(3)), jet_source, fd_step, {},
+                     config=config)
 
 
 def ellipsoid_norm(A, jet_source: str = "analytic", fd_step: float = 1e-5,
@@ -588,11 +586,8 @@ def ellipsoid_norm(A, jet_source: str = "analytic", fd_step: float = 1e-5,
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         raise InvalidParameter("ellipsoid matrix must be positive definite")
-    gauge = _quadform_jets(A)
-    dual = _quadform_jets(np.linalg.inv(A))
-    if jet_source == "fd":
-        gauge, dual = ScalarJet(gauge.value), ScalarJet(dual.value)
-    return NormModel("ellipsoid", gauge, dual, jet_source, fd_step, {"A": A}, config=config)
+    return NormModel("ellipsoid", _quadform_jets(A), _quadform_jets(np.linalg.inv(A)), jet_source, fd_step,
+                     {"A": A}, config=config)
 
 
 def lp_norm(p: float, jet_source: str = "analytic", fd_step: float = 1e-5,
@@ -605,12 +600,7 @@ def lp_norm(p: float, jet_source: str = "analytic", fd_step: float = 1e-5,
     """
     if not (1.0 < p < np.inf):
         raise InvalidParameter(f"lp family needs 1 < p < inf, got p={p}")
-    q = p / (p - 1.0)
-    gauge = _lp_jets(p, axis_guard)
-    dual = _lp_jets(q, axis_guard)
-    if jet_source == "fd":
-        gauge, dual = ScalarJet(gauge.value), ScalarJet(dual.value)
-    return NormModel("lp", gauge, dual, jet_source, fd_step,
+    return NormModel("lp", _lp_jets(p, axis_guard), _lp_jets(p / (p - 1.0), axis_guard), jet_source, fd_step,
                      {"p": p, "axis_guard": axis_guard}, config=config)
 
 

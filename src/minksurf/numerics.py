@@ -186,14 +186,15 @@ class NumericsConfig(_Record, frozen=True):
     affine-normal-compare. A norm's fd_step is relative per row and sets its
     derivatives under jet_source "fd"; a surface's is an absolute (s, t) step
     for FD surface jets; the gauge-only du Hessian uses eps^(1/4).
-    richardson is accepted but read by nothing yet. newton_max_iter and
-    newton_tol act only on library norms given by their gauge alone (the CLI
-    cannot build one), whose Newton stops once the gauge's gradient along
-    the plane x . xi = 1 has norm at most newton_tol; on FD gauge gradients
-    at step h, newton_tol is floored at 10 eps / h (about 2.2e-10 at the
-    default step). Numeric fields must be positive and finite (NaN and inf
-    are not), newton_max_iter and quad_nodes integral (64.0 is kept as the
-    int 64).
+    richardson is accepted but read by nothing yet. umbilic_tol sets only
+    PointGeometry.umbilic, which no check and no field column reads.
+    newton_max_iter and newton_tol act only on library norms given by their
+    gauge alone (the CLI cannot build one), whose Newton stops once the
+    gauge's gradient along the plane x . xi = 1 has norm at most newton_tol;
+    on FD gauge gradients at step h, newton_tol is floored at 10 eps / h
+    (about 2.2e-10 at the default step). Numeric fields must be positive and
+    finite (NaN and inf are not), newton_max_iter and quad_nodes integral
+    (64.0 is kept as the int 64).
     A report does not record the resolved values: its environment holds the
     config as given, so fields left at their defaults do not appear.
     """
@@ -373,7 +374,7 @@ def _plus_minus(D: np.ndarray) -> np.ndarray:
 
 
 def central_diff(field, point, direction, step: float, richardson: bool = False) -> float:
-    """Directional derivative (f(p + h d) - f(p - h d)) / 2h, O(h^2).
+    """Directional derivative (f(p + h d) - f(p - h d)) / 2h, O(h^2), at the absolute step h = step.
 
     With richardson=True, combines steps h and h/2 for O(h^4):
     (4 D(h/2) - D(h)) / 3.
@@ -428,7 +429,7 @@ def fd_gradient_rows(field, X, step: float, richardson: bool = False) -> np.ndar
 
 
 def fd_gradient(field, point, step: float, richardson: bool = False) -> np.ndarray:
-    """Central-difference gradient of a scalar field on R^n."""
+    """Central-difference gradient of a scalar field on R^n at the relative step step * max(1, |point|)."""
     return fd_gradient_rows(per_point(field, 1), np.asarray(point, dtype=float)[None],
                             step, richardson)[0]
 
@@ -495,7 +496,7 @@ def fd_hessian_rows(field, X, step: float, known=None, basis=None) -> np.ndarray
 
 
 def fd_hessian(field, point, step: float) -> np.ndarray:
-    """Central-difference Hessian of a scalar field on R^n, symmetrized."""
+    """Central-difference Hessian of a scalar field on R^n, symmetrized, at the relative step step * max(1, |point|)."""
     return fd_hessian_rows(per_point(field, 1), np.asarray(point, dtype=float)[None], step)[0]
 
 
@@ -525,11 +526,16 @@ def first_row(bad) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
+def _near_singular(det, M: np.ndarray, rel: float) -> np.ndarray:
+    """Whether |det M| < rel * max(1, max |M_ij|)^2 for 2x2 matrices M (one, or
+    a stack) and their determinants det: the test of a numerically singular form."""
+    return np.abs(det) < rel * np.maximum(1.0, np.abs(M).max(axis=(-2, -1))) ** 2
+
+
 def _invert_2x2_spd(M: np.ndarray, what: str) -> np.ndarray:
     """Inverses of 2x2 matrices (one, or a stack); raises for the first singular one."""
     det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)) ** 2)
-    i = first_row(np.ravel(~np.isfinite(det) | (np.abs(det) < 1e-14 * scale)))
+    i = first_row(np.ravel(~np.isfinite(det) | _near_singular(det, M, 1e-14)))
     if i is not None:
         raise SingularRestriction(f"{what} is numerically singular (det = {np.ravel(det)[i]:.3e})")
     return _mat2(M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0]) / det[..., None, None]

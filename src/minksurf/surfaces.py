@@ -106,10 +106,7 @@ def evaluate_jets(surface: SurfacePatch, s, t) -> SurfaceJet:
 def _normal_jets(surface: SurfacePatch, s, t):
     """evaluate_jets, with the raw normals f_s x f_t and their lengths."""
     s, t = surface.wrap(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    if surface.jet is not None and surface.jet_source == "analytic":
-        jet = surface.jet(s, t)
-    else:
-        jet = _fd_jet(surface.position, s, t, surface.fd_step)
+    jet = _chart_jet(surface, s, t)
     n_raw = _cross(jet.f_s, jet.f_t)
     length = _norm_rows(n_raw)
     i = first_row(length < surface.immersion_guard)
@@ -117,6 +114,13 @@ def _normal_jets(surface: SurfacePatch, s, t):
         raise DegenerateJet(
             f"|f_s x f_t| < {surface.immersion_guard} at (s,t)=({float(s[i])}, {float(t[i])})")
     return jet, n_raw, length
+
+
+def _chart_jet(surface: SurfacePatch, s, t) -> SurfaceJet:
+    """The chart's jet at s, t by jet_source's route: its own jet, or _fd_jet of position."""
+    if surface.jet is not None and surface.jet_source == "analytic":
+        return surface.jet(s, t)
+    return _fd_jet(surface.position, s, t, surface.fd_step)
 
 
 def evaluate_jet(surface: SurfacePatch, s: float, t: float) -> SurfaceJet:
@@ -342,8 +346,9 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
 
     Chart (s,t) -> center + rho * u(xi(s,t)) with xi the spherical-angle chart
     of the Euclidean unit sphere; by construction the Euclidean outer normal at
-    the image point is xi(s,t). When the norm carries analytic dual jets
-    through third order the chart jet is analytic (u = grad h_B, du = Hess h_B,
+    the image point is xi(s,t). When the norm gives analytic dual jets through
+    third order (has_analytic_dual_jets: its jets carry them and its jet_source
+    is "analytic") the chart jet is analytic (u = grad h_B, du = Hess h_B,
     d²u = third), and jet_source None or "analytic" selects it; otherwise
     positions are exact and derivatives fall back to central differences, and
     jet_source "analytic" raises InvalidParameter.
@@ -376,7 +381,7 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
         jet_source = "analytic" if analytic else "fd"
     if jet_source == "analytic" and not analytic:
         raise InvalidParameter(f"jet_source 'analytic' needs analytic dual jets through third order, "
-                               f"which the {norm.family} norm does not carry")
+                               f"which the {norm.family} norm under jet_source {norm.jet_source!r} does not give")
 
     jet = None
     if analytic:
@@ -434,11 +439,8 @@ def reparametrize_linear(surface: SurfacePatch, L, offset=(0.0, 0.0)) -> Surface
     def position(s, t):
         return surface.position(*mapped(s, t))
 
-    base_jet = surface.jet
-
     def jet(s, t):
-        J = base_jet(*mapped(s, t)) if base_jet is not None else _fd_jet(
-            surface.position, *mapped(s, t), surface.fd_step)
+        J = _chart_jet(surface, *mapped(s, t))
         a, b_ = L[0, 0], L[0, 1]
         c_, d = L[1, 0], L[1, 1]
         return SurfaceJet(

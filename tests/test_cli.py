@@ -3,9 +3,11 @@ from __future__ import annotations
 import copy
 import csv
 import ast
+import contextlib
 import dataclasses
 import gc
 import inspect
+import io
 import json
 import math
 import os
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 import minksurf.blaschke
 import minksurf.cli
 import minksurf.distances
+import minksurf.errors
 import minksurf.geometry
 from oracles import schema_validator, validate_report, write_fields_csv_by_csv_writer
 from minksurf.cli import (
@@ -44,7 +47,9 @@ BASE_CONFIG = {
 }
 
 
-def run_cli(args, env_extra=None):
+def spawn_cli(args, env_extra=None):
+    """`python -m minksurf.cli args` in a process of its own, with env_extra
+    added to its environment."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -52,6 +57,29 @@ def run_cli(args, env_extra=None):
         [sys.executable, "-m", "minksurf.cli", *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def run_cli(args, env_extra=None):
+    """minksurf.cli.main(args) in this process, returned as spawn_cli returns
+    the spawned run: its stdout, stderr and exit code (argparse's SystemExit
+    gives the code), with env_extra set in os.environ for the call only."""
+    env_extra = env_extra or {}
+    saved = {key: os.environ.get(key) for key in env_extra}
+    os.environ.update(env_extra)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = minksurf.cli.main(list(args))
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -309,6 +337,7 @@ def test_grid_checks_and_fields_compute_each_point_once(tmp_path, monkeypatch, c
         assert len(list(csv.reader(fh))) == 1 + 8 * 8
 
 
+@pytest.mark.process
 def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run(
         [sys.executable, "-c", "import minksurf.cli, sys; assert 'scipy' not in sys.modules"],
@@ -316,6 +345,7 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.returncode == 0, out.stderr
 
 
+@pytest.mark.process
 def test_valid_run_leaves_jsonschema_unloaded(tmp_path):
     # The CLI's own check accepts a valid config and words the error of a
     # rejected one; neither run loads jsonschema.
@@ -333,6 +363,7 @@ def test_valid_run_leaves_jsonschema_unloaded(tmp_path):
     assert out.stderr == "config error: config does not match schema: 'four' is not of type 'number'\n"
 
 
+@pytest.mark.process
 def test_random_point_checks_leave_numpy_random_unloaded(tmp_path):
     # the checks draw their points from numerics.UniformStream
     checks = ["prop-2-1", "prop-2-2", "prop-2-3", "lemma-3-1", "thm-3-1", "prop-3-1", "thm-3-2"]
@@ -475,6 +506,7 @@ def test_the_console_script_is_the_entry_the_main_block_calls():
     assert [ast.unparse(stmt) for block in main_blocks for stmt in block.body] == [f"{name}()"]
 
 
+@pytest.mark.process
 def test_the_console_script_runs_as_python_m(tmp_path):
     module, name = _script_target().split(":")
     # what an installed console script runs: sys.exit(<target>())
@@ -484,13 +516,14 @@ def test_the_console_script_runs_as_python_m(tmp_path):
     for args in (["run", "--config", cfg, "--strict"], ["run", "--config", str(tmp_path / "no.json")],
                  ["list-checks"], ["run"]):
         via_script = subprocess.run([sys.executable, "-c", program, *args], capture_output=True, text=True)
-        via_module = run_cli(args)
+        via_module = spawn_cli(args)
         assert (via_script.returncode, via_script.stdout, via_script.stderr) == \
             (via_module.returncode, via_module.stdout, via_module.stderr)
         assert via_script.returncode == {"run": 1 if "--strict" in args else 2,
                                          "list-checks": 0}[args[0]]
 
 
+@pytest.mark.process
 def test_the_process_entry_freezes_the_heap_and_still_runs_atexit():
     program = ("import atexit, gc\n"
                "from minksurf.cli import process_main\n"
@@ -520,6 +553,80 @@ def test_run_checks_api(tmp_path):
     ids = [c["id"] for c in report["checks"]]
     assert ids == BASE_CONFIG["checks"]
     assert all(c["pass"] for c in report["checks"])
+
+
+ELLIPSOID_SURFACE = {"family": "ellipsoid", "a": 1.0, "b": 1.3, "c": 0.8}
+
+# Per schema key of numerics, norm and surface: the rest of its block, two of
+# its values, and the top-level config entries that reach it; the rest of the
+# config is KNOB_CONFIG.
+KNOB_CASES = {
+    ("numerics", "fd_step"): ({}, 1e-5, 1e-3, {"checks": ["lemma-3-1"]}),
+    ("numerics", "quad_nodes"): ({}, 16, 32, {"checks": ["prop-2-1"]}),
+    ("numerics", "critical_tol"): ({}, 1e-6, 1e-3, {"checks": ["lemma-3-1"]}),
+    ("numerics", "cond_guard"): ({}, 1e8, 2.0, {"checks": ["thm-3-2"]}),
+    ("norm", "family"): ({"p": 4.0}, "lp", "euclidean", {}),
+    ("norm", "A"): ({"family": "ellipsoid"}, np.eye(3).tolist(), np.diag([2.0, 1.0, 1.0]).tolist(), {}),
+    ("norm", "p"): ({"family": "lp"}, 4.0, 3.0, {}),
+    # t = 0 puts a column of the grid on an lp axis plane, where the clamp acts
+    ("norm", "axis_guard"): ({"family": "lp", "p": 4.0}, 1e-8, 1e-2,
+                             {"grid": {"ns": 4, "nt": 3, "margins": [0.3, 0.0]}}),
+    ("norm", "jet_source"): ({"family": "lp", "p": 4.0}, "analytic", "fd", {}),
+    ("norm", "fd_step"): ({"family": "lp", "p": 4.0, "jet_source": "fd"}, 1e-5, 1e-3, {}),
+    ("surface", "family"): ({**ELLIPSOID_SURFACE, "r": 1.0}, "ellipsoid", "euclidean_sphere", {}),
+    ("surface", "r"): ({"family": "euclidean_sphere"}, 1.0, 2.0, {}),
+    ("surface", "a"): (ELLIPSOID_SURFACE, 1.0, 1.1, {}),
+    ("surface", "b"): (ELLIPSOID_SURFACE, 1.3, 1.1, {}),
+    ("surface", "c"): (ELLIPSOID_SURFACE, 0.8, 0.9, {}),
+    ("surface", "R"): ({"family": "torus", "r": 0.7}, 2.0, 3.0, {}),
+    ("surface", "rho"): ({"family": "minkowski_sphere"}, 1.0, 2.0, {}),
+    ("surface", "scale"): ({"family": "saddle"}, 1.0, 0.5, {}),
+    ("surface", "s_extent"): ({"family": "catenoid"}, 1.2, 0.8, {}),
+    ("surface", "center"): ({"family": "euclidean_sphere", "r": 1.0}, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                            {"checks": ["thm-3-2"]}),
+    ("surface", "domain"): ({"family": "saddle"}, [-1.0, 1.0, -1.0, 1.0], [-0.5, 0.5, -0.5, 0.5], {}),
+    ("surface", "jet_source"): (ELLIPSOID_SURFACE, "analytic", "fd", {}),
+    ("surface", "fd_step"): ({**ELLIPSOID_SURFACE, "jet_source": "fd"}, 1e-5, 1e-3, {}),
+}
+KNOB_CONFIG = {"norm": {"family": "lp", "p": 4.0}, "surface": ELLIPSOID_SURFACE,
+               "grid": {"ns": 4, "nt": 3, "margins": [0.3, 0.1]}, "checks": ["umbilicity"], "seed": 1}
+# The keys that act on nothing a CLI run computes, each with its reason; each
+# is shown to change no output, so a key that starts to act leaves the list.
+INERT_KNOBS = {
+    ("numerics", "richardson"): ("accepted, read by nothing yet (ROADMAP 1(b))",
+                                 False, True, {"checks": ["lemma-3-1", "thm-3-2"]}),
+    ("numerics", "newton_max_iter"): ("only a gauge-only library norm reaches the Newton solve, "
+                                      "and the CLI cannot build one", 50, 1, {}),
+    ("numerics", "newton_tol"): ("only a gauge-only library norm reaches the Newton solve, "
+                                 "and the CLI cannot build one", 1e-12, 1e-2, {}),
+    ("numerics", "umbilic_tol"): ("sets only PointGeometry.umbilic, which no check and no field column reads",
+                                  1e-7, 0.5, {"checks": ["umbilicity", "prop-3-2"]}),
+}
+
+
+def test_each_knob_the_schema_accepts_changes_an_output():
+    """A change of value of each key of the schema's numerics, norm and
+    surface blocks changes the checks of a run_checks config that reaches
+    it (their entries, or the NumericalFailure they raise), unless the key
+    is on INERT_KNOBS, which changes none."""
+    properties = load_schema("config")["properties"]
+    schema_keys = {(block, key) for block in ("numerics", "norm", "surface")
+                   for key in properties[block]["properties"]}
+    assert schema_keys == set(KNOB_CASES) | set(INERT_KNOBS)
+
+    def outcome(block, key, spec, value, top):
+        cfg = {**copy.deepcopy(KNOB_CONFIG), **top, block: {**spec, key: value}}
+        try:
+            return dumps_canonical(run_checks(cfg)["checks"])
+        except minksurf.errors.NumericalFailure as exc:
+            return f"exit 3: {exc}"
+
+    for (block, key), (spec, before, after, top) in KNOB_CASES.items():
+        reference = outcome(block, key, spec, before, top)
+        assert not reference.startswith("exit 3: ") and reference != outcome(block, key, spec, after, top), key
+    for (block, key), (_reason, before, after, top) in INERT_KNOBS.items():
+        assert outcome(block, key, {}, before, top) == outcome(block, key, {}, after, top), (block, key)
+    assert outcome("numerics", "cond_guard", {}, 2.0, {"checks": ["thm-3-2"]}).startswith("exit 3: ")
 
 
 def test_validate_config_rejects_unknown_keys():
@@ -987,6 +1094,7 @@ def test_a_closed_form_support_solves_ermakov_pinney_through_the_runner():
     assert result["n_points"] == 2048
 
 
+@pytest.mark.process
 def test_closed_form_supports_leave_numpy_fft_unloaded(tmp_path):
     code = ("import sys, minksurf.cli\n"
             "assert minksurf.cli.main(['run', '--config', sys.argv[1]]) == 0\n"

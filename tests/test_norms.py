@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -175,7 +176,7 @@ def test_fd_jets_second_order():
 @pytest.mark.parametrize("build", [mk.euclidean_norm, lambda **kw: mk.ellipsoid_norm(ELLIPSOID_A, **kw),
                                    lambda **kw: mk.lp_norm(4.0, **kw)], ids=["euclidean", "ellipsoid", "lp4"])
 def test_fd_jets_are_the_differences_of_the_value(build):
-    # a built-in norm under jet_source "fd" keeps its value only, and its
+    # a built-in norm under jet_source "fd" differences its values: its
     # derivatives are numerics' stencils of that value at the norm's step
     fd, exact = build(jet_source="fd", fd_step=3e-5), build()
     X = _random_normals(12, 7) * np.linspace(0.3, 4.0, 12)[:, None]
@@ -184,6 +185,29 @@ def test_fd_jets_are_the_differences_of_the_value(build):
         assert np.array_equal(gradient(X), fd_gradient_rows(value, X, fd.fd_step))
         assert np.array_equal(hessian(X), fd_hessian_rows(value, X, fd.fd_step))
     assert fd.dual_third(X[0]) is None and not fd.has_analytic_dual_jets
+
+
+def test_jet_source_alone_selects_the_route_of_a_norm_with_full_jets(ellipsoid_std):
+    """jet_source "fd" differences a norm whose jets carry their own derivatives,
+    bit for bit as the constructor's "fd" norm: set by dataclasses.replace, or
+    given to NormModel with the full lp(4) jets."""
+    analytic, reference = mk.lp_norm(4.0), mk.lp_norm(4.0, jet_source="fd")
+    replaced = dataclasses.replace(analytic, jet_source="fd")
+    constructed = mk.NormModel("lp", analytic.gauge, analytic.dual, "fd")
+    X = np.vstack([[0.3, -0.5, 0.8], _random_normals(12, 3) * np.linspace(0.4, 3.0, 12)[:, None]])
+    s, t = (a.ravel() for a in np.meshgrid(np.linspace(0.4, 2.7, 5), np.linspace(0.1, 6.0, 5)))
+    expected = mk.geometry_batch(reference, ellipsoid_std, s, t)
+    for norm in (replaced, constructed):
+        for method in ("gauge_gradient_rows", "gauge_hessian_rows", "dual_gradient_rows", "dual_hessian_rows"):
+            assert np.array_equal(getattr(norm, method)(X), getattr(reference, method)(X)), method
+        assert norm.dual_third(X[0]) is None and not norm.has_analytic_dual_jets
+        for got, want in zip(norm.du_restricted_rows(X), reference.du_restricted_rows(X)):
+            assert np.array_equal(got, want)
+        batch = mk.geometry_batch(norm, ellipsoid_std, s, t)
+        for name in (f.name for f in dataclasses.fields(batch)):
+            assert np.array_equal(getattr(batch, name), getattr(expected, name)), name
+        assert mk.minkowski_sphere(norm, 1.5).jet_source == "fd"
+    assert not np.array_equal(analytic.dual_hessian(X[0]), reference.dual_hessian(X[0]))
 
 
 def test_tangent_basis_orthonormal():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cond_by_svd, fd_hessian_rows_by_pairs
 
-from minksurf.errors import EvaluationFailure, InvalidParameter, NotSPD, NumericalFailure, OddSampleCount
+from minksurf.errors import (EvaluationFailure, InvalidParameter, NotSPD, NumericalFailure, OddSampleCount,
+                             SingularRestriction)
 from minksurf.numerics import (
     NumericsConfig,
     UniformStream,
@@ -21,6 +22,8 @@ from minksurf.numerics import (
     fd_hessian_rows,
     fd_second_directional,
     _cond_2,
+    _invert_2x2_spd,
+    _near_singular,
     gradient_stencil,
     relative_step,
     guarded_solve,
@@ -64,6 +67,22 @@ def test_config_rejects_non_finite_and_non_integral_values(name):
             NumericsConfig(**{name: 2.5})
         value = getattr(NumericsConfig(**{name: 64.0}), name)
         assert value == 64 and type(value) is int
+
+
+def test_a_2x2_form_is_singular_below_rel_times_its_squared_scale():
+    """|det M| < rel * max(1, max |M_ij|)^2, for one form or a stack; the
+    inverse refuses the first such form, and a non-finite determinant."""
+    M = np.array([[[1.0, 0.0], [0.0, 9e-15]], [[4.0, 0.0], [0.0, 3e-15]],
+                  [[4.0, 0.0], [0.0, 5e-14]], [[0.5, 0.0], [0.0, 2e-14]]])
+    det = M[:, 0, 0] * M[:, 1, 1]  # against 1e-14 times 1, 16, 16 and 1
+    assert _near_singular(det, M, 1e-14).tolist() == [True, True, False, False]
+    assert _near_singular(det, M, 1e-10).all()
+    assert bool(_near_singular(det[2], M[2], 1e-14)) is False
+    with pytest.raises(SingularRestriction, match=r"form is numerically singular \(det = 1\.200e-14\)"):
+        _invert_2x2_spd(M[1:], "form")
+    with pytest.raises(SingularRestriction, match=r"det = nan"):
+        _invert_2x2_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]), "form")
+    assert np.array_equal(_invert_2x2_spd(M[2:4], "form") @ M[2:4], np.broadcast_to(np.eye(2), (2, 2, 2)))
 
 
 def test_central_diff_quadratic():

@@ -153,6 +153,7 @@ def test_a_record_has_its_dataclass_twins_signature(name):
     assert f"{name}{sig}" in pydoc.render_doc(cls, renderer=pydoc.plaintext)
 
 
+@pytest.mark.process
 def test_only_a_misfit_call_or_a_signature_builds_a_twin():
     """A record builds its dataclass twin for a call that does not fit its
     fields or for its signature, never on import or in a valid run: the README
@@ -253,6 +254,7 @@ def test_records_carry_no_generated_code(name):
     assert not cls.__doc__.startswith(f"{name}("), "the decorator wrote the docstring from a signature"
 
 
+@pytest.mark.process
 def test_cli_import_leaves_csv_unloaded():
     out = subprocess.run(
         [sys.executable, "-c", "import minksurf.cli, sys; assert 'csv' not in sys.modules"],
