@@ -20,6 +20,7 @@ one (ellipses and circles) and spectral otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -237,8 +238,8 @@ def ellipse_support(a: float, b: float) -> Callable[[float], float]:
 def support_from_csv(path) -> np.ndarray:
     """Read (theta, g) pairs from a UTF-8 CSV file; require a uniform grid over
     [0, 2pi) starting at 0. Blank rows and rows starting with # are skipped,
-    and the first other row may be a header; a file that cannot be read, or
-    any later non-numeric row, is a ConfigError."""
+    and the first other row may be a header; a file that cannot be read, any
+    later non-numeric row and any row with a nan or an inf are ConfigErrors."""
     import csv  # here, so that a run without a support CSV does not load it
 
     thetas, values = [], []
@@ -254,6 +255,8 @@ def support_from_csv(path) -> np.ndarray:
                     if k == 0:  # tolerate a single header row
                         continue
                     raise ConfigError(f"non-numeric support CSV row {row!r}")
+                if not (math.isfinite(theta) and math.isfinite(g)):
+                    raise ConfigError(f"non-finite support CSV row {row!r}")
                 thetas.append(theta)
                 values.append(g)
     except (OSError, UnicodeDecodeError) as exc:

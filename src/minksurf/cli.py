@@ -20,10 +20,13 @@ of the PCG64 stream of numpy's default_rng, so they do not depend on the
 installed numpy; floats are emitted with 17 significant digits,
 keys are sorted, and no timestamps are recorded. A run evaluates the grid
 geometry once, as one batch of arrays in one thread, and every check and the
-field table read it from there. The seven checks graded at random points are
-each a sampler, which makes every draw from the check's stream, and a batched
-kernel, and one runner joins them; a check's random points are one batch as
-well, and a root search advances all its brackets as one batch per step.
+field table read it from there. Every check is a kernel and a default
+tolerance in its registry entry, graded by one runner, and one function,
+_aggregate, writes every report entry and judges its pass. The seven checks
+graded at random points also have a sampler, which makes every draw from the
+check's stream, and their kernel is batched over its points; a check's
+random points are one batch as well, and a root search advances all its
+brackets as one batch per step.
 Every check computes its residuals as array expressions over its batch and
 builds no PointGeometry; the library's functions of one point run the same
 kernels on a batch of one.
@@ -68,7 +71,6 @@ from .distances import (
     _normal_line_hessians,
     _rho,
     _hess_b_matrices,
-    _rho_spread,
     _tangent_plane_gradients,
     _tangent_plane_values,
 )
@@ -232,9 +234,6 @@ class RunContext(_Record):
                 and self.surface.jet is not None
                 and self.surface.jet_source == "analytic")
 
-    def tolerance(self, check_id: str, default: float) -> float:
-        return float(self.raw.get("tolerances", {}).get(check_id, default))
-
     def distance_center(self) -> np.ndarray:
         if "center" in self.raw:
             return np.asarray(self.raw["center"], dtype=float)
@@ -248,9 +247,10 @@ class RunContext(_Record):
         return np.mean(self.surface.position(s, t), axis=0)
 
 
-def _aggregate(tol: float, residuals, points: list[tuple[float, float]],
-               detail: dict | None = None) -> dict:
-    """A check's report entry, less the id and paper anchor that _report adds."""
+def _aggregate(tol: float, residuals, points: Optional[list], detail: dict | None = None) -> dict:
+    """A check's report entry, less the id and paper anchor that _report adds;
+    the one writer of entries and the one judge of pass. points None means
+    the residuals have no point to report, and worst_point is null."""
     if len(residuals) == 0:
         return {"max_residual": None, "tolerance": tol, "pass": True, "worst_point": None,
                 "n_points": 0, "detail": dict(detail or {}, note="no applicable points")}
@@ -258,8 +258,8 @@ def _aggregate(tol: float, residuals, points: list[tuple[float, float]],
     i = int(np.argmax(residuals))
     worst = float(residuals[i])
     return {"max_residual": worst, "tolerance": tol, "pass": bool(worst <= tol),
-            "worst_point": [points[i][0], points[i][1]], "n_points": len(residuals),
-            "detail": dict(detail or {})}
+            "worst_point": None if points is None else [points[i][0], points[i][1]],
+            "n_points": len(residuals), "detail": dict(detail or {})}
 
 
 def _where(points: list, mask) -> list:
@@ -268,40 +268,31 @@ def _where(points: list, mask) -> list:
 
 
 # ---------------------------------------------------------------------------
-# check runners
+# check kernels of the grid and of fixed point sets: residual(ctx) -> (residuals, points, detail)
 # ---------------------------------------------------------------------------
 
-def _expected_sphere_curvature(ctx: RunContext) -> float:
+def _curvature_closed_form_residual(ctx: RunContext):
     params = ctx.surface.params or {}
     if ctx.surface.name == "euclidean_sphere" and ctx.norm.family == "euclidean":
-        return 1.0 / params["r"]
-    if ctx.surface.name == "minkowski_sphere":
-        return 1.0 / params["rho"]
-    raise ConfigError(
-        "curvature-closed-form applies to euclidean_sphere under the euclidean norm "
-        "or to minkowski_sphere surfaces")
-
-
-def _run_curvature_closed_form(ctx: RunContext) -> dict:
-    kappa = _expected_sphere_curvature(ctx)
-    tol = ctx.tolerance("curvature-closed-form", 1e-8 if ctx.analytic else 1e-3)
+        kappa = 1.0 / params["r"]
+    elif ctx.surface.name == "minkowski_sphere":
+        kappa = 1.0 / params["rho"]
+    else:
+        raise ConfigError(
+            "curvature-closed-form applies to euclidean_sphere under the euclidean norm "
+            "or to minkowski_sphere surfaces")
     g = ctx.geometries()
     residuals = np.max([np.abs(g.lambda1 - kappa), np.abs(g.lambda2 - kappa),
                         np.abs(g.K - kappa**2), np.abs(g.H - kappa)], axis=0)
-    return _aggregate(tol, residuals, ctx.grid, {"expected_curvature": kappa})
+    return residuals, ctx.grid, {"expected_curvature": kappa}
 
 
-def _run_umbilicity(ctx: RunContext) -> dict:
-    tol = ctx.tolerance("umbilicity", 1e-6 if ctx.analytic else 1e-3)
-    detail = {}
+def _umbilicity_residual(ctx: RunContext):
     g = ctx.geometries()
-    if ctx.surface.name == "minkowski_sphere":
-        kappa = 1.0 / (ctx.surface.params or {})["rho"]
-        detail["expected_curvature"] = kappa
-        residuals = np.abs(g.W - kappa * np.eye(2)).max(axis=(1, 2))
-    else:
-        residuals = np.abs(g.lambda1 - g.lambda2)
-    return _aggregate(tol, residuals, ctx.grid, detail)
+    if ctx.surface.name != "minkowski_sphere":
+        return np.abs(g.lambda1 - g.lambda2), ctx.grid, None
+    kappa = 1.0 / (ctx.surface.params or {})["rho"]
+    return np.abs(g.W - kappa * np.eye(2)).max(axis=(1, 2)), ctx.grid, {"expected_curvature": kappa}
 
 
 def _locate_h_zero_points(ctx: RunContext) -> tuple[list, GeometryBatch]:
@@ -361,38 +352,33 @@ def _asymptotic_orthogonality(gb: GeometryBatch) -> tuple[np.ndarray, np.ndarray
     return np.abs(_quad(X, g.d_mat, Y)), used
 
 
-def _run_cor_2_1(ctx: RunContext) -> dict:
-    tol = ctx.tolerance("cor-2-1", 1e-6)
+def _cor_2_1_residual(ctx: RunContext):
     pts, gb = _locate_h_zero_points(ctx)
     residuals, used = _asymptotic_orthogonality(gb)
-    return _aggregate(tol, residuals, _where(pts, used),
-                      {"candidates": len(pts), "skipped": int(len(pts) - used.sum())})
+    return residuals, _where(pts, used), {"candidates": len(pts), "skipped": int(len(pts) - used.sum())}
 
 
-def _run_minimality_scan(ctx: RunContext) -> dict:
-    tol = ctx.tolerance("minimality-scan", 5e-3)
-    a = ctx.distance_center()
+def _minimality_scan_residual(ctx: RunContext):
     h_tol = 1e-6
     g = ctx.geometries()
     flat = np.abs(g.H) <= h_tol
     sub = g[flat]
-    A = np.tile(a, (len(sub), 1))
+    A = np.tile(ctx.distance_center(), (len(sub), 1))
     lap = in_row_order(lambda rows: _laplacians(sub[rows], ctx.norm, ctx.surface, A[rows],
                                                 ctx.numerics)[0], len(sub)) if len(sub) else np.empty(0)
-    return _aggregate(tol, np.abs(lap + 2.0), _where(ctx.grid, flat),
-                      {"h_threshold": h_tol, "min_abs_H": float(np.abs(g.H).min(initial=np.inf))})
+    return (np.abs(lap + 2.0), _where(ctx.grid, flat),
+            {"h_threshold": h_tol, "min_abs_H": float(np.abs(g.H).min(initial=np.inf))})
 
 
-def _run_prop_3_2(ctx: RunContext) -> dict:
-    a = ctx.distance_center()
-    rep = _rho_spread(ctx.geometries(), a)
-    tol = ctx.tolerance("prop-3-2", 1e-8)
-    spread = rep["rho_spread"]
-    return {"max_residual": spread, "tolerance": tol, "pass": bool(spread <= tol),
-            "worst_point": None, "n_points": rep["n_points"],
-            "detail": {"max_umbilic_defect": rep["max_umbilic_defect"],
-                       "rho_min": rep["rho_min"], "rho_max": rep["rho_max"],
-                       "center": [float(v) for v in a]}}
+def _prop_3_2_residual(ctx: RunContext):
+    """rho - min rho at each grid point, with no point to report: the largest
+    is the spread of rho, which is 0 exactly on a Minkowski sphere about the
+    distance centre."""
+    a, g = ctx.distance_center(), ctx.geometries()
+    rho = _rho(g, a)
+    return rho - rho.min(), None, {
+        "max_umbilic_defect": float(np.abs(g.lambda1 - g.lambda2).max(initial=0.0)),
+        "rho_min": float(rho.min()), "rho_max": float(rho.max()), "center": a.tolist()}
 
 
 def _blaschke_ratios(g: GeometryBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -401,18 +387,16 @@ def _blaschke_ratios(g: GeometryBatch) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(omega) / omega_h, ~degenerate
 
 
-def _run_blaschke_scan(ctx: RunContext) -> dict:
-    tol = ctx.tolerance("blaschke-scan", 1e-8)
+def _blaschke_scan_residual(ctx: RunContext):
     ratio, ok = _blaschke_ratios(ctx.geometries())
     ratios = ratio[ok]
     detail = {"skipped_degenerate": int(len(ok) - ok.sum())}
     if ratios.size:
         detail.update(ratio_min=float(ratios.min()), ratio_max=float(ratios.max()))
-    return _aggregate(tol, np.abs(ratios - 1.0), _where(ctx.grid, ok), detail)
+    return np.abs(ratios - 1.0), _where(ctx.grid, ok), detail
 
 
-def _run_affine_normal_compare(ctx: RunContext) -> dict:
-    tol = ctx.tolerance("affine-normal-compare", 1e-6)
+def _affine_normal_compare_residual(ctx: RunContext):
     g = ctx.geometries()
     rows = np.flatnonzero(_blaschke_ratios(g)[1])
     normals, missing = _grid_affine_normals(g[rows], ctx.surface, ctx.numerics)
@@ -420,36 +404,37 @@ def _run_affine_normal_compare(ctx: RunContext) -> dict:
     normals = np.delete(normals, list(missing), axis=0)
     used = np.zeros(len(g), dtype=bool)
     used[rows] = True
-    return _aggregate(tol, _norm_rows(g.eta[rows] - normals),
-                      _where(ctx.grid, used), {"skipped_nonelliptic": int(len(g) - len(rows))})
+    return (_norm_rows(g.eta[rows] - normals), _where(ctx.grid, used),
+            {"skipped_nonelliptic": int(len(g) - len(rows))})
 
 
-def _run_planar_ermakov(ctx: RunContext) -> dict:
+# The keys of the config's planar block that each support source reads.
+_PLANAR_KEYS = {"csv": {"csv"}, "circle": {"support", "radius", "n"}, "ellipse": {"support", "a", "b", "n"}}
+
+
+def _planar_ermakov_residual(ctx: RunContext):
+    """max(|r1|, |r2|) at each node theta of the planar block's support, at the point (theta, 0)."""
     planar = ctx.raw.get("planar")
     if not planar:
         raise ConfigError("planar-ermakov needs a 'planar' block in the config")
-    n = int(planar.get("n", 2048))
-    if "csv" in planar:
-        samples = support_from_csv(planar["csv"])
-        rep = planar_support_check(samples)
-    elif planar.get("support") == "ellipse":
-        rep = planar_support_check(ellipse_support(float(planar.get("a", 1.0)),
-                                                   float(planar.get("b", 1.5))), n)
-    elif planar.get("support") == "circle":
-        radius = float(planar.get("radius", 1.0))
-        rep = planar_support_check(ellipse_support(radius, radius), n)
-    else:
+    source = "csv" if "csv" in planar else planar.get("support")
+    if source is None:
         raise ConfigError("planar block needs 'support': 'circle' | 'ellipse', or 'csv'")
-    tol = ctx.tolerance("planar-ermakov", 1e-12)
-    residual = max(rep["r1_sup"], rep["r2_sup"])
-    worst_idx = int(np.argmax(np.abs(rep["r2"])))
-    return {"max_residual": float(residual), "tolerance": tol, "pass": bool(residual <= tol),
-            "worst_point": [float(rep["thetas"][worst_idx]), 0.0], "n_points": rep["n"],
-            "detail": {"r1_sup": rep["r1_sup"], "r2_sup": rep["r2_sup"]}}
+    stray = [key for key in planar if key not in _PLANAR_KEYS[source]]
+    if stray:
+        raise ConfigError(f"the planar {source} support reads no {', '.join(map(repr, stray))}")
+    if source == "csv":
+        rep = planar_support_check(support_from_csv(planar["csv"]))
+    else:
+        a, b = ((planar.get("radius", 1.0),) * 2 if source == "circle"
+                else (planar.get("a", 1.0), planar.get("b", 1.5)))
+        rep = planar_support_check(ellipse_support(float(a), float(b)), int(planar.get("n", 2048)))
+    return (np.maximum(np.abs(rep["r1"]), np.abs(rep["r2"])), [(th, 0.0) for th in rep["thetas"].tolist()],
+            {"r1_sup": rep["r1_sup"], "r2_sup": rep["r2_sup"]})
 
 
 # ---------------------------------------------------------------------------
-# sampled checks: a sampler and a kernel each, joined by one runner
+# sampled checks: a sampler and a batched kernel each
 # ---------------------------------------------------------------------------
 
 def _chart_points(n: int, angles: bool = False) -> Callable:
@@ -513,13 +498,12 @@ def _prop_3_1_residual(ctx: RunContext, gb: GeometryBatch, phis: np.ndarray) -> 
     return out
 
 
-def _run_sampled(check_id: str, ctx: RunContext) -> dict:
-    """The runner of every sampled check: its sampler draws from the check's
-    stream, and its kernel grades the points in chunks, each of as many
-    points as applicable ones are still missing, so no point is evaluated
-    that `graded` leaves out. A chunk is one geometry batch, and raises what
-    evaluating its points one at a time would raise first."""
-    spec = REGISTRY[check_id]
+def _sampled(check_id: str, spec: CheckSpec, ctx: RunContext):
+    """The residuals, points and detail of a sampled check: its sampler draws
+    from the check's stream, and its kernel grades the points in chunks, each
+    of as many points as applicable ones are still missing, so no point is
+    evaluated that `graded` leaves out. A chunk is one geometry batch, and
+    raises what evaluating its points one at a time would raise first."""
     pts, data = spec.points(ctx, ctx.rng(check_id))
     wanted = len(pts) if spec.graded is None else spec.graded
     residuals, used, start = [], [], 0
@@ -533,22 +517,35 @@ def _run_sampled(check_id: str, ctx: RunContext) -> dict:
                 residuals.append(value)
                 used.append(pt)
         start = chunk.stop
+    return residuals, used, spec.detail(ctx) if spec.detail else None
+
+
+def _run(check_id: str, ctx: RunContext) -> dict:
+    """The runner of every check: the residuals of its kernel, or of its
+    sampler and kernel, graded at the tolerance the config's `tolerances`
+    gives the check, else at its registry default."""
+    spec = REGISTRY[check_id]
+    residuals, points, detail = spec.residual(ctx) if spec.points is None else _sampled(check_id, spec, ctx)
     default = spec.tolerance(ctx) if callable(spec.tolerance) else spec.tolerance
-    return _aggregate(ctx.tolerance(check_id, default), residuals, used,
-                      spec.detail(ctx) if spec.detail else None)
+    return _aggregate(float(ctx.raw.get("tolerances", {}).get(check_id, default)), residuals, points, detail)
 
 
 @dataclass(init=False, repr=False, eq=False)
 class CheckSpec(_Record, frozen=True):
-    """A registered check: its paper anchor, its description and its runner.
+    """A registered check: its paper anchor, its description, its runner, its
+    kernel and its default tolerance, a number or a function of the run
+    context.
 
-    A sampled check, graded at random chart points, also has a sampler,
-    points(ctx, rng) -> (points, data), which makes every draw and gives a
-    data row per point (angles, distance centres) or None, and a batched
-    kernel, residual(ctx, gb, data), whose None marks a point the identity
-    does not apply to. Its runner, _run_sampled, grades `graded` applicable
-    points (None: all), at the default tolerance (a number or a function of
-    the run context), with detail(ctx) as the entry's detail.
+    The runner of every check is functools.partial(_run, check_id). The
+    kernel of a check of the grid or of a fixed point set is
+    residual(ctx) -> (residuals, points, detail), with points None when the
+    residuals have no point to report. A sampled check, graded at random
+    chart points, also has a sampler, points(ctx, rng) -> (points, data),
+    which makes every draw and gives a data row per point (angles, distance
+    centres) or None; its kernel is batched, residual(ctx, gb, data), and
+    its None marks a point the identity does not apply to. A sampled check
+    grades `graded` applicable points (None: all), with detail(ctx) as the
+    entry's detail.
     """
 
     anchor: str
@@ -565,74 +562,77 @@ REGISTRY: dict[str, CheckSpec] = {
     "curvature-closed-form": CheckSpec(
         "§1 (Euclidean reduction)",
         "principal/Gaussian/mean curvatures match the closed form on spheres",
-        _run_curvature_closed_form),
+        functools.partial(_run, "curvature-closed-form"), residual=_curvature_closed_form_residual,
+        tolerance=lambda ctx: 1e-8 if ctx.analytic else 1e-3),
     "umbilicity": CheckSpec(
         "Prop 3.2 proof",
         "d(eta) = (1/rho) Id on Minkowski spheres; |lambda1 - lambda2| elsewhere",
-        _run_umbilicity),
+        functools.partial(_run, "umbilicity"), residual=_umbilicity_residual,
+        tolerance=lambda ctx: 1e-6 if ctx.analytic else 1e-3),
     "prop-2-1": CheckSpec(
         "Prop 2.1",
         "mean curvature equals the indicatrix average of the normal curvature",
-        functools.partial(_run_sampled, "prop-2-1"), points=_chart_points(50), tolerance=1e-10,
+        functools.partial(_run, "prop-2-1"), points=_chart_points(50), tolerance=1e-10,
         residual=lambda ctx, gb, _: np.abs(_indicatrix_means(gb, _indicatrix_nodes(ctx)) - gb.H),
         detail=lambda ctx: {"nodes": _indicatrix_nodes(ctx)}),
     "prop-2-2": CheckSpec(
         "Prop 2.2",
         "Dupin-orthogonal normal curvatures sum to 2H",
-        functools.partial(_run_sampled, "prop-2-2"), points=_chart_points(100, angles=True), tolerance=1e-10,
+        functools.partial(_run, "prop-2-2"), points=_chart_points(100, angles=True), tolerance=1e-10,
         residual=lambda ctx, gb, thetas: np.abs(_dupin_pair_sums(gb, thetas) - 2.0 * gb.H)),
     "cor-2-1": CheckSpec(
         "Cor 2.1",
         "asymptotic directions are Dupin orthogonal where H = 0, K < 0",
-        _run_cor_2_1),
+        functools.partial(_run, "cor-2-1"), residual=_cor_2_1_residual, tolerance=1e-6),
     "prop-2-3": CheckSpec(
         "Prop 2.3",
         "K equals det(h)/det(b)",
-        functools.partial(_run_sampled, "prop-2-3"), points=_chart_points(100), tolerance=1e-8,
+        functools.partial(_run, "prop-2-3"), points=_chart_points(100), tolerance=1e-8,
         residual=lambda ctx, gb, _: (np.abs(_determinant_gaussians(gb) - gb.K)
                                      / np.maximum(1.0, np.abs(gb.K)))),
     "lemma-3-1": CheckSpec(
         "Lemma 3.1",
         "the anchor point is critical for the tangent-plane distance",
-        functools.partial(_run_sampled, "lemma-3-1"), points=_chart_points(10),
+        functools.partial(_run, "lemma-3-1"), points=_chart_points(10),
         tolerance=lambda ctx: ctx.numerics.critical_tol,
         residual=lambda ctx, gb, _: _norm_rows(_tangent_plane_gradients(gb, ctx.surface, ctx.numerics))),
     "thm-3-1": CheckSpec(
         "Thm 3.1",
         "hess_b of the tangent-plane distance equals -h",
-        functools.partial(_run_sampled, "thm-3-1"), points=_chart_points(10), tolerance=1e-3,
+        functools.partial(_run, "thm-3-1"), points=_chart_points(10), tolerance=1e-3,
         residual=_thm_3_1_residual),
     "prop-3-1": CheckSpec(
         "Prop 3.1",
         "hess D_a(V,V) = 0 exactly at distance 1/k(V) along the normal",
-        functools.partial(_run_sampled, "prop-3-1"), points=_chart_points(40, angles=True), tolerance=1e-4,
+        functools.partial(_run, "prop-3-1"), points=_chart_points(40, angles=True), tolerance=1e-4,
         residual=_prop_3_1_residual, graded=20),
     "thm-3-2": CheckSpec(
         "Thm 3.2",
         "Laplacian of the affine distance equals 2(H rho - 1)",
-        functools.partial(_run_sampled, "thm-3-2"), points=_centred_points(50), tolerance=5e-3,
+        functools.partial(_run, "thm-3-2"), points=_centred_points(50), tolerance=5e-3,
         residual=lambda ctx, gb, A: np.abs(_laplacians(gb, ctx.norm, ctx.surface, A, ctx.numerics)[0]
                                            - 2.0 * (gb.H * _rho(gb, A) - 1.0))),
     "minimality-scan": CheckSpec(
         "§3 Remark (minimality)",
         "where H = 0 the affine-distance Laplacian is -2",
-        _run_minimality_scan),
+        functools.partial(_run, "minimality-scan"), residual=_minimality_scan_residual, tolerance=5e-3),
     "prop-3-2": CheckSpec(
         "Prop 3.2",
         "rho constant (and all points umbilic) exactly on Minkowski spheres",
-        _run_prop_3_2),
+        functools.partial(_run, "prop-3-2"), residual=_prop_3_2_residual, tolerance=1e-8),
     "blaschke-scan": CheckSpec(
         "Thm 4.2/4.3",
         "|induced volume| / h-volume over the grid; ratio 1 is the Blaschke condition",
-        _run_blaschke_scan),
+        functools.partial(_run, "blaschke-scan"), residual=_blaschke_scan_residual, tolerance=1e-8),
     "affine-normal-compare": CheckSpec(
         "Thm 4.2",
         "distance between the Birkhoff normal and the affine normal",
-        _run_affine_normal_compare),
+        functools.partial(_run, "affine-normal-compare"), residual=_affine_normal_compare_residual,
+        tolerance=1e-6),
     "planar-ermakov": CheckSpec(
         "Thm 4.1",
         "planar support function: curvature and Ermakov-Pinney residuals",
-        _run_planar_ermakov),
+        functools.partial(_run, "planar-ermakov"), residual=_planar_ermakov_residual, tolerance=1e-12),
 }
 
 _REGISTRY_INDEX = {cid: i for i, cid in enumerate(REGISTRY)}
@@ -729,9 +729,7 @@ def _report(ctx: RunContext) -> dict:
     cfg = ctx.raw
     entries = []
     for check_id in cfg["checks"]:
-        spec = REGISTRY.get(check_id)
-        if spec is None:
-            raise ConfigError(f"unknown check id {check_id!r}")
+        spec = REGISTRY[check_id]
         try:
             entry = spec.runner(ctx)
         except ConfigError:

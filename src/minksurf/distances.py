@@ -357,18 +357,6 @@ def distance_data(norm: NormModel, surface: SurfacePatch, s: float, t: float, a,
     )
 
 
-def _rho_spread(gb: GeometryBatch, a) -> dict:
-    """sphere_characterization_check over already computed point geometries."""
-    rhos = _rho(gb, a)
-    return {
-        "rho_spread": float(rhos.max() - rhos.min()),
-        "max_umbilic_defect": float(np.abs(gb.lambda1 - gb.lambda2).max(initial=0.0)),
-        "rho_min": float(rhos.min()),
-        "rho_max": float(rhos.max()),
-        "n_points": len(gb),
-    }
-
-
 def sphere_characterization_check(norm: NormModel, surface: SurfacePatch, a,
                                   grid: list[tuple[float, float]],
                                   config: NumericsConfig = DEFAULT_CONFIG) -> dict:
@@ -379,4 +367,12 @@ def sphere_characterization_check(norm: NormModel, surface: SurfacePatch, a,
     "rho_min", "rho_max", "n_points"}.
     """
     s, t = np.asarray(grid, dtype=float).reshape(-1, 2).T
-    return _rho_spread(geometry_batch(norm, surface, s, t, config), np.asarray(a, dtype=float))
+    gb = geometry_batch(norm, surface, s, t, config)
+    rhos = _rho(gb, np.asarray(a, dtype=float))
+    return {
+        "rho_spread": float(rhos.max() - rhos.min()),
+        "max_umbilic_defect": float(np.abs(gb.lambda1 - gb.lambda2).max(initial=0.0)),
+        "rho_min": float(rhos.min()),
+        "rho_max": float(rhos.max()),
+        "n_points": len(gb),
+    }

@@ -271,6 +271,11 @@ def test_list_checks_covers_registry():
     assert len(REGISTRY) == 15
 
 
+def test_the_config_schema_names_the_registered_checks():
+    # _report looks each check up in REGISTRY unguarded: the schema rejects any other id first
+    assert load_schema("config")["properties"]["checks"]["items"]["enum"] == list(REGISTRY)
+
+
 def test_schema_subcommand_emits_valid_json():
     for which in ("config", "report"):
         out = run_cli(["schema", which])
@@ -556,10 +561,11 @@ def test_run_checks_api(tmp_path):
 
 
 ELLIPSOID_SURFACE = {"family": "ellipsoid", "a": 1.0, "b": 1.3, "c": 0.8}
+PLANAR_RUN = {"checks": ["planar-ermakov"]}
 
-# Per schema key of numerics, norm and surface: the rest of its block, two of
-# its values, and the top-level config entries that reach it; the rest of the
-# config is KNOB_CONFIG.
+# Per schema key of numerics, norm, surface and planar: the rest of its block,
+# two of its values, and the top-level config entries that reach it; the rest
+# of the config is KNOB_CONFIG. The support CSVs are written by the test.
 KNOB_CASES = {
     ("numerics", "fd_step"): ({}, 1e-5, 1e-3, {"checks": ["lemma-3-1"]}),
     ("numerics", "quad_nodes"): ({}, 16, 32, {"checks": ["prop-2-1"]}),
@@ -587,6 +593,12 @@ KNOB_CASES = {
     ("surface", "domain"): ({"family": "saddle"}, [-1.0, 1.0, -1.0, 1.0], [-0.5, 0.5, -0.5, 0.5], {}),
     ("surface", "jet_source"): (ELLIPSOID_SURFACE, "analytic", "fd", {}),
     ("surface", "fd_step"): ({**ELLIPSOID_SURFACE, "jet_source": "fd"}, 1e-5, 1e-3, {}),
+    ("planar", "support"): ({}, "ellipse", "circle", PLANAR_RUN),
+    ("planar", "radius"): ({"support": "circle"}, 1.0, 2.0, PLANAR_RUN),
+    ("planar", "a"): ({"support": "ellipse"}, 1.0, 2.0, PLANAR_RUN),
+    ("planar", "b"): ({"support": "ellipse"}, 1.5, 0.5, PLANAR_RUN),
+    ("planar", "n"): ({"support": "ellipse"}, 64, 128, PLANAR_RUN),
+    ("planar", "csv"): ({}, "circle.csv", "ellipse.csv", PLANAR_RUN),
 }
 KNOB_CONFIG = {"norm": {"family": "lp", "p": 4.0}, "surface": ELLIPSOID_SURFACE,
                "grid": {"ns": 4, "nt": 3, "margins": [0.3, 0.1]}, "checks": ["umbilicity"], "seed": 1}
@@ -604,15 +616,20 @@ INERT_KNOBS = {
 }
 
 
-def test_each_knob_the_schema_accepts_changes_an_output():
-    """A change of value of each key of the schema's numerics, norm and
-    surface blocks changes the checks of a run_checks config that reaches
+def test_each_knob_the_schema_accepts_changes_an_output(tmp_path, monkeypatch):
+    """A change of value of each key of the schema's numerics, norm, surface
+    and planar blocks changes the checks of a run_checks config that reaches
     it (their entries, or the NumericalFailure they raise), unless the key
     is on INERT_KNOBS, which changes none."""
     properties = load_schema("config")["properties"]
-    schema_keys = {(block, key) for block in ("numerics", "norm", "surface")
+    schema_keys = {(block, key) for block in ("numerics", "norm", "surface", "planar")
                    for key in properties[block]["properties"]}
     assert schema_keys == set(KNOB_CASES) | set(INERT_KNOBS)
+    monkeypatch.chdir(tmp_path)
+    thetas = 2.0 * np.pi * np.arange(64) / 64
+    for name, (a, b) in {"circle.csv": (1.0, 1.0), "ellipse.csv": (1.0, 1.5)}.items():
+        g = minksurf.blaschke.ellipse_support(a, b)(thetas)
+        Path(name).write_text("".join(f"{th!r},{v!r}\n" for th, v in zip(thetas.tolist(), g.tolist())))
 
     def outcome(block, key, spec, value, top):
         cfg = {**copy.deepcopy(KNOB_CONFIG), **top, block: {**spec, key: value}}
@@ -889,8 +906,11 @@ def test_each_report_entry_takes_its_label_from_the_registry():
     validate_report(report)
     assert [c["id"] for c in report["checks"]] == list(REGISTRY)
     assert len(REGISTRY) == 15
+    ctx = minksurf.cli.build_context(cfg)
     for entry in report["checks"]:
-        assert entry["paper_anchor"] == REGISTRY[entry["id"]].anchor
+        spec = REGISTRY[entry["id"]]
+        assert entry["paper_anchor"] == spec.anchor
+        assert entry["tolerance"] == (spec.tolerance(ctx) if callable(spec.tolerance) else spec.tolerance)
 
 
 def test_a_tolerance_that_names_no_check_exits_two(tmp_path):
@@ -1082,6 +1102,29 @@ def test_planar_check_through_cli(tmp_path):
     assert rep2["checks"][0]["max_residual"] > 0.1
 
 
+def test_planar_ermakov_reports_the_node_where_its_residual_peaks():
+    # r1 peaks at theta = pi/2 on this ellipse and r2 at theta = 0; the entry
+    # once reported r1's peak at r2's node
+    (result,) = run_checks({**EUCLIDEAN_TORUS, "checks": ["planar-ermakov"],
+                            "planar": {"support": "ellipse", "a": 1, "b": 1.5}})["checks"]
+    assert result["max_residual"] == 1.875 == result["detail"]["r1_sup"]
+    assert result["worst_point"] == [math.pi / 2, 0.0]
+
+
+@pytest.mark.parametrize("planar, stray", [
+    ({"support": "circle", "a": 5, "b": 0.1}, "'a', 'b'"),
+    ({"support": "ellipse", "radius": 2.0}, "'radius'"),
+    ({"csv": "support.csv", "n": 64}, "'n'"),
+    ({"csv": "support.csv", "support": "circle"}, "'support'"),
+], ids=["circle-a-b", "ellipse-radius", "csv-n", "csv-support"])
+def test_a_planar_key_its_support_does_not_read_exits_two(tmp_path, planar, stray):
+    # before, these ran on the source's other keys: the first passed as the unit circle
+    cfg = write_config(tmp_path, {**EUCLIDEAN_TORUS, "checks": ["planar-ermakov"], "planar": planar})
+    out = run_cli(["run", "--config", cfg])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error: the planar ") and out.stderr.endswith(f" reads no {stray}\n")
+
+
 def test_a_closed_form_support_solves_ermakov_pinney_through_the_runner():
     # ab = 1: the ellipse's equi-affine normal is -x. A spectral g'' of its
     # 2048 samples has a roundoff floor of 2e-8, above the 1e-12 tolerance;
@@ -1147,6 +1190,22 @@ def test_an_unreadable_support_csv_exits_two(tmp_path, make, reason):
     assert out.stderr.startswith("config error: cannot read support CSV: "), out.stderr
     assert reason in out.stderr
     assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("row", ["0.0,nan", "0.0,inf", "nan,1.0"], ids=["g-nan", "g-inf", "theta-nan"])
+def test_a_non_finite_support_csv_number_exits_two(tmp_path, row):
+    # before, a nan g exited 0 with a null residual, an inf g also warned,
+    # and a nan theta passed the uniform-grid test and the check
+    thetas = 2.0 * np.pi * np.arange(8) / 8
+    rows = [f"{th!r},1.0" for th in thetas.tolist()]
+    rows[0] = row
+    support = tmp_path / "support.csv"
+    support.write_text("\n".join(rows) + "\n")
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "checks": ["planar-ermakov"],
+                                  "planar": {"csv": str(support)}})
+    out = run_cli(["run", "--config", cfg, "--strict"])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"config error: non-finite support CSV row {row.split(',')!r}\n"
 
 
 def test_check_runners_build_no_point_geometry(monkeypatch):
