@@ -20,14 +20,16 @@ that no child spends memory compiling a module. The 24 points of the
 custom-norm workload are evaluated once per checkout, each checkout in a
 process of its own, and their eta, lambda1, lambda2, indicatrix mean, normal
 curvature, affine distance rho and its tangential part V must agree bit for
-bit. So must a fixed probe of public
-finite-difference routes that no CLI config reaches (the b-Hessians with and
-without an explicit step, the nabla-Laplacian of rho, the affine normal,
-numerics' FD kernels in 2, 3 and 4 variables, with and without Richardson's
-h, h/2 combination, the dual Hessian and restricted du of FD and
-value-only-dual norms, the FD surface jets (evaluate_jets) of a torus, a
-saddle and a linear reparametrization of an ellipsoid chart that has no
-jet, and every field of geometry_batch under
+bit. So must a fixed probe of public routes that no CLI config reaches: the
+pointwise identities at one point (the Dupin-orthogonal pair sum, det h /
+det b, the tangent-plane distance, the Euclidean Gaussian curvature, and the
+normal curvature of the zero direction, whose error text is compared), and
+finite-difference routes (the b-Hessians with and without an explicit step,
+the nabla-Laplacian of rho, the affine normal, numerics' FD kernels in 2, 3
+and 4 variables, with and without Richardson's h, h/2 combination, the dual
+Hessian and restricted du of FD and value-only-dual norms, the FD surface
+jets (evaluate_jets) of a torus, a saddle and a linear reparametrization of
+an ellipsoid chart that has no jet, and every field of geometry_batch under
 two gauge-only norms on a 12x12 ellipsoid grid and a 4x4 grid of each norm's
 own sphere, whose rows converge after different numbers of Newton iterations
 and backtrack), run the same way. So must, as text, each of the package's
@@ -207,6 +209,7 @@ def probes():
     yield "fd_second_directional", numerics.fd_second_directional, (f3, P3, D3, [0.0, 1.0, 0.0], 1e-4)
     for s, t in POINTS:
         yield f"affine_normal({s}, {t})", mk.affine_normal, (SURFACE, s, t)
+        yield f"euclidean_gaussian({s}, {t})", mk.euclidean_gaussian, (SURFACE, s, t)
     square = np.meshgrid(np.linspace(-0.9, 0.8, 6), np.linspace(-0.85, 0.9, 6), indexing="ij")
     jetless = dataclasses.replace(SURFACE, jet=None)
     for what, surface, st in (
@@ -223,6 +226,10 @@ def probes():
             at = f"{name} ({s}, {t})"
             yield f"{at} nabla_laplacian_rho_details", laplacian, (norm, s, t)
             pg = mk.point_geometry(norm, SURFACE, s, t)
+            yield f"{at} dupin_orthogonal_pair_sum", mk.dupin_orthogonal_pair_sum, (pg, 0.7)
+            yield f"{at} gaussian_by_determinants", mk.gaussian_by_determinants, (pg,)
+            yield f"{at} tangent_plane_distance", mk.tangent_plane_distance, (pg, [0.1, -0.2, 0.3])
+            yield f"{at} normal_curvature of the zero direction", mk.normal_curvature, (pg, [0.0, 0.0])
             for what, field in (("g", mk.tangent_plane_distance_field(pg, SURFACE)),
                                 ("D", mk.minkowski_distance_field(norm, SURFACE, pg.p - 0.7 * pg.eta))):
                 yield f"{at} hess_b_matrix {what}", mk.hess_b_matrix, (field, pg)

@@ -9,7 +9,7 @@ normal field against the affine normal measures how far a norm is from being
 Euclidean — the discrepancy vanishes identically only in the inner-product
 case. Volume forms and affine normals are computed for many points at once,
 from the frames a GeometryBatch holds; the functions of one point run the
-same code on a batch of one.
+same code on a batch of one; euclidean_gaussian takes floats or arrays.
 
 The planar sibling: a closed convex curve's support function g makes the
 position field an affine normal exactly when g'' + g = g^{-3} (Ermakov-Pinney),
@@ -46,15 +46,12 @@ class BlaschkeSample(_Record, frozen=True, eq=False):
     discrepancy: Optional[float] = None  # |eta - affine_normal|_2
 
 
-def _gaussians(surface: SurfacePatch, s, t) -> np.ndarray:
-    """Euclidean Gaussian curvatures det(II)/det(G) at the parameter arrays s, t."""
-    _, _, G, _, II = _euclidean_frame(surface, s, t)
-    return np.linalg.det(II) / np.linalg.det(G)
-
-
-def euclidean_gaussian(surface: SurfacePatch, s: float, t: float) -> float:
-    """Euclidean Gaussian curvature det(II)/det(G); orientation-independent."""
-    return float(_gaussians(surface, [s], [t])[0])
+def euclidean_gaussian(surface: SurfacePatch, s, t) -> float | np.ndarray:
+    """Euclidean Gaussian curvature det(II)/det(G); orientation-independent.
+    A float at floats s, t; one value per point at parameter arrays."""
+    _, _, G, _, II = _euclidean_frame(surface, np.atleast_1d(s), np.atleast_1d(t))
+    K_e = np.linalg.det(II) / np.linalg.det(G)
+    return float(K_e[0]) if np.ndim(s) == 0 else K_e
 
 
 def _volume_forms(gb: GeometryBatch):
@@ -95,7 +92,7 @@ def _affine_normals(surface: SurfacePatch, s, t, P, G, xi, II,
     live = np.flatnonzero(K_e > 0.0)
     h, chart = gradient_stencil(_stack_last(s, t)[live], config.fd_step)
     S, T = chart[..., 0], chart[..., 1]
-    k = (in_row_order(lambda rows: _gaussians(surface, S[rows].ravel(), T[rows].ravel()).reshape(-1, 4),
+    k = (in_row_order(lambda rows: euclidean_gaussian(surface, S[rows].ravel(), T[rows].ravel()).reshape(-1, 4),
                       live.size) if live.size else np.empty((0, 4)))
     for r in np.flatnonzero((k <= 0.0).any(axis=1)).tolist():
         j = int(np.argmax(k[r] <= 0.0))

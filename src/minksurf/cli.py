@@ -28,8 +28,12 @@ check's stream, and their kernel is batched over its points; a check's
 random points are one batch as well, and a root search advances all its
 brackets as one batch per step.
 Every check computes its residuals as array expressions over its batch and
-builds no PointGeometry; the library's functions of one point run the same
-kernels on a batch of one.
+builds no PointGeometry. The kernels call the library's public pointwise
+functions (normal_curvature, mean_by_indicatrix_average,
+dupin_orthogonal_pair_sum, gaussian_by_determinants, tangent_plane_distance)
+on batches, and the library's functions of one point run the same code on a
+batch of one. A norm or surface key that its family does not read, and
+--fields naming the JSON output.path, are configuration errors.
 --threads and MSK_THREADS are accepted and have no effect (a non-integer
 MSK_THREADS is still a configuration error, exit 2).
 
@@ -69,10 +73,10 @@ from .blaschke import (
 from .distances import (
     _laplacians,
     _normal_line_hessians,
-    _rho,
     _hess_b_matrices,
     _tangent_plane_gradients,
     _tangent_plane_values,
+    tangent_plane_distance,
 )
 from .errors import (
     ConfigError,
@@ -82,13 +86,13 @@ from .errors import (
 from .geometry import (
     GeometryBatch,
     _asymptotic_pair,
-    _determinant_gaussians,
-    _dupin_pair_sums,
-    _indicatrix_means,
-    _normal_curvatures,
     _principal_zeros,
     _quad,
+    dupin_orthogonal_pair_sum,
+    gaussian_by_determinants,
     geometry_batch,
+    mean_by_indicatrix_average,
+    normal_curvature,
 )
 from .norms import NormModel, norm_from_spec
 # The CLI calls brentq_rows only; brentq stays bound here for perfbench/tracing.py,
@@ -375,7 +379,7 @@ def _prop_3_2_residual(ctx: RunContext):
     is the spread of rho, which is 0 exactly on a Minkowski sphere about the
     distance centre."""
     a, g = ctx.distance_center(), ctx.geometries()
-    rho = _rho(g, a)
+    rho = tangent_plane_distance(g, a)
     return rho - rho.min(), None, {
         "max_umbilic_defect": float(np.abs(g.lambda1 - g.lambda2).max(initial=0.0)),
         "rho_min": float(rho.min()), "rho_max": float(rho.max()), "center": a.tolist()}
@@ -478,7 +482,7 @@ def _prop_3_1_residual(ctx: RunContext, gb: GeometryBatch, phis: np.ndarray) -> 
     advance together.
     """
     V = np.cos(phis)[:, None] * gb.V1 + np.sin(phis)[:, None] * gb.V2
-    k = _normal_curvatures(gb, V)
+    k = normal_curvature(gb, V)
     out = [None] * len(gb)
     rows = np.flatnonzero(k > 1e-6)
     if not len(rows):
@@ -573,13 +577,13 @@ REGISTRY: dict[str, CheckSpec] = {
         "Prop 2.1",
         "mean curvature equals the indicatrix average of the normal curvature",
         functools.partial(_run, "prop-2-1"), points=_chart_points(50), tolerance=1e-10,
-        residual=lambda ctx, gb, _: np.abs(_indicatrix_means(gb, _indicatrix_nodes(ctx)) - gb.H),
+        residual=lambda ctx, gb, _: np.abs(mean_by_indicatrix_average(gb, _indicatrix_nodes(ctx)) - gb.H),
         detail=lambda ctx: {"nodes": _indicatrix_nodes(ctx)}),
     "prop-2-2": CheckSpec(
         "Prop 2.2",
         "Dupin-orthogonal normal curvatures sum to 2H",
         functools.partial(_run, "prop-2-2"), points=_chart_points(100, angles=True), tolerance=1e-10,
-        residual=lambda ctx, gb, thetas: np.abs(_dupin_pair_sums(gb, thetas) - 2.0 * gb.H)),
+        residual=lambda ctx, gb, thetas: np.abs(dupin_orthogonal_pair_sum(gb, thetas) - 2.0 * gb.H)),
     "cor-2-1": CheckSpec(
         "Cor 2.1",
         "asymptotic directions are Dupin orthogonal where H = 0, K < 0",
@@ -588,7 +592,7 @@ REGISTRY: dict[str, CheckSpec] = {
         "Prop 2.3",
         "K equals det(h)/det(b)",
         functools.partial(_run, "prop-2-3"), points=_chart_points(100), tolerance=1e-8,
-        residual=lambda ctx, gb, _: (np.abs(_determinant_gaussians(gb) - gb.K)
+        residual=lambda ctx, gb, _: (np.abs(gaussian_by_determinants(gb) - gb.K)
                                      / np.maximum(1.0, np.abs(gb.K)))),
     "lemma-3-1": CheckSpec(
         "Lemma 3.1",
@@ -611,7 +615,7 @@ REGISTRY: dict[str, CheckSpec] = {
         "Laplacian of the affine distance equals 2(H rho - 1)",
         functools.partial(_run, "thm-3-2"), points=_centred_points(50), tolerance=5e-3,
         residual=lambda ctx, gb, A: np.abs(_laplacians(gb, ctx.norm, ctx.surface, A, ctx.numerics)[0]
-                                           - 2.0 * (gb.H * _rho(gb, A) - 1.0))),
+                                           - 2.0 * (gb.H * tangent_plane_distance(gb, A) - 1.0))),
     "minimality-scan": CheckSpec(
         "§3 Remark (minimality)",
         "where H = 0 the affine-distance Laplacian is -2",
@@ -817,9 +821,11 @@ def _cmd_run(args) -> int:
         fields_path = args.fields or (out_path if out_format == "csv" else None)
         if out_format == "csv" and not fields_path:
             raise ConfigError("output.format 'csv' needs output.path or --fields")
+        report_path = out_path if out_format == "json" else None
+        if fields_path and report_path and os.path.realpath(fields_path) == os.path.realpath(report_path):
+            raise ConfigError(f"--fields and output.path name the same file {report_path!r}")
         report = _report(ctx)
         text = dumps_canonical(report) + "\n"
-        report_path = out_path if out_format == "json" else None
         target = fields_path
         try:
             if fields_path:

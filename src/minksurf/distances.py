@@ -19,7 +19,8 @@ assembled from the explicit Gauss splitting D_X Y = nabla_X Y + h(X,Y) eta,
 so no Christoffel symbols of b or nabla are ever formed. The Laplacian's
 stencil points are evaluated as one geometry batch. Every chart gradient
 here (the criticality test, lemma-3-1's gradients, the Laplacian) takes its
-step and points from numerics.gradient_stencil.
+step and points from numerics.gradient_stencil. tangent_plane_distance (rho
+at the base point) and affine_distance take a PointGeometry or a GeometryBatch.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .numerics import (
     _norm_rows,
     _require_finite,
     _stack_last,
+    _value_or_rows,
     first_row,
     gradient_stencil,
     guarded_solve_rows,
@@ -75,15 +77,12 @@ def _require_pairing(g):
     return g.pairing
 
 
-def _rho(g, a) -> np.ndarray:
-    """<p - a, xi> / <eta, xi>: the eta-coefficient of p - a, of a PointGeometry,
-    or of each point of a GeometryBatch (a: one base point, or one per point)."""
-    return _dot(g.p - a, g.xi) / _require_pairing(g)
-
-
-def tangent_plane_distance(pg: PointGeometry, q) -> float:
-    """g(q): the eta-coefficient of p - q in the splitting R^3 = span(eta) + T_pM."""
-    return float(_rho(pg, np.asarray(q, dtype=float)))
+def tangent_plane_distance(g: PointGeometry | GeometryBatch, q) -> float | np.ndarray:
+    """g(q) = <p - q, xi> / <eta, xi>: the eta-coefficient of p - q in the
+    splitting R^3 = span(eta) + T_pM, at a PointGeometry (a float) or at each
+    point of a GeometryBatch (q: one point, or one per point). At q = a it is
+    the affine distance rho(p) of the base point a."""
+    return _value_or_rows(_dot(g.p - np.asarray(q, dtype=float), g.xi) / _require_pairing(g))
 
 
 def tangent_plane_distance_field(pg: PointGeometry, surface: SurfacePatch) -> Callable:
@@ -253,23 +252,20 @@ def _normal_line_hessians(norm: NormModel, surface: SurfacePatch, gb: GeometryBa
     return psi
 
 
-def _affine_distance(g, a) -> tuple[np.ndarray, np.ndarray]:
-    """rho and V of p - a = rho eta + V, for a PointGeometry or each point of a GeometryBatch."""
-    rho = _rho(g, a)
-    V_amb = (g.p - a) - rho[..., None] * g.eta
+def affine_distance(g: PointGeometry | GeometryBatch, a) -> tuple[float | np.ndarray, np.ndarray]:
+    """rho and the tangential component V of p - a = rho eta + V, at a
+    PointGeometry (a float and a 2-vector) or at each point of a GeometryBatch
+    (a: one base point, or one per point).
+
+    V is a chart-basis 2-vector; the ambient residual of the decomposition is
+    zero up to roundoff by construction.
+    """
+    a = np.asarray(a, dtype=float)
+    rho = tangent_plane_distance(g, a)
+    V_amb = (g.p - a) - np.asarray(rho)[..., None] * g.eta
     P = g.basis_matrix()
     Pt = np.swapaxes(P, -1, -2)
     return rho, np.linalg.solve(Pt @ P, Pt @ V_amb[..., None])[..., 0]
-
-
-def affine_distance(pg: PointGeometry, a) -> tuple[float, np.ndarray]:
-    """rho and the tangential component V of p - a = rho eta + V.
-
-    V is returned as a chart-basis 2-vector; the ambient residual of the
-    decomposition is zero up to roundoff by construction.
-    """
-    rho, V = _affine_distance(pg, np.asarray(a, dtype=float))
-    return float(rho), V
 
 
 def decomposition_residual(pg: PointGeometry, a) -> float:
@@ -294,7 +290,7 @@ def _laplacians(gb: GeometryBatch, norm: NormModel, surface: SurfacePatch,
 
     h, chart = gradient_stencil(_stack_last(gb.s, gb.t), config.fd_step)
     stencil = geometry_batch(norm, surface, chart[..., 0].ravel(), chart[..., 1].ravel(), config)
-    _, V = _affine_distance(stencil, np.repeat(A, 4, axis=0))
+    _, V = affine_distance(stencil, np.repeat(A, 4, axis=0))
     # dw[:, :, k], the derivative of w along the k-th chart axis
     dw = np.swapaxes(_central_diffs(-stencil.ambient(V).reshape(len(gb), 4, 3), h), 1, 2)
 
@@ -304,7 +300,7 @@ def _laplacians(gb: GeometryBatch, norm: NormModel, surface: SurfacePatch,
     laplacian = abc[:, 0, 0] + abc[:, 1, 1]
 
     # Gauss-formula consistency: the stripped eta-components against h(e_i, w).
-    _, V0 = _affine_distance(gb, A)
+    _, V0 = affine_distance(gb, A)
     h_w0 = (gb.h_mat @ -V0[:, :, None])[:, :, 0]
     return laplacian, np.abs(abc[:, 2, :] - h_w0)
 
@@ -368,7 +364,7 @@ def sphere_characterization_check(norm: NormModel, surface: SurfacePatch, a,
     """
     s, t = np.asarray(grid, dtype=float).reshape(-1, 2).T
     gb = geometry_batch(norm, surface, s, t, config)
-    rhos = _rho(gb, np.asarray(a, dtype=float))
+    rhos = tangent_plane_distance(gb, a)
     return {
         "rho_spread": float(rhos.max() - rhos.min()),
         "max_umbilic_defect": float(np.abs(gb.lambda1 - gb.lambda2).max(initial=0.0)),

@@ -18,7 +18,9 @@ the raw eigensolve kept available as a cross-check.
 
 The pipeline runs on arrays: geometry_batch evaluates a whole set of points
 at once into a GeometryBatch (struct of arrays), and point_geometry is that
-evaluation on a batch of one.
+evaluation on a batch of one. Each derived quantity is one function of a
+PointGeometry (a float) or of a GeometryBatch (one value per point, bit for
+bit as at each point alone), which the checks call too.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 from .errors import ComplexEigenvalues, NewtonDivergence, SingularMetric, ZeroDirection
 from .norms import NormModel
 from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _dot, _invert_2x2_spd, _mat2, _near_singular,
-                       _stack_last, first_row, in_row_order, simpson_periodic_mean, sym_generalized_eigen_2x2)
+                       _stack_last, _value_or_rows, first_row, in_row_order, simpson_periodic_mean,
+                       sym_generalized_eigen_2x2)
 from .surfaces import SurfacePatch, _normal_jets
 
 
@@ -202,7 +205,7 @@ def point_geometry(norm: NormModel, surface: SurfacePatch, s: float, t: float,
 
 def _check_direction(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if not X.any():
+    if not X.any(axis=-1).all():
         raise ZeroDirection("normal curvature of the zero direction is undefined")
     return X
 
@@ -213,14 +216,14 @@ def _quad(X: np.ndarray, A: np.ndarray, Y: np.ndarray | None = None) -> np.ndarr
     return ((X[..., None, :] @ A) @ (X if Y is None else Y)[..., :, None])[..., 0, 0]
 
 
-def _normal_curvatures(pg: PointGeometry, X: np.ndarray) -> np.ndarray:
-    """k(X) = -h(X,X)/b(X,X) for each row of X."""
-    return -_quad(X, pg.h_mat) / _quad(X, pg.b_mat)
+def normal_curvature(g: PointGeometry | GeometryBatch, X) -> float | np.ndarray:
+    """k(X) = -h(X,X)/b(X,X); homogeneous of degree 0 in X.
 
-
-def normal_curvature(pg: PointGeometry, X) -> float:
-    """k(X) = -h(X,X)/b(X,X); homogeneous of degree 0 in X."""
-    return float(_normal_curvatures(pg, _check_direction(X)))
+    A float at a PointGeometry and one direction; one value per row of X
+    otherwise, as at a GeometryBatch with a direction per point.
+    """
+    X = _check_direction(X)
+    return _value_or_rows(-_quad(X, g.h_mat) / _quad(X, g.b_mat))
 
 
 def normal_curvature_via_dupin(pg: PointGeometry, X) -> float:
@@ -246,32 +249,23 @@ def dupin_indicatrix(pg: PointGeometry, theta) -> np.ndarray:
     return V / np.sqrt(pg.pairing)[..., None]
 
 
-def _indicatrix_means(g, nodes: int) -> np.ndarray:
-    """mean_by_indicatrix_average of a PointGeometry, or of each point of a GeometryBatch."""
-    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
-    k = _normal_curvatures(g, dupin_indicatrix(g, thetas.reshape((nodes,) + (1,) * np.ndim(g.pairing))))
-    return simpson_periodic_mean(k.T)
-
-
-def mean_by_indicatrix_average(pg: PointGeometry, nodes: int = 32) -> float:
-    """(1/2pi) * integral of k(V(theta)) over the indicatrix, by composite Simpson.
+def mean_by_indicatrix_average(g: PointGeometry | GeometryBatch, nodes: int = 32) -> float | np.ndarray:
+    """(1/2pi) * integral of k(V(theta)) over the indicatrix, by composite Simpson,
+    at a PointGeometry (a float) or at each point of a GeometryBatch.
 
     The integrand is a trigonometric polynomial of degree 2, so any even node
     count >= 8 is exact to roundoff; the contract is that this equals H.
     """
-    return float(_indicatrix_means(pg, nodes))
+    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
+    k = normal_curvature(g, dupin_indicatrix(g, thetas.reshape((nodes,) + (1,) * np.ndim(g.pairing))))
+    return _value_or_rows(simpson_periodic_mean(k.T))
 
 
-def _dupin_pair_sums(g, theta0) -> np.ndarray:
-    """dupin_orthogonal_pair_sum of a PointGeometry, or of each point of a
-    GeometryBatch with its own angle theta0."""
-    k = _normal_curvatures(g, dupin_indicatrix(g, np.stack([theta0, theta0 + 0.5 * np.pi])))
-    return k[0] + k[1]
-
-
-def dupin_orthogonal_pair_sum(pg: PointGeometry, theta0: float) -> float:
-    """k(V(theta0)) + k(V(theta0 + pi/2)); contract: equals 2H for every theta0."""
-    return float(_dupin_pair_sums(pg, theta0))
+def dupin_orthogonal_pair_sum(g: PointGeometry | GeometryBatch, theta0) -> float | np.ndarray:
+    """k(V(theta0)) + k(V(theta0 + pi/2)); contract: equals 2H for every theta0.
+    A float at a PointGeometry; at a GeometryBatch, one sum per point, each at its own theta0."""
+    k = normal_curvature(g, dupin_indicatrix(g, np.stack([theta0, theta0 + 0.5 * np.pi])))
+    return _value_or_rows(k[0] + k[1])
 
 
 def _principal_zeros(g, zero_tol: float) -> tuple:
@@ -308,17 +302,13 @@ def asymptotic_directions(pg: PointGeometry, zero_tol: float = 1e-10) -> list[np
     return list(_asymptotic_pair(pg))
 
 
-def _determinant_gaussians(g) -> np.ndarray:
-    """gaussian_by_determinants of a PointGeometry, or of each point of a GeometryBatch."""
+def gaussian_by_determinants(g: PointGeometry | GeometryBatch) -> float | np.ndarray:
+    """K as det(h) / det(b), at a PointGeometry (a float) or at each point of a
+    GeometryBatch; basis-independent since both change by the same squared Jacobian."""
     det_b = np.linalg.det(g.b_mat)
     if np.any(_near_singular(det_b, g.b_mat, 1e-14)):
         raise SingularMetric("weighted Dupin metric is numerically singular")
-    return np.linalg.det(g.h_mat) / det_b
-
-
-def gaussian_by_determinants(pg: PointGeometry) -> float:
-    """K as det(h) / det(b); basis-independent since both change by the same squared Jacobian."""
-    return float(_determinant_gaussians(pg))
+    return _value_or_rows(np.linalg.det(g.h_mat) / det_b)
 
 
 def weingarten_eigen_raw(pg: PointGeometry) -> np.ndarray:

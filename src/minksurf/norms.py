@@ -637,14 +637,28 @@ def custom_norm(gauge, dual=None, allow_newton: bool = True,
                      allow_newton=allow_newton, config=config)
 
 
+def _reject_unread_keys(spec: dict, build: Callable, what: str) -> None:
+    """InvalidParameter naming the keys of a config spec, other than family,
+    that are no parameter of build, the family's constructor."""
+    reads = inspect.signature(build).parameters.keys() - {"config", "norm"}
+    stray = [key for key in spec if key != "family" and key not in reads]
+    if stray:
+        raise InvalidParameter(f"the {spec['family']} {what} reads no {', '.join(map(repr, stray))}")
+
+
 def norm_from_spec(spec: dict, config: NumericsConfig = DEFAULT_CONFIG) -> NormModel:
     """Build a NormModel from a CLI-config dictionary.
 
     Schema: {"family": "euclidean" | "ellipsoid" | "lp",
-             "A": [[...]] (ellipsoid), "p": number (lp),
+             "A": [[...]] (ellipsoid), "p": number, "axis_guard": number (lp),
              "jet_source": "analytic" | "fd", "fd_step": number}
+    A key that the family's constructor does not take is an InvalidParameter.
     """
     family = spec.get("family")
+    build = {"euclidean": euclidean_norm, "ellipsoid": ellipsoid_norm, "lp": lp_norm}.get(family)
+    if build is None:
+        raise InvalidParameter(f"unknown norm family {family!r} (custom norms are library-only)")
+    _reject_unread_keys(spec, build, "norm")
     jet_source = spec.get("jet_source", "analytic")
     fd_step = float(spec.get("fd_step", 1e-5))
     if family == "euclidean":
@@ -653,9 +667,6 @@ def norm_from_spec(spec: dict, config: NumericsConfig = DEFAULT_CONFIG) -> NormM
         if "A" not in spec:
             raise InvalidParameter("ellipsoid norm spec needs field 'A'")
         return ellipsoid_norm(np.asarray(spec["A"], dtype=float), jet_source, fd_step, config)
-    if family == "lp":
-        if "p" not in spec:
-            raise InvalidParameter("lp norm spec needs field 'p'")
-        return lp_norm(float(spec["p"]), jet_source, fd_step,
-                       float(spec.get("axis_guard", 1e-8)), config)
-    raise InvalidParameter(f"unknown norm family {family!r} (custom norms are library-only)")
+    if "p" not in spec:
+        raise InvalidParameter("lp norm spec needs field 'p'")
+    return lp_norm(float(spec["p"]), jet_source, fd_step, float(spec.get("axis_guard", 1e-8)), config)

@@ -308,6 +308,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _value_or_rows(x):
+    """x as a float when it is one value (a quantity at one point), else as it is (one value per row)."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _norm_rows(x: np.ndarray) -> np.ndarray:
     """Euclidean length of each row (of the point, for a single point)."""
     return np.sqrt(_dot(x, x))

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateJet, InvalidParameter, OutOfDomain
-from .norms import NormModel
+from .norms import NormModel, _reject_unread_keys
 from .numerics import (_Record, _central_diffs, _cross, _hessian_layout, _norm_rows, _second_diffs, _stack_last,
                        check_jet_options, first_row, per_point)
 
@@ -243,14 +243,15 @@ def _graph(phi_jet, domain=(-1.0, 1.0, -1.0, 1.0), jet_source: str = "analytic",
                         (False, False), 1.0, jet_source, fd_step, params=params or {})
 
 
-def saddle(scale: float = 1.0, domain=(-1.0, 1.0, -1.0, 1.0), **kw) -> SurfacePatch:
+def saddle(scale: float = 1.0, domain=(-1.0, 1.0, -1.0, 1.0), jet_source: str = "analytic",
+           fd_step: float = 1e-5) -> SurfacePatch:
     """The saddle z = scale (s^2 - t^2); hyperbolic everywhere, H = 0 at the origin."""
 
     def phi_jet(s, t):
         return (scale * (s * s - t * t), 2 * scale * s, -2 * scale * t,
                 2 * scale, 0.0, -2 * scale)
 
-    return _graph(phi_jet, domain, name="saddle", params={"scale": scale}, **kw)
+    return _graph(phi_jet, domain, jet_source, fd_step, name="saddle", params={"scale": scale})
 
 
 def torus(R: float, r: float, jet_source: str = "analytic", fd_step: float = 1e-5) -> SurfacePatch:
@@ -501,9 +502,15 @@ def surface_from_spec(spec: dict, norm: NormModel | None = None) -> SurfacePatch
     Families: euclidean_sphere {r, center?}, ellipsoid {a, b, c},
     torus {R, r}, catenoid {c?, s_extent?}, saddle {scale?, domain?},
     minkowski_sphere {rho, center?} (uses the run's norm).
-    Common optional fields: jet_source ("analytic" | "fd"), fd_step.
+    Common optional fields: jet_source ("analytic" | "fd"), fd_step. A key
+    that the family's constructor does not take is an InvalidParameter.
     """
     family = spec.get("family")
+    build = {"euclidean_sphere": euclidean_sphere, "ellipsoid": ellipsoid, "torus": torus, "catenoid": catenoid,
+             "saddle": saddle, "minkowski_sphere": minkowski_sphere}.get(family)
+    if build is None:
+        raise InvalidParameter(f"unknown surface family {family!r}")
+    _reject_unread_keys(spec, build, "surface")
     jet_source = spec.get("jet_source", "analytic")
     fd_step = float(spec.get("fd_step", 1e-5))
     kw = {"jet_source": jet_source, "fd_step": fd_step}
@@ -524,10 +531,7 @@ def surface_from_spec(spec: dict, norm: NormModel | None = None) -> SurfacePatch
     if family == "saddle":
         return saddle(float(spec.get("scale", 1.0)),
                       tuple(spec.get("domain", (-1.0, 1.0, -1.0, 1.0))), **kw)
-    if family == "minkowski_sphere":
-        if norm is None:
-            raise InvalidParameter("minkowski_sphere surface needs the run's norm")
-        return minkowski_sphere(norm, required("rho"), spec.get("center", (0, 0, 0)),
-                                jet_source=None if jet_source == "analytic" else jet_source,
-                                fd_step=fd_step)
-    raise InvalidParameter(f"unknown surface family {family!r}")
+    if norm is None:
+        raise InvalidParameter("minkowski_sphere surface needs the run's norm")
+    return minkowski_sphere(norm, required("rho"), spec.get("center", (0, 0, 0)),
+                            jet_source=None if jet_source == "analytic" else jet_source, fd_step=fd_step)

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import minksurf as mk
-from minksurf.blaschke import _grid_affine_normals
+from minksurf.blaschke import _grid_affine_normals, euclidean_gaussian
 from minksurf.cli import _asymptotic_orthogonality
 from minksurf.distances import (_hess_b_matrices, _laplacians, _tangent_plane_gradients,
-                                _tangent_plane_values)
-from minksurf.geometry import (PointGeometry, _determinant_gaussians, _dupin_pair_sums,
-                               _indicatrix_means, geometry_batch, normal_curvature_via_dupin,
+                                _tangent_plane_values, affine_distance, tangent_plane_distance)
+from minksurf.geometry import (PointGeometry, dupin_orthogonal_pair_sum, gaussian_by_determinants, geometry_batch,
+                               mean_by_indicatrix_average, normal_curvature, normal_curvature_via_dupin,
                                weingarten_eigen_raw)
 from minksurf.numerics import fd_gradient
 
@@ -232,14 +232,19 @@ def test_user_callables_see_one_point_at_a_time():
 
 @pytest.mark.parametrize("family", ["euclidean", "lp4", "lp4-fd", "custom"])
 def test_check_kernels_equal_the_one_point_functions_bitwise(family, ellipsoid_std, catenoid_std):
-    # the checks' batched residuals are the public functions of one point, row by row
+    # the pointwise functions on a batch are the same functions at each of its
+    # points, row by row, bit for bit; at one point each gives a float
     norm = NORMS[family]()
     for surface, s_range in ((ellipsoid_std, (0.4, 2.7)), (catenoid_std, (-0.9, 0.9))):
         s, t = _grid(s_range, (0.2, 5.9), 4, 4)
         gb = geometry_batch(norm, surface, s, t)
         thetas = np.linspace(0.1, 6.0, len(gb))
-        means, sums = _indicatrix_means(gb, 256), _dupin_pair_sums(gb, thetas)
-        gaussians = _determinant_gaussians(gb)
+        X = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        A = np.array([0.1, -0.2, 0.3]) + np.outer(np.linspace(-1.0, 1.0, len(gb)), [0.2, 0.5, -0.4])
+        means, sums = mean_by_indicatrix_average(gb, 256), dupin_orthogonal_pair_sum(gb, thetas)
+        gaussians, curvatures = gaussian_by_determinants(gb), normal_curvature(gb, X)
+        gs, (rhos, Vs) = tangent_plane_distance(gb, A), affine_distance(gb, A)
+        euclidean = euclidean_gaussian(surface, s, t)
         orthogonality, used = _asymptotic_orthogonality(gb)
         grads = _tangent_plane_gradients(gb, surface, mk.DEFAULT_CONFIG)
         hessians = _hess_b_matrices(lambda chart: _tangent_plane_values(gb, surface, chart),
@@ -248,14 +253,18 @@ def test_check_kernels_equal_the_one_point_functions_bitwise(family, ellipsoid_s
         residuals = iter(orthogonality.tolist())
         for i in range(len(gb)):
             pg = gb[i]
-            assert means[i] == mk.mean_by_indicatrix_average(pg, 256)
-            assert sums[i] == mk.dupin_orthogonal_pair_sum(pg, float(thetas[i]))
-            assert gaussians[i] == mk.gaussian_by_determinants(pg)
+            rho, V = affine_distance(pg, A[i])
+            alone = [mean_by_indicatrix_average(pg, 256), dupin_orthogonal_pair_sum(pg, float(thetas[i])),
+                     gaussian_by_determinants(pg), normal_curvature(pg, X[i]), tangent_plane_distance(pg, A[i]),
+                     rho, euclidean_gaussian(surface, float(s[i]), float(t[i]))]
+            assert all(type(value) is float for value in alone)
+            assert alone == [means[i], sums[i], gaussians[i], curvatures[i], gs[i], rhos[i], euclidean[i]]
+            assert V.tolist() == Vs[i].tolist()
             directions = mk.asymptotic_directions(pg)
             assert used[i] == (pg.K < 0.0 and len(directions) == 2)
             if used[i]:
-                X, Y = (V / np.sqrt(float(V @ pg.d_mat @ V)) for V in directions)
-                assert next(residuals) == abs(float(X @ pg.d_mat @ Y))
+                X_, Y_ = (D / np.sqrt(float(D @ pg.d_mat @ D)) for D in directions)
+                assert next(residuals) == abs(float(X_ @ pg.d_mat @ Y_))
             field = mk.tangent_plane_distance_field(pg, surface)
             assert grads[i].tolist() == fd_gradient(field, [pg.s, pg.t], mk.DEFAULT_CONFIG.fd_step).tolist()
             assert hessians[i].tolist() == mk.hess_b_matrix(field, pg).tolist()

@@ -242,6 +242,44 @@ def test_a_surface_without_a_required_field_exits_two(tmp_path, capsys, family, 
     assert capsys.readouterr().err == f"config error: {family} surface spec needs field {key!r}\n"
 
 
+A_DIAG = [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("block, spec, stray", [
+    ("norm", {"family": "euclidean", "p": 4.0, "A": A_DIAG, "axis_guard": 0.5}, "'p', 'A', 'axis_guard'"),
+    ("norm", {"family": "ellipsoid", "A": A_DIAG, "p": 4.0}, "'p'"),
+    ("norm", {"family": "lp", "p": 4.0, "A": A_DIAG}, "'A'"),
+    ("surface", {"family": "torus", "R": 2.0, "r": 1.2, "rho": 1.5, "center": [0.0, 0.0, 1.0], "scale": 2.0,
+                 "domain": [0.0, 1.0, 0.0, 1.0]}, "'rho', 'center', 'scale', 'domain'"),
+    ("surface", {"family": "ellipsoid", "a": 1.0, "b": 1.3, "c": 0.8, "center": [5, 5, 5]}, "'center'"),
+    ("surface", {"family": "saddle", "r": 1.0}, "'r'"),
+    ("surface", {"family": "minkowski_sphere", "rho": 1.5, "R": 2.0}, "'R'"),
+], ids=["euclidean-p-A-axis_guard", "ellipsoid-p", "lp-A", "torus-rho-center-scale-domain", "ellipsoid-center",
+        "saddle-r", "minkowski_sphere-R"])
+def test_a_norm_or_surface_key_its_family_does_not_read_exits_two(tmp_path, capsys, block, spec, stray):
+    # the schema accepts these specs; before, each ran as its block without the stray keys
+    cfg = {"norm": {"family": "euclidean"}, "surface": {"family": "euclidean_sphere", "r": 1.0},
+           "grid": {"ns": 4, "nt": 3}, "checks": ["prop-3-2"], "seed": 1, block: spec}
+    validate_config(cfg)
+    assert minksurf.cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    message = f"the {spec['family']} {block} reads no {stray}"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    build = minksurf.norm_from_spec if block == "norm" else minksurf.surface_from_spec
+    with pytest.raises(minksurf.InvalidParameter) as exc:
+        build(spec)
+    assert str(exc.value) == message
+
+
+def test_fields_and_a_json_output_path_naming_one_file_exit_two(tmp_path):
+    # before, the report was written over the field table and the run exited 0
+    report = tmp_path / "same.out"
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "output": {"format": "json", "path": str(report)}})
+    out = run_cli(["run", "--config", cfg, "--fields", f"{tmp_path}/./same.out"])
+    assert out.returncode == 2
+    assert out.stderr == f"config error: --fields and output.path name the same file {str(report)!r}\n"
+    assert not report.exists()
+
+
 def test_a_margin_no_wider_than_its_axis_still_runs():
     # catenoid s in [-0.2, 0.2]: a margin of 0.3 reverses the grid's s axis
     # but keeps every point in the chart
@@ -563,15 +601,16 @@ def test_run_checks_api(tmp_path):
 ELLIPSOID_SURFACE = {"family": "ellipsoid", "a": 1.0, "b": 1.3, "c": 0.8}
 PLANAR_RUN = {"checks": ["planar-ermakov"]}
 
-# Per schema key of numerics, norm, surface and planar: the rest of its block,
-# two of its values, and the top-level config entries that reach it; the rest
-# of the config is KNOB_CONFIG. The support CSVs are written by the test.
+# Per schema key of numerics, norm, surface and planar: the rest of its block
+# (a function of the value, where the two values read different keys), two of
+# its values, and the top-level config entries that reach it; the rest of the
+# config is KNOB_CONFIG. The support CSVs are written by the test.
 KNOB_CASES = {
     ("numerics", "fd_step"): ({}, 1e-5, 1e-3, {"checks": ["lemma-3-1"]}),
     ("numerics", "quad_nodes"): ({}, 16, 32, {"checks": ["prop-2-1"]}),
     ("numerics", "critical_tol"): ({}, 1e-6, 1e-3, {"checks": ["lemma-3-1"]}),
     ("numerics", "cond_guard"): ({}, 1e8, 2.0, {"checks": ["thm-3-2"]}),
-    ("norm", "family"): ({"p": 4.0}, "lp", "euclidean", {}),
+    ("norm", "family"): (lambda family: {"p": 4.0} if family == "lp" else {}, "lp", "euclidean", {}),
     ("norm", "A"): ({"family": "ellipsoid"}, np.eye(3).tolist(), np.diag([2.0, 1.0, 1.0]).tolist(), {}),
     ("norm", "p"): ({"family": "lp"}, 4.0, 3.0, {}),
     # t = 0 puts a column of the grid on an lp axis plane, where the clamp acts
@@ -579,7 +618,8 @@ KNOB_CASES = {
                              {"grid": {"ns": 4, "nt": 3, "margins": [0.3, 0.0]}}),
     ("norm", "jet_source"): ({"family": "lp", "p": 4.0}, "analytic", "fd", {}),
     ("norm", "fd_step"): ({"family": "lp", "p": 4.0, "jet_source": "fd"}, 1e-5, 1e-3, {}),
-    ("surface", "family"): ({**ELLIPSOID_SURFACE, "r": 1.0}, "ellipsoid", "euclidean_sphere", {}),
+    ("surface", "family"): (lambda family: ELLIPSOID_SURFACE if family == "ellipsoid" else {"r": 1.0},
+                            "ellipsoid", "euclidean_sphere", {}),
     ("surface", "r"): ({"family": "euclidean_sphere"}, 1.0, 2.0, {}),
     ("surface", "a"): (ELLIPSOID_SURFACE, 1.0, 1.1, {}),
     ("surface", "b"): (ELLIPSOID_SURFACE, 1.3, 1.1, {}),
@@ -632,6 +672,7 @@ def test_each_knob_the_schema_accepts_changes_an_output(tmp_path, monkeypatch):
         Path(name).write_text("".join(f"{th!r},{v!r}\n" for th, v in zip(thetas.tolist(), g.tolist())))
 
     def outcome(block, key, spec, value, top):
+        spec = spec(value) if callable(spec) else spec
         cfg = {**copy.deepcopy(KNOB_CONFIG), **top, block: {**spec, key: value}}
         try:
             return dumps_canonical(run_checks(cfg)["checks"])

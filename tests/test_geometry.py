@@ -74,6 +74,10 @@ def test_normal_curvature_properties(lp4, ellipsoid_std):
     assert mk.normal_curvature(pg, pg.V2) == pytest.approx(pg.lambda2, rel=1e-10)
     with pytest.raises(mk.ZeroDirection):
         mk.normal_curvature(pg, np.zeros(2))
+    # one zero row among a batch's directions is a zero direction too
+    gb = mk.geometry_batch(lp4, ellipsoid_std, [0.8, 1.1], [2.4, 0.3])
+    with pytest.raises(mk.ZeroDirection):
+        mk.normal_curvature(gb, np.array([X, [0.0, 0.0]]))
 
 
 @given(s=s_interior, t=t_full, x=st.floats(min_value=-2, max_value=2),
