@@ -49,7 +49,7 @@ class BlaschkeSample(_Record, frozen=True, eq=False):
 def euclidean_gaussian(surface: SurfacePatch, s, t) -> float | np.ndarray:
     """Euclidean Gaussian curvature det(II)/det(G); orientation-independent.
     A float at floats s, t; one value per point at parameter arrays."""
-    _, _, G, _, II = _euclidean_frame(surface, np.atleast_1d(s), np.atleast_1d(t))
+    _, _, G, _, II, _ = _euclidean_frame(surface, np.atleast_1d(s), np.atleast_1d(t))
     K_e = np.linalg.det(II) / np.linalg.det(G)
     return float(K_e[0]) if np.ndim(s) == 0 else K_e
 
@@ -114,7 +114,7 @@ def affine_normal(surface: SurfacePatch, s: float, t: float,
                   config: NumericsConfig = DEFAULT_CONFIG) -> np.ndarray:
     """The affine normal K_e^{1/4} xi + Z at an elliptic point (_affine_normals
     on a batch of one); NonElliptic or DegenerateH where there is none."""
-    _, P, G, xi, II = _euclidean_frame(surface, [s], [t])
+    _, P, G, xi, II, _ = _euclidean_frame(surface, [s], [t])
     normals, missing = _affine_normals(surface, [s], [t], P, G, xi, II, config)
     if missing:
         raise missing[0]

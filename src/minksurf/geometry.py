@@ -114,13 +114,14 @@ GeometryBatch = make_dataclass("GeometryBatch", [(name, np.ndarray) for name in 
 
 def _euclidean_frame(surface: SurfacePatch, s, t):
     """The Euclidean data at the parameter arrays s, t: jets, chart bases P,
-    first forms G, unit normals xi and second forms II, one row per point."""
-    jet, n_raw, length = _normal_jets(surface, s, t)
+    first forms G, unit normals xi and second forms II, one row per point,
+    and the Birkhoff solve behind the jets (surfaces._chart_jet's)."""
+    jet, n_raw, length, solve = _normal_jets(surface, s, t)
     P = _stack_last(jet.f_s, jet.f_t)
     xi = surface.orientation * n_raw / length[:, None]
     f_st_xi = _dot(jet.f_st, xi)
     II = _mat2(_dot(jet.f_ss, xi), f_st_xi, f_st_xi, _dot(jet.f_tt, xi))
-    return jet, P, np.swapaxes(P, 1, 2) @ P, xi, II
+    return jet, P, np.swapaxes(P, 1, 2) @ P, xi, II, solve
 
 
 def _T(A: np.ndarray) -> np.ndarray:
@@ -131,14 +132,16 @@ def _T(A: np.ndarray) -> np.ndarray:
 def _geometry_rows(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.ndarray,
                    config: NumericsConfig) -> GeometryBatch:
     """The curvature data at the parameter arrays s, t, as one array computation."""
-    jet, P, G, xi, II = _euclidean_frame(surface, s, t)
+    jet, P, G, xi, II, solve = _euclidean_frame(surface, s, t)
     Ginv = _invert_2x2_spd(G, "first fundamental form")
     dxi_mat = -Ginv @ II
 
-    chart = getattr(surface.position, "_gauge_sphere", None)
-    seed = chart.seed(jet.f) if chart is not None and chart.norm is norm else None
     try:
-        eta, E, M_du = norm.birkhoff_du_rows(xi, seed)
+        # on a gauge-only sphere of norm, in its own orientation, eta = u(xi) is the chart's own solve
+        if solve is not None and solve[0] is norm and surface.orientation == 1.0:
+            eta, E, M_du = solve[1:]
+        else:
+            eta, E, M_du = norm.birkhoff_du_rows(xi)
     except NewtonDivergence as exc:
         if len(s) != 1:
             raise  # geometry_batch runs the rows again, one at a time

@@ -35,11 +35,8 @@ twice: an FD iteration takes the 5 values of the plane gradient stencil (x
 and x +- h e_j, e_j the plane's basis) and the 4 cross points of the plane
 Hessian, which reuses those 5; an FD du is one more 9-point plane Hessian.
 Every dual quantity of such a norm reads birkhoff_du_rows, which normalizes
-xi once, solves u once per row and builds du from that u. A solve starts at
-xi, or at a point near its solution when the caller knows one: the chart of
-a Minkowski sphere starts its FD stencil's offsets at their centre's tangent
-predictor u_c + du_c (xi - xi_c), and the sphere's Birkhoff normal at the
-chart centre's u.
+xi once, solves u once per row from xi and builds du from that u; the chart
+of such a norm's Minkowski sphere is that one solve per point, u and du.
 """
 
 from __future__ import annotations
@@ -358,21 +355,15 @@ class NormModel(_Record, frozen=True):
             return self.dual_gradient_rows(XI)
         return self._newton_points(XI)
 
-    def _newton_points(self, XI, seed=None) -> np.ndarray:
+    def _newton_points(self, XI) -> np.ndarray:
         """u at each row of XI by Newton on the plane x . xi = 1, all rows in
-        lockstep, each started from its row of seed when given; raises what
-        solving the rows one at a time, in order, raises first."""
+        lockstep; raises what solving the rows one at a time, in order,
+        raises first."""
         XI = np.asarray(XI, dtype=float).reshape(-1, 3)
-        if seed is not None:
-            seed = np.asarray(seed, dtype=float).reshape(-1, 3)
-        return in_row_order(lambda rows: self._newton_lockstep(XI[rows], None if seed is None else seed[rows]),
-                            len(XI))
+        return in_row_order(lambda rows: self._newton_lockstep(XI[rows]), len(XI))
 
-    def _newton_lockstep(self, XI, seed=None) -> np.ndarray:
-        """Minimise F on the plane x . xi = 1 by damped Newton, seeded at xi,
-        or at each row's seed projected onto its plane, x0 = seed / (seed . xi):
-        a point near the row's minimiser, such as a nearby row's u, saves
-        the solve most of its iterations (a predictor-corrector step).
+    def _newton_lockstep(self, XI) -> np.ndarray:
+        """Minimise F on the plane x . xi = 1 by damped Newton, seeded at xi.
 
         min{F(x) : x . xi = 1} = 1 / h_B(xi) (Schneider, Convex Bodies, §1.7),
         and the minimiser x* lies on the ray of u(xi), so u = x* / F(x*) lies
@@ -412,7 +403,7 @@ class NormModel(_Record, frozen=True):
             rows, E, tol = rows[keep], E[keep], tol[keep]
             state = _NewtonRows(*(None if a is None else a[keep] for a in state))
 
-        state = stage(XI if seed is None else seed / _dot(seed, XI)[:, None], E)
+        state = stage(XI, E)
         for _ in range(cfg.newton_max_iter):
             done = state.res_norm <= tol
             if done.any():
@@ -491,27 +482,26 @@ class NormModel(_Record, frozen=True):
             return _in_basis(E, np.asarray(hessian(X), dtype=float))
         return fd_hessian_rows(self.gauge.value, X, step, known, E)
 
-    def birkhoff_du_rows(self, XI, _seed=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def birkhoff_du_rows(self, XI) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """u(xi) and du_restricted(xi) at the rows of XI, as (U, E, M).
 
         A norm without dual jets normalizes each row once and solves u(xi)
         once; its birkhoff_point_rows, du_restricted_rows and dual_* methods
-        all read this route. The private _seed, rows near each row's u,
-        starts its solve there instead of at xi (_newton_points' seed); a
-        norm with dual jets ignores it. M inverts the Hessian of F on the plane
-        x . xi = 1 at its minimiser x* = u / (u . xi), which is
-        (u . xi) Hess F(u), the Weingarten map of ∂B at u (Schneider, Convex
-        Bodies, §2.5). Hess F(u) is taken on u-perp, basis B = tangent_basis(u),
-        and carried to E along u, its kernel: v = B (B^T v) + t u. So the
-        stencil's points depend on u alone, and a xi whose last bits differ
-        but which solves to the same u gets the same differences. A gauge
-        without a Hessian is differenced along B at _GAUGE_HESSIAN_STEP.
+        all read this route, and so does the chart jet of its Minkowski
+        sphere. M inverts the Hessian of F on the plane x . xi = 1 at its
+        minimiser x* = u / (u . xi), which is (u . xi) Hess F(u), the
+        Weingarten map of ∂B at u (Schneider, Convex Bodies, §2.5). Hess F(u)
+        is taken on u-perp, basis B = tangent_basis(u), and carried to E
+        along u, its kernel: v = B (B^T v) + t u. So the stencil's points
+        depend on u alone, and a xi whose last bits differ but which solves
+        to the same u gets the same differences. A gauge without a Hessian
+        is differenced along B at _GAUGE_HESSIAN_STEP.
         """
         if self.dual is not None:
             return (self.birkhoff_point_rows(XI), *self.du_restricted_rows(XI))
         XI = self._check_nonzero(XI, "Birkhoff point")
         XI = XI / _norm_rows(XI)[:, None]
-        U = self._newton_points(XI, _seed)
+        U = self._newton_points(XI)
         E, B = tangent_basis(XI), tangent_basis(U)
         W = _in_basis(np.swapaxes(B, 1, 2) @ E, self._plane_hessian_rows(U, B, _GAUGE_HESSIAN_STEP))
         return U, E, _invert_2x2_spd(W * _dot(U, XI)[:, None, None], "Weingarten map of the unit ball's boundary")
@@ -624,11 +614,10 @@ def custom_norm(gauge, dual=None, allow_newton: bool = True,
     in lockstep; du is the inverse of F's Hessian on that plane at x*. Gauge
     derivatives missing from the jet come from central differences along the
     plane: 9 gauge values per Newton iteration (a 5-point gradient stencil and
-    4 cross points) and 9 for du. The FD chart of such a norm's
-    minkowski_sphere starts the solves of its 8 stencil offsets at their
-    centre's tangent predictor, where most pass the Newton test with the 5
-    values of their first gradient (4 or 5 iterations from xi).
-    fd_step must be finite and positive.
+    4 cross points) and 9 for du. Such a norm's minkowski_sphere takes its
+    chart jet from u and du of one solve per point, which point_geometry on
+    that sphere reuses for eta: about 66 gauge values per point on lp(4) and
+    41 on an ellipsoid gauge. fd_step must be finite and positive.
     """
     gauge = _per_point_jet(gauge)
     if dual is not None:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DegenerateJet, InvalidParameter, OutOfDomain
 from .norms import NormModel, _reject_unread_keys
-from .numerics import (_Record, _central_diffs, _cross, _hessian_layout, _norm_rows, _second_diffs, _stack_last,
-                       check_jet_options, first_row, per_point)
+from .numerics import (_Record, _central_diffs, _cross, _dot, _hessian_layout, _norm_rows, _second_diffs,
+                       _stack_last, check_jet_options, first_row, per_point)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -53,7 +53,8 @@ class SurfacePatch(_Record, frozen=True, eq=False):
     return (N, 3) points (a SurfaceJet of them); floats give one point.
     position is always available; jet is the analytic second-order jet and may
     be None, in which case (or when jet_source == "fd") central differences of
-    position supply the derivatives. orientation multiplies the raw normal
+    position supply the derivatives (the chart of a gauge-only Minkowski
+    sphere supplies its own; see minkowski_sphere). orientation multiplies the raw normal
     f_s x f_t; +1 keeps it, -1 flips it. jet_source must be "analytic" or
     "fd" and fd_step finite and positive.
     """
@@ -104,23 +105,29 @@ def evaluate_jets(surface: SurfacePatch, s, t) -> SurfaceJet:
 
 
 def _normal_jets(surface: SurfacePatch, s, t):
-    """evaluate_jets, with the raw normals f_s x f_t and their lengths."""
+    """evaluate_jets, with the raw normals f_s x f_t, their lengths and the
+    Birkhoff solve behind the jet (_chart_jet's)."""
     s, t = surface.wrap(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    jet = _chart_jet(surface, s, t)
+    jet, solve = _chart_jet(surface, s, t)
     n_raw = _cross(jet.f_s, jet.f_t)
     length = _norm_rows(n_raw)
     i = first_row(length < surface.immersion_guard)
     if i is not None:
         raise DegenerateJet(
             f"|f_s x f_t| < {surface.immersion_guard} at (s,t)=({float(s[i])}, {float(t[i])})")
-    return jet, n_raw, length
+    return jet, n_raw, length, solve
 
 
-def _chart_jet(surface: SurfacePatch, s, t) -> SurfaceJet:
-    """The chart's jet at s, t by jet_source's route: its own jet, or _fd_jet of position."""
+def _chart_jet(surface: SurfacePatch, s, t):
+    """The chart's jet at s, t by jet_source's route: its own jet, _fd_jet of
+    position, or the jet of a gauge-only Minkowski sphere's chart. The second
+    value is that chart's Birkhoff solve (norm, U, E, M), else None."""
     if surface.jet is not None and surface.jet_source == "analytic":
-        return surface.jet(s, t)
-    return _fd_jet(surface.position, s, t, surface.fd_step)
+        return surface.jet(s, t), None
+    chart = getattr(surface.position, "_gauge_sphere", None)
+    if chart is not None:
+        return chart.jet(s, t)
+    return _fd_jet(surface.position, s, t, surface.fd_step), None
 
 
 def evaluate_jet(surface: SurfacePatch, s: float, t: float) -> SurfaceJet:
@@ -134,15 +141,12 @@ def _fd_jet(position, s, t, step: float) -> SurfaceJet:
     The stencil of every (s, t) is numerics' Hessian layout in the plane at
     the absolute step, the centre first, and numerics differences it.
     position is called once, on the 9 points of every (s, t), offset-major:
-    all centres, then all (s + h, t), and so on. The chart of a gauge-only
-    Minkowski sphere, marked by a _GaugeSphereChart, places the same stencil
-    with its stencil method instead.
+    all centres, then all (s + h, t), and so on.
     """
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     O = _hessian_layout(2)[0].reshape((9,) + (1,) * s.ndim + (2,))
     S, T = s + step * O[..., 0], t + step * O[..., 1]
-    chart = getattr(position, "_gauge_sphere", None)
-    P = position(S.ravel(), T.ravel()) if chart is None else chart.stencil(S.reshape(9, -1), T.reshape(9, -1))
+    P = position(S.ravel(), T.ravel())
     # one stencil row, whose values carry the parameter grid as trailing axes
     f, h = np.asarray(P, dtype=float).reshape((1,) + S.shape + (-1,)), np.array([step])
     (f_s, f_t), H = _central_diffs(f[:, 1:5], h)[0], _second_diffs(f, h, 2)[0]
@@ -306,39 +310,48 @@ def catenoid(c: float = 1.0, s_extent: float = 1.2, jet_source: str = "analytic"
                         params={"c": c, "s_extent": s_extent})
 
 
+def _sphere_jet(center, rho, jets, u, du, d2u) -> SurfaceJet:
+    """The jet of the chart center + rho u(xi(s, t)) by the chain rule,
+    f_i = rho du xi_i and f_ij = rho (d²u[xi_i, xi_j] + du xi_ij): jets are
+    _sphere_angle_jets(s, t), u (N, 3) and du (N, 3, 3) the values at the N
+    rows of xi, and d2u(a, b) the rows of d²u[a, b]."""
+    xi, xi_s, xi_t, xi_ss, xi_st, xi_tt = (a.reshape(-1, 3) for a in jets)
+
+    def d1(v):
+        return (du @ v[:, :, None])[:, :, 0]
+
+    f = center + rho * u
+    f_s = rho * d1(xi_s)
+    f_t = rho * d1(xi_t)
+    f_ss = rho * (d2u(xi_s, xi_s) + d1(xi_ss))
+    f_st = rho * (d2u(xi_s, xi_t) + d1(xi_st))
+    f_tt = rho * (d2u(xi_t, xi_t) + d1(xi_tt))
+    return SurfaceJet(*(a.reshape(jets[0].shape) for a in (f, f_s, f_t, f_ss, f_st, f_tt)))
+
+
 class _GaugeSphereChart:
     """The chart center + rho u(xi(s, t)) of a Minkowski sphere of a norm
     without dual jets, the private mark its position callable carries as
-    `_gauge_sphere`: _fd_jet places the chart's stencil with stencil, and
-    _geometry_rows starts eta's solve at seed, for this norm object only.
-
-    Each u is a Newton solve. A stencil solves its centres from xi, by
-    birkhoff_du_rows, which also gives du_c = E M E^T there. Each of the 8
-    offsets starts at its centre's tangent predictor u_c + du_c (xi - xi_c),
-    O(fd_step^2) from its solution (the predictor-corrector step of
-    continuation; Allgower & Georg, Numerical Continuation Methods, Ch. 2).
-    """
+    `_gauge_sphere`: _chart_jet takes the chart's jet, and the Newton solve
+    behind it, from jet (see minkowski_sphere)."""
 
     __slots__ = ("norm", "center", "rho")
 
     def __init__(self, norm: NormModel, center: np.ndarray, rho: float):
         self.norm, self.center, self.rho = norm, center, rho
 
-    def stencil(self, S, T) -> np.ndarray:
-        """The chart at S, T, (9, N) each with the centres in row 0, as (9N, 3)
-        points, offset-major."""
-        xi = _unit_sphere(S, T)
-        U, E, M = self.norm.birkhoff_du_rows(xi[0])
-        xi = xi / _norm_rows(xi)[..., None]
+    def jet(self, s, t):
+        """The chart's jet at s, t, and the solve (norm, U, E, M) at the rows of xi(s, t)."""
+        jets = _sphere_angle_jets(s, t)
+        xi = jets[0].reshape(-1, 3)
+        U, E, M = self.norm.birkhoff_du_rows(xi)
         du = E @ M @ np.swapaxes(E, 1, 2)
-        predicted = U + (du @ (xi[1:] - xi[0])[..., None])[..., 0]
-        offsets = self.norm._newton_points(xi[1:].reshape(-1, 3), predicted.reshape(-1, 3))
-        return self.center + self.rho * np.concatenate([U, offsets])
 
-    def seed(self, f) -> np.ndarray:
-        """u at the chart points f, (f - center) / rho: where the Birkhoff
-        normal of a point with f as its stencil centre starts its solve."""
-        return (f - self.center) / self.rho
+        def d2u(a, b):
+            """The normal part of d²u[a, b], -(a . du b) xi."""
+            return -_dot(a, (du @ b[:, :, None])[:, :, 0])[:, None] * xi
+
+        return _sphere_jet(self.center, self.rho, jets, U, du, d2u), (self.norm, U, E, M)
 
 
 def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
@@ -351,20 +364,22 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
     third order (has_analytic_dual_jets: its jets carry them and its jet_source
     is "analytic") the chart jet is analytic (u = grad h_B, du = Hess h_B,
     d²u = third), and jet_source None or "analytic" selects it; otherwise
-    positions are exact and derivatives fall back to central differences, and
+    positions are exact, derivatives fall back to central differences under
+    a norm with dual jets and to the chart below under one without, and
     jet_source "analytic" raises InvalidParameter.
 
-    A norm without dual jets solves u by Newton at every point of the FD
-    stencil, and the chart marks itself with a _GaugeSphereChart. The
-    stencil's centres are solved from xi, with their du; its 8 offsets,
-    fd_step away in (s, t), are one more batch, each started at its centre's
-    tangent predictor u_c + du_c (xi - xi_c), O(fd_step^2) from its solution,
-    where the Newton test usually passes at once (a predictor-corrector step;
-    Allgower & Georg, Numerical Continuation Methods, Ch. 2). point_geometry
-    under the same norm object starts eta's solve at the chart centre's u.
-    One point's geometry then takes about 130 gauge values on lp(4) and 101
-    on an ellipsoid gauge (243 and 184 with the offsets started at u_c and
-    eta solved from xi, 576 and 332 with every solve from xi).
+    A norm without dual jets marks the chart with a _GaugeSphereChart, whose
+    jet is one Newton solve per point, birkhoff_du_rows(xi): f = c + rho u,
+    f_i = rho du xi_i, and f_ij = rho (du xi_ij - (xi_i . du xi_j) xi). The
+    normal part of f_ij is exact, by Euler's relation for the degree-0
+    gradient of h_B, D³h_B[xi, a, b] = -D²h_B[a, b]; its tangential part
+    lacks that of d²u, a third derivative of h_B that a value-only gauge
+    does not give. The patch's jet_source stays "fd". point_geometry under
+    the same norm object, in the chart's orientation, takes eta, E and M_du
+    from that solve. One point's geometry then takes about 66 gauge values
+    on lp(4) and 41 on an ellipsoid gauge (130 and 101 with a 9-point FD
+    stencil started at its centres' tangent predictor and eta solved again,
+    576 and 332 with every solve from xi).
     """
     if rho <= 0:
         raise InvalidParameter("Minkowski sphere radius must be positive")
@@ -388,24 +403,10 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
     if analytic:
         def jet(s, t):
             jets = _sphere_angle_jets(s, t)
-            xi, xi_s, xi_t, xi_ss, xi_st, xi_tt = (a.reshape(-1, 3) for a in jets)
-            u = norm.dual_gradient_rows(xi)
-            H = norm.dual_hessian_rows(xi)
+            xi = jets[0].reshape(-1, 3)
             T = norm.dual_third_rows(xi)
-
-            def d1(v):
-                return (H @ v[:, :, None])[:, :, 0]
-
-            def d2(v, w):
-                return np.einsum("nijk,nj,nk->ni", T, v, w)
-
-            f = c + rho * u
-            f_s = rho * d1(xi_s)
-            f_t = rho * d1(xi_t)
-            f_ss = rho * (d2(xi_s, xi_s) + d1(xi_ss))
-            f_st = rho * (d2(xi_s, xi_t) + d1(xi_st))
-            f_tt = rho * (d2(xi_t, xi_t) + d1(xi_tt))
-            return SurfaceJet(*(a.reshape(jets[0].shape) for a in (f, f_s, f_t, f_ss, f_st, f_tt)))
+            return _sphere_jet(c, rho, jets, norm.dual_gradient_rows(xi), norm.dual_hessian_rows(xi),
+                               lambda v, w: np.einsum("nijk,nj,nk->ni", T, v, w))
 
     return SurfacePatch("minkowski_sphere", position, jet, (0.0, np.pi, 0.0, 2 * np.pi),
                         (False, True), 1.0, jet_source, fd_step,
@@ -441,7 +442,7 @@ def reparametrize_linear(surface: SurfacePatch, L, offset=(0.0, 0.0)) -> Surface
         return surface.position(*mapped(s, t))
 
     def jet(s, t):
-        J = _chart_jet(surface, *mapped(s, t))
+        J = _chart_jet(surface, *mapped(s, t))[0]
         a, b_ = L[0, 0], L[0, 1]
         c_, d = L[1, 0], L[1, 1]
         return SurfaceJet(

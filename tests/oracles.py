@@ -119,11 +119,7 @@ def fd_jet_by_formulas(position, s, t, step: float) -> SurfaceJet:
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     S = np.stack([s, s + h, s - h, s, s, s + h, s + h, s - h, s - h])
     T = np.stack([t, t, t, t + h, t - h, t + h, t - h, t + h, t - h])
-    chart = getattr(position, "_gauge_sphere", None)
-    if chart is None:
-        P = position(S.ravel(), T.ravel())
-    else:
-        P = chart.stencil(S.reshape(9, -1), T.reshape(9, -1))
+    P = position(S.ravel(), T.ravel())
     f, fp_s, fm_s, fp_t, fm_t, fpp, fpm, fmp, fmm = np.asarray(
         P, dtype=float).reshape(S.shape + (-1,))
     return SurfaceJet(

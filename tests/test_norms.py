@@ -357,7 +357,7 @@ def test_gauge_only_dual_hessian_is_symmetric_with_xi_in_its_kernel():
 
 
 def test_gauge_only_birkhoff_points_are_smooth_over_the_chart_stencil():
-    """The normal part of u is smooth at the 1e-5 stencil of an FD sphere chart:
+    """The normal part of u is smooth at a 1e-5 stencil in the sphere's angles:
     every solve lands on ∂B, so Newton's stopping point leaves no jitter."""
     norm, ref = mk.custom_norm(_lp4_gauge), mk.lp_norm(4.0)
     rng = np.random.default_rng(1)
@@ -378,9 +378,9 @@ def _count_solves(monkeypatch):
     solves = [0]
     newton_points = mk.NormModel._newton_points
 
-    def counted_solve(self, XI, seed=None):
+    def counted_solve(self, XI):
         solves[0] += len(XI)
-        return newton_points(self, XI, seed)
+        return newton_points(self, XI)
 
     monkeypatch.setattr(mk.NormModel, "_newton_points", counted_solve)
     return solves
@@ -554,60 +554,6 @@ def test_lockstep_newton_equals_solves_of_one_row(monkeypatch):
         assert np.array_equal(norm.birkhoff_point_rows(XI), [norm.birkhoff_point(xi) for xi in XI])
     assert len(set(iterations)) > 2
     assert any(k > i for k, i in zip(trials, iterations))
-
-
-def _offset_normals(XI, h=1e-5):
-    """XI turned by about h: the normals of a chart stencil's offsets."""
-    XN = XI + h * np.roll(XI, 1, axis=1)
-    return XN / np.linalg.norm(XN, axis=1)[:, None]
-
-
-def test_a_seeded_lockstep_row_equals_its_seeded_solve_of_one_row(monkeypatch):
-    """Rows started at a nearby row's u (the offsets of a sphere chart's
-    stencil) land bit for bit where their own seeded solve of one row lands,
-    next to rows started from (about) xi that take more iterations. The 12
-    rows take 16, 12 and 24 Newton iterations in all from their neighbours'
-    u, and 55, 36 and 60 from xi; u moves by no more than the FD gradients
-    resolve."""
-    XI = _random_normals(12, 7)
-    XN = _offset_normals(XI)
-    stages = _stages(monkeypatch)
-    iterations = []
-    for gauge in (_lp4_gauge, _ellipsoid_gauge, mk.lp_norm(4.0).gauge):
-        norm = mk.custom_norm(gauge)
-        U = norm._newton_points(XI)
-        for seed in (None, U):
-            stages.update(hessian=0)
-            norm._newton_points(XN, seed)
-            iterations.append(stages["hessian"])
-        seed = np.where(np.arange(12)[:, None] % 3 == 0, XN, U)  # every third row from about xi
-        got = norm._newton_points(XN, seed)
-        alone = [norm._newton_points(xi[None], x[None])[0] for xi, x in zip(XN, seed)]
-        assert np.array_equal(got, alone)
-        assert np.abs(got - norm._newton_points(XN)).max() <= 1e-9
-    assert iterations == [55, 16, 36, 12, 60, 24]
-
-
-def test_a_seeded_lockstep_raises_what_the_row_loop_raises_first():
-    """A gauge that fails next to the solutions of rows 2 and 4 fails the
-    seeded batch with row 2's exception, as solving row after row does."""
-    XN = _offset_normals(XI_FAIL)
-    U = mk.custom_norm(_lp4_gauge)._newton_points(XI_FAIL)
-
-    def gauge(x):
-        for i in (2, 4):
-            if np.abs(x / _lp4_gauge(x) - U[i]).max() < 1e-3:
-                raise ValueError(f"no gauge near row {i} at {x!r}")
-        return _lp4_gauge(x)
-
-    norm = mk.custom_norm(gauge)
-    with pytest.raises(mk.EvaluationFailure) as one:
-        for i in range(len(XN)):
-            norm._newton_points(XN[i:i + 1], U[i:i + 1])
-    assert "no gauge near row 2" in str(one.value)
-    with pytest.raises(mk.EvaluationFailure) as got:
-        norm._newton_points(XN, U)
-    assert str(got.value) == str(one.value)
 
 
 def _stencil_point(xi, offset):

@@ -134,13 +134,9 @@ def test_minkowski_sphere_custom_norm_falls_back_to_fd():
     assert np.all(np.isfinite(jet.f_ss))
 
 
-def test_fd_jet_places_its_stencil_in_one_position_call(monkeypatch):
+def test_fd_jet_places_its_stencil_in_one_position_call():
     """The 9 stencil points of every chart point go to position in one call,
-    offset-major. A Minkowski sphere of a gauge-only norm solves them in two
-    Newton batches: the centres from xi, with their du, then the 8 offsets
-    of every centre, offset-major, each started at its centre's tangent
-    predictor u_c + du_c (xi - xi_c), O(h^2) from its solution (they were
-    started at u_c, O(h) away, and before that solved from xi)."""
+    offset-major."""
     calls = []
     surf = mk.graph(lambda s, t: (s * s * t + np.sin(t), 0, 0, 0, 0, 0), jet_source="fd")
 
@@ -157,31 +153,48 @@ def test_fd_jet_places_its_stencil_in_one_position_call(monkeypatch):
     assert np.array_equal(T[-3:], t - h)
     assert np.array_equal(jets.f_st, mk.evaluate_jets(surf, s, t).f_st)
 
-    norm = mk.custom_norm(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25))
-    sphere = mk.minkowski_sphere(norm, 1.5)
-    s, t = sphere.wrap(s + 1.0, t)
-    S = np.stack([s, s + h, s - h, s, s, s + h, s + h, s - h, s - h])
-    T = np.stack([t, t, t, t + h, t - h, t + h, t - h, t + h, t - h])
-    xi = _sphere_angle_jets(S, T)[0]
-    U, E, M = norm.birkhoff_du_rows(xi[0])
-    xi = xi / _norm_rows(xi)[..., None]
-    predicted = (U + (E @ M @ np.swapaxes(E, 1, 2) @ (xi[1:] - xi[0])[..., None])[..., 0]).reshape(-1, 3)
-    solved = norm.birkhoff_point_rows(xi[1:].reshape(-1, 3))
 
-    solves = []
+def _newton_batches(monkeypatch):
+    """The sizes of the Newton batches NormModel solves, in order."""
+    batches = []
     newton_points = mk.NormModel._newton_points
 
-    def solve(self, XI, seed=None):
-        solves.append((len(XI), seed))
-        return newton_points(self, XI, seed)
+    def solve(self, XI):
+        batches.append(len(XI))
+        return newton_points(self, XI)
 
     monkeypatch.setattr(mk.NormModel, "_newton_points", solve)
-    jets = mk.evaluate_jets(sphere, s, t)
-    assert [(n, seed is None) for n, seed in solves] == [(3, True), (24, False)]
-    assert np.array_equal(jets.f, 1.5 * U)
-    assert np.array_equal(solves[1][1], predicted)
-    assert np.abs(predicted - solved).max() <= 1e-9
-    assert np.abs(np.tile(U, (8, 1)) - solved).max() >= 1e-6
+    return batches
+
+
+def test_a_gauge_only_sphere_jet_is_one_solve_by_its_three_formulas_bitwise(monkeypatch):
+    """The jet of a gauge-only sphere's chart c + rho u(xi(s, t)) is one
+    Newton batch, birkhoff_du_rows(xi) = (U, E, M) with du = E M E^T, and
+    the three formulas bit for bit: f = c + rho U, f_i = rho du xi_i and
+    f_ij = rho (du xi_ij - (xi_i . du xi_j) xi), the normal part of d²u by
+    Euler's relation D³h_B[xi, a, b] = -D²h_B[a, b]. (It was a 9-point FD
+    stencil of positions in two Newton batches: the centres from xi, then
+    the 8 offsets from their centre's tangent predictor.)"""
+    norm = mk.custom_norm(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25))
+    c, rho = np.array([0.1, -0.2, 0.3]), 1.5
+    s, t = np.linspace(0.4, 2.7, 4), np.linspace(0.1, 6.0, 4)
+    xi, xi_s, xi_t, xi_ss, xi_st, xi_tt = _sphere_angle_jets(s, t)
+    U, E, M = norm.birkhoff_du_rows(xi)
+    du = E @ M @ np.swapaxes(E, 1, 2)
+
+    def d(v):
+        return (du @ v[:, :, None])[:, :, 0]
+
+    def second(a, b, ab):
+        return rho * (d(ab) - (a[:, None, :] @ d(b)[:, :, None])[:, 0] * xi)
+
+    want = {"f": c + rho * U, "f_s": rho * d(xi_s), "f_t": rho * d(xi_t), "f_ss": second(xi_s, xi_s, xi_ss),
+            "f_st": second(xi_s, xi_t, xi_st), "f_tt": second(xi_t, xi_t, xi_tt)}
+    batches = _newton_batches(monkeypatch)
+    got = mk.evaluate_jets(mk.minkowski_sphere(norm, rho, center=c), s, t)
+    assert batches == [len(s)]
+    for field, value in want.items():
+        assert getattr(got, field).tobytes() == value.tobytes(), field
 
 
 FD_JET_CASES = {
@@ -194,9 +207,6 @@ FD_JET_CASES = {
         lambda: mk.reparametrize_linear(replace(mk.ellipsoid(1.0, 1.3, 0.8), jet=None),
                                         [[0.7, 0.2], [-0.3, 1.1]], (0.4, 0.9)),
         np.linspace(0.2, 1.4, 5), np.linspace(-0.5, 1.5, 5)),
-    "gauge-only sphere": (lambda: mk.minkowski_sphere(
-        mk.custom_norm(lambda x: float(np.sum(np.abs(x) ** 4) ** 0.25)), 1.5, center=(0.1, -0.2, 0.3)),
-        np.linspace(0.4, 2.7, 4), np.linspace(0.1, 6.0, 4)),
 }
 
 
@@ -204,8 +214,8 @@ FD_JET_CASES = {
 def test_fd_jets_equal_the_formulas_of_their_stencil_bitwise(monkeypatch, case):
     """An FD surface jet, read from numerics' Hessian layout by its shared
     difference kernels, equals the six formulas on the hand-written 9-point
-    stencil bit for bit: directly, through reparametrize_linear's chain rule,
-    and through the stencil of a gauge-only sphere's chart."""
+    stencil bit for bit: directly and through reparametrize_linear's chain
+    rule."""
     make, s, t = FD_JET_CASES[case]
     surface = make()
     got = mk.evaluate_jets(surface, s, t)
@@ -240,30 +250,30 @@ def _counted(gauge):
     return counted, calls
 
 
-@pytest.mark.parametrize("gauge, values", [(SPHERE_GAUGES[0][0], 294), (SPHERE_GAUGES[1][0], 252)],
+@pytest.mark.parametrize("gauge, values", [(SPHERE_GAUGES[0][0], 174), (SPHERE_GAUGES[1][0], 132)],
                          ids=["lp4", "ellipsoid"])
 def test_a_gauge_only_sphere_jet_takes_its_pinned_gauge_values(gauge, values):
-    """The FD jets of a gauge-only Minkowski sphere at 3 chart points take
-    exactly this many gauge values: 3 solves from xi and their du, and 24
-    offsets that start at their tangent predictor and pass the Newton test
-    there (5 gauge values each). Started at their centre's point, one
-    iteration each, the same jets took 483 (lp(4)) and 441 (ellipsoid
-    gauge); solved from xi, as the centres are, 1,323 and 936."""
+    """The jets of a gauge-only Minkowski sphere at 3 chart points take
+    exactly this many gauge values: 3 solves from xi and their du. As an
+    FD stencil, with 24 offsets started at their centre's tangent predictor,
+    the same jets took 294 (lp(4)) and 252 (ellipsoid gauge); with the
+    offsets started at their centre's point, 483 and 441; solved from xi,
+    as the centres are, 1,323 and 936."""
     counted, calls = _counted(gauge)
     sphere = mk.minkowski_sphere(mk.custom_norm(counted), 1.5)
     mk.evaluate_jets(sphere, np.array([1.1, 1.3, 0.8]), np.array([0.5, -0.4, 0.2]))
     assert calls[0] == values
 
 
-@pytest.mark.parametrize("gauge, values", [(SPHERE_GAUGES[0][0], 104), (SPHERE_GAUGES[1][0], 95)],
+@pytest.mark.parametrize("gauge, values", [(SPHERE_GAUGES[0][0], 50), (SPHERE_GAUGES[1][0], 41)],
                          ids=["lp4", "ellipsoid"])
 def test_a_gauge_only_sphere_point_takes_its_pinned_gauge_values(gauge, values):
     """point_geometry of a gauge-only sphere, under the norm the sphere was
-    built from, takes exactly this many gauge values: one solve from xi,
-    the 8 offsets from their predictor, and eta's solve from the chart
-    centre's u, each with its du. When eta was solved from xi and the
-    offsets from their centre's u, the same point took 203 (lp(4)) and 185
-    (ellipsoid gauge)."""
+    built from, takes exactly this many gauge values: the chart's one solve
+    from xi and its du, which eta reuses. With an FD stencil whose 8
+    offsets started at their predictor, and eta solved from the chart
+    centre's u, it took 104 (lp(4)) and 95 (ellipsoid gauge); with eta
+    solved from xi and the offsets from their centre's u, 203 and 185."""
     counted, calls = _counted(gauge)
     norm = mk.custom_norm(counted)
     mk.point_geometry(norm, mk.minkowski_sphere(norm, 1.5), 1.1, 0.5)
@@ -272,18 +282,18 @@ def test_a_gauge_only_sphere_point_takes_its_pinned_gauge_values(gauge, values):
 
 @pytest.mark.parametrize("gauge, reference", SPHERE_GAUGES, ids=["lp4", "ellipsoid"])
 def test_a_gauge_only_sphere_chart_has_the_analytic_first_derivatives(gauge, reference):
-    """Over an 8x8 grid, f_s and f_t of a gauge-only sphere's FD chart match
-    the analytic sphere's to 5e-6: the predictor's O(h^2) error is even in
-    the offset, so central differences cancel it. Measured 7.9e-7 (lp(4))
-    and 4.6e-8 (ellipsoid gauge); with the offsets started at their centre's
-    u, each stopped elsewhere inside its Newton tolerance, they read 3.1e-5
-    and 8.4e-6."""
+    """Over an 8x8 grid, f_s = rho du xi_s and f_t = rho du xi_t of a
+    gauge-only sphere's chart match the analytic sphere's to 1e-7, the
+    accuracy of the gauge's FD du. Measured 8.0e-8 (lp(4)) and 4.5e-8
+    (ellipsoid gauge); as central differences of an FD stencil whose
+    offsets started at their tangent predictor, 7.9e-7 and 4.6e-8, and at
+    their centre's u, 3.1e-5 and 8.4e-6."""
     s, t = np.meshgrid(np.linspace(0.4, np.pi - 0.4, 8), np.linspace(0.1, 2.0 * np.pi - 0.1, 8), indexing="ij")
     s, t = s.ravel(), t.ravel()
     got = mk.evaluate_jets(mk.minkowski_sphere(mk.custom_norm(gauge), 1.5), s, t)
     want = mk.evaluate_jets(mk.minkowski_sphere(reference(), 1.5), s, t)
     for name in ("f_s", "f_t"):
-        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 5e-6, name
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-7, name
 
 
 def _gauge_sphere_jets():
@@ -301,52 +311,62 @@ def _gauge_sphere_jets():
 def test_a_gauge_only_sphere_chart_has_the_analytic_positions_and_normal_second_derivatives():
     """The gauge-only lp(4) sphere's positions match the analytic sphere's
     to 1e-9 (measured 2.1e-10), and the normal parts of f_ss, f_st and f_tt,
-    all that the geometry reads of them, to 5e-5 (measured 7.5e-6)."""
+    all that the geometry reads of them, to 1e-7 (measured 6.5e-8; they are
+    exact up to the FD du, by Euler's relation; as second differences of an
+    FD stencil they read 7.5e-6)."""
     got, want, normal = _gauge_sphere_jets()
     assert np.abs(got.f - want.f).max() <= 1e-9
     for name in ("f_ss", "f_st", "f_tt"):
         gap = getattr(got, name) - getattr(want, name)
-        assert np.abs(np.sum(gap * normal, axis=1)).max() <= 5e-5, name
+        assert np.abs(np.sum(gap * normal, axis=1)).max() <= 1e-7, name
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(e): the tangential parts of the gauge-only "
-                                       "sphere's FD second derivatives are off by O(1)")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the gauge-only sphere's second derivatives lack "
+                                       "the tangential part of d²u, a third derivative of h_B")
 def test_a_gauge_only_sphere_chart_has_the_analytic_second_derivatives():
-    """f_ss, f_st and f_tt of the gauge-only lp(4) sphere read 6.1, 2.7 and
-    12.6 away from the analytic sphere's: each offset position carries
-    about 1e-10 of tangential error, which the second difference divides by
-    h^2 = 1e-10. It passes once they match as their normal parts do."""
+    """f_ss, f_st and f_tt of the gauge-only lp(4) sphere read 6.6, 2.7 and
+    15 away from the analytic sphere's: the chart's jet leaves out the
+    tangential part of d²u, a third derivative of h_B that a value-only
+    gauge does not give (as second differences of an FD stencil they read
+    6.1, 2.7 and 12.6 away). It passes once they match as their normal
+    parts do."""
     got, want, _ = _gauge_sphere_jets()
     for name in ("f_ss", "f_st", "f_tt"):
         assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 5e-5, name
 
 
-def _unseeded_fields_agree(norm, surface, s, t):
-    """geometry_batch of norm on surface, whose eta, E and M_du are bit for
-    bit those of birkhoff_du_rows(xi), the solve from xi."""
+def _fields_solved_from_xi(norm, surface, s, t):
+    """geometry_batch of norm on surface, after checking that its eta, E and
+    M_du are bit for bit those of birkhoff_du_rows(xi), the solve from xi."""
     batch = mk.geometry_batch(norm, surface, s, t)
     eta, E, M = norm.birkhoff_du_rows(batch.xi)
     assert not batch.flipped_eta.any()
     assert np.array_equal(batch.eta, eta)
     assert np.array_equal(batch.E, E)
     assert np.array_equal(batch.M_du, M)
+    return batch
 
 
 @pytest.mark.parametrize("gauge", [g for g, _ in SPHERE_GAUGES], ids=["lp4", "ellipsoid"])
-def test_eta_starts_at_the_chart_centre_only_on_the_norms_own_sphere(gauge):
+def test_eta_starts_at_the_chart_centre_only_on_the_norms_own_sphere(gauge, monkeypatch):
     """A gauge-only norm solves eta from xi on any surface other than a
     sphere built from this very norm object: on ellipsoid(1, 1.3, 0.8), and
     on a sphere of an equal gauge in another custom_norm. On its own sphere
-    it starts at the chart centre's u and lands within the solve's
-    tolerance of the solve from xi."""
+    eta is the chart's own solve: eta, E and M_du are bit for bit
+    birkhoff_du_rows at the chart's xi(s, t), and the point takes that one
+    Newton batch (it was a second solve, started at the chart centre's u)."""
     s, t = np.meshgrid(np.linspace(0.4, np.pi - 0.4, 6), np.linspace(0.1, 2.0 * np.pi - 0.1, 6), indexing="ij")
     s, t = s.ravel(), t.ravel()
     norm = mk.custom_norm(gauge)
-    _unseeded_fields_agree(norm, mk.ellipsoid(1.0, 1.3, 0.8), s, t)
+    _fields_solved_from_xi(norm, mk.ellipsoid(1.0, 1.3, 0.8), s, t)
     other = mk.minkowski_sphere(mk.custom_norm(gauge), 1.5)
-    _unseeded_fields_agree(norm, other, s, t)
+    _fields_solved_from_xi(norm, other, s, t)
+    batches = _newton_batches(monkeypatch)
     own = mk.geometry_batch(norm, mk.minkowski_sphere(norm, 1.5), s, t)
+    assert batches == [len(s)]
     assert np.array_equal(own.p, mk.geometry_batch(norm, other, s, t).p)
+    for got, want in zip((own.eta, own.E, own.M_du), norm.birkhoff_du_rows(_sphere_angle_jets(s, t)[0])):
+        assert np.array_equal(got, want)
     assert np.abs(own.eta - norm.birkhoff_point_rows(own.xi)).max() <= 1e-9
 
 
@@ -359,9 +379,11 @@ NEAR_AXIS_RAISED = {(0.5, 0), (0.5, 3), (0.5, 6), (0.8, 1), (0.8, 2), (0.8, 3), 
 
 
 def test_a_gauge_only_sphere_next_to_an_axis_circle_raises_no_more_often():
-    """Next to the lp(4) axis circle, the predictor and eta's warm start
-    make no point raise that raised without them (9 of these 21 raise, 12
-    did). On t = 0 itself du is undefined and the point is refused."""
+    """Next to the lp(4) axis circle, the chart's one solve from xi, which
+    eta reuses, makes no point raise that raised with a stencil solved
+    from xi (9 of these 21 raise, as with the predictor and eta's warm
+    start; 12 did). On t = 0 itself du is undefined and the point is
+    refused."""
     norm = mk.custom_norm(SPHERE_GAUGES[0][0])
     sphere = mk.minkowski_sphere(norm, 1.5)
     raised = set()
@@ -377,23 +399,46 @@ def test_a_gauge_only_sphere_next_to_an_axis_circle_raises_no_more_often():
 
 @pytest.mark.parametrize("gauge, reference", SPHERE_GAUGES, ids=["lp4", "ellipsoid"])
 def test_a_gauge_only_sphere_is_umbilic_like_the_analytic_sphere(gauge, reference):
-    """Over a 6x6 grid, the FD chart of a gauge-only sphere, its offsets
-    started at their tangent predictor, has W = Id / rho and the curvatures
-    of the built-in norm's analytic sphere: measured at most 1.4e-5 (lp(4))
-    and 4.9e-5 (ellipsoid gauge) in W, lambda1 and lambda2, and 5.5e-10 in
-    eta (offsets started at their centre's point: 1.7e-5 and 4.8e-5;
-    solved from xi: 9.7e-6 and 3.2e-5; every start sits at the noise floor
-    of II, a second difference of positions on the unit sphere's boundary,
-    about eps / h^2)."""
+    """Over a 6x6 grid, the chart of a gauge-only sphere, with eta its own
+    solve, has W = Id / rho and the curvatures of the built-in norm's
+    analytic sphere to roundoff: f_i = rho du xi_i and d(eta) = du d(xi)
+    read the same du, so W = Id / rho holds to 1e-10 (measured 6.7e-16
+    (lp(4)) and 5.6e-16 (ellipsoid gauge) in W, lambda1 and lambda2, and
+    1.4e-10 in eta). As an FD stencil, its offsets started at their tangent
+    predictor, it read 1.4e-5 and 4.9e-5, at the noise floor of II, a
+    second difference of positions, about eps / h^2."""
     norm, ref = mk.custom_norm(gauge), reference()
     s, t = np.meshgrid(np.linspace(0.4, np.pi - 0.4, 6), np.linspace(0.1, 2.0 * np.pi - 0.1, 6), indexing="ij")
     s, t = s.ravel(), t.ravel()
     got = mk.geometry_batch(norm, mk.minkowski_sphere(norm, 1.5), s, t)
     want = mk.geometry_batch(ref, mk.minkowski_sphere(ref, 1.5), s, t)
-    assert np.abs(got.W - np.eye(2) / 1.5).max() <= 1e-4
+    assert np.abs(got.W - np.eye(2) / 1.5).max() <= 1e-10
     assert np.abs(got.eta - want.eta).max() <= 2e-9
     for name in ("lambda1", "lambda2"):
-        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-4, name
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-10, name
+
+
+@pytest.mark.parametrize("case", ["flipped", "other norm"])
+@pytest.mark.parametrize("gauge, reference", SPHERE_GAUGES, ids=["lp4", "ellipsoid"])
+def test_a_gauge_only_sphere_not_its_own_solves_eta_from_xi_like_the_analytic_sphere(gauge, reference, case):
+    """A gauge-only sphere in the flipped orientation, or built from another
+    custom_norm object with an equal gauge, does not reuse the chart's
+    solve: eta is solved from xi (bit for bit birkhoff_du_rows(xi)), and W,
+    lambda1 and lambda2 match the analytic sphere's to 1e-7, the accuracy
+    of the two solves' FD du (measured at most 1.6e-8), and eta to 2e-9."""
+    norm, ref = mk.custom_norm(gauge), reference()
+    sphere, ref_sphere = mk.minkowski_sphere(norm, 1.5), mk.minkowski_sphere(ref, 1.5)
+    if case == "flipped":
+        sphere, ref_sphere = mk.flip_orientation(sphere), mk.flip_orientation(ref_sphere)
+    else:
+        sphere = mk.minkowski_sphere(mk.custom_norm(gauge), 1.5)
+    s, t = np.meshgrid(np.linspace(0.4, np.pi - 0.4, 6), np.linspace(0.1, 2.0 * np.pi - 0.1, 6), indexing="ij")
+    s, t = s.ravel(), t.ravel()
+    got = _fields_solved_from_xi(norm, sphere, s, t)
+    want = mk.geometry_batch(ref, ref_sphere, s, t)
+    assert np.abs(got.eta - want.eta).max() <= 2e-9
+    for name in ("W", "lambda1", "lambda2"):
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-7, name
 
 
 @pytest.mark.parametrize("make", [
