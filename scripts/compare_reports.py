@@ -35,9 +35,17 @@ own sphere, whose rows converge after different numbers of Newton iterations
 and backtrack), run the same way. So must, as text, each of the package's
 records' signature (str(inspect.signature)) and the errors of its calls that
 do not fit its fields: an unknown keyword, a field given twice, one argument
-too many and, where a field is required, no arguments. Prints one line per operation that
-differs, naming what differs, then a summary; exits 1 when any operation
-differs. A differing custom-norm point or gauge-only geometry_batch probe
+too many and, where a field is required, no arguments. So must numerics'
+small-matrix kernels, reached through names every checkout has: cond_2 and
+guarded solves of fixed 2x2 and 3x3 stacks that hold an exactly singular
+and an ill-conditioned matrix, det h / det b and the volume forms of such
+stacks, and ellipsoid_norm's inverse and its positive-definiteness test.
+Prints one line per operation that differs, naming what differs; for a
+report or field CSV that differs, the paths where it differs other than in
+a float, and for a stderr that differs, whether it differs other than in
+its numbers. Then the largest relative change of a float per check (reports)
+and per column (field CSVs), over the operations that differ, and a
+summary; exits 1 when any operation differs. A differing custom-norm point or gauge-only geometry_batch probe
 also prints each checkout's largest gap in eta, lambda1 and lambda2 to the
 analytic route: the same points under the built-in norm the gauge is the
 value of (a workload pair's ref_norm and ref_surface). The gaps do not
@@ -53,6 +61,7 @@ import argparse
 import compileall
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -146,9 +155,10 @@ for pair, (s, t, phi) in workloads.custom_ops(workloads.build_custom_pairs(count
 PROBE_PROGRAM = """
 import dataclasses
 import json
+import types
 import numpy as np
 import minksurf as mk
-from minksurf import numerics
+from minksurf import blaschke, numerics
 """ + ROUTE_GAP + """
 
 A = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
@@ -168,6 +178,15 @@ GAUGES = {
 }
 REFERENCES = {}  # gauge-only probe name -> the geometry_batch arguments of its analytic route
 XI = np.array([[0.3, -0.5, 0.8], [1e-3, 0.6, -0.9], [2.0, 1.0, 0.5]])
+# Small-matrix stacks for the determinant, solve and inverse kernels: a
+# well-conditioned matrix, an exactly singular one (a zero LU pivot), one
+# with cond_2 about 1e10 and a nonsymmetric one; the right sides of their solves.
+STACK2 = np.array([[[2.0, 0.3], [0.3, 1.5]], [[1.0, 2.0], [2.0, 4.0]],
+                   [[1.0, 1.0], [1.0, 1.0 + 1e-10]], [[0.4, -1.3], [2.2, 0.7]]])
+STACK3 = np.array([A, [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],
+                   [[1.0, 1.0, 1.0], [1.0, 1.0 + 1e-10, 1.0], [0.3, -0.2, 1.1]],
+                   [[0.4, -1.3, 0.2], [2.2, 0.7, -0.9], [0.1, 0.5, 1.6]]])
+RHS = np.array([[0.7, -1.1, 0.4], [1.0, 1.0, 1.0], [-0.3, 2.0, 0.9], [1.3, 0.2, -0.8]])
 P3, D3 = np.array([0.4, -0.7, 1.3]), np.array([0.6, 0.0, -0.8])
 
 
@@ -199,7 +218,24 @@ def laplacian(norm, s, t):
     return d["laplacian"], d["gauss_defects"]
 
 
+def small_matrix_probes():
+    for n, stack in ((2, STACK2), (3, STACK3)):
+        yield f"cond_2 of a {n}x{n} stack", numerics._cond_2, (stack,)
+        nonsingular = stack[[0, 2, 3]]
+        yield f"guarded_solve_rows of a {n}x{n} stack", numerics.guarded_solve_rows, (nonsingular, RHS[:3, :n], 1e300)
+        yield (f"guarded_solve_rows of a {n}x{n} stack, matrix right sides", numerics.guarded_solve_rows,
+               (nonsingular, np.repeat(RHS[None, :n, :n], 3, axis=0), 1e300))
+        yield f"guarded_solve_rows of a singular {n}x{n} stack", numerics.guarded_solve_rows, (stack, RHS[:, :n], 1e300)
+    forms = types.SimpleNamespace(h_mat=STACK2, b_mat=STACK2[[0, 3, 3, 0]], f_s=STACK3[:, :, 0], f_t=STACK3[:, :, 1],
+                                  eta=STACK3[:, :, 2])
+    yield "gaussian_by_determinants of 2x2 stacks", mk.gaussian_by_determinants, (forms,)
+    yield "volume forms of 3x3 stacks", blaschke._volume_forms, (forms,)
+    yield "ellipsoid_norm dual_hessian", lambda xi: mk.ellipsoid_norm(A).dual_hessian(xi), (XI[0],)
+    yield "ellipsoid_norm of an indefinite matrix", mk.ellipsoid_norm, (np.diag([1.0, -1e-12, 1.0]),)
+
+
 def probes():
+    yield from small_matrix_probes()
     yield "fd_gradient", numerics.fd_gradient, (f3, P3, 1e-5)
     yield "fd_hessian", numerics.fd_hessian, (f3, P3, 1e-4)
     yield "fd_hessian 2 variables", numerics.fd_hessian, (f_n, P3[:2], 1e-4)
@@ -301,6 +337,76 @@ for cls in sorted(records(), key=lambda c: c.__qualname__):
 INFORMATIVE = ("gap", "gauge values", "pair")
 
 
+def _keep_largest(changes: dict, key, x: float, y: float) -> None:
+    """Keep in changes[key] the (relative change, x, y) of the pair of
+    values that changed most, relative to the larger of the two."""
+    change = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+    if change >= changes.get(key, (0.0,))[0]:
+        changes[key] = (change, x, y)
+
+
+# a path's check entry and list indices: "checks[2].worst_point[1]" -> "worst_point"
+ENTRY_INDEX = re.compile(r"^checks\[\d+\]\.|\[\d+\]")
+
+
+def report_changes(a: bytes, b: bytes) -> tuple[dict, list]:
+    """Two reports' largest relative change of a float, per check id and
+    field (max_residual, worst_point, a detail key), as _keep_largest keeps
+    it, and the paths where anything else differs: a key or a length, a value
+    that is not a float on both sides, or not JSON."""
+    changes, other = {}, []
+
+    def walk(x, y, path, check):
+        if isinstance(x, float) and isinstance(y, float):
+            _keep_largest(changes, f"{check} {ENTRY_INDEX.sub('', path)}", x, y)
+        elif isinstance(x, dict) and isinstance(y, dict):
+            other.extend(f"{path}.{k}" for k in sorted(x.keys() ^ y.keys()))
+            for k in sorted(x.keys() & y.keys()):
+                walk(x[k], y[k], f"{path}.{k}", check)
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(u, v, f"{path}[{i}]", u.get("id", check) if path == "checks" and isinstance(u, dict) else check)
+        elif x != y:
+            other.append(path)
+
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except ValueError:
+        return {}, ["(not JSON)"]
+    for key in sorted(x.keys() ^ y.keys()):
+        other.append(key)
+    for key in sorted(x.keys() & y.keys()):
+        walk(x[key], y[key], key, "(environment)" if key != "checks" else None)
+    return changes, other
+
+
+def csv_changes(a: bytes, b: bytes) -> tuple[dict, list]:
+    """Two field CSVs' largest relative change per column, as _keep_largest
+    keeps it, and the cells (or the header, or the row count) that differ otherwise."""
+    rows_a, rows_b = (text.decode().splitlines() for text in (a, b))
+    if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
+        return {}, ["header or row count"]
+    header, changes, other = rows_a[0].split(","), {}, []
+    for i, (u, v) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
+        for name, x, y in zip(header, u.split(","), v.split(",")):
+            try:
+                _keep_largest(changes, name, float(x), float(y))
+            except ValueError:
+                if x != y:
+                    other.append(f"row {i} {name}")
+    return changes, other
+
+
+NUMBER = re.compile(rb"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def stderr_changes(a: bytes, b: bytes) -> tuple[dict, list]:
+    """Where two stderr texts differ other than in a number (the summary
+    line of each check prints its largest residual): nowhere, or in the text
+    around their numbers."""
+    return {}, [] if NUMBER.sub(b"#", a) == NUMBER.sub(b"#", b) else ["the text around its numbers"]
+
+
 def load_workloads(root: Path):
     sys.path.insert(0, str(root / "perfbench"))
     import workloads
@@ -359,6 +465,7 @@ def main(argv=None) -> int:
             raise SystemExit(f"byte-compiling {root / 'src'} failed")
 
     seen, compared, differ, rss = set(), 0, 0, []
+    by_check, by_column = {}, {}  # the largest relative float change, and the operation it is in
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
         for seed in args.seeds:
             for workload in WORKLOADS:
@@ -375,6 +482,16 @@ def main(argv=None) -> int:
                     if diff:
                         differ += 1
                         print(f"differs: {workload} seed {seed} {op.name}: {', '.join(diff)}")
+                        for what, compare, largest in (("report", report_changes, by_check),
+                                                       ("field CSV", csv_changes, by_column),
+                                                       ("stderr", stderr_changes, {})):
+                            if what in diff and a[what] and b[what]:
+                                changes, other = compare(a[what], b[what])
+                                for key, value in changes.items():
+                                    if value[0] > largest.get(key, (0.0,))[0]:
+                                        largest[key] = (*value, f"{workload} seed {seed} {op.name}")
+                                if other:
+                                    print(f"  {what} differs beyond its floats at: {', '.join(other)}")
         for label, config, exit_code in FAILING:
             (a, rss_a), (b, rss_b) = run_both(parent, change, config, False,
                                               Path(tmp) / f"failing-{compared}", compared % 2 == 1)
@@ -386,6 +503,11 @@ def main(argv=None) -> int:
             if diff:
                 differ += 1
                 print(f"differs: {label}: {', '.join(diff)}")
+    for title, largest in (("report float of each check", by_check), ("field CSV column", by_column)):
+        if largest:
+            print(f"largest relative change of a {title}, where the outputs differ: parent -> change")
+            for key, (gap, x, y, where) in sorted(largest.items(), key=lambda kv: str(kv[0])):
+                print(f"  {str(key):40s} {gap:.2e}  {x:.3e} -> {y:.3e}  ({where})")
     print("peak RSS of each CLI child, MB: parent -> change")
     for name, rss_a, rss_b in rss:
         print(f"  {name:64s} {rss_a:7.2f} -> {rss_b:7.2f}  ({rss_b - rss_a:+.2f})")

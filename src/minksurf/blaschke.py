@@ -29,8 +29,8 @@ import numpy as np
 from .errors import ConfigError, DegenerateH, NonConvexCurve, NonElliptic
 from .geometry import GeometryBatch, _euclidean_frame, geometry_batch
 from .norms import NormModel
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _central_diffs, _near_singular, _stack_last,
-                       gradient_stencil, in_row_order)
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _central_diffs, _det, _near_singular, _solve,
+                       _stack_last, gradient_stencil, in_row_order)
 from .surfaces import SurfacePatch
 
 
@@ -50,7 +50,7 @@ def euclidean_gaussian(surface: SurfacePatch, s, t) -> float | np.ndarray:
     """Euclidean Gaussian curvature det(II)/det(G); orientation-independent.
     A float at floats s, t; one value per point at parameter arrays."""
     _, _, G, _, II, _ = _euclidean_frame(surface, np.atleast_1d(s), np.atleast_1d(t))
-    K_e = np.linalg.det(II) / np.linalg.det(G)
+    K_e = _det(II) / _det(G)
     return float(K_e[0]) if np.ndim(s) == 0 else K_e
 
 
@@ -60,8 +60,8 @@ def _volume_forms(gb: GeometryBatch):
     Returns (omega, omega_h, degenerate), with degenerate the mask of the
     points where h is degenerate; omega_h is NaN there.
     """
-    omega = np.linalg.det(_stack_last(gb.f_s, gb.f_t, gb.eta))
-    det_h = np.linalg.det(gb.h_mat)
+    omega = _det(_stack_last(gb.f_s, gb.f_t, gb.eta))
+    det_h = _det(gb.h_mat)
     degenerate = _near_singular(det_h, gb.h_mat, 1e-14)
     return omega, np.sqrt(np.abs(np.where(degenerate, np.nan, det_h))), degenerate
 
@@ -84,8 +84,8 @@ def _affine_normals(surface: SurfacePatch, s, t, P, G, xi, II,
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    det_II = np.linalg.det(II)
-    K_e = det_II / np.linalg.det(G)
+    det_II = _det(II)
+    K_e = det_II / _det(G)
     missing = {i: NonElliptic(f"K_e = {K_e[i]:.3e} <= 0 at (s,t)=({s[i]}, {t[i]}); "
                               "affine normal needs an elliptic point")
                for i in np.flatnonzero(K_e <= 0.0).tolist()}
@@ -105,7 +105,7 @@ def _affine_normals(surface: SurfacePatch, s, t, P, G, xi, II,
     normals = np.full((len(s), 3), np.nan)
     ok = np.array([i not in missing for i in live.tolist()], dtype=bool)
     i = live[ok]
-    Z = np.linalg.solve(II[i], -d_kappa[ok][:, :, None])
+    Z = _solve(II[i], -d_kappa[ok][:, :, None])[0]
     normals[i] = K_e[i, None] ** 0.25 * xi[i] + (P[i] @ Z)[:, :, 0]
     return normals, missing
 

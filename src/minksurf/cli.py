@@ -292,11 +292,14 @@ def _curvature_closed_form_residual(ctx: RunContext):
 
 
 def _umbilicity_residual(ctx: RunContext):
+    """The umbilic defect of each grid point, with the count of points whose
+    umbilic flag (numerics.umbilic_tol) is set."""
     g = ctx.geometries()
+    detail = {"umbilic_points": int(g.umbilic.sum())}
     if ctx.surface.name != "minkowski_sphere":
-        return np.abs(g.lambda1 - g.lambda2), ctx.grid, None
+        return np.abs(g.lambda1 - g.lambda2), ctx.grid, detail
     kappa = 1.0 / (ctx.surface.params or {})["rho"]
-    return np.abs(g.W - kappa * np.eye(2)).max(axis=(1, 2)), ctx.grid, {"expected_curvature": kappa}
+    return np.abs(g.W - kappa * np.eye(2)).max(axis=(1, 2)), ctx.grid, {"expected_curvature": kappa, **detail}
 
 
 def _locate_h_zero_points(ctx: RunContext) -> tuple[list, GeometryBatch]:

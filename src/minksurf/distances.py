@@ -39,6 +39,7 @@ from .numerics import (
     _Record,
     _central_diffs,
     _cross_stencil,
+    _det,
     _dot,
     _field_values,
     _mat2,
@@ -46,6 +47,7 @@ from .numerics import (
     _near_singular,
     _norm_rows,
     _require_finite,
+    _solve,
     _stack_last,
     _value_or_rows,
     first_row,
@@ -265,7 +267,7 @@ def affine_distance(g: PointGeometry | GeometryBatch, a) -> tuple[float | np.nda
     V_amb = (g.p - a) - np.asarray(rho)[..., None] * g.eta
     P = g.basis_matrix()
     Pt = np.swapaxes(P, -1, -2)
-    return rho, np.linalg.solve(Pt @ P, Pt @ V_amb[..., None])[..., 0]
+    return rho, _solve(Pt @ P, Pt @ V_amb[..., None])[0][..., 0]
 
 
 def decomposition_residual(pg: PointGeometry, a) -> float:
@@ -283,7 +285,7 @@ def _laplacians(gb: GeometryBatch, norm: NormModel, surface: SurfacePatch,
     splits one stacked guarded solve: a point whose frame [f_s, f_t, eta] has
     cond_2 above config.cond_guard raises NumericalFailure at its (s, t).
     """
-    det_h = np.linalg.det(gb.h_mat)
+    det_h = _det(gb.h_mat)
     i = first_row(_near_singular(det_h, gb.h_mat, 1e-10))
     if i is not None:
         raise DegenerateH(f"affine fundamental form has rank < 2 at (s,t)=({gb.s[i]}, {gb.t[i]})")

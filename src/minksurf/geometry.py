@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ComplexEigenvalues, NewtonDivergence, SingularMetric, ZeroDirection
 from .norms import NormModel
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _dot, _invert_2x2_spd, _mat2, _near_singular,
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _det, _dot, _invert_2x2_spd, _mat2, _near_singular,
                        _stack_last, _value_or_rows, first_row, in_row_order, simpson_periodic_mean,
                        sym_generalized_eigen_2x2)
 from .surfaces import SurfacePatch, _normal_jets
@@ -132,11 +132,11 @@ def _T(A: np.ndarray) -> np.ndarray:
 def _geometry_rows(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.ndarray,
                    config: NumericsConfig) -> GeometryBatch:
     """The curvature data at the parameter arrays s, t, as one array computation."""
-    jet, P, G, xi, II, solve = _euclidean_frame(surface, s, t)
-    Ginv = _invert_2x2_spd(G, "first fundamental form")
-    dxi_mat = -Ginv @ II
-
     try:
+        # the chart of a gauge-only sphere is a Newton solve too
+        jet, P, G, xi, II, solve = _euclidean_frame(surface, s, t)
+        Ginv = _invert_2x2_spd(G, "first fundamental form")
+        dxi_mat = -Ginv @ II
         # on a gauge-only sphere of norm, in its own orientation, eta = u(xi) is the chart's own solve
         if solve is not None and solve[0] is norm and surface.orientation == 1.0:
             eta, E, M_du = solve[1:]
@@ -308,10 +308,10 @@ def asymptotic_directions(pg: PointGeometry, zero_tol: float = 1e-10) -> list[np
 def gaussian_by_determinants(g: PointGeometry | GeometryBatch) -> float | np.ndarray:
     """K as det(h) / det(b), at a PointGeometry (a float) or at each point of a
     GeometryBatch; basis-independent since both change by the same squared Jacobian."""
-    det_b = np.linalg.det(g.b_mat)
+    det_b = _det(g.b_mat)
     if np.any(_near_singular(det_b, g.b_mat, 1e-14)):
         raise SingularMetric("weighted Dupin metric is numerically singular")
-    return _value_or_rows(np.linalg.det(g.h_mat) / det_b)
+    return _value_or_rows(_det(g.h_mat) / det_b)
 
 
 def weingarten_eigen_raw(pg: PointGeometry) -> np.ndarray:

@@ -53,10 +53,10 @@ from .errors import (
     NewtonDivergence,
     NonSmoothPoint,
 )
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _central_diffs, _cross, _dot, _field_values,
-                       _invert_2x2_spd, _norm_rows, _require_finite, _stack_last, check_jet_options,
-                       fd_gradient_rows, fd_hessian_rows, first_row, gradient_stencil, in_row_order,
-                       per_point, relative_step)
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, _Record, _central_diffs, _cross, _det, _dot, _field_values,
+                       _invert_2x2_spd, _norm_rows, _positive_definite, _require_finite, _solve, _stack_last,
+                       check_jet_options, fd_gradient_rows, fd_hessian_rows, first_row, gradient_stencil,
+                       in_row_order, per_point, relative_step)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +412,7 @@ class NormModel(_Record, frozen=True):
                     return U
             X, F, G, res_norm, known = state
             H = self._plane_hessian_rows(X, E, self.fd_step, known)
-            det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+            det = _det(H)
             i = first_row(det == 0.0)
             if i is not None:
                 raise NewtonDivergence(f"singular gauge Hessian on the plane x.xi = 1 at x={X[i]!r}")
@@ -572,11 +572,9 @@ def ellipsoid_norm(A, jet_source: str = "analytic", fd_step: float = 1e-5,
     A = np.asarray(A, dtype=float)
     if A.shape != (3, 3) or not np.allclose(A, A.T, atol=1e-12):
         raise InvalidParameter("ellipsoid matrix must be 3x3 symmetric")
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
+    if not _positive_definite(A):
         raise InvalidParameter("ellipsoid matrix must be positive definite")
-    return NormModel("ellipsoid", _quadform_jets(A), _quadform_jets(np.linalg.inv(A)), jet_source, fd_step,
+    return NormModel("ellipsoid", _quadform_jets(A), _quadform_jets(_solve(A, np.eye(3))[0]), jet_source, fd_step,
                      {"A": A}, config=config)
 
 

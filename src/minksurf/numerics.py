@@ -1,6 +1,8 @@
-"""Shared numerical kernels: finite differences, 2x2 inverses and generalized
-eigensolves, periodic Simpson quadrature, linear solves guarded by a
-condition number that is a closed form for 2x2 and 3x3 systems,
+"""Shared numerical kernels: finite differences, the package's small-matrix
+linear algebra (determinants, solves, inverses and the positive-definiteness
+test of 2x2 and 3x3 matrices, so that no check calls LAPACK), 2x2
+generalized eigensolves, periodic Simpson quadrature, linear solves guarded
+by a condition number that is a closed form for 2x2 and 3x3 systems,
 Brent's bracketed root finder, for one bracket or many advanced in lockstep,
 and the seeded uniform stream the checks draw their random points from.
 
@@ -186,8 +188,9 @@ class NumericsConfig(_Record, frozen=True):
     affine-normal-compare. A norm's fd_step is relative per row and sets its
     derivatives under jet_source "fd"; a surface's is an absolute (s, t) step
     for FD surface jets; the gauge-only du Hessian uses eps^(1/4).
-    richardson is accepted but read by nothing yet. umbilic_tol sets only
-    PointGeometry.umbilic, which no check and no field column reads.
+    richardson is accepted but read by nothing yet. umbilic_tol sets
+    PointGeometry.umbilic, whose count over the grid is the umbilicity
+    check's umbilic_points.
     newton_max_iter and newton_tol act only on library norms given by their
     gauge alone (the CLI cannot build one), whose Newton stops once the
     gauge's gradient along the plane x . xi = 1 has norm at most newton_tol;
@@ -531,6 +534,14 @@ def first_row(bad) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinants of 2x2 or 3x3 matrices (one, or a stack): ad - bc, or the
+    triple product r0 . (r1 x r2) of the rows."""
+    if M.shape[-1] == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return _dot(M[..., 0, :], _cross(M[..., 1, :], M[..., 2, :]))
+
+
 def _near_singular(det, M: np.ndarray, rel: float) -> np.ndarray:
     """Whether |det M| < rel * max(1, max |M_ij|)^2 for 2x2 matrices M (one, or
     a stack) and their determinants det: the test of a numerically singular form."""
@@ -539,7 +550,7 @@ def _near_singular(det, M: np.ndarray, rel: float) -> np.ndarray:
 
 def _invert_2x2_spd(M: np.ndarray, what: str) -> np.ndarray:
     """Inverses of 2x2 matrices (one, or a stack); raises for the first singular one."""
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    det = _det(M)
     i = first_row(np.ravel(~np.isfinite(det) | _near_singular(det, M, 1e-14)))
     if i is not None:
         raise SingularRestriction(f"{what} is numerically singular (det = {np.ravel(det)[i]:.3e})")
@@ -661,31 +672,71 @@ def _sym_top_eigenvalue_3x3(G: np.ndarray) -> np.ndarray:
     return top
 
 
-def _lu_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's LU inverses of a stack of matrices, and the mask of the matrices
-    with a zero pivot (exactly singular), whose inverse is left as the identity."""
-    singular = np.zeros(M.shape[:-2], dtype=bool)
-    try:
-        return np.linalg.inv(M), singular
-    except np.linalg.LinAlgError:
-        inv = np.empty_like(M)
-    for i in np.ndindex(singular.shape):
-        try:
-            inv[i] = np.linalg.inv(M[i])
-        except np.linalg.LinAlgError:
-            inv[i], singular[i] = np.eye(M.shape[-1]), True
-    return inv, singular
+def _solve(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X with M X = B for 2x2 or 3x3 matrices M (one, or a stack) and right
+    sides B (n x k, broadcast against M's stack), and the mask of the M that
+    are exactly singular, whose X means nothing.
+
+    2x2: Cramer's rule, singular where ad - bc is 0. 3x3: Gaussian
+    elimination with partial pivoting (the first largest |entry| of the
+    column), then back substitution column by column; singular where a pivot
+    is 0. Its error is about eps cond_2, as LAPACK's LU solve's is; a cofactor
+    inverse's is not (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 9 and 14). With B the identity, X is the inverse.
+    """
+    M = np.asarray(M, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if M.shape[-1] == 2:
+        det = _det(M)
+        singular = det == 0.0
+        det = np.where(singular, 1.0, det)[..., None]
+        B0, B1 = B[..., 0, :], B[..., 1, :]
+        X = np.stack([(M[..., 1, 1, None] * B0 - M[..., 0, 1, None] * B1) / det,
+                      (M[..., 0, 0, None] * B1 - M[..., 1, 0, None] * B0) / det], axis=-2)
+        return X, singular
+    n = M.shape[-1]
+    B = np.broadcast_to(B, M.shape[:-2] + B.shape[-2:])
+    # [A | X], eliminated together: the row operations on X are the ones on A
+    W = np.concatenate([M.reshape(-1, n, n), B.reshape(-1, n, B.shape[-1])], axis=2)
+    rows = np.arange(len(W))
+    singular = np.zeros(len(W), dtype=bool)
+    for k in range(n):
+        if k < n - 1:
+            p = k + np.argmax(np.abs(W[:, k:, k]), axis=1)
+            W[rows, k], W[rows, p] = W[rows, p], W[rows, k].copy()
+        zero = W[:, k, k] == 0.0
+        singular |= zero
+        W[zero, k, k] = 1.0  # the column below is 0 too: nothing to eliminate
+        W[:, k + 1:, k + 1:] -= W[:, k + 1:, k:k + 1] / W[:, k:k + 1, k:k + 1] * W[:, None, k, k + 1:]
+    A, X = W[:, :, :n], W[:, :, n:]
+    for k in reversed(range(n)):
+        X[:, k] /= A[:, k, k, None]
+        X[:, :k] -= A[:, :k, k, None] * X[:, None, k]
+    return X.reshape(B.shape), singular.reshape(M.shape[:-2])
 
 
-def _cond_2(M: np.ndarray) -> np.ndarray:
+def _positive_definite(A: np.ndarray) -> bool:
+    """Whether the symmetric matrix A is positive definite: every pivot of its
+    Cholesky elimination (the leading entry of each Schur complement) is positive."""
+    A = np.array(A, dtype=float)
+    for k in range(len(A)):
+        if not A[k, k] > 0.0:
+            return False
+        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:]) / A[k, k]
+    return True
+
+
+def _cond_2(M: np.ndarray, inv: np.ndarray | None = None, singular: np.ndarray | None = None) -> np.ndarray:
     """cond_2 = sigma_max(M) sigma_max(M^-1) of each 2x2 or 3x3 matrix of a stack.
 
     Each sigma_max^2 is the largest eigenvalue of a Gram matrix, in closed
-    form; M^-1 is numpy's LU inverse, the factorization the solve runs. The
-    relative error is about eps cond_2. A matrix with a zero LU pivot
-    (exactly singular) has cond_2 inf.
+    form; M^-1 is _solve's, Cramer's rule for 2x2 and the pivoted elimination
+    for 3x3, whose relative error is about eps cond_2. A matrix that _solve
+    finds exactly singular (a zero determinant or pivot) has cond_2 inf.
+    inv and singular, when given, are _solve's inverses of M and their mask.
     """
-    inv, singular = _lu_inverses(M)
+    if inv is None:
+        inv, singular = _solve(M, np.eye(M.shape[-1]))
     top = (lambda G: sym_eigen_2x2(G)[0][..., 1]) if M.shape[-1] == 2 else _sym_top_eigenvalue_3x3
     cond = np.sqrt(top(np.swapaxes(M, -1, -2) @ M) * top(np.swapaxes(inv, -1, -2) @ inv))
     return np.where(singular, np.inf, cond)
@@ -697,22 +748,31 @@ def guarded_solve_rows(M: np.ndarray, rhs: np.ndarray, cond_guard: float,
 
     Raises NumericalFailure, with locations[i] as its location, for the first
     system whose cond_2(M[i]) exceeds the guard or is not finite (an exactly
-    singular M[i] has cond_2 inf). For 2x2 and 3x3 systems cond_2 is the
-    closed form of _cond_2, so the guard runs no SVD; other sizes take
-    numpy's SVD-based cond. The solve is numpy's LU solve either way.
+    singular M[i] has cond_2 inf). 2x2 and 3x3 systems run no LAPACK: cond_2
+    is the closed form of _cond_2, whose M^-1 and the solve both come from
+    _solve (Cramer's rule for 2x2, pivoted Gaussian elimination for 3x3).
+    Larger systems take numpy's SVD-based cond and LU solve.
     """
     M = np.asarray(M, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    cond = _cond_2(M) if M.shape[-1] in (2, 3) else np.linalg.cond(M)
+    n = M.shape[-1]
+    vector = rhs.ndim == M.ndim - 1
+    B = rhs[..., None] if vector else rhs
+    if n in (2, 3):
+        # one elimination gives M^-1 for the guard and the solution
+        inv_X, singular = _solve(M, np.concatenate([np.broadcast_to(np.eye(n), M.shape), B], axis=-1))
+        cond, X = _cond_2(M, inv_X[..., :n], singular), inv_X[..., n:]
+    else:
+        cond, X = np.linalg.cond(M), None
     i = first_row(~np.isfinite(cond) | (cond > cond_guard))
     if i is not None:
         raise NumericalFailure(
             f"linear solve rejected: condition number {cond[i]:.3e} exceeds guard {cond_guard:.3e}",
             location=None if locations is None else locations[i],
         )
-    if rhs.ndim == M.ndim - 1:
-        return np.linalg.solve(M, rhs[..., None])[..., 0]
-    return np.linalg.solve(M, rhs)
+    if X is None:
+        X = np.linalg.solve(M, B)
+    return X[..., 0] if vector else X
 
 
 def guarded_solve(M: np.ndarray, rhs: np.ndarray, cond_guard: float,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateJet, InvalidParameter, OutOfDomain
 from .norms import NormModel, _reject_unread_keys
-from .numerics import (_Record, _central_diffs, _cross, _dot, _hessian_layout, _norm_rows, _second_diffs,
+from .numerics import (_Record, _central_diffs, _cross, _det, _dot, _hessian_layout, _norm_rows, _second_diffs,
                        _stack_last, check_jet_options, first_row, per_point)
 
 
@@ -431,7 +431,7 @@ def reparametrize_linear(surface: SurfacePatch, L, offset=(0.0, 0.0)) -> Surface
     """
     L = np.asarray(L, dtype=float)
     off = np.asarray(offset, dtype=float)
-    if abs(np.linalg.det(L)) < 1e-14:
+    if abs(_det(L)) < 1e-14:
         raise InvalidParameter("reparametrization must be invertible")
 
     def mapped(s, t):

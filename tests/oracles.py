@@ -12,9 +12,14 @@ jet as it was before numerics placed and differenced its stencil: its own
 field table writer as it was before each row became one string template:
 csv.writer, and format(v, ".17g") per value. cond_by_svd is the condition
 number the linear-solve guard took from numpy's SVD before it had a closed
-form. quadratic_dual_hessian and lq_dual_hessian are the Hessians of the
+form. solve_by_scalars is the small-matrix solve the guard and the
+package's 2x2 and 3x3 systems run, matrix by matrix and entry by entry, in
+Python floats. quadratic_dual_hessian and lq_dual_hessian are the Hessians of the
 dual norms of the ellipsoid (and Euclidean) and lp families, written out by
-hand for the graph oracle. schema_validator is
+hand for the graph oracle. ellipsoid_support_hessian and
+torus_support_hessian are the Hessians of those surfaces' support
+functions, and support_curvatures the curvatures they give with a dual
+Hessian, by linear algebra alone. schema_validator is
 jsonschema's validator of a shipped schema, against which the CLI's own
 config check is tested and reports are validated.
 """
@@ -63,6 +68,35 @@ def cond_by_svd(M: np.ndarray) -> np.ndarray:
     return np.linalg.cond(M)
 
 
+def solve_by_scalars(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """numerics._solve of a stack of nonsingular 2x2 or 3x3 matrices, matrix
+    by matrix in Python floats: Cramer's rule for 2x2; for 3x3, elimination
+    with partial pivoting (the first largest |entry| of the column), then back
+    substitution column by column."""
+    out = np.empty(np.shape(B))
+    for i, (m, rhs) in enumerate(zip(np.asarray(M).tolist(), np.asarray(B).tolist())):
+        n, cols = len(m), range(len(rhs[0]))
+        if n == 2:
+            (a, b), (c, d) = m
+            det = a * d - b * c
+            out[i] = [[(d * rhs[0][j] - b * rhs[1][j]) / det for j in cols],
+                      [(a * rhs[1][j] - c * rhs[0][j]) / det for j in cols]]
+            continue
+        for k in range(n):
+            p = max(range(k, n), key=lambda r: (abs(m[r][k]), -r))
+            m[k], m[p], rhs[k], rhs[p] = m[p], m[k], rhs[p], rhs[k]
+            for r in range(k + 1, n):
+                lk = m[r][k] / m[k][k]
+                m[r] = [m[r][c] - lk * m[k][c] if c > k else m[r][c] for c in range(n)]
+                rhs[r] = [rhs[r][j] - lk * rhs[k][j] for j in cols]
+        for k in reversed(range(n)):
+            rhs[k] = [v / m[k][k] for v in rhs[k]]
+            for r in range(k):
+                rhs[r] = [rhs[r][j] - m[r][k] * rhs[k][j] for j in cols]
+        out[i] = rhs
+    return out
+
+
 def quadratic_dual_hessian(B: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Hessians of F°(xi) = sqrt(xi^T B xi) at the rows of xi:
     B / F° - (B xi)(B xi)^T / F°^3."""
@@ -78,6 +112,42 @@ def lq_dual_hessian(q: float, xi: np.ndarray) -> np.ndarray:
     g = np.abs(xi) ** (q - 1.0) * np.sign(xi) / F[:, None] ** (q - 1.0)
     diag = np.abs(xi) ** (q - 2.0) / F[:, None] ** (q - 2.0)
     return (q - 1.0) / F[:, None, None] * (diag[:, :, None] * np.eye(3) - g[:, :, None] * g[:, None, :])
+
+
+def ellipsoid_support_hessian(a: float, b: float, c: float, xi: np.ndarray) -> np.ndarray:
+    """Hessians of the ellipsoid's support function sqrt(xi^T D xi), D = diag(a^2, b^2, c^2)."""
+    return quadratic_dual_hessian(np.diag([a * a, b * b, c * c]), xi)
+
+
+def torus_support_hessian(R: float, r: float, xi: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Hessians of the torus's support function sign R |xi_xy| + r |xi| at
+    the rows of xi, with sign +1 on the outer half (cos s > 0) and -1 on the
+    inner, per row: the Hessian of |x| is (I - x x^T / |x|^2) / |x|."""
+    hess = r * quadratic_dual_hessian(np.eye(3), xi)
+    xy = np.zeros_like(xi)
+    xy[:, :2] = xi[:, :2]
+    flat = quadratic_dual_hessian(np.diag([1.0, 1.0, 0.0]), xy)
+    return hess + (sign * R)[:, None, None] * flat
+
+
+def support_curvatures(hess_B: np.ndarray, hess_S: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """lambda1, lambda2, K and H of a surface with the support-function
+    Hessians hess_S at its unit normals xi, under the norm whose dual has the
+    Hessians hess_B: the eigenvalues of (E^T hess_B E)(E^T hess_S E)^-1 on
+    xi-perp = span(E), the relative curvatures of the surface with respect
+    to the unit ball (Schneider, Convex Bodies, sec. 2.5). No chart jet and
+    no finite difference enters."""
+    axis = np.eye(3)[np.argmin(np.abs(xi), axis=1)]
+    u = np.cross(xi, axis)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    E = np.stack([u, np.cross(xi, u)], axis=2)
+    Et = np.swapaxes(E, 1, 2)
+    A, B = Et @ hess_B @ E, Et @ hess_S @ E
+    M = A @ np.linalg.inv(B)
+    lam = np.linalg.eigvals(M)
+    assert np.abs(lam.imag).max() <= 1e-12 * max(1.0, np.abs(lam).max())
+    lam = np.sort(lam.real, axis=1)
+    return lam[:, 0], lam[:, 1], np.linalg.det(A) / np.linalg.det(B), 0.5 * np.trace(M, axis1=1, axis2=2)
 
 
 def fd_hessian_rows_by_pairs(field, X, step: float, known=None) -> np.ndarray:

@@ -610,6 +610,8 @@ KNOB_CASES = {
     ("numerics", "quad_nodes"): ({}, 16, 32, {"checks": ["prop-2-1"]}),
     ("numerics", "critical_tol"): ({}, 1e-6, 1e-3, {"checks": ["lemma-3-1"]}),
     ("numerics", "cond_guard"): ({}, 1e8, 2.0, {"checks": ["thm-3-2"]}),
+    # umbilicity's detail counts the points whose umbilic flag is set: 0 at 1e-7, 10 of 12 at 0.5
+    ("numerics", "umbilic_tol"): ({}, 1e-7, 0.5, {"checks": ["umbilicity"]}),
     ("norm", "family"): (lambda family: {"p": 4.0} if family == "lp" else {}, "lp", "euclidean", {}),
     ("norm", "A"): ({"family": "ellipsoid"}, np.eye(3).tolist(), np.diag([2.0, 1.0, 1.0]).tolist(), {}),
     ("norm", "p"): ({"family": "lp"}, 4.0, 3.0, {}),
@@ -651,8 +653,6 @@ INERT_KNOBS = {
                                       "and the CLI cannot build one", 50, 1, {}),
     ("numerics", "newton_tol"): ("only a gauge-only library norm reaches the Newton solve, "
                                  "and the CLI cannot build one", 1e-12, 1e-2, {}),
-    ("numerics", "umbilic_tol"): ("sets only PointGeometry.umbilic, which no check and no field column reads",
-                                  1e-7, 0.5, {"checks": ["umbilicity", "prop-3-2"]}),
 }
 
 
@@ -1200,18 +1200,60 @@ def test_a_rejected_gauss_split_exits_three_with_its_location(tmp_path):
                           "exceeds guard 2.000e+00\n")
 
 
-def test_the_laplacian_checks_compute_no_svd(monkeypatch):
-    # numpy.linalg.cond looks svd up in the module that defines it, so that
-    # module's name is patched as well as the public one
-    def no_svd(*args, **kwargs):
-        raise AssertionError("an SVD was computed")
+# numpy.linalg's LAPACK routines: a `minksurf run` calls none of them.
+LAPACK_ROUTINES = ("det", "solve", "inv", "cholesky", "svd", "eig", "eigh", "eigvals", "eigvalsh",
+                   "lstsq", "qr", "slogdet", "cond")
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    monkeypatch.setattr(inspect.getmodule(inspect.unwrap(np.linalg.cond)), "svd", no_svd)
+
+def _benchmark_configs(monkeypatch) -> list[dict]:
+    """The benchmark's 10 paper-suite and 6 grid-sweep (norm, surface) pairs,
+    on 6x6 grids, each with its planar support where it has one."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    configs = [{"norm": pc.norm, "surface": pc.surface, "planar": pc.planar or {"support": "ellipse"}}
+               for pc in workloads.PAPER_CONFIGS]
+    configs += [{"norm": norm, "surface": surface, "planar": {"support": "ellipse"}}
+                for _, norm, surface, _ in workloads.SWEEP_CONFIGS]
+    return [{**cfg, "grid": {"ns": 6, "nt": 6, "margins": [0.3, 0.1]}, "seed": 1} for cfg in configs]
+
+
+def _verdicts(cfg: dict) -> dict:
+    """Each check's verdict and point count on cfg, or the text of the
+    numerical failure it raises; the checks that do not apply to cfg are left out."""
+    verdicts = {}
+    for check in REGISTRY:
+        try:
+            (result,) = run_checks({**cfg, "checks": [check]})["checks"]
+            verdicts[check] = (result["pass"], result["n_points"])
+        except minksurf.errors.ConfigError:
+            pass
+        except minksurf.errors.NumericalFailure as exc:
+            verdicts[check] = str(exc)
+    return verdicts
+
+
+def test_the_laplacian_checks_compute_no_svd(monkeypatch):
+    """No check runs a LAPACK routine of numpy.linalg: with each of them
+    raising, every check that applies to the benchmark's (norm, surface)
+    pairs gives the verdict it gives unpatched, and the Laplacian checks pass."""
+    configs = _benchmark_configs(monkeypatch)
+    expected = [_verdicts(cfg) for cfg in configs]
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("a numpy.linalg LAPACK routine was called")
+
+    # numpy.linalg.cond looks svd up in the module that defines it, so that
+    # module's names are patched as well as the public ones
+    for module in (np.linalg, inspect.getmodule(inspect.unwrap(np.linalg.cond))):
+        for name in LAPACK_ROUTINES:
+            monkeypatch.setattr(module, name, no_lapack)
     for cfg, check in ((EUCLIDEAN_TORUS, "thm-3-2"), (EUCLIDEAN_CATENOID, "thm-3-2"),
                        (EUCLIDEAN_CATENOID, "minimality-scan"), (BASE_CONFIG, "thm-3-2")):
         (result,) = run_checks({**cfg, "checks": [check]})["checks"]
         assert result["pass"] and result["n_points"] > 0, result
+    assert sum(map(len, expected)) > 13 * len(configs)
+    assert [_verdicts(cfg) for cfg in configs] == expected
 
 
 @pytest.mark.parametrize("make, reason", [

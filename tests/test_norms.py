@@ -626,6 +626,15 @@ def test_a_failed_newton_solve_of_a_geometry_names_its_chart_point(t):
         mk.geometry_batch(norm, surface, [0.8, 2.0, 0.8], [1.0, t, t])
     assert got.value.location == (2.0, t)
     assert str(got.value).startswith("singular gauge Hessian on the plane x.xi = 1 at x=")
+    # on the norm's own sphere the failing solve is the chart's, before eta's
+    sphere = mk.minkowski_sphere(norm, 1.5)
+    with pytest.raises(mk.NewtonDivergence) as got:
+        mk.point_geometry(norm, sphere, 0.8, t)
+    assert got.value.location == (0.8, t)
+    assert str(got.value).endswith(f" at (s,t)=(0.8, {t})")
+    with pytest.raises(mk.NewtonDivergence) as got:
+        mk.geometry_batch(norm, sphere, [0.8, 2.0], [1.0, t])
+    assert got.value.location == (2.0, t)
 
 
 @pytest.mark.parametrize("t, eta_tol, curvature_tol", [(1e-6, 5e-8, 1e-4), (1e-4, 1e-8, 1e-5), (1e-3, 1e-9, 2e-6)],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cond_by_svd, fd_hessian_rows_by_pairs
+from oracles import cond_by_svd, fd_hessian_rows_by_pairs, solve_by_scalars
 
 from minksurf.errors import (EvaluationFailure, InvalidParameter, NotSPD, NumericalFailure, OddSampleCount,
                              SingularRestriction)
@@ -454,7 +454,23 @@ def test_a_singular_row_fails_at_its_own_index(singular):
     assert "condition number inf exceeds guard 1.000e+08" in str(failure.value)
     ok = np.delete(M, 3, axis=0)
     assert np.array_equal(guarded_solve_rows(ok, np.ones((4, n)), 1e8),
-                          np.linalg.solve(ok, np.ones((4, n, 1)))[..., 0])
+                          solve_by_scalars(ok, np.ones((4, n, 1)))[..., 0])
+
+
+@pytest.mark.parametrize("kind", CONDITION_KINDS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_small_solve_is_as_accurate_as_lapacks(n, kind):
+    # The pivoted elimination and Cramer's rule against numpy's LU solve, on
+    # the matrices the guard lets through at its default 1e8: measured at most
+    # 2.5 eps cond_2 apart, relative to max |x|; and bitwise the scalar copy.
+    M = _condition_stack(kind, n)
+    M = M[cond_by_svd(M) <= 1e8]
+    rhs = np.random.default_rng([n, len(kind), 1]).standard_normal((len(M), n, 2))
+    got = guarded_solve_rows(M, rhs, 1e8)
+    want = np.linalg.solve(M, rhs)
+    gap = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert (gap <= 4.0 * EPS * cond_by_svd(M)[:, None]).all(), gap.max()
+    assert np.array_equal(got, solve_by_scalars(M, rhs))
 
 
 def test_a_4x4_stack_still_solves_and_is_guarded():
