@@ -29,7 +29,9 @@ the nabla-Laplacian of rho, the affine normal, numerics' FD kernels in 2, 3
 and 4 variables, with and without Richardson's h, h/2 combination, the dual
 Hessian and restricted du of FD and value-only-dual norms, the FD surface
 jets (evaluate_jets) of a torus, a saddle and a linear reparametrization of
-an ellipsoid chart that has no jet, and every field of geometry_batch under
+an ellipsoid chart that has no jet, position and evaluate_jets of every
+built-in family by each jet_source and of two gauge-only norms' spheres on
+a 5x5 grid of its chart, and every field of geometry_batch under
 two gauge-only norms on a 12x12 ellipsoid grid and a 4x4 grid of each norm's
 own sphere, whose rows converge after different numbers of Newton iterations
 and backtrack), run the same way. So must, as text, each of the package's
@@ -213,6 +215,43 @@ def jet_fields(surface, s, t):
     return tuple(getattr(jet, f.name) for f in dataclasses.fields(jet))
 
 
+# An n x n grid of a chart's domain from 0.11 to 0.83 of each side: off the
+# poles, the chart's centre and the coordinate planes of a sphere chart.
+def chart_grid(surface, n=5):
+    s0, s1, t0, t1 = surface.domain
+    frac = np.linspace(0.11, 0.83, n)
+    s, t = np.meshgrid(s0 + (s1 - s0) * frac, t0 + (t1 - t0) * frac, indexing="ij")
+    return s.ravel(), t.ravel()
+
+
+# position and evaluate_jets of every built-in family, by each jet_source, on a 5x5 grid.
+def chart_probes():
+    def phi(s, t):
+        return (np.sin(s) * np.cos(t), np.cos(s) * np.cos(t), -np.sin(s) * np.sin(t),
+                -np.sin(s) * np.cos(t), -np.cos(s) * np.sin(t), -np.sin(s) * np.cos(t))
+
+    families = {
+        "euclidean_sphere": lambda **kw: mk.euclidean_sphere(1.3, (0.2, -0.1, 0.4), **kw),
+        "ellipsoid": lambda **kw: mk.ellipsoid(1.0, 1.3, 0.8, **kw),
+        "torus": lambda **kw: mk.torus(2.0, 0.7, **kw),
+        "catenoid": lambda **kw: mk.catenoid(0.9, 1.1, **kw),
+        "saddle": lambda **kw: mk.saddle(0.8, **kw),
+        "graph": lambda **kw: mk.graph(phi, **kw),
+        "euclidean minkowski_sphere": lambda **kw: mk.minkowski_sphere(mk.euclidean_norm(), 1.5, **kw),
+        "ellipsoid-norm minkowski_sphere": lambda **kw: mk.minkowski_sphere(mk.ellipsoid_norm(A), 1.5, **kw),
+        "lp4 minkowski_sphere": lambda **kw: mk.minkowski_sphere(mk.lp_norm(4.0), 1.5, (0.1, 0.0, -0.2), **kw),
+    }
+    for family, make in families.items():
+        for jet_source in ("analytic", "fd"):
+            surface = make(jet_source=jet_source)
+            yield f"{jet_source} {family} position", surface.position, chart_grid(surface)
+            yield f"{jet_source} {family} evaluate_jets", jet_fields, (surface, *chart_grid(surface))
+    for name, (gauge, _) in GAUGES.items():
+        surface = mk.minkowski_sphere(mk.custom_norm(gauge), 1.5)
+        yield f"{name} minkowski_sphere position", surface.position, chart_grid(surface)
+        yield f"{name} minkowski_sphere evaluate_jets", jet_fields, (surface, *chart_grid(surface))
+
+
 def laplacian(norm, s, t):
     d = mk.nabla_laplacian_rho_details(norm, SURFACE, s, t, [0.1, -0.2, 0.3])
     return d["laplacian"], d["gauss_defects"]
@@ -236,6 +275,7 @@ def small_matrix_probes():
 
 def probes():
     yield from small_matrix_probes()
+    yield from chart_probes()
     yield "fd_gradient", numerics.fd_gradient, (f3, P3, 1e-5)
     yield "fd_hessian", numerics.fd_hessian, (f3, P3, 1e-4)
     yield "fd_hessian 2 variables", numerics.fd_hessian, (f_n, P3[:2], 1e-4)

@@ -42,6 +42,7 @@ of such a norm's Minkowski sphere is that one solve per point, u and du.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -624,36 +625,40 @@ def custom_norm(gauge, dual=None, allow_newton: bool = True,
                      allow_newton=allow_newton, config=config)
 
 
-def _reject_unread_keys(spec: dict, build: Callable, what: str) -> None:
-    """InvalidParameter naming the keys of a config spec, other than family,
-    that are no parameter of build, the family's constructor."""
-    reads = inspect.signature(build).parameters.keys() - {"config", "norm"}
-    stray = [key for key in spec if key != "family" and key not in reads]
+def _from_spec(spec: dict, families: dict, what: str, **context):
+    """The family spec names, built by its constructor in families from the
+    spec's other keys (numbers as floats) and from context's values. The
+    constructor's parameters are the keys the family reads, those without a
+    default the fields it needs: a stray key, a missing field and a needed
+    context value given as None are each an InvalidParameter."""
+    family = spec.get("family")
+    build = families.get(family)
+    if build is None:
+        library_only = " (custom norms are library-only)" if what == "norm" else ""
+        raise InvalidParameter(f"unknown {what} family {family!r}{library_only}")
+    params = inspect.signature(build).parameters
+    stray = [key for key in spec if key != "family" and (key not in params or key in context)]
     if stray:
-        raise InvalidParameter(f"the {spec['family']} {what} reads no {', '.join(map(repr, stray))}")
+        raise InvalidParameter(f"the {family} {what} reads no {', '.join(map(repr, stray))}")
+    kwargs = {key: float(value) if isinstance(value, numbers.Real) else value
+              for key, value in spec.items() if key != "family"}
+    for name, param in params.items():
+        if name in context:
+            if context[name] is None and param.default is param.empty:
+                raise InvalidParameter(f"{family} {what} needs the run's {name}")
+            kwargs[name] = context[name]
+        elif name not in kwargs and param.default is param.empty:
+            raise InvalidParameter(f"{family} {what} spec needs field {name!r}")
+    return build(**kwargs)
 
 
 def norm_from_spec(spec: dict, config: NumericsConfig = DEFAULT_CONFIG) -> NormModel:
-    """Build a NormModel from a CLI-config dictionary.
-
-    Schema: {"family": "euclidean" | "ellipsoid" | "lp",
-             "A": [[...]] (ellipsoid), "p": number, "axis_guard": number (lp),
-             "jet_source": "analytic" | "fd", "fd_step": number}
-    A key that the family's constructor does not take is an InvalidParameter.
+    """Build a NormModel from a CLI-config dictionary. A block's keys are its
+    family constructor's parameters other than config (euclidean_norm,
+    ellipsoid_norm, lp_norm), its required fields those without a default
+    (ellipsoid A, lp p), and its defaults the constructor's. A key that the
+    constructor does not take, or a missing required field, is an
+    InvalidParameter.
     """
-    family = spec.get("family")
-    build = {"euclidean": euclidean_norm, "ellipsoid": ellipsoid_norm, "lp": lp_norm}.get(family)
-    if build is None:
-        raise InvalidParameter(f"unknown norm family {family!r} (custom norms are library-only)")
-    _reject_unread_keys(spec, build, "norm")
-    jet_source = spec.get("jet_source", "analytic")
-    fd_step = float(spec.get("fd_step", 1e-5))
-    if family == "euclidean":
-        return euclidean_norm(jet_source, fd_step, config)
-    if family == "ellipsoid":
-        if "A" not in spec:
-            raise InvalidParameter("ellipsoid norm spec needs field 'A'")
-        return ellipsoid_norm(np.asarray(spec["A"], dtype=float), jet_source, fd_step, config)
-    if "p" not in spec:
-        raise InvalidParameter("lp norm spec needs field 'p'")
-    return lp_norm(float(spec["p"]), jet_source, fd_step, float(spec.get("axis_guard", 1e-8)), config)
+    return _from_spec(spec, {"euclidean": euclidean_norm, "ellipsoid": ellipsoid_norm, "lp": lp_norm}, "norm",
+                      config=config)

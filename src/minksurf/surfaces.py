@@ -7,8 +7,8 @@ Euclidean spheres, ellipsoids, graphs, tori, catenoids, and Minkowski spheres
 parametrized through the Birkhoff map u of a norm.
 
 Charts are value-level callables plus (for analytic patches) a jet callable
-returning all first and second partials; finite-difference jets are available
-for any chart given only positions. Charts and jets take arrays of
+returning all first and second partials, whose f a built-in chart's position
+is; finite-difference jets are available for any chart given only positions. Charts and jets take arrays of
 parameters and return one point per entry, so a whole grid is evaluated at
 once (evaluate_jets); evaluate_jet is that evaluation on a batch of one. A
 user's graph function of one point is adapted to arrays with per_point.
@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateJet, InvalidParameter, OutOfDomain
-from .norms import NormModel, _reject_unread_keys
+from .norms import NormModel, _from_spec
 from .numerics import (_Record, _central_diffs, _cross, _det, _dot, _hessian_layout, _norm_rows, _second_diffs,
                        _stack_last, check_jet_options, first_row, per_point)
 
@@ -51,12 +51,13 @@ class SurfacePatch(_Record, frozen=True, eq=False):
 
     position(s, t) and jet(s, t) take parameter arrays of shape (N,) and
     return (N, 3) points (a SurfaceJet of them); floats give one point.
-    position is always available; jet is the analytic second-order jet and may
-    be None, in which case (or when jet_source == "fd") central differences of
-    position supply the derivatives (the chart of a gauge-only Minkowski
-    sphere supplies its own; see minkowski_sphere). orientation multiplies the raw normal
-    f_s x f_t; +1 keeps it, -1 flips it. jet_source must be "analytic" or
-    "fd" and fd_step finite and positive.
+    jet is the analytic second-order jet and may be None, in which case (or
+    when jet_source == "fd") central differences of position supply the
+    derivatives (a gauge-only Minkowski sphere's chart supplies its own; see
+    minkowski_sphere). A built-in chart with an analytic jet is written once,
+    as that jet, and its position is the jet's f, bit for bit. orientation
+    multiplies the raw normal f_s x f_t; +1 keeps it, -1 flips it. jet_source
+    must be "analytic" or "fd" and fd_step finite and positive.
     """
 
     name: str
@@ -157,13 +158,15 @@ def _fd_jet(position, s, t, step: float) -> SurfaceJet:
 # built-in families
 # ---------------------------------------------------------------------------
 
-def _unit_sphere(s, t):
-    """The spherical-angle chart of the Euclidean unit sphere (s = polar, t = azimuth)."""
-    return _stack_last(np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s))
+def _jet_patch(name, jet, domain, periodic, orientation, jet_source, fd_step, params) -> SurfacePatch:
+    """The patch of a chart written once, as its analytic jet: its position is the jet's f."""
+    return SurfacePatch(name, lambda s, t: jet(s, t).f, jet, domain, periodic, orientation, jet_source, fd_step,
+                        params=params)
 
 
 def _sphere_angle_jets(s, t):
-    """Jet of the spherical-angle chart of the Euclidean unit sphere."""
+    """Jet of the spherical-angle chart xi(s, t) of the Euclidean unit sphere
+    (s = polar, t = azimuth)."""
     ss, cs, st_, ct = np.sin(s), np.cos(s), np.sin(t), np.cos(t)
     xi = _stack_last(ss * ct, ss * st_, cs)
     xi_s = _stack_last(cs * ct, cs * st_, -ss)
@@ -184,16 +187,12 @@ def euclidean_sphere(r: float, center=(0.0, 0.0, 0.0), jet_source: str = "analyt
         raise InvalidParameter("sphere radius must be positive")
     c = np.asarray(center, dtype=float)
 
-    def position(s, t):
-        return c + r * _unit_sphere(s, t)
-
     def jet(s, t):
         e, e_s, e_t, e_ss, e_st, e_tt = _sphere_angle_jets(s, t)
         return SurfaceJet(c + r * e, r * e_s, r * e_t, r * e_ss, r * e_st, r * e_tt)
 
-    return SurfacePatch("euclidean_sphere", position, jet, (0.0, np.pi, 0.0, 2 * np.pi),
-                        (False, True), 1.0, jet_source, fd_step,
-                        params={"r": r, "center": tuple(c)})
+    return _jet_patch("euclidean_sphere", jet, (0.0, np.pi, 0.0, 2 * np.pi), (False, True), 1.0, jet_source,
+                      fd_step, {"r": r, "center": tuple(c)})
 
 
 def ellipsoid(a: float, b: float, c: float, jet_source: str = "analytic",
@@ -203,15 +202,11 @@ def ellipsoid(a: float, b: float, c: float, jet_source: str = "analytic",
         raise InvalidParameter("ellipsoid semi-axes must be positive")
     axes = np.array([a, b, c])
 
-    def position(s, t):
-        return axes * _unit_sphere(s, t)
-
     def jet(s, t):
         return SurfaceJet(*(axes * e for e in _sphere_angle_jets(s, t)))
 
-    return SurfacePatch("ellipsoid", position, jet, (0.0, np.pi, 0.0, 2 * np.pi),
-                        (False, True), 1.0, jet_source, fd_step,
-                        params={"a": a, "b": b, "c": c})
+    return _jet_patch("ellipsoid", jet, (0.0, np.pi, 0.0, 2 * np.pi), (False, True), 1.0, jet_source, fd_step,
+                      {"a": a, "b": b, "c": c})
 
 
 def graph(phi_jet: Callable[[float, float], tuple], domain=(-1.0, 1.0, -1.0, 1.0),
@@ -233,9 +228,6 @@ def _graph(phi_jet, domain=(-1.0, 1.0, -1.0, 1.0), jet_source: str = "analytic",
     if not (s0 < s1 and t0 < t1):
         raise InvalidParameter(f"graph domain {list(domain)} needs s0 < s1 and t0 < t1")
 
-    def position(s, t):
-        return _stack_last(s, t, phi_jet(s, t)[0])
-
     def jet(s, t):
         p, ps, pt, pss, pst, ptt = phi_jet(s, t)
         zero = np.zeros(np.shape(s))
@@ -243,8 +235,8 @@ def _graph(phi_jet, domain=(-1.0, 1.0, -1.0, 1.0), jet_source: str = "analytic",
                           _stack_last(zero, 1.0, pt), _stack_last(zero, 0.0, pss),
                           _stack_last(zero, 0.0, pst), _stack_last(zero, 0.0, ptt))
 
-    return SurfacePatch(name, position, jet, tuple(float(v) for v in domain),
-                        (False, False), 1.0, jet_source, fd_step, params=params or {})
+    return _jet_patch(name, jet, tuple(float(v) for v in domain), (False, False), 1.0, jet_source, fd_step,
+                      params or {})
 
 
 def saddle(scale: float = 1.0, domain=(-1.0, 1.0, -1.0, 1.0), jet_source: str = "analytic",
@@ -267,10 +259,6 @@ def torus(R: float, r: float, jet_source: str = "analytic", fd_step: float = 1e-
     if not (0 < r < R):
         raise InvalidParameter("torus needs 0 < r < R")
 
-    def position(s, t):
-        w = R + r * np.cos(s)
-        return _stack_last(w * np.cos(t), w * np.sin(t), r * np.sin(s))
-
     def jet(s, t):
         cs, ss, ct, st_ = np.cos(s), np.sin(s), np.cos(t), np.sin(t)
         w = R + r * cs
@@ -282,8 +270,8 @@ def torus(R: float, r: float, jet_source: str = "analytic", fd_step: float = 1e-
         f_tt = _stack_last(-w * ct, -w * st_, 0.0)
         return SurfaceJet(f, f_s, f_t, f_ss, f_st, f_tt)
 
-    return SurfacePatch("torus", position, jet, (0.0, 2 * np.pi, 0.0, 2 * np.pi),
-                        (True, True), -1.0, jet_source, fd_step, params={"R": R, "r": r})
+    return _jet_patch("torus", jet, (0.0, 2 * np.pi, 0.0, 2 * np.pi), (True, True), -1.0, jet_source, fd_step,
+                      {"R": R, "r": r})
 
 
 def catenoid(c: float = 1.0, s_extent: float = 1.2, jet_source: str = "analytic",
@@ -291,9 +279,6 @@ def catenoid(c: float = 1.0, s_extent: float = 1.2, jet_source: str = "analytic"
     """Catenoid x² + y² = c² cosh²(z/c): the classical Euclidean minimal surface."""
     if c <= 0:
         raise InvalidParameter("catenoid scale must be positive")
-
-    def position(s, t):
-        return _stack_last(c * np.cosh(s) * np.cos(t), c * np.cosh(s) * np.sin(t), c * s)
 
     def jet(s, t):
         ch, sh, ct, st_ = np.cosh(s), np.sinh(s), np.cos(t), np.sin(t)
@@ -305,9 +290,8 @@ def catenoid(c: float = 1.0, s_extent: float = 1.2, jet_source: str = "analytic"
         f_tt = _stack_last(-c * ch * ct, -c * ch * st_, 0.0)
         return SurfaceJet(f, f_s, f_t, f_ss, f_st, f_tt)
 
-    return SurfacePatch("catenoid", position, jet, (-s_extent, s_extent, 0.0, 2 * np.pi),
-                        (False, True), 1.0, jet_source, fd_step,
-                        params={"c": c, "s_extent": s_extent})
+    return _jet_patch("catenoid", jet, (-s_extent, s_extent, 0.0, 2 * np.pi), (False, True), 1.0, jet_source,
+                      fd_step, {"c": c, "s_extent": s_extent})
 
 
 def _sphere_jet(center, rho, jets, u, du, d2u) -> SurfaceJet:
@@ -362,7 +346,8 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
     of the Euclidean unit sphere; by construction the Euclidean outer normal at
     the image point is xi(s,t). When the norm gives analytic dual jets through
     third order (has_analytic_dual_jets: its jets carry them and its jet_source
-    is "analytic") the chart jet is analytic (u = grad h_B, du = Hess h_B,
+    is "analytic") the chart jet is analytic (u = grad h_B from position's own
+    call, birkhoff_point_rows, so position is the jet's f; du = Hess h_B;
     d²u = third), and jet_source None or "analytic" selects it; otherwise
     positions are exact, derivatives fall back to central differences under
     a norm with dual jets and to the chart below under one without, and
@@ -386,7 +371,7 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
     c = np.asarray(center, dtype=float)
 
     def position(s, t):
-        xi = _unit_sphere(s, t)
+        xi = _sphere_angle_jets(s, t)[0]
         return c + rho * norm.birkhoff_point_rows(xi.reshape(-1, 3)).reshape(xi.shape)
 
     if norm.dual is None:
@@ -405,7 +390,7 @@ def minkowski_sphere(norm: NormModel, rho: float, center=(0.0, 0.0, 0.0),
             jets = _sphere_angle_jets(s, t)
             xi = jets[0].reshape(-1, 3)
             T = norm.dual_third_rows(xi)
-            return _sphere_jet(c, rho, jets, norm.dual_gradient_rows(xi), norm.dual_hessian_rows(xi),
+            return _sphere_jet(c, rho, jets, norm.birkhoff_point_rows(xi), norm.dual_hessian_rows(xi),
                                lambda v, w: np.einsum("nijk,nj,nk->ni", T, v, w))
 
     return SurfacePatch("minkowski_sphere", position, jet, (0.0, np.pi, 0.0, 2 * np.pi),
@@ -498,41 +483,16 @@ def grid_points(surface: SurfacePatch, ns: int, nt: int,
 
 
 def surface_from_spec(spec: dict, norm: NormModel | None = None) -> SurfacePatch:
-    """Build a SurfacePatch from a CLI-config dictionary.
-
-    Families: euclidean_sphere {r, center?}, ellipsoid {a, b, c},
-    torus {R, r}, catenoid {c?, s_extent?}, saddle {scale?, domain?},
-    minkowski_sphere {rho, center?} (uses the run's norm).
-    Common optional fields: jet_source ("analytic" | "fd"), fd_step. A key
-    that the family's constructor does not take is an InvalidParameter.
+    """Build a SurfacePatch from a CLI-config dictionary. A block's keys are
+    its family constructor's parameters (euclidean_sphere, ellipsoid, torus,
+    catenoid, saddle, minkowski_sphere), its required fields those without a
+    default, and its defaults the constructor's; minkowski_sphere takes the
+    run's norm, and reads jet_source "analytic" as None, the norm's own
+    route. A key that the constructor does not take, or a missing required
+    field, is an InvalidParameter.
     """
-    family = spec.get("family")
-    build = {"euclidean_sphere": euclidean_sphere, "ellipsoid": ellipsoid, "torus": torus, "catenoid": catenoid,
-             "saddle": saddle, "minkowski_sphere": minkowski_sphere}.get(family)
-    if build is None:
-        raise InvalidParameter(f"unknown surface family {family!r}")
-    _reject_unread_keys(spec, build, "surface")
-    jet_source = spec.get("jet_source", "analytic")
-    fd_step = float(spec.get("fd_step", 1e-5))
-    kw = {"jet_source": jet_source, "fd_step": fd_step}
-
-    def required(key):
-        if key not in spec:
-            raise InvalidParameter(f"{family} surface spec needs field {key!r}")
-        return float(spec[key])
-
-    if family == "euclidean_sphere":
-        return euclidean_sphere(required("r"), spec.get("center", (0, 0, 0)), **kw)
-    if family == "ellipsoid":
-        return ellipsoid(required("a"), required("b"), required("c"), **kw)
-    if family == "torus":
-        return torus(required("R"), required("r"), **kw)
-    if family == "catenoid":
-        return catenoid(float(spec.get("c", 1.0)), float(spec.get("s_extent", 1.2)), **kw)
-    if family == "saddle":
-        return saddle(float(spec.get("scale", 1.0)),
-                      tuple(spec.get("domain", (-1.0, 1.0, -1.0, 1.0))), **kw)
-    if norm is None:
-        raise InvalidParameter("minkowski_sphere surface needs the run's norm")
-    return minkowski_sphere(norm, required("rho"), spec.get("center", (0, 0, 0)),
-                            jet_source=None if jet_source == "analytic" else jet_source, fd_step=fd_step)
+    if spec.get("family") == "minkowski_sphere" and spec.get("jet_source") == "analytic":
+        spec = {**spec, "jet_source": None}
+    return _from_spec(spec, {"euclidean_sphere": euclidean_sphere, "ellipsoid": ellipsoid, "torus": torus,
+                             "catenoid": catenoid, "saddle": saddle, "minkowski_sphere": minkowski_sphere},
+                      "surface", norm=norm)

@@ -226,23 +226,35 @@ def test_a_grid_that_leaves_its_chart_exits_two(tmp_path, cfg, message):
     assert out.stderr.startswith(f"config error: {message}"), out.stderr
 
 
-@pytest.mark.parametrize("family, key", [
-    ("euclidean_sphere", "r"), ("ellipsoid", "a"), ("ellipsoid", "b"), ("ellipsoid", "c"),
-    ("torus", "R"), ("torus", "r"), ("minkowski_sphere", "rho"),
-])
-def test_a_surface_without_a_required_field_exits_two(tmp_path, capsys, family, key):
-    # the schema accepts these specs, so only surface_from_spec can refuse them
-    spec = {"family": family, **{"euclidean_sphere": {"r": 1.5}, "ellipsoid": {"a": 1.0, "b": 1.3, "c": 0.8},
-                                 "torus": {"R": 2.0, "r": 1.2}, "minkowski_sphere": {"rho": 1.5}}[family]}
+REQUIRED_FIELDS = [
+    ("surface", "euclidean_sphere", "r"), ("surface", "ellipsoid", "a"), ("surface", "ellipsoid", "b"),
+    ("surface", "ellipsoid", "c"), ("surface", "torus", "R"), ("surface", "torus", "r"),
+    ("surface", "minkowski_sphere", "rho"), ("norm", "ellipsoid", "A"), ("norm", "lp", "p"),
+]
+A_DIAG = [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("block, family, key", REQUIRED_FIELDS, ids=[f"{f}-{k}" for _, f, k in REQUIRED_FIELDS])
+def test_a_surface_without_a_required_field_exits_two(tmp_path, capsys, block, family, key):
+    # the schema accepts these specs, so only surface_from_spec or norm_from_spec can refuse them
+    spec = {"family": family, **{("surface", "euclidean_sphere"): {"r": 1.5},
+                                 ("surface", "ellipsoid"): {"a": 1.0, "b": 1.3, "c": 0.8},
+                                 ("surface", "torus"): {"R": 2.0, "r": 1.2},
+                                 ("surface", "minkowski_sphere"): {"rho": 1.5},
+                                 ("norm", "ellipsoid"): {"A": A_DIAG}, ("norm", "lp"): {"p": 4.0}}[block, family]}
     del spec[key]
-    cfg = {"norm": {"family": "euclidean"}, "surface": spec,
-           "grid": {"ns": 4, "nt": 4}, "checks": ["prop-2-1"], "seed": 1}
+    cfg = {"norm": {"family": "euclidean"}, "surface": {"family": "euclidean_sphere", "r": 1.0},
+           "grid": {"ns": 4, "nt": 4}, "checks": ["prop-2-1"], "seed": 1, block: spec}
     validate_config(cfg)
     assert minksurf.cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err == f"config error: {family} surface spec needs field {key!r}\n"
-
-
-A_DIAG = [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    message = f"{family} {block} spec needs field {key!r}"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    with pytest.raises(minksurf.InvalidParameter) as exc:
+        if block == "norm":
+            minksurf.norm_from_spec(spec)
+        else:
+            minksurf.surface_from_spec(spec, minksurf.euclidean_norm())
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("block, spec, stray", [

@@ -535,6 +535,26 @@ def test_scale_surface():
     assert np.allclose(doubled.position(0.7, 1.1), 2.0 * surf.position(0.7, 1.1), atol=1e-14)
 
 
+@pytest.mark.xfail(strict=True, reason="a derived patch replaces position, which drops the gauge-only sphere's "
+                                       "chart, and keeps jet_source 'fd', so its own jet is never used")
+@pytest.mark.parametrize("derive", [lambda S: mk.scale_surface(S, 2.0),
+                                    lambda S: mk.reparametrize_linear(S, np.eye(2))],
+                         ids=["scale_surface", "reparametrize_linear"])
+def test_a_derived_gauge_only_sphere_keeps_its_curvatures(derive):
+    """λ₁ and λ₂ of a rescaled or identically reparametrized gauge-only lp(4)
+    sphere, under its own norm, match the same patch of the analytic lp(4)
+    sphere to 1e-7 relative, as the gauge-only sphere itself does (measured
+    1e-15). They read 6.4e-6 off: the derived patch's position no longer
+    carries _gauge_sphere, so its derivatives are central differences of
+    Newton positions. It passes once a derived patch takes its base's chart jet."""
+    norm = mk.custom_norm(SPHERE_GAUGES[0][0])
+    got, want = derive(mk.minkowski_sphere(norm, 1.5)), derive(mk.minkowski_sphere(mk.lp_norm(4.0), 1.5))
+    for s, t in [(0.8, 2.4), (1.3, 0.7), (2.0, 4.0)]:
+        a, b = mk.point_geometry(norm, got, s, t), mk.point_geometry(mk.lp_norm(4.0), want, s, t)
+        for name in ("lambda1", "lambda2"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-7, abs=0.0), (s, t, name)
+
+
 def test_grid_points_layout():
     sph = mk.euclidean_sphere(1.0)
     pts = mk.grid_points(sph, 4, 6, (1e-3, 0.0))
@@ -548,6 +568,40 @@ def test_grid_points_layout():
     assert ts[-1] < 2 * math.pi
     spacing = np.diff(ts)
     assert np.allclose(spacing, spacing[0], atol=1e-12)
+
+
+POSITION_SURFACES = {
+    "sphere": lambda: mk.euclidean_sphere(1.3, (0.2, -0.1, 0.4)),
+    "ellipsoid": lambda: mk.ellipsoid(1.0, 1.3, 0.8),
+    "torus": lambda: mk.torus(2.0, 0.7),
+    "catenoid": lambda: mk.catenoid(0.9, 1.1),
+    "saddle": lambda: mk.saddle(0.8),
+    "graph": lambda: mk.graph(lambda s, t: (np.sin(s) * np.cos(t), np.cos(s) * np.cos(t), -np.sin(s) * np.sin(t),
+                                            -np.sin(s) * np.cos(t), -np.cos(s) * np.sin(t), -np.sin(s) * np.cos(t))),
+    "minkowski-euclidean": lambda: mk.minkowski_sphere(mk.euclidean_norm(), 1.5),
+    "minkowski-ellipsoid": lambda: mk.minkowski_sphere(mk.ellipsoid_norm(A_NORM), 1.5),
+    "minkowski-lp3": lambda: mk.minkowski_sphere(mk.lp_norm(3.0), 1.5, (0.1, 0.0, -0.2)),
+    "minkowski-lp4": lambda: mk.minkowski_sphere(mk.lp_norm(4.0), 1.5),
+    "minkowski-lp4-fd": lambda: mk.minkowski_sphere(mk.lp_norm(4.0), 1.5, jet_source="fd"),
+    "minkowski-lp4-gauge": lambda: mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[0][0]), 1.5),
+    "minkowski-ellipsoid-gauge": lambda: mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[1][0]), 1.5),
+}
+
+
+@pytest.mark.parametrize("make", POSITION_SURFACES.values(), ids=POSITION_SURFACES.keys())
+def test_position_is_the_jets_f_bitwise(make):
+    """position(s, t) is evaluate_jets' f bit for bit, on 100 random chart
+    points and at one float point: a built-in chart is written once, as its
+    jet (the analytic Minkowski spheres' f once took u from the dual
+    gradient of an unnormalized xi, up to 6.7e-16 off)."""
+    surface = make()
+    s0, s1, t0, t1 = surface.domain
+    rng = np.random.default_rng(7)
+    s = rng.uniform(s0 + 0.05 * (s1 - s0), s1 - 0.05 * (s1 - s0), 100)
+    t = rng.uniform(t0 + 0.05 * (t1 - t0), t1 - 0.05 * (t1 - t0), 100)
+    for s_, t_ in ((s, t), (float(s[0]), float(t[0]))):
+        got, want = surface.position(s_, t_), mk.evaluate_jets(surface, s_, t_).f
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_surface_from_spec_families(lp4):
