@@ -31,7 +31,9 @@ Hessian and restricted du of FD and value-only-dual norms, the FD surface
 jets (evaluate_jets) of a torus, a saddle and a linear reparametrization of
 an ellipsoid chart that has no jet, position and evaluate_jets of every
 built-in family by each jet_source and of two gauge-only norms' spheres on
-a 5x5 grid of its chart, and every field of geometry_batch under
+a 5x5 grid of its chart, the same of each such patch's scale_surface by 1.5
+and reparametrize_linear by [[0.9, 0.1], [-0.05, 1.0]] and (0.02, -0.01)
+on the base's grid, and every field of geometry_batch under
 two gauge-only norms on a 12x12 ellipsoid grid and a 4x4 grid of each norm's
 own sphere, whose rows converge after different numbers of Newton iterations
 and backtrack), run the same way. So must, as text, each of the package's
@@ -224,7 +226,13 @@ def chart_grid(surface, n=5):
     return s.ravel(), t.ravel()
 
 
-# position and evaluate_jets of every built-in family, by each jet_source, on a 5x5 grid.
+# The L and offset of the derived patches' reparametrize_linear.
+DERIVED_MAP = ([[0.9, 0.1], [-0.05, 1.0]], (0.02, -0.01))
+
+
+# position and evaluate_jets of every built-in family, by each jet_source, and
+# of two gauge-only norms' spheres, each with its scale_surface and
+# reparametrize_linear, on a 5x5 grid of the base's chart.
 def chart_probes():
     def phi(s, t):
         return (np.sin(s) * np.cos(t), np.cos(s) * np.cos(t), -np.sin(s) * np.sin(t),
@@ -241,15 +249,16 @@ def chart_probes():
         "ellipsoid-norm minkowski_sphere": lambda **kw: mk.minkowski_sphere(mk.ellipsoid_norm(A), 1.5, **kw),
         "lp4 minkowski_sphere": lambda **kw: mk.minkowski_sphere(mk.lp_norm(4.0), 1.5, (0.1, 0.0, -0.2), **kw),
     }
-    for family, make in families.items():
-        for jet_source in ("analytic", "fd"):
-            surface = make(jet_source=jet_source)
-            yield f"{jet_source} {family} position", surface.position, chart_grid(surface)
-            yield f"{jet_source} {family} evaluate_jets", jet_fields, (surface, *chart_grid(surface))
-    for name, (gauge, _) in GAUGES.items():
-        surface = mk.minkowski_sphere(mk.custom_norm(gauge), 1.5)
-        yield f"{name} minkowski_sphere position", surface.position, chart_grid(surface)
-        yield f"{name} minkowski_sphere evaluate_jets", jet_fields, (surface, *chart_grid(surface))
+    bases = {f"{jet_source} {family}": make(jet_source=jet_source)
+             for family, make in families.items() for jet_source in ("analytic", "fd")}
+    bases.update({f"{name} minkowski_sphere": mk.minkowski_sphere(mk.custom_norm(gauge), 1.5)
+                  for name, (gauge, _) in GAUGES.items()})
+    for name, surface in bases.items():
+        st = chart_grid(surface)
+        for what, patch in (("", surface), ("scale_surface(1.5) of ", mk.scale_surface(surface, 1.5)),
+                            ("reparametrize_linear of ", mk.reparametrize_linear(surface, *DERIVED_MAP))):
+            yield f"{what}{name} position", patch.position, st
+            yield f"{what}{name} evaluate_jets", jet_fields, (patch, *st)
 
 
 def laplacian(norm, s, t):

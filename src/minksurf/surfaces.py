@@ -55,9 +55,11 @@ class SurfacePatch(_Record, frozen=True, eq=False):
     when jet_source == "fd") central differences of position supply the
     derivatives (a gauge-only Minkowski sphere's chart supplies its own; see
     minkowski_sphere). A built-in chart with an analytic jet is written once,
-    as that jet, and its position is the jet's f, bit for bit. orientation
-    multiplies the raw normal f_s x f_t; +1 keeps it, -1 flips it. jet_source
-    must be "analytic" or "fd" and fd_step finite and positive.
+    as that jet, and its position is the jet's f, bit for bit. A derived patch
+    (scale_surface, reparametrize_linear) has the chain rule of its base's
+    chart route as its jet, and jet_source "analytic". orientation multiplies
+    the raw normal f_s x f_t; +1 keeps it, -1 flips it. jet_source must be
+    "analytic" or "fd" and fd_step finite and positive.
     """
 
     name: str
@@ -407,58 +409,56 @@ def flip_orientation(surface: SurfacePatch) -> SurfacePatch:
 
 
 def reparametrize_linear(surface: SurfacePatch, L, offset=(0.0, 0.0)) -> SurfacePatch:
-    """Precompose the chart with the affine map (s,t) -> L (s,t) + offset.
+    """Precompose the chart with the affine map (s,t) -> L (s,t) + offset, a
+    finite invertible 2x2 matrix and a finite 2-vector (see _composed).
 
-    For testing parametrization invariance: the new patch evaluates the old
-    chart at mapped parameters with exact chain-rule jets. The caller is
-    responsible for staying inside the original domain; domain checks are
-    disabled (the nominal rectangle is huge and non-periodic).
+    For testing parametrization invariance. The caller is responsible for
+    staying inside the original domain; domain checks are disabled (the
+    nominal rectangle is huge and non-periodic).
     """
-    L = np.asarray(L, dtype=float)
-    off = np.asarray(offset, dtype=float)
-    if abs(_det(L)) < 1e-14:
-        raise InvalidParameter("reparametrization must be invertible")
-
-    def mapped(s, t):
-        v = (L @ _stack_last(s, t)[..., None])[..., 0] + off
-        return v[..., 0], v[..., 1]
-
-    def position(s, t):
-        return surface.position(*mapped(s, t))
-
-    def jet(s, t):
-        J = _chart_jet(surface, *mapped(s, t))[0]
-        a, b_ = L[0, 0], L[0, 1]
-        c_, d = L[1, 0], L[1, 1]
-        return SurfaceJet(
-            f=J.f,
-            f_s=a * J.f_s + c_ * J.f_t,
-            f_t=b_ * J.f_s + d * J.f_t,
-            f_ss=a * a * J.f_ss + 2 * a * c_ * J.f_st + c_ * c_ * J.f_tt,
-            f_st=a * b_ * J.f_ss + (a * d + b_ * c_) * J.f_st + c_ * d * J.f_tt,
-            f_tt=b_ * b_ * J.f_ss + 2 * b_ * d * J.f_st + d * d * J.f_tt,
-        )
-
     big = 1e12
-    return replace(surface, position=position, jet=jet, name=surface.name + "+linear",
-                   domain=(-big, big, -big, big), periodic=(False, False))
+    return _composed(surface, surface.name + "+linear", 1.0, L, offset, (-big, big, -big, big), (False, False))
 
 
 def scale_surface(surface: SurfacePatch, lam: float) -> SurfacePatch:
-    """The homothetic image lam * f(s,t) with exact jets."""
+    """The homothetic image lam * f(s,t), lam finite and nonzero (see _composed)."""
+    return _composed(surface, f"{surface.name}*{lam}", lam, np.eye(2), (0.0, 0.0), surface.domain, surface.periodic)
 
-    def position(s, t):
-        return lam * surface.position(s, t)
 
-    base_jet = surface.jet
+def _composed(surface: SurfacePatch, name, lam, L, offset, domain, periodic) -> SurfacePatch:
+    """The derived patch lam * f(L (s,t) + offset) of surface's chart f.
+
+    Its jet is the chain rule of _chart_jet(surface, ...), the base's own
+    route (its analytic jet, a gauge-only sphere's chart, or FD of its
+    position), so it is exact given that jet and its jet_source is
+    "analytic". The base chart's Birkhoff solve is not passed on: on a
+    derived gauge-only sphere point_geometry solves eta again from xi.
+    """
+    L, offset = np.asarray(L, dtype=float), np.asarray(offset, dtype=float)
+    if L.shape != (2, 2) or not np.isfinite(L).all():
+        raise InvalidParameter(f"reparametrization L must be a finite 2x2 matrix, got {L.tolist()}")
+    if offset.shape != (2,) or not np.isfinite(offset).all():
+        raise InvalidParameter(f"reparametrization offset must be a finite 2-vector, got {offset.tolist()}")
+    if abs(_det(L)) < 1e-14:
+        raise InvalidParameter("reparametrization must be invertible")
+    if np.ndim(lam) != 0 or not (np.isfinite(lam) and lam != 0):
+        raise InvalidParameter(f"scale factor must be finite and nonzero, got {lam!r}")
+    (a, b), (c, d) = L
+
+    def mapped(s, t):
+        v = (L @ _stack_last(s, t)[..., None])[..., 0] + offset
+        return v[..., 0], v[..., 1]
 
     def jet(s, t):
-        J = base_jet(s, t)
-        return SurfaceJet(lam * J.f, lam * J.f_s, lam * J.f_t,
-                          lam * J.f_ss, lam * J.f_st, lam * J.f_tt)
+        J = _chart_jet(surface, *mapped(s, t))[0]
+        return SurfaceJet(*(lam * x for x in (
+            J.f, a * J.f_s + c * J.f_t, b * J.f_s + d * J.f_t,
+            a * a * J.f_ss + 2 * a * c * J.f_st + c * c * J.f_tt,
+            a * b * J.f_ss + (a * d + b * c) * J.f_st + c * d * J.f_tt,
+            b * b * J.f_ss + 2 * b * d * J.f_st + d * d * J.f_tt)))
 
-    return replace(surface, position=position, jet=None if base_jet is None else jet,
-                   name=f"{surface.name}*{lam}")
+    return replace(surface, name=name, position=lambda s, t: lam * surface.position(*mapped(s, t)), jet=jet,
+                   domain=domain, periodic=periodic, jet_source="analytic")
 
 
 def grid_points(surface: SurfacePatch, ns: int, nt: int,

@@ -535,24 +535,109 @@ def test_scale_surface():
     assert np.allclose(doubled.position(0.7, 1.1), 2.0 * surf.position(0.7, 1.1), atol=1e-14)
 
 
-@pytest.mark.xfail(strict=True, reason="a derived patch replaces position, which drops the gauge-only sphere's "
-                                       "chart, and keeps jet_source 'fd', so its own jet is never used")
 @pytest.mark.parametrize("derive", [lambda S: mk.scale_surface(S, 2.0),
                                     lambda S: mk.reparametrize_linear(S, np.eye(2))],
                          ids=["scale_surface", "reparametrize_linear"])
 def test_a_derived_gauge_only_sphere_keeps_its_curvatures(derive):
     """λ₁ and λ₂ of a rescaled or identically reparametrized gauge-only lp(4)
     sphere, under its own norm, match the same patch of the analytic lp(4)
-    sphere to 1e-7 relative, as the gauge-only sphere itself does (measured
-    1e-15). They read 6.4e-6 off: the derived patch's position no longer
-    carries _gauge_sphere, so its derivatives are central differences of
-    Newton positions. It passes once a derived patch takes its base's chart jet."""
+    sphere to 1e-7 relative (measured 5.3e-9; the sphere itself reads
+    1e-15): the derived patch's jet is the chain rule of its base's chart,
+    and eta is solved again from xi. When the derived patch took central
+    differences of Newton positions, they read 6.4e-6 off."""
     norm = mk.custom_norm(SPHERE_GAUGES[0][0])
     got, want = derive(mk.minkowski_sphere(norm, 1.5)), derive(mk.minkowski_sphere(mk.lp_norm(4.0), 1.5))
     for s, t in [(0.8, 2.4), (1.3, 0.7), (2.0, 4.0)]:
         a, b = mk.point_geometry(norm, got, s, t), mk.point_geometry(mk.lp_norm(4.0), want, s, t)
         for name in ("lambda1", "lambda2"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-7, abs=0.0), (s, t, name)
+
+
+def test_a_derived_gauge_only_sphere_point_takes_its_pinned_gauge_values():
+    """point_geometry of scale_surface(S, 2.0), S the gauge-only lp(4)
+    sphere, under S's norm, at 3 chart points takes exactly 310 gauge
+    values: per point the base chart's one solve from xi and its du, and
+    eta solved again from xi (the base's solve is not passed on). As
+    central differences of Newton positions it took 1,307."""
+    counted, calls = _counted(SPHERE_GAUGES[0][0])
+    norm = mk.custom_norm(counted)
+    derived = mk.scale_surface(mk.minkowski_sphere(norm, 1.5), 2.0)
+    for s, t in [(0.8, 2.4), (1.3, 0.7), (2.0, 4.0)]:
+        mk.point_geometry(norm, derived, s, t)
+    assert calls[0] == 310
+
+
+DERIVED_BASES = {
+    "analytic": lambda: mk.ellipsoid(1.0, 1.3, 0.8),
+    "fd": lambda: mk.ellipsoid(1.0, 1.3, 0.8, jet_source="fd"),
+    "jet-less": lambda: replace(mk.ellipsoid(1.0, 1.3, 0.8), jet=None),
+    "lp4-gauge-sphere": lambda: mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[0][0]), 1.5),
+}
+DERIVED_L, DERIVED_OFFSET = np.array([[0.9, 0.1], [-0.05, 1.0]]), np.array([0.02, -0.01])
+# chart points whose images under DERIVED_L and DERIVED_OFFSET stay inside the spherical-angle domain
+DERIVED_S, DERIVED_T = np.linspace(0.4, 2.6, 6), np.linspace(0.3, 5.8, 6)
+
+
+JET_FIELDS = ("f", "f_s", "f_t", "f_ss", "f_st", "f_tt")
+
+
+def _jets_equal_bitwise(got, want):
+    for field in JET_FIELDS:
+        assert getattr(got, field).tobytes() == want[field].tobytes(), field
+
+
+@pytest.mark.parametrize("make", DERIVED_BASES.values(), ids=DERIVED_BASES.keys())
+def test_a_scaled_patchs_jet_is_its_bases_jet_scaled_bitwise(make):
+    """evaluate_jets of scale_surface(S, 1.5) is 1.5 times evaluate_jets(S),
+    bit for bit, whatever route S's jet takes: the derived patch composes
+    its base's chart route (it once took FD of its own position when S's
+    jet_source was "fd" or S had no jet, and so on a gauge-only sphere)."""
+    base = make()
+    got, J = mk.evaluate_jets(mk.scale_surface(base, 1.5), DERIVED_S, DERIVED_T), \
+        mk.evaluate_jets(base, DERIVED_S, DERIVED_T)
+    _jets_equal_bitwise(got, {field: 1.5 * getattr(J, field) for field in JET_FIELDS})
+
+
+@pytest.mark.parametrize("make", DERIVED_BASES.values(), ids=DERIVED_BASES.keys())
+def test_a_reparametrized_patchs_jet_is_the_chain_rule_of_its_bases_jet_bitwise(make):
+    """evaluate_jets of reparametrize_linear(S, L, offset) is the six
+    chain-rule formulas applied to evaluate_jets(S) at L (s,t) + offset, bit
+    for bit, whatever route S's jet takes."""
+    base = make()
+    (a, b), (c, d) = DERIVED_L
+    mapped = (DERIVED_L @ np.stack([DERIVED_S, DERIVED_T], axis=-1)[..., None])[..., 0] + DERIVED_OFFSET
+    J = mk.evaluate_jets(base, mapped[:, 0], mapped[:, 1])
+    got = mk.evaluate_jets(mk.reparametrize_linear(base, DERIVED_L, DERIVED_OFFSET), DERIVED_S, DERIVED_T)
+    _jets_equal_bitwise(got, {
+        "f": J.f, "f_s": a * J.f_s + c * J.f_t, "f_t": b * J.f_s + d * J.f_t,
+        "f_ss": a * a * J.f_ss + 2 * a * c * J.f_st + c * c * J.f_tt,
+        "f_st": a * b * J.f_ss + (a * d + b * c) * J.f_st + c * d * J.f_tt,
+        "f_tt": b * b * J.f_ss + 2 * b * d * J.f_st + d * d * J.f_tt})
+
+
+@pytest.mark.parametrize("L", [np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                               np.eye(3), [1.0, 0.0, 0.0, 1.0]], ids=["nan", "inf", "3x3", "flat"])
+def test_a_reparametrization_refuses_a_matrix_that_is_not_a_finite_2x2(L):
+    """L must be a finite 2x2 matrix (a NaN or inf entry raised
+    SingularRestriction at evaluation, and np.eye(3) numpy's matmul
+    ValueError)."""
+    with pytest.raises(mk.InvalidParameter, match="must be a finite 2x2 matrix"):
+        mk.reparametrize_linear(mk.ellipsoid(1.0, 1.3, 0.8), L)
+
+
+@pytest.mark.parametrize("offset", [(np.nan, 0.0), (0.0, -np.inf), (0.1, 0.2, 0.3)], ids=["nan", "inf", "3-vector"])
+def test_a_reparametrization_refuses_an_offset_that_is_not_a_finite_2_vector(offset):
+    """offset must be a finite 2-vector (a NaN offset gave NaN positions and no error)."""
+    with pytest.raises(mk.InvalidParameter, match="must be a finite 2-vector"):
+        mk.reparametrize_linear(mk.ellipsoid(1.0, 1.3, 0.8), np.eye(2), offset)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_a_scaled_patch_refuses_a_zero_or_non_finite_factor(lam):
+    """lam must be finite and nonzero (0 raised DegenerateJet at every
+    point, NaN and inf SingularRestriction)."""
+    with pytest.raises(mk.InvalidParameter, match="scale factor must be finite and nonzero"):
+        mk.scale_surface(mk.ellipsoid(1.0, 1.3, 0.8), lam)
 
 
 def test_grid_points_layout():
@@ -585,6 +670,13 @@ POSITION_SURFACES = {
     "minkowski-lp4-fd": lambda: mk.minkowski_sphere(mk.lp_norm(4.0), 1.5, jet_source="fd"),
     "minkowski-lp4-gauge": lambda: mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[0][0]), 1.5),
     "minkowski-ellipsoid-gauge": lambda: mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[1][0]), 1.5),
+    "scaled-torus": lambda: mk.scale_surface(mk.torus(2.0, 0.7), 1.5),
+    "scaled-ellipsoid-fd": lambda: mk.scale_surface(mk.ellipsoid(1.0, 1.3, 0.8, jet_source="fd"), -0.7),
+    "scaled-lp4-gauge": lambda: mk.scale_surface(mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[0][0]), 1.5), 2.0),
+    "reparametrized-ellipsoid": lambda: mk.reparametrize_linear(mk.ellipsoid(1.0, 1.3, 0.8), DERIVED_L,
+                                                                DERIVED_OFFSET),
+    "reparametrized-lp4-gauge": lambda: mk.reparametrize_linear(
+        mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[0][0]), 1.5), DERIVED_L, DERIVED_OFFSET),
 }
 
 
