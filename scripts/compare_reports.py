@@ -13,7 +13,10 @@ single violation, runs the same way: it must exit 2 with PARENT, and its
 exit code and stderr must be byte-identical. So does a config that fails
 numerically, thm-3-2 under a cond_guard of 2.0, which must exit 3. The
 peak RSS of every CLI child (os.wait4's ru_maxrss) is printed as a table,
-one line per operation, PARENT -> CHANGE; it does not decide the outcome.
+one line per operation, PARENT -> CHANGE, and after it, per workload and
+side, the largest of them and the operation that sets it (perfbench's
+peak_rss_mb of a CLI workload is that maximum); they do not decide the
+outcome.
 The two runs of an operation take turns at going first.
 Both checkouts' src/minksurf is byte-compiled first, as perfbench does, so
 that no child spends memory compiling a module. The 24 points of the
@@ -33,7 +36,8 @@ an ellipsoid chart that has no jet, position and evaluate_jets of every
 built-in family by each jet_source and of two gauge-only norms' spheres on
 a 5x5 grid of its chart, the same of each such patch's scale_surface by 1.5
 and reparametrize_linear by [[0.9, 0.1], [-0.05, 1.0]] and (0.02, -0.01)
-on the base's grid, and every field of geometry_batch under
+on the base's grid (which that map takes off the catenoid's s-range, so
+those probes record the OutOfDomain text), and every field of geometry_batch under
 two gauge-only norms on a 12x12 ellipsoid grid and a 4x4 grid of each norm's
 own sphere, whose rows converge after different numbers of Newton iterations
 and backtrack), run the same way. So must, as text, each of the package's
@@ -232,7 +236,9 @@ DERIVED_MAP = ([[0.9, 0.1], [-0.05, 1.0]], (0.02, -0.01))
 
 # position and evaluate_jets of every built-in family, by each jet_source, and
 # of two gauge-only norms' spheres, each with its scale_surface and
-# reparametrize_linear, on a 5x5 grid of the base's chart.
+# reparametrize_linear, on a 5x5 grid of the base's chart. DERIVED_MAP takes
+# the catenoid's grid to s up to 1.19, off its [-1.1, 1.1]: the catenoid's
+# reparametrize_linear probes record the OutOfDomain text that names it.
 def chart_probes():
     def phi(s, t):
         return (np.sin(s) * np.cos(t), np.cos(s) * np.cos(t), -np.sin(s) * np.sin(t),
@@ -526,7 +532,7 @@ def main(argv=None) -> int:
                     (a, rss_a), (b, rss_b) = run_both(parent, change, op.config, op.fields,
                                                       Path(tmp) / str(compared), compared % 2 == 1)
                     compared += 1
-                    rss.append((f"{workload} seed {seed} {op.name}", rss_a, rss_b))
+                    rss.append((workload, f"{workload} seed {seed} {op.name}", rss_a, rss_b))
                     diff = [what for what in a if a[what] != b[what]]
                     if diff:
                         differ += 1
@@ -545,7 +551,7 @@ def main(argv=None) -> int:
             (a, rss_a), (b, rss_b) = run_both(parent, change, config, False,
                                               Path(tmp) / f"failing-{compared}", compared % 2 == 1)
             compared += 1
-            rss.append((label, rss_a, rss_b))
+            rss.append((None, label, rss_a, rss_b))
             diff = [what for what in a if a[what] != b[what]]
             if a["exit code"] != exit_code or not a["stderr"]:
                 diff.append(f"did not exit {exit_code}")
@@ -558,8 +564,14 @@ def main(argv=None) -> int:
             for key, (gap, x, y, where) in sorted(largest.items(), key=lambda kv: str(kv[0])):
                 print(f"  {str(key):40s} {gap:.2e}  {x:.3e} -> {y:.3e}  ({where})")
     print("peak RSS of each CLI child, MB: parent -> change")
-    for name, rss_a, rss_b in rss:
+    for _, name, rss_a, rss_b in rss:
         print(f"  {name:64s} {rss_a:7.2f} -> {rss_b:7.2f}  ({rss_b - rss_a:+.2f})")
+    print("largest peak RSS of a workload's CLI children, MB (perfbench's peak_rss_mb), and the operation")
+    for workload in WORKLOADS:
+        for side, k in (("parent", 2), ("change", 3)):
+            top = max((entry for entry in rss if entry[0] == workload), key=lambda entry: entry[k], default=None)
+            if top:
+                print(f"  {workload:12s} {side:6s} {top[k]:7.2f}  {top[1]}")
     gauge_values = {}
     for label, program, extra in (("custom-norm", CUSTOM_PROGRAM, [str(change / "perfbench")]),
                                   ("probe", PROBE_PROGRAM, []), ("record", RECORDS_PROGRAM, [])):

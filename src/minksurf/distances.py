@@ -14,13 +14,14 @@ of the vanishing gradient); away from critical points the module refuses with
 NotCritical rather than silently dropping that term. Every b-Hessian, of a
 user's field at one point or of the checks' fields at many, comes from one
 stencil route (_hessian_stencils): each point's centre, gradient and cross
-points are evaluated in one call. The Laplacian of rho is
-assembled from the explicit Gauss splitting D_X Y = nabla_X Y + h(X,Y) eta,
-so no Christoffel symbols of b or nabla are ever formed. The Laplacian's
-stencil points are evaluated as one geometry batch. Every chart gradient
-here (the criticality test, lemma-3-1's gradients, the Laplacian) takes its
-step and points from numerics.gradient_stencil. tangent_plane_distance (rho
-at the base point) and affine_distance take a PointGeometry or a GeometryBatch.
+points are evaluated in one call. The Laplacian of rho is assembled from
+the explicit Gauss splitting D_X Y = nabla_X Y + h(X,Y) eta, so no
+Christoffel symbols of b or nabla are ever formed; at the Laplacian's
+stencil points the splitting reads only Birkhoff frames (the jets, xi and
+eta), one batch of them. Every chart gradient here (the criticality test,
+lemma-3-1's gradients, the Laplacian) takes its step and points from
+numerics.gradient_stencil. tangent_plane_distance (rho at the base point)
+and affine_distance take a PointGeometry, a GeometryBatch or such frames.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateH, DegeneratePairing, NotCritical
-from .geometry import GeometryBatch, PointGeometry, geometry_batch
+from .geometry import GeometryBatch, PointGeometry, _birkhoff_frame, geometry_batch
 from .norms import NormModel
 from .numerics import (
     NumericsConfig,
@@ -53,6 +54,7 @@ from .numerics import (
     first_row,
     gradient_stencil,
     guarded_solve_rows,
+    in_row_order,
     per_point,
 )
 from .surfaces import SurfacePatch
@@ -281,9 +283,10 @@ def _laplacians(gb: GeometryBatch, norm: NormModel, surface: SurfacePatch,
     """The nabla-Laplacian of rho at the points of gb, with base points A (one
     per point), and the two Gauss-splitting defects of each point.
 
-    The 4 stencil points of all points are one geometry batch, and the Gauss
-    splits one stacked guarded solve: a point whose frame [f_s, f_t, eta] has
-    cond_2 above config.cond_guard raises NumericalFailure at its (s, t).
+    The 4 stencil points of all points are one batch of Birkhoff frames, all
+    the splitting reads there, and the Gauss splits one stacked guarded
+    solve: a point whose frame [f_s, f_t, eta] has cond_2 above
+    config.cond_guard raises NumericalFailure at its (s, t).
     """
     det_h = _det(gb.h_mat)
     i = first_row(_near_singular(det_h, gb.h_mat, 1e-10))
@@ -291,7 +294,8 @@ def _laplacians(gb: GeometryBatch, norm: NormModel, surface: SurfacePatch,
         raise DegenerateH(f"affine fundamental form has rank < 2 at (s,t)=({gb.s[i]}, {gb.t[i]})")
 
     h, chart = gradient_stencil(_stack_last(gb.s, gb.t), config.fd_step)
-    stencil = geometry_batch(norm, surface, chart[..., 0].ravel(), chart[..., 1].ravel(), config)
+    S, T = chart[..., 0].ravel(), chart[..., 1].ravel()
+    stencil = in_row_order(lambda rows: _birkhoff_frame(norm, surface, S[rows], T[rows]), len(S))
     _, V = affine_distance(stencil, np.repeat(A, 4, axis=0))
     # dw[:, :, k], the derivative of w along the k-th chart axis
     dw = np.swapaxes(_central_diffs(-stencil.ambient(V).reshape(len(gb), 4, 3), h), 1, 2)

@@ -20,12 +20,14 @@ The pipeline runs on arrays: geometry_batch evaluates a whole set of points
 at once into a GeometryBatch (struct of arrays), and point_geometry is that
 evaluation on a batch of one. Each derived quantity is one function of a
 PointGeometry (a float) or of a GeometryBatch (one value per point, bit for
-bit as at each point alone), which the checks call too.
+bit as at each point alone), which the checks call too. The Laplacian's
+stencil points take geometry_batch's first stage alone, _birkhoff_frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, make_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,22 +131,30 @@ def _T(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, -1, -2)
 
 
-def _geometry_rows(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.ndarray,
-                   config: NumericsConfig) -> GeometryBatch:
-    """The curvature data at the parameter arrays s, t, as one array computation."""
+class _Frame(SimpleNamespace):
+    """A GeometryBatch's fields p f_s f_t G II xi eta pairing flipped_eta E M_du, read alike (E, M_du may be None)."""
+
+    ambient = PointGeometry.ambient
+    basis_matrix = PointGeometry.basis_matrix
+
+
+def _birkhoff_frame(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.ndarray,
+                    du: bool = False) -> _Frame:
+    """The Birkhoff frame at the parameter arrays s, t: the chart's jets and
+    xi, then eta = u(xi), with E and M_du when du is set. On a gauge-only
+    sphere of norm, in its own orientation, these are the chart's own solve."""
     try:
         # the chart of a gauge-only sphere is a Newton solve too
-        jet, P, G, xi, II, solve = _euclidean_frame(surface, s, t)
-        Ginv = _invert_2x2_spd(G, "first fundamental form")
-        dxi_mat = -Ginv @ II
-        # on a gauge-only sphere of norm, in its own orientation, eta = u(xi) is the chart's own solve
+        jet, _, G, xi, II, solve = _euclidean_frame(surface, s, t)
         if solve is not None and solve[0] is norm and surface.orientation == 1.0:
             eta, E, M_du = solve[1:]
-        else:
+        elif du:
             eta, E, M_du = norm.birkhoff_du_rows(xi)
+        else:
+            eta, E, M_du = norm.birkhoff_point_rows(xi), None, None
     except NewtonDivergence as exc:
         if len(s) != 1:
-            raise  # geometry_batch runs the rows again, one at a time
+            raise  # in_row_order runs the rows again, one at a time
         location = (float(s[0]), float(t[0]))
         raise NewtonDivergence(f"{exc} at (s,t)=({location[0]}, {location[1]})", location) from exc
     pairing = _dot(eta, xi)
@@ -152,18 +162,28 @@ def _geometry_rows(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.
     # a flip can only occur via a fallback path; re-orient once
     eta = np.where(flipped[:, None], -eta, eta)
     pairing = np.where(flipped, -pairing, pairing)
+    return _Frame(p=jet.f, f_s=jet.f_s, f_t=jet.f_t, G=G, II=II, xi=xi, eta=eta, pairing=pairing,
+                  flipped_eta=flipped, E=E, M_du=M_du)
+
+
+def _geometry_rows(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.ndarray,
+                   config: NumericsConfig) -> GeometryBatch:
+    """The curvature data at the parameter arrays s, t, as one array computation."""
+    fr = _birkhoff_frame(norm, surface, s, t, du=True)
+    Ginv = _invert_2x2_spd(fr.G, "first fundamental form")
+    dxi_mat = -Ginv @ fr.II
 
     # d(eta) = Hess h_B(xi) . d(xi) in the chart basis. P's columns lie in
     # xi-perp = span(E), so P = E EP and only the restriction M_du enters.
-    EP = _T(E) @ P
-    W = Ginv @ _T(EP) @ M_du @ EP @ dxi_mat
+    EP = _T(fr.E) @ fr.basis_matrix()
+    W = Ginv @ _T(EP) @ fr.M_du @ EP @ dxi_mat
 
-    h_mat = II / pairing[:, None, None]
+    h_mat = fr.II / fr.pairing[:, None, None]
 
-    M_inv = _invert_2x2_spd(M_du, "restricted dual Hessian")
+    M_inv = _invert_2x2_spd(fr.M_du, "restricted dual Hessian")
     d_mat = _T(EP) @ M_inv @ EP
     d_mat = 0.5 * (d_mat + _T(d_mat))
-    b_mat = d_mat / pairing[:, None, None]
+    b_mat = d_mat / fr.pairing[:, None, None]
 
     # b-self-adjointness of W: b W = -h exactly in exact arithmetic.
     bW = b_mat @ W
@@ -180,11 +200,9 @@ def _geometry_rows(norm: NormModel, surface: SurfacePatch, s: np.ndarray, t: np.
     umbilic = np.abs(lam1 - lam2) <= config.umbilic_tol * np.maximum(1.0, np.abs(lam1) + np.abs(lam2))
 
     return GeometryBatch(
-        s=s, t=t, p=jet.f, f_s=jet.f_s, f_t=jet.f_t, G=G, II=II,
-        xi=xi, eta=eta, pairing=pairing, dxi_mat=dxi_mat, W=W, h_mat=h_mat,
-        d_mat=d_mat, b_mat=b_mat, lambda1=lam1, lambda2=lam2, V1=vecs[:, :, 0], V2=vecs[:, :, 1],
-        K=lam1 * lam2, H=0.5 * (lam1 + lam2), umbilic=umbilic, E=E, M_du=M_du,
-        flipped_eta=flipped, selfadjoint_defect=defect,
+        s=s, t=t, **vars(fr), dxi_mat=dxi_mat, W=W, h_mat=h_mat, d_mat=d_mat, b_mat=b_mat,
+        lambda1=lam1, lambda2=lam2, V1=vecs[:, :, 0], V2=vecs[:, :, 1],
+        K=lam1 * lam2, H=0.5 * (lam1 + lam2), umbilic=umbilic, selfadjoint_defect=defect,
     )
 
 
@@ -252,6 +270,10 @@ def dupin_indicatrix(pg: PointGeometry, theta) -> np.ndarray:
     return V / np.sqrt(pg.pairing)[..., None]
 
 
+# The most indicatrix nodes evaluated at once, which bounds the transient arrays of prop-2-1's 256.
+_INDICATRIX_BLOCK = 64
+
+
 def mean_by_indicatrix_average(g: PointGeometry | GeometryBatch, nodes: int = 32) -> float | np.ndarray:
     """(1/2pi) * integral of k(V(theta)) over the indicatrix, by composite Simpson,
     at a PointGeometry (a float) or at each point of a GeometryBatch.
@@ -259,8 +281,9 @@ def mean_by_indicatrix_average(g: PointGeometry | GeometryBatch, nodes: int = 32
     The integrand is a trigonometric polynomial of degree 2, so any even node
     count >= 8 is exact to roundoff; the contract is that this equals H.
     """
-    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
-    k = normal_curvature(g, dupin_indicatrix(g, thetas.reshape((nodes,) + (1,) * np.ndim(g.pairing))))
+    thetas = (2.0 * np.pi * np.arange(nodes) / nodes).reshape((nodes,) + (1,) * np.ndim(g.pairing))
+    k = np.concatenate([normal_curvature(g, dupin_indicatrix(g, thetas[i:i + _INDICATRIX_BLOCK]))
+                        for i in range(0, nodes, _INDICATRIX_BLOCK)])
     return _value_or_rows(simpson_periodic_mean(k.T))
 
 

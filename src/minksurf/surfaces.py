@@ -160,10 +160,23 @@ def _fd_jet(position, s, t, step: float) -> SurfaceJet:
 # built-in families
 # ---------------------------------------------------------------------------
 
+# The most points whose jet a built-in chart's position computes at once.
+_POSITION_BLOCK = 256
+
+
 def _jet_patch(name, jet, domain, periodic, orientation, jet_source, fd_step, params) -> SurfacePatch:
-    """The patch of a chart written once, as its analytic jet: its position is the jet's f."""
-    return SurfacePatch(name, lambda s, t: jet(s, t).f, jet, domain, periodic, orientation, jet_source, fd_step,
-                        params=params)
+    """The patch of a chart written once, as its analytic jet: its position is the jet's f,
+    taken in blocks of _POSITION_BLOCK points, so a long call holds no six jet arrays of all."""
+
+    def position(s, t):
+        if np.broadcast(s, t).size <= _POSITION_BLOCK:
+            return jet(s, t).f
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+        S, T = s.ravel(), t.ravel()
+        return np.concatenate([jet(S[i:i + _POSITION_BLOCK], T[i:i + _POSITION_BLOCK]).f
+                               for i in range(0, S.size, _POSITION_BLOCK)]).reshape(s.shape + (3,))
+
+    return SurfacePatch(name, position, jet, domain, periodic, orientation, jet_source, fd_step, params=params)
 
 
 def _sphere_angle_jets(s, t):
@@ -412,9 +425,9 @@ def reparametrize_linear(surface: SurfacePatch, L, offset=(0.0, 0.0)) -> Surface
     """Precompose the chart with the affine map (s,t) -> L (s,t) + offset, a
     finite invertible 2x2 matrix and a finite 2-vector (see _composed).
 
-    For testing parametrization invariance. The caller is responsible for
-    staying inside the original domain; domain checks are disabled (the
-    nominal rectangle is huge and non-periodic).
+    For testing parametrization invariance. Its own domain is huge and
+    non-periodic; the mapped points go through the base's wrap, so a point
+    off a non-periodic base axis raises OutOfDomain, naming that parameter.
     """
     big = 1e12
     return _composed(surface, surface.name + "+linear", 1.0, L, offset, (-big, big, -big, big), (False, False))
@@ -447,7 +460,7 @@ def _composed(surface: SurfacePatch, name, lam, L, offset, domain, periodic) -> 
 
     def mapped(s, t):
         v = (L @ _stack_last(s, t)[..., None])[..., 0] + offset
-        return v[..., 0], v[..., 1]
+        return surface.wrap(v[..., 0], v[..., 1])
 
     def jet(s, t):
         J = _chart_jet(surface, *mapped(s, t))[0]

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import minksurf as mk
+import minksurf.geometry
 from minksurf.blaschke import _grid_affine_normals, euclidean_gaussian
 from minksurf.cli import _asymptotic_orthogonality
 from minksurf.distances import (_hess_b_matrices, _laplacians, _tangent_plane_gradients,
                                 _tangent_plane_values, affine_distance, tangent_plane_distance)
-from minksurf.geometry import (PointGeometry, dupin_orthogonal_pair_sum, gaussian_by_determinants, geometry_batch,
-                               mean_by_indicatrix_average, normal_curvature, normal_curvature_via_dupin,
+from minksurf.geometry import (PointGeometry, _birkhoff_frame, dupin_orthogonal_pair_sum, gaussian_by_determinants,
+                               geometry_batch, mean_by_indicatrix_average, normal_curvature, normal_curvature_via_dupin,
                                weingarten_eigen_raw)
 from minksurf.numerics import fd_gradient
 
@@ -268,3 +269,63 @@ def test_check_kernels_equal_the_one_point_functions_bitwise(family, ellipsoid_s
             field = mk.tangent_plane_distance_field(pg, surface)
             assert grads[i].tolist() == fd_gradient(field, [pg.s, pg.t], mk.DEFAULT_CONFIG.fd_step).tolist()
             assert hessians[i].tolist() == mk.hess_b_matrix(field, pg).tolist()
+
+
+def _gauge_sphere(flip: bool):
+    """A gauge-only norm and its sphere, flipped or in the chart's orientation."""
+    norm = NORMS["custom"]()
+    sphere = mk.minkowski_sphere(norm, 1.5)
+    return norm, mk.flip_orientation(sphere) if flip else sphere
+
+
+def _negated_u_norm():
+    """The ellipsoid norm of A with u = grad h_B negated: eta = u(xi) pairs
+    negatively with xi at every point and is flipped, du stays the norm's."""
+    dual = mk.ellipsoid_norm(A).dual
+    return mk.custom_norm(mk.ellipsoid_norm(A).gauge,
+                          dual=mk.ScalarJet(dual.value, lambda xi: -dual.gradient(xi), dual.hessian))
+
+
+FRAME_CASES = {
+    "analytic": lambda: (mk.lp_norm(4.0), mk.ellipsoid(1.0, 1.3, 0.8)),
+    "fd-norm": lambda: (mk.lp_norm(4.0, jet_source="fd"), mk.ellipsoid(1.0, 1.3, 0.8)),
+    "fd-surface": lambda: (mk.lp_norm(4.0), mk.ellipsoid(1.0, 1.3, 0.8, jet_source="fd")),
+    "gauge-only-ellipsoid": lambda: (NORMS["custom"](), mk.ellipsoid(1.0, 1.3, 0.8)),
+    "gauge-only-own-sphere": lambda: _gauge_sphere(flip=False),
+    "gauge-only-flipped-sphere": lambda: _gauge_sphere(flip=True),
+    "flipped-eta": lambda: (_negated_u_norm(), mk.ellipsoid(1.0, 1.3, 0.8)),
+}
+
+
+@pytest.mark.parametrize("case", FRAME_CASES)
+def test_the_birkhoff_frame_is_geometry_batchs_frame_bitwise(case):
+    """_birkhoff_frame, the Laplacian stencil's batch, gives geometry_batch's
+    p, f_s, f_t, xi, eta, pairing and flip mask bit for bit, and with du its
+    E and M_du: on analytic, FD-norm and FD-surface routes, a gauge-only
+    norm's ellipsoid, its sphere in the chart's orientation (eta from the
+    chart's solve) and flipped (eta solved from xi), and a norm whose eta
+    needs the flip."""
+    norm, surface = FRAME_CASES[case]()
+    s, t = _grid((0.4, 2.7), (0.2, 5.9), 3, 4)
+    gb = geometry_batch(norm, surface, s, t)
+    frame, with_du = _birkhoff_frame(norm, surface, s, t), _birkhoff_frame(norm, surface, s, t, du=True)
+    assert gb.flipped_eta.all() if case == "flipped-eta" else not gb.flipped_eta.any()
+    # without du, E and M_du are there only when the chart's own solve gave them
+    assert (frame.E is None and frame.M_du is None) == (case != "gauge-only-own-sphere")
+    for name in ("p", "f_s", "f_t", "xi", "eta", "pairing", "flipped_eta"):
+        for got in (frame, with_du):
+            assert getattr(got, name).tobytes() == getattr(gb, name).tobytes(), name
+    assert with_du.E.tobytes() == gb.E.tobytes() and with_du.M_du.tobytes() == gb.M_du.tobytes()
+
+
+@pytest.mark.parametrize("family", ["lp4", "custom"])
+def test_indicatrix_blocks_equal_one_block_bitwise(family, ellipsoid_std, monkeypatch):
+    """mean_by_indicatrix_average at 256 nodes, in blocks of 64, equals its
+    evaluation in one block of 256, bit for bit, at a batch and at a point."""
+    norm = NORMS[family]()
+    s, t = _grid((0.4, 2.7), (0.2, 5.9), 3, 4)
+    gb = geometry_batch(norm, ellipsoid_std, s, t)
+    blocked = mean_by_indicatrix_average(gb, 256), mean_by_indicatrix_average(gb[5], 256)
+    monkeypatch.setattr(minksurf.geometry, "_INDICATRIX_BLOCK", 256)
+    whole = mean_by_indicatrix_average(gb, 256), mean_by_indicatrix_average(gb[5], 256)
+    assert blocked[0].tobytes() == whole[0].tobytes() and blocked[1] == whole[1]

@@ -26,6 +26,7 @@ import minksurf.cli
 import minksurf.distances
 import minksurf.errors
 import minksurf.geometry
+import minksurf.norms
 from oracles import schema_validator, validate_report, write_fields_csv_by_csv_writer
 from minksurf.cli import (
     REGISTRY,
@@ -1095,6 +1096,24 @@ def test_readme_config_passes_prop_3_1_at_seed_1234():
 def test_readme_config_passes_thm_3_2_at_seed_1():
     (result,) = run_checks({**BASE_CONFIG, "checks": ["thm-3-2"], "seed": 1})["checks"]
     assert result["pass"], result
+
+
+def test_thm_3_2_takes_the_restricted_du_at_its_points_only(monkeypatch):
+    """thm-3-2 on the README config at seed 1234 computes du restricted to
+    the tangent plane at its 50 points and at none of their 200 Laplacian
+    stencil points, whose Gauss splits read eta alone (250 rows when each
+    stencil point took a whole geometry)."""
+    rows = [0]
+    du_restricted_rows = minksurf.norms.NormModel.du_restricted_rows
+
+    def counted(self, XI):
+        rows[0] += len(XI)
+        return du_restricted_rows(self, XI)
+
+    monkeypatch.setattr(minksurf.norms.NormModel, "du_restricted_rows", counted)
+    (result,) = run_checks({**BASE_CONFIG, "checks": ["thm-3-2"]})["checks"]
+    assert result["n_points"] == 50
+    assert rows[0] == 50
 
 
 # What each sampled check drew at seed 1234 on the README config before its

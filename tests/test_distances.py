@@ -227,6 +227,23 @@ def test_laplacian_gauss_split_consistency(lp4, ellipsoid_std):
     assert max(out["gauss_defects"]) < 1e-6
 
 
+def test_laplacian_stencil_points_take_eta_alone(ellipsoid_std):
+    """Three Laplacians on the ellipsoid under a gauge-only lp(4) take 687
+    gauge values: each of their 12 stencil points solves eta by Newton and
+    differences no gauge Hessian for du (795 when each took a whole
+    geometry)."""
+    calls = [0]
+
+    def gauge(x):
+        calls[0] += 1
+        return float(np.sum(np.abs(x) ** 4) ** 0.25)
+
+    norm = mk.custom_norm(gauge)
+    for s, t in ((0.8, 2.4), (1.3, 0.7), (2.0, 4.0)):
+        mk.nabla_laplacian_rho_details(norm, ellipsoid_std, s, t, np.zeros(3))
+    assert calls[0] == 687
+
+
 def test_minimal_surface_laplacian_is_minus_two(eu, catenoid_std):
     """On an H = 0 surface the identity collapses to Delta rho = -2 for every
     base point."""

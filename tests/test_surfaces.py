@@ -615,6 +615,24 @@ def test_a_reparametrized_patchs_jet_is_the_chain_rule_of_its_bases_jet_bitwise(
         "f_tt": b * b * J.f_ss + 2 * b * d * J.f_st + d * d * J.f_tt})
 
 
+def test_a_reparametrized_patch_stays_in_its_bases_domain():
+    """reparametrize_linear wraps L (s,t) + offset into the base's domain: a
+    point that maps off a non-periodic base axis raises OutOfDomain naming
+    the base parameter, from position, evaluate_jets and point_geometry (the
+    catenoid was evaluated at s = 1.12 outside its [-1.1, 1.1]), and one that
+    maps past a periodic axis wraps."""
+    base = mk.catenoid(0.9, 1.1)
+    patch = mk.reparametrize_linear(base, DERIVED_L, DERIVED_OFFSET)
+    for evaluate in (patch.position, lambda s, t: mk.evaluate_jets(patch, [s], [t]),
+                     lambda s, t: mk.point_geometry(mk.euclidean_norm(), patch, s, t)):
+        with pytest.raises(mk.OutOfDomain, match=r"parameter s=1\.12\d* outside \[-1\.1, 1\.1\]"):
+            evaluate(1.0, 2.0)
+    # (0.1, 6.5) maps to (0.76, 6.485), whose t wraps to 6.485 - 2 pi
+    s, t = DERIVED_L @ [0.1, 6.5] + DERIVED_OFFSET
+    assert t > 2 * np.pi
+    assert np.allclose(patch.position(0.1, 6.5), base.position(s, t - 2 * np.pi), rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("L", [np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
                                np.eye(3), [1.0, 0.0, 0.0, 1.0]], ids=["nan", "inf", "3x3", "flat"])
 def test_a_reparametrization_refuses_a_matrix_that_is_not_a_finite_2x2(L):
@@ -673,27 +691,46 @@ POSITION_SURFACES = {
     "scaled-torus": lambda: mk.scale_surface(mk.torus(2.0, 0.7), 1.5),
     "scaled-ellipsoid-fd": lambda: mk.scale_surface(mk.ellipsoid(1.0, 1.3, 0.8, jet_source="fd"), -0.7),
     "scaled-lp4-gauge": lambda: mk.scale_surface(mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[0][0]), 1.5), 2.0),
-    "reparametrized-ellipsoid": lambda: mk.reparametrize_linear(mk.ellipsoid(1.0, 1.3, 0.8), DERIVED_L,
-                                                                DERIVED_OFFSET),
-    "reparametrized-lp4-gauge": lambda: mk.reparametrize_linear(
-        mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[0][0]), 1.5), DERIVED_L, DERIVED_OFFSET),
 }
+# The bases of the table's patches reparametrize_linear(base, DERIVED_L, DERIVED_OFFSET).
+REPARAMETRIZED_BASES = {
+    "reparametrized-ellipsoid": lambda: mk.ellipsoid(1.0, 1.3, 0.8),
+    "reparametrized-lp4-gauge": lambda: mk.minkowski_sphere(mk.custom_norm(SPHERE_GAUGES[0][0]), 1.5),
+}
+POSITION_SURFACES.update({name: lambda make=make: mk.reparametrize_linear(make(), DERIVED_L, DERIVED_OFFSET)
+                          for name, make in REPARAMETRIZED_BASES.items()})
 
 
-@pytest.mark.parametrize("make", POSITION_SURFACES.values(), ids=POSITION_SURFACES.keys())
-def test_position_is_the_jets_f_bitwise(make):
+@pytest.mark.parametrize("name", POSITION_SURFACES)
+def test_position_is_the_jets_f_bitwise(name):
     """position(s, t) is evaluate_jets' f bit for bit, on 100 random chart
-    points and at one float point: a built-in chart is written once, as its
-    jet (the analytic Minkowski spheres' f once took u from the dual
-    gradient of an unnormalized xi, up to 6.7e-16 off)."""
-    surface = make()
-    s0, s1, t0, t1 = surface.domain
+    points, on 1,000 more (a built-in chart's position takes its jet in
+    blocks of 256 points, evaluate_jets in one call), on both as 2-D grids
+    and at one float point: a built-in chart is written once, as its jet
+    (the analytic Minkowski spheres' f once took u from the dual gradient of
+    an unnormalized xi, up to 6.7e-16 off). A reparametrized patch is
+    sampled at L^-1 (p - offset) for points p inside its base's domain."""
+    surface = POSITION_SURFACES[name]()
+    s0, s1, t0, t1 = REPARAMETRIZED_BASES.get(name, lambda: surface)().domain
     rng = np.random.default_rng(7)
-    s = rng.uniform(s0 + 0.05 * (s1 - s0), s1 - 0.05 * (s1 - s0), 100)
-    t = rng.uniform(t0 + 0.05 * (t1 - t0), t1 - 0.05 * (t1 - t0), 100)
-    for s_, t_ in ((s, t), (float(s[0]), float(t[0]))):
-        got, want = surface.position(s_, t_), mk.evaluate_jets(surface, s_, t_).f
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a gauge-only sphere's position is a Newton solve per point, not a jet taken in blocks
+    for n in (100,) if name.endswith("gauge") else (100, 1000):
+        s = rng.uniform(s0 + 0.05 * (s1 - s0), s1 - 0.05 * (s1 - s0), n)
+        t = rng.uniform(t0 + 0.05 * (t1 - t0), t1 - 0.05 * (t1 - t0), n)
+        if name in REPARAMETRIZED_BASES:
+            s, t = np.linalg.solve(DERIVED_L, np.stack([s, t]) - DERIVED_OFFSET[:, None])
+        for s_, t_ in ((s, t), (s.reshape(-1, 25), t.reshape(-1, 25)), (float(s[0]), float(t[0]))):
+            got, want = surface.position(s_, t_), mk.evaluate_jets(surface, s_, t_).f
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_built_in_charts_position_broadcasts_a_float_against_many_points():
+    """position(s, t) of 1,000 s and one float t, taken in blocks after
+    broadcasting, is evaluate_jets' f bit for bit, with one row per s."""
+    surface = mk.ellipsoid(1.0, 1.3, 0.8)
+    s = np.linspace(0.1, 3.0, 1000)
+    got, want = surface.position(s, 0.7), mk.evaluate_jets(surface, s, 0.7).f
+    assert got.shape == want.shape == (1000, 3) and got.tobytes() == want.tobytes()
 
 
 def test_surface_from_spec_families(lp4):
